@@ -19,9 +19,9 @@ namespace cl {
 IntensityCurve::IntensityCurve(std::string name, std::array<double, 24> hours)
     : name_(std::move(name)), hours_(hours) {
   for (double v : hours_) {
-    if (!(v > 0)) {
+    if (!(std::isfinite(v) && v > 0)) {
       throw InvalidArgument("intensity curve '" + name_ +
-                            "' must be > 0 gCO2/kWh at every hour");
+                            "' must be finite and > 0 gCO2/kWh at every hour");
     }
   }
 }
@@ -138,7 +138,8 @@ IntensityCurve IntensityCurve::from_csv(const std::string& path) {
                           "' must carry exactly 24 hourly rows (got " +
                           std::to_string(rows) + ")");
   }
-  // The constructor rejects values <= 0 (and NaN) with its own message.
+  // The constructor rejects values <= 0, infinities and NaN with its own
+  // message.
   return IntensityCurve(name, hours);
 }
 

@@ -33,8 +33,9 @@ inline constexpr char kFlatIntensityName[] = "flat";
 class IntensityCurve {
  public:
   /// `hours[h]` is the intensity during local hour-of-day h; every value
-  /// must be > 0 (a grid cannot emit negative carbon per kWh, and zero
-  /// would make weighted ratios degenerate). Throws cl::InvalidArgument.
+  /// must be finite and > 0 (a grid cannot emit negative carbon per kWh,
+  /// zero would make weighted ratios degenerate, and an infinite hour
+  /// would turn every gram total into inf). Throws cl::InvalidArgument.
   IntensityCurve(std::string name, std::array<double, 24> hours);
 
   /// Constant profile at `gco2_per_kwh` for every hour.

@@ -197,8 +197,8 @@ SimResult HybridSimulator::run(const TraceView& view,
 
   // Shard the key-ordered swarm list across workers: each worker reuses
   // one SwarmSweep (scratch buffers + matcher) for every swarm it sweeps,
-  // each fixed-size chunk accumulates into its own first-touch SimResult
-  // partial, and partials merge in ascending swarm-key order —
+  // each fixed-size chunk accumulates into its own SimResult partial,
+  // and partials merge in ascending swarm-key order —
   // bit-identical results at every thread count (the util/parallel.h
   // contract).
   ReduceTiming reduce_timing;

@@ -27,11 +27,10 @@
 //
 // Parallel execution: swarms are independent, so run() shards the
 // key-sorted swarm list across SimConfig::threads workers. Each worker
-// drives one reusable SwarmSweep; per-chunk SimResult partials are
-// first-touch allocated by their worker and merge in ascending swarm-key
-// order (socket-local pre-folds on multi-node hosts — util/parallel.h),
-// making the full result bit-identical at every thread count (see
-// DESIGN.md §"Parallel execution model").
+// drives one reusable SwarmSweep; per-chunk SimResult partials merge in
+// ascending swarm-key order (util/parallel.h), making the full result
+// bit-identical at every thread count (see DESIGN.md §"Parallel
+// execution model").
 //
 // Traces loaded from the binary columnar format carry a persisted
 // swarm-key-sorted index (trace/swarm_index.h); under the default full

@@ -63,6 +63,31 @@ constexpr std::uint64_t kLeaveIdxMask = (std::uint64_t{1} << kLeaveIdxBits) - 1;
 constexpr std::uint64_t kMaxPackWindow = std::uint64_t{1}
                                          << (64 - kLeaveIdxBits);
 
+/// Splits the windows [wa, wb) at hour boundaries and calls
+/// fn(row, chunk) once per hour they touch: `row` is that hour's per-ISP
+/// traffic row and `chunk` the number of the windows inside it. The
+/// partial's grid grows lazily — only hours this swarm touches get a row
+/// (HybridSimulator::run pads the merged result).
+template <typename Fn>
+void for_each_hour(std::uint64_t wa, std::uint64_t wb, double dt,
+                   std::size_t max_hours, std::size_t isps, SimResult& out,
+                   Fn&& fn) {
+  std::uint64_t w = wa;
+  while (w < wb) {
+    const auto hour =
+        static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
+    const auto hour_end_window = static_cast<std::uint64_t>(
+        std::ceil(static_cast<double>(hour + 1) * 3600.0 / dt));
+    const std::uint64_t chunk_end = std::min(wb, hour_end_window);
+    CL_ENSURES(hour < max_hours);
+    if (hour >= out.hourly.size()) out.hourly.resize(hour + 1);
+    auto& row = out.hourly[hour];
+    if (row.size() < isps) row.resize(isps);
+    fn(row, static_cast<double>(chunk_end - w));
+    w = chunk_end;
+  }
+}
+
 double seconds_between(std::chrono::steady_clock::time_point t0,
                        std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -75,8 +100,7 @@ SwarmSweep::SwarmSweep(const Metro& metro, const SimConfig& config,
     : metro_(&metro),
       config_(config),
       matcher_(make_matcher(config.matcher)),
-      timing_(timing),
-      use_simd_(simd::active()) {
+      timing_(timing) {
   CL_EXPECTS(config_.window.value() > 0);
   CL_EXPECTS(config_.q_over_beta >= 0);
 }
@@ -105,23 +129,10 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
       out.users[a.user].downloaded += Bits{demand * total_windows};
     }
     if (config_.collect_hourly) {
-      std::uint64_t w = w0;
-      while (w < w1) {
-        const auto hour =
-            static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
-        const auto hour_end_window = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(hour + 1) * 3600.0 / dt));
-        const std::uint64_t chunk_end = std::min(w1, hour_end_window);
-        const auto chunk = static_cast<double>(chunk_end - w);
-        CL_ENSURES(hour < max_hours);
-        if (hour >= out.hourly.size()) out.hourly.resize(hour + 1);
-        auto& row = out.hourly[hour];
-        if (row.size() < metro_->isp_count()) {
-          row.resize(metro_->isp_count());
-        }
-        traffic_lanes(row[a.isp])[0] += demand * chunk;
-        w = chunk_end;
-      }
+      for_each_hour(w0, w1, dt, max_hours, metro_->isp_count(), out,
+                    [&](std::vector<TrafficBreakdown>& row, double chunk) {
+                      traffic_lanes(row[a.isp])[0] += demand * chunk;
+                    });
     }
     return;
   }
@@ -162,8 +173,8 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
     }
     const auto total_windows = static_cast<double>(w1 - w0);
     for (std::size_t i = 0; i < 2; ++i) {
-      sweep_kernels::fold_traffic(use_simd_, traffic_lanes(swarm_traffic),
-                                  al[i], total_windows);
+      sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic), al[i],
+                                  total_windows);
       if (config_.collect_per_user) {
         UserTraffic& ut = out.users[active_[i].user];
         // downloaded_bits() order: (server + cross), then the peer lanes.
@@ -174,27 +185,13 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
       }
     }
     if (config_.collect_hourly) {
-      std::uint64_t w = w0;
-      while (w < w1) {
-        const auto hour =
-            static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
-        const auto hour_end_window = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(hour + 1) * 3600.0 / dt));
-        const std::uint64_t chunk_end = std::min(w1, hour_end_window);
-        const auto chunk = static_cast<double>(chunk_end - w);
-        CL_ENSURES(hour < max_hours);
-        if (hour >= out.hourly.size()) out.hourly.resize(hour + 1);
-        auto& row = out.hourly[hour];
-        if (row.size() < metro_->isp_count()) {
-          row.resize(metro_->isp_count());
-        }
-        for (std::size_t i = 0; i < 2; ++i) {
-          sweep_kernels::fold_traffic(use_simd_,
-                                      traffic_lanes(row[active_[i].isp]),
-                                      al[i], chunk);
-        }
-        w = chunk_end;
-      }
+      for_each_hour(w0, w1, dt, max_hours, metro_->isp_count(), out,
+                    [&](std::vector<TrafficBreakdown>& row, double chunk) {
+                      for (std::size_t i = 0; i < 2; ++i) {
+                        sweep_kernels::fold_traffic(
+                            traffic_lanes(row[active_[i].isp]), al[i], chunk);
+                      }
+                    });
     }
     return;
   }
@@ -258,7 +255,7 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
   const auto fold_totals = [&](const std::vector<PeerAllocation>& alloc_row,
                                double windows) {
     for (std::size_t i = 0; i < active_.size(); ++i) {
-      sweep_kernels::fold_traffic(use_simd_, traffic_lanes(swarm_traffic),
+      sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic),
                                   alloc_lanes(alloc_row[i]), windows);
       if (config_.collect_per_user) {
         UserTraffic& ut = out.users[active_[i].user];
@@ -283,29 +280,14 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
   if (config_.collect_hourly) {
     const auto fold_hourly = [&](const std::vector<PeerAllocation>& alloc_row,
                                  std::uint64_t wa, std::uint64_t wb) {
-      std::uint64_t w = wa;
-      while (w < wb) {
-        const auto hour =
-            static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
-        const auto hour_end_window = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(hour + 1) * 3600.0 / dt));
-        const std::uint64_t chunk_end = std::min(wb, hour_end_window);
-        const auto chunk = static_cast<double>(chunk_end - w);
-        // Grow the partial's grid lazily: only hours this swarm touches
-        // get a row (HybridSimulator::run pads the merged result).
-        CL_ENSURES(hour < max_hours);
-        if (hour >= out.hourly.size()) out.hourly.resize(hour + 1);
-        auto& row = out.hourly[hour];
-        if (row.size() < metro_->isp_count()) {
-          row.resize(metro_->isp_count());
-        }
-        for (std::size_t i = 0; i < active_.size(); ++i) {
-          sweep_kernels::fold_traffic(use_simd_,
-                                      traffic_lanes(row[active_[i].isp]),
-                                      alloc_lanes(alloc_row[i]), chunk);
-        }
-        w = chunk_end;
-      }
+      for_each_hour(wa, wb, dt, max_hours, metro_->isp_count(), out,
+                    [&](std::vector<TrafficBreakdown>& row, double chunk) {
+                      for (std::size_t i = 0; i < active_.size(); ++i) {
+                        sweep_kernels::fold_traffic(
+                            traffic_lanes(row[active_[i].isp]),
+                            alloc_lanes(alloc_row[i]), chunk);
+                      }
+                    });
     };
     fold_hourly(first_alloc, w0, wm);
     if (wm < w1) fold_hourly(alloc_, wm, w1);
@@ -445,12 +427,6 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
 
   const double dt = config_.window.value();
   const std::size_t count = indices.size();
-  // AVX2's i32 gathers treat indices as signed; a >2³¹-session trace
-  // must fall back to the scalar gather twins.
-  const bool kernel_simd =
-      use_simd_ &&
-      view.size() <= static_cast<std::size_t>(
-                         std::numeric_limits<std::int32_t>::max());
 
   // Gather phase 1 (kernel 1): window bounds, stripe-8 watch-time sum,
   // and the window-crossing count — sessions shorter than one window
@@ -459,7 +435,7 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
   w_start_.resize(count);
   w_end_.resize(count);
   const sweep_kernels::WindowBounds bounds = sweep_kernels::window_bounds(
-      kernel_simd, indices, view.start().data(), view.duration().data(), dt,
+      indices, view.start().data(), view.duration().data(), dt,
       w_start_.data(), w_end_.data());
 
   // Build the event streams. Joins inherit the trace's start ordering
@@ -510,7 +486,7 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
     g_beta_.resize(count);
     static const std::array<double, kBitrateClasses> kBetaTable = beta_table();
     const sweep_kernels::PeerGather peers = sweep_kernels::gather_peer_columns(
-        kernel_simd, indices, view.user().data(), view.isp().data(),
+        indices, view.user().data(), view.isp().data(),
         view.exp().data(), view.bitrate().data(), kBetaTable.data(),
         want_user ? g_user_.data() : nullptr, g_isp_.data(), g_exp_.data(),
         g_beta_.data());
@@ -520,8 +496,8 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
       // One shared ExP→PoP table — gatherable.
       const std::span<const std::uint32_t> table =
           metro_->isp(g_isp_[0]).exp_to_pop();
-      max_pop = sweep_kernels::gather_pops(kernel_simd, g_exp_.data(), count,
-                                           table.data(), g_pop_.data());
+      max_pop = sweep_kernels::gather_pops(g_exp_.data(), count, table.data(),
+                                           g_pop_.data());
     } else {
       for (std::size_t g = 0; g < count; ++g) {
         const std::uint32_t pop = metro_->isp(g_isp_[g]).pop_of(g_exp_[g]);
@@ -713,7 +689,7 @@ void SwarmSweep::allocate_existence_flat(std::span<const ActivePeer> actives,
   // The core share is the same divide for every member — hoisted.
   const double core_term =
       dem_core > 0 ? dem_core / static_cast<double>(cnt_isp) : 0.0;
-  sweep_kernels::upload_shares(use_simd_, actives.data(), n, dem_exp_.data(),
+  sweep_kernels::upload_shares(actives.data(), n, dem_exp_.data(),
                                cnt_exp_.data(), dem_pop_.data(),
                                cnt_pop_.data(), core_term, out.data());
 

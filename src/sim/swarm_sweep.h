@@ -15,9 +15,8 @@
 //
 //  * sweep(…, TraceView) — the hot path. The swarm's sessions are
 //    gathered from the trace columns into small contiguous primitive
-//    arrays (window bounds, user/ISP/ExP/PoP ids, β) by the SIMD
-//    kernels in sim/sweep_kernels.h (backend and runtime dispatch:
-//    util/simd.h), and the inner loops touch only those arrays. Join
+//    arrays (window bounds, user/ISP/ExP/PoP ids, β) by the kernels in
+//    sim/sweep_kernels.h, and the inner loops touch only those arrays. Join
 //    events inherit the trace's start ordering, so only the leave
 //    stream is sorted — as packed (window, idx) u64 keys. Single-ISP
 //    swarms under the existence matcher additionally bypass the virtual
@@ -31,7 +30,8 @@
 // SimResult::merge (see sim/metrics.h) in ascending swarm-key order, so
 // the full simulation is bit-identical for every thread count — and
 // identical between the two data paths and every SIMD backend (the
-// kernels' lane-width-independence rule, DESIGN.md §"SIMD kernels").
+// vector kernels' lane-width-independence rule, DESIGN.md §"SIMD
+// kernels").
 #pragma once
 
 #include <atomic>
@@ -69,8 +69,7 @@ class SwarmSweep {
   /// `metro` supplies the per-ISP trees for locality lookups and must
   /// outlive the sweep. `timing`, when non-null, receives the per-kernel
   /// wall-time split (adds clock reads to the hot path — only wire it up
-  /// when the caller asked for timing). The SIMD dispatch flag is
-  /// latched here: compiled backend ∧ CL_SIMD environment override.
+  /// when the caller asked for timing).
   SwarmSweep(const Metro& metro, const SimConfig& config,
              SweepKernelTiming* timing = nullptr);
 
@@ -140,7 +139,6 @@ class SwarmSweep {
   SimConfig config_;
   std::unique_ptr<Matcher> matcher_;
   SweepKernelTiming* timing_ = nullptr;
-  bool use_simd_ = false;
   // True while sweeping on the flat-allocator route (sweep() sets it per
   // swarm; sweep_rows keeps it off so the reference path stays generic):
   // lone-peer stretches — the dominant shape in sparse swarms — then

@@ -1,16 +1,4 @@
-// sweep_kernels.h — the hand-vectorized hot loops of the swarm sweep.
-//
-// Every kernel comes as a scalar / SIMD pair dispatched by a `use_simd`
-// flag (compile-time backend ∧ runtime `CL_SIMD` — see util/simd.h).
-// The pairs are **bit-identical by construction**: the SIMD variant
-// performs the same IEEE-754 operations on the same values, and every
-// reduction uses a lane-width-independent shape — most importantly the
-// stripe-8 watch-time sum, whose 8 virtual accumulators (element i adds
-// to accumulator i mod 8, folded left-to-right at the end) map exactly
-// onto 2×4-lane AVX2 registers, 4×2-lane SSE2/NEON registers, or 8
-// scalar doubles. The shape depends on the *structure* (8 stripes),
-// never on the lane width — the same rule the NUMA fold follows for
-// thread counts (DESIGN.md §"SIMD kernels").
+// sweep_kernels.h — the hot loops of the swarm sweep.
 //
 // Kernels, in sweep order:
 //   1. window_bounds       — start/duration → window bounds, stripe-8
@@ -23,10 +11,18 @@
 //   4. fold_traffic        — the per-stretch traffic accumulation
 //                            (lane-parallel multiply-add, no reduction).
 //
-// Gathers are native on AVX2 and per-lane loads elsewhere; on SSE2/NEON
-// the gather-dominated kernels (2) delegate to their scalar twin — the
-// pack/unpack overhead exceeds the vector win there, and delegation
-// keeps the dispatch honest.
+// Kernels 3 and 4 are hand-vectorized on the VF64 lane wrapper
+// (util/simd.h); their `_scalar` twins finish the tail lanes and are the
+// reference the parity tests compare against. The vector code performs the same IEEE-754
+// operations on the same values as the scalar twin, so every backend
+// produces the same bits (DESIGN.md §"SIMD kernels"). Kernels 1 and 2
+// are scalar: they are gather-bound, and hand-vectorized versions
+// measured no faster.
+//
+// The watch-time sum of kernel 1 has a fixed stripe-8 shape (element i
+// adds to accumulator i mod 8, folded left-to-right at the end). The
+// swarm capacities are computed from that sum, so sweep_rows repeats the
+// same shape and the two data paths agree bit-for-bit.
 #pragma once
 
 #include <cstddef>
@@ -48,15 +44,13 @@ struct WindowBounds {
   std::uint64_t max_end_window = 0;  ///< max w_end (packed-key guard)
 };
 
-/// Number of virtual accumulators in the watch-time reduction. 8 = two
-/// AVX2 registers; must be a multiple of every backend's f64 width.
+/// Number of virtual accumulators in the watch-time reduction.
 inline constexpr std::size_t kStripe = 8;
-static_assert(kStripe % simd::VF64::kLanes == 0);
 
-inline WindowBounds window_bounds_scalar(
-    std::span<const std::uint32_t> indices, const double* start,
-    const double* duration, double dt, std::uint64_t* w_start,
-    std::uint64_t* w_end) {
+inline WindowBounds window_bounds(std::span<const std::uint32_t> indices,
+                                  const double* start, const double* duration,
+                                  double dt, std::uint64_t* w_start,
+                                  std::uint64_t* w_end) {
   double acc[kStripe] = {};
   WindowBounds r;
   const std::size_t n = indices.size();
@@ -84,87 +78,6 @@ inline WindowBounds window_bounds_scalar(
   return r;
 }
 
-inline WindowBounds window_bounds_simd(std::span<const std::uint32_t> indices,
-                                       const double* start,
-                                       const double* duration, double dt,
-                                       std::uint64_t* w_start,
-                                       std::uint64_t* w_end) {
-  using simd::VF64;
-  constexpr std::size_t kW = VF64::kLanes;
-  if constexpr (kW == 1) {
-    return window_bounds_scalar(indices, start, duration, dt, w_start, w_end);
-  } else {
-    constexpr std::size_t kBlocks = kStripe / kW;
-    VF64 acc[kBlocks];
-    for (auto& a : acc) a = VF64::zero();
-    WindowBounds r;
-    const std::size_t n = indices.size();
-    const VF64 vdt = VF64::set1(dt);
-    alignas(simd::kAlign) double qs[kStripe];
-    alignas(simd::kAlign) double qe[kStripe];
-    std::size_t g = 0;
-    for (; g + kStripe <= n; g += kStripe) {
-      if (g + 2 * simd::kPrefetchAhead + kStripe <= n) {
-        const std::uint32_t* pp = indices.data() + g + 2 * simd::kPrefetchAhead;
-        for (std::size_t j = 0; j < kStripe; ++j) {
-          simd::prefetch(start + pp[j]);
-          simd::prefetch(duration + pp[j]);
-        }
-      }
-      for (std::size_t b = 0; b < kBlocks; ++b) {
-        const std::uint32_t* ip = indices.data() + g + b * kW;
-        const VF64 s = VF64::gather(start, ip);
-        const VF64 d = VF64::gather(duration, ip);
-        acc[b] += d;
-        (s / vdt).store(qs + b * kW);
-        ((s + d) / vdt).store(qe + b * kW);
-      }
-      for (std::size_t j = 0; j < kStripe; ++j) {
-        const auto ws = static_cast<std::uint64_t>(qs[j]);
-        const auto we = static_cast<std::uint64_t>(qe[j]);
-        w_start[g + j] = ws;
-        w_end[g + j] = we;
-        r.crossings += we > ws ? 1 : 0;
-        r.max_end_window = we > r.max_end_window ? we : r.max_end_window;
-      }
-    }
-    // Spill the vector accumulators onto the virtual stripe (accumulator
-    // j lives in block j/kW, lane j%kW) and finish the tail scalar —
-    // exactly the scalar kernel's state after the same g iterations.
-    double acc8[kStripe];
-    for (std::size_t j = 0; j < kStripe; ++j) {
-      acc8[j] = acc[j / kW].lane(j % kW);
-    }
-    for (; g < n; ++g) {
-      const std::uint32_t idx = indices[g];
-      const double s = start[idx];
-      const double d = duration[idx];
-      acc8[g % kStripe] += d;
-      const auto ws = static_cast<std::uint64_t>(s / dt);
-      const auto we = static_cast<std::uint64_t>((s + d) / dt);
-      w_start[g] = ws;
-      w_end[g] = we;
-      r.crossings += we > ws ? 1 : 0;
-      r.max_end_window = we > r.max_end_window ? we : r.max_end_window;
-    }
-    double watch = acc8[0];
-    for (std::size_t k = 1; k < kStripe; ++k) watch += acc8[k];
-    r.watch_seconds = watch;
-    return r;
-  }
-}
-
-inline WindowBounds window_bounds(bool use_simd,
-                                  std::span<const std::uint32_t> indices,
-                                  const double* start, const double* duration,
-                                  double dt, std::uint64_t* w_start,
-                                  std::uint64_t* w_end) {
-  return use_simd
-             ? window_bounds_simd(indices, start, duration, dt, w_start, w_end)
-             : window_bounds_scalar(indices, start, duration, dt, w_start,
-                                    w_end);
-}
-
 // ---------------------------------------------------------------------------
 // Kernel 2 — per-peer column gathers
 // ---------------------------------------------------------------------------
@@ -178,7 +91,7 @@ struct PeerGather {
 // traffic split, so callers skip that gather (a full random-access pass
 // over the column) when SimConfig::collect_per_user is off.
 
-inline PeerGather gather_peer_columns_scalar(
+inline PeerGather gather_peer_columns(
     std::span<const std::uint32_t> indices, const std::uint32_t* users,
     const std::uint32_t* isps, const std::uint32_t* exps,
     const std::uint8_t* bitrates, const double* beta_table,
@@ -208,92 +121,12 @@ inline PeerGather gather_peer_columns_scalar(
   return r;
 }
 
-inline PeerGather gather_peer_columns_simd(
-    std::span<const std::uint32_t> indices, const std::uint32_t* users,
-    const std::uint32_t* isps, const std::uint32_t* exps,
-    const std::uint8_t* bitrates, const double* beta_table,
-    std::uint32_t* g_user, std::uint32_t* g_isp, std::uint32_t* g_exp,
-    double* g_beta) {
-#if !defined(CL_SIMD_AVX2)
-  // Without native gathers the per-lane pack/unpack costs more than the
-  // packed compare/max saves — delegate to the scalar twin.
-  return gather_peer_columns_scalar(indices, users, isps, exps, bitrates,
-                                    beta_table, g_user, g_isp, g_exp, g_beta);
-#else
-  using simd::VU32;
-  constexpr std::size_t kW = VU32::kLanes;
-  PeerGather r;
-  const std::size_t n = indices.size();
-  const std::uint32_t isp0 = isps[indices[0]];
-  const VU32 visp0 = VU32::set1(isp0);
-  VU32 vmax = VU32::set1(0);
-  VU32 veq = VU32::set1(~std::uint32_t{0});
-  std::size_t g = 0;
-  for (; g + kW <= n; g += kW) {
-    if (g + 2 * simd::kPrefetchAhead + kW <= n) {
-      const std::uint32_t* pp = indices.data() + g + 2 * simd::kPrefetchAhead;
-      for (std::size_t l = 0; l < kW; ++l) {
-        if (g_user != nullptr) simd::prefetch(users + pp[l]);
-        simd::prefetch(isps + pp[l]);
-        simd::prefetch(exps + pp[l]);
-        simd::prefetch(bitrates + pp[l]);
-      }
-    }
-    const std::uint32_t* ip = indices.data() + g;
-    if (g_user != nullptr) VU32::gather(users, ip).storeu(g_user + g);
-    const VU32 isp = VU32::gather(isps, ip);
-    isp.storeu(g_isp + g);
-    veq = veq & VU32::cmpeq(isp, visp0);
-    const VU32 exp = VU32::gather(exps, ip);
-    exp.storeu(g_exp + g);
-    vmax = VU32::max(vmax, exp);
-    // β is a 4-entry table lookup keyed by a *byte* column — no byte
-    // gather exists, so the lanes load scalar either way.
-    for (std::size_t l = 0; l < kW; ++l) {
-      g_beta[g + l] = beta_table[bitrates[ip[l]]];
-    }
-  }
-  r.single_isp = veq.all_ones();
-  for (std::size_t l = 0; l < kW; ++l) {
-    const std::uint32_t e = vmax.lane(l);
-    r.max_exp = e > r.max_exp ? e : r.max_exp;
-  }
-  for (; g < n; ++g) {
-    const std::uint32_t idx = indices[g];
-    if (g_user != nullptr) g_user[g] = users[idx];
-    const std::uint32_t isp = isps[idx];
-    g_isp[g] = isp;
-    if (isp != isp0) r.single_isp = false;
-    const std::uint32_t exp = exps[idx];
-    g_exp[g] = exp;
-    r.max_exp = exp > r.max_exp ? exp : r.max_exp;
-    g_beta[g] = beta_table[bitrates[idx]];
-  }
-  return r;
-#endif
-}
-
-inline PeerGather gather_peer_columns(
-    bool use_simd, std::span<const std::uint32_t> indices,
-    const std::uint32_t* users, const std::uint32_t* isps,
-    const std::uint32_t* exps, const std::uint8_t* bitrates,
-    const double* beta_table, std::uint32_t* g_user, std::uint32_t* g_isp,
-    std::uint32_t* g_exp, double* g_beta) {
-  return use_simd ? gather_peer_columns_simd(indices, users, isps, exps,
-                                             bitrates, beta_table, g_user,
-                                             g_isp, g_exp, g_beta)
-                  : gather_peer_columns_scalar(indices, users, isps, exps,
-                                               bitrates, beta_table, g_user,
-                                               g_isp, g_exp, g_beta);
-}
-
 /// ExP→PoP table gather over the already-gathered contiguous g_exp
 /// column; returns the running PoP maximum. Single-ISP swarms only (one
 /// table); ISP-spanning swarms take the caller's pop_of loop.
-inline std::uint32_t gather_pops_scalar(const std::uint32_t* g_exp,
-                                        std::size_t n,
-                                        const std::uint32_t* exp_to_pop,
-                                        std::uint32_t* g_pop) {
+inline std::uint32_t gather_pops(const std::uint32_t* g_exp, std::size_t n,
+                                 const std::uint32_t* exp_to_pop,
+                                 std::uint32_t* g_pop) {
   std::uint32_t max_pop = 0;
   for (std::size_t g = 0; g < n; ++g) {
     const std::uint32_t pop = exp_to_pop[g_exp[g]];
@@ -301,44 +134,6 @@ inline std::uint32_t gather_pops_scalar(const std::uint32_t* g_exp,
     max_pop = pop > max_pop ? pop : max_pop;
   }
   return max_pop;
-}
-
-inline std::uint32_t gather_pops_simd(const std::uint32_t* g_exp,
-                                      std::size_t n,
-                                      const std::uint32_t* exp_to_pop,
-                                      std::uint32_t* g_pop) {
-#if !defined(CL_SIMD_AVX2)
-  return gather_pops_scalar(g_exp, n, exp_to_pop, g_pop);
-#else
-  using simd::VU32;
-  constexpr std::size_t kW = VU32::kLanes;
-  VU32 vmax = VU32::set1(0);
-  std::size_t g = 0;
-  for (; g + kW <= n; g += kW) {
-    const VU32 pop = VU32::gather(exp_to_pop, g_exp + g);
-    pop.storeu(g_pop + g);
-    vmax = VU32::max(vmax, pop);
-  }
-  std::uint32_t max_pop = 0;
-  for (std::size_t l = 0; l < kW; ++l) {
-    const std::uint32_t p = vmax.lane(l);
-    max_pop = p > max_pop ? p : max_pop;
-  }
-  for (; g < n; ++g) {
-    const std::uint32_t pop = exp_to_pop[g_exp[g]];
-    g_pop[g] = pop;
-    max_pop = pop > max_pop ? pop : max_pop;
-  }
-  return max_pop;
-#endif
-}
-
-inline std::uint32_t gather_pops(bool use_simd, const std::uint32_t* g_exp,
-                                 std::size_t n,
-                                 const std::uint32_t* exp_to_pop,
-                                 std::uint32_t* g_pop) {
-  return use_simd ? gather_pops_simd(g_exp, n, exp_to_pop, g_pop)
-                  : gather_pops_scalar(g_exp, n, exp_to_pop, g_pop);
 }
 
 // ---------------------------------------------------------------------------
@@ -349,11 +144,11 @@ inline std::uint32_t gather_pops(bool use_simd, const std::uint32_t* g_exp,
 //                    + [dem_pop[p]>0] dem_pop[p]/cnt_pop[p]
 //                    + core_term
 //
-// The conditional adds are masked selects in the SIMD variant: excluded
+// The conditional adds are masked selects in the vector kernel: excluded
 // terms contribute +0.0, and x + 0.0 == x bitwise for the non-negative
-// demands involved, so both variants produce the exact sum
-// (exp_term + pop_term) + core_term. Divides are lane-wise IEEE — same
-// bits as scalar. cnt_* lanes convert u32→f64 exactly (counts < 2³¹).
+// demands involved, so both the kernel and its scalar twin produce the
+// exact sum (exp_term + pop_term) + core_term. Divides are lane-wise
+// IEEE — same bits as scalar. cnt_* convert u32→f64 exactly.
 
 inline void upload_shares_scalar(const ActivePeer* actives, std::size_t n,
                                  const double* dem_exp,
@@ -371,12 +166,10 @@ inline void upload_shares_scalar(const ActivePeer* actives, std::size_t n,
   }
 }
 
-inline void upload_shares_simd(const ActivePeer* actives, std::size_t n,
-                               const double* dem_exp,
-                               const std::uint32_t* cnt_exp,
-                               const double* dem_pop,
-                               const std::uint32_t* cnt_pop, double core_term,
-                               PeerAllocation* out) {
+inline void upload_shares(const ActivePeer* actives, std::size_t n,
+                          const double* dem_exp, const std::uint32_t* cnt_exp,
+                          const double* dem_pop, const std::uint32_t* cnt_pop,
+                          double core_term, PeerAllocation* out) {
   using simd::VF64;
   constexpr std::size_t kW = VF64::kLanes;
   if constexpr (kW == 1) {
@@ -413,20 +206,6 @@ inline void upload_shares_simd(const ActivePeer* actives, std::size_t n,
   }
 }
 
-inline void upload_shares(bool use_simd, const ActivePeer* actives,
-                          std::size_t n, const double* dem_exp,
-                          const std::uint32_t* cnt_exp, const double* dem_pop,
-                          const std::uint32_t* cnt_pop, double core_term,
-                          PeerAllocation* out) {
-  if (use_simd) {
-    upload_shares_simd(actives, n, dem_exp, cnt_exp, dem_pop, cnt_pop,
-                       core_term, out);
-  } else {
-    upload_shares_scalar(actives, n, dem_exp, cnt_exp, dem_pop, cnt_pop,
-                         core_term, out);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Kernel 4 — per-stretch traffic fold
 // ---------------------------------------------------------------------------
@@ -444,7 +223,7 @@ inline void fold_traffic_scalar(double* tb, const double* al, double windows) {
   }
 }
 
-inline void fold_traffic_simd(double* tb, const double* al, double windows) {
+inline void fold_traffic(double* tb, const double* al, double windows) {
   using simd::VF64;
   constexpr std::size_t kW = VF64::kLanes;
   if constexpr (kW == 1) {
@@ -458,15 +237,6 @@ inline void fold_traffic_simd(double* tb, const double* al, double windows) {
     for (; k < kTrafficLanes; ++k) {
       tb[k] += al[k] * windows;
     }
-  }
-}
-
-inline void fold_traffic(bool use_simd, double* tb, const double* al,
-                         double windows) {
-  if (use_simd) {
-    fold_traffic_simd(tb, al, windows);
-  } else {
-    fold_traffic_scalar(tb, al, windows);
   }
 }
 

@@ -20,27 +20,9 @@
 //    instance), for chunk work with allocation-heavy inner loops — the
 //    simulator's per-swarm sweep is the canonical user.
 //
-// NUMA awareness (multi-node hosts only; see util/numa.h and DESIGN.md
-// §"Parallel execution model"):
-//
-//  * spawned workers are pinned round-robin across NUMA nodes (the
-//    calling thread doubles as worker 0 and is never pinned — clobbering
-//    the caller's affinity would outlive the call);
-//  * per-chunk accumulators are constructed by the worker that processes
-//    the chunk (first-touch: the partial's pages land on that worker's
-//    node), and each worker drains the chunk range of its own node before
-//    stealing from other nodes' ranges;
-//  * the final merge folds each node's contiguous chunk range into a
-//    node-local partial (in ascending chunk order, by a worker pinned to
-//    that node), then folds the node partials in ascending node order.
-//
-// The fold structure depends only on (n, chunk_len, node count) — never
-// on the thread count — so results stay bit-identical at every --threads
-// value. On single-node machines the fold degenerates to the flat
-// ascending-chunk merge, byte-identical to the historical behaviour;
-// across machines with different node counts, floating-point results may
-// differ by association (the same caveat any fixed-shape tree reduction
-// carries).
+// Chunk boundaries and the fold order depend only on (n, chunk_len), so
+// results are the same on every host, whatever its core or NUMA-node
+// count.
 //
 // Exceptions thrown inside workers are captured and rethrown on the
 // calling thread (first one wins).
@@ -51,14 +33,11 @@
 #include <chrono>
 #include <cstddef>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "util/numa.h"
 
 namespace cl {
 
@@ -90,9 +69,7 @@ struct ReduceTiming {
 namespace detail {
 
 /// Runs fn on `workers` std::threads (the calling thread doubles as
-/// worker 0), propagating the first exception. On multi-node hosts the
-/// spawned threads pin themselves round-robin across NUMA nodes before
-/// running fn; worker 0 stays on the caller's affinity.
+/// worker 0), propagating the first exception.
 template <typename Fn>
 void run_workers(unsigned workers, Fn&& fn) {
   if (workers <= 1) {
@@ -101,12 +78,8 @@ void run_workers(unsigned workers, Fn&& fn) {
   }
   std::exception_ptr error;
   std::mutex error_mutex;
-  const unsigned nodes = numa_topology().nodes();
   auto guarded = [&](unsigned worker) {
     try {
-      if (worker > 0 && nodes > 1) {
-        pin_current_thread_to_node(numa_node_for_worker(worker, nodes));
-      }
       fn(worker);
     } catch (...) {
       const std::lock_guard lock(error_mutex);
@@ -160,29 +133,20 @@ inline constexpr std::size_t kReduceChunk = 2048;
 /// state.
 ///
 /// The range is cut into fixed-length chunks (boundaries depend only on n,
-/// never on the thread count). The chunk index space is partitioned into
-/// one contiguous range per NUMA node; workers drain their own node's
-/// range first (per-range atomic cursors), then steal from other ranges.
+/// never on the thread count) that workers claim from one atomic cursor.
 /// Each worker builds one `make_state()` scratch object the first time it
 /// obtains a chunk, constructs every chunk accumulator it processes with
-/// `make_acc()` (first-touch), and folds the chunk with
-/// `chunk_fn(state, acc, begin, end)`. Afterwards each node range's
-/// accumulators fold in ascending chunk order into a node partial, and
-/// the node partials fold in ascending node order — on one-node machines
-/// that is exactly the flat ascending-chunk merge. The fold shape depends
-/// only on (n, chunk_len, fold_nodes), so the result is bit-identical for
-/// every thread count, including 1.
+/// `make_acc()`, and folds the chunk with `chunk_fn(state, acc, begin,
+/// end)`. Afterwards the accumulators fold in ascending chunk order, so
+/// the result is bit-identical for every thread count, including 1.
 ///
 /// The worker state must be pure scratch (reusable buffers, matcher
 /// instances, ...): which worker processes which chunk is racy, so any
 /// state that influenced the accumulators would break determinism.
-/// `make_acc` must likewise be safe to call concurrently (workers invoke
-/// it while first-touching their chunks).
+/// `make_acc` must likewise be safe to call concurrently.
 ///
 /// `timing`, when non-null, receives the wall-clock split between the
-/// concurrent chunk phase and the fold. `fold_nodes` overrides the node
-/// count shaping the fold (0 = the machine's — tests force >1 to
-/// exercise the socket-local fold on single-node hosts).
+/// concurrent chunk phase and the fold.
 template <typename MakeState, typename MakeAcc, typename ChunkFn,
           typename Merge>
 auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
@@ -190,8 +154,7 @@ auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
                                       MakeAcc&& make_acc, ChunkFn&& chunk_fn,
                                       Merge&& merge,
                                       std::size_t chunk_len = kReduceChunk,
-                                      ReduceTiming* timing = nullptr,
-                                      unsigned fold_nodes = 0) {
+                                      ReduceTiming* timing = nullptr) {
   using Acc = decltype(make_acc());
   using Clock = std::chrono::steady_clock;
   Acc total = make_acc();
@@ -199,34 +162,15 @@ auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
   chunk_len = std::max<std::size_t>(1, chunk_len);
   const std::size_t chunks = (n + chunk_len - 1) / chunk_len;
   // One slot per chunk; the worker that processes a chunk emplaces its
-  // accumulator (first-touch — the pages belong to that worker's node).
+  // accumulator.
   std::vector<std::optional<Acc>> partial(chunks);
-
-  const unsigned t = resolve_threads(threads, chunks);
-  const unsigned nodes = std::max(
-      1u, std::min<unsigned>(fold_nodes == 0 ? numa_fold_nodes() : fold_nodes,
-                             static_cast<unsigned>(chunks)));
-  // Node r owns the contiguous chunk range [chunks*r/nodes,
-  // chunks*(r+1)/nodes) — the same arithmetic for claiming and for
-  // folding, and a pure function of (chunks, nodes).
-  const auto range_begin = [&](unsigned r) { return chunks * r / nodes; };
-  const auto range_end = [&](unsigned r) { return chunks * (r + 1) / nodes; };
-  const auto cursors = std::make_unique<std::atomic<std::size_t>[]>(nodes);
-  for (unsigned r = 0; r < nodes; ++r) cursors[r].store(range_begin(r));
+  std::atomic<std::size_t> cursor{0};
 
   const auto work_start = Clock::now();
-  detail::run_workers(t, [&](unsigned worker) {
-    const unsigned home = numa_node_for_worker(worker, nodes);
-    // Claims the next chunk: home range first, then steal (ascending
-    // wrap-around). Assignment is racy; results only key off the chunk id.
-    const auto next_chunk = [&]() -> std::size_t {
-      for (unsigned pass = 0; pass < nodes; ++pass) {
-        const unsigned r = (home + pass) % nodes;
-        const std::size_t c =
-            cursors[r].fetch_add(1, std::memory_order_relaxed);
-        if (c < range_end(r)) return c;
-      }
-      return chunks;
+  detail::run_workers(resolve_threads(threads, chunks), [&](unsigned) {
+    // Assignment is racy; results only key off the chunk id.
+    const auto next_chunk = [&] {
+      return cursor.fetch_add(1, std::memory_order_relaxed);
     };
     std::size_t c = next_chunk();
     if (c >= chunks) return;  // nothing left: skip the state construction
@@ -240,31 +184,8 @@ auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
   });
   const auto work_end = Clock::now();
 
-  if (nodes <= 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      merge(total, *partial[c]);
-    }
-  } else {
-    // Socket-local pre-fold: node r's range folds (ascending) into one
-    // partial, by a worker pinned to node r; node partials then fold in
-    // ascending node order. The shape depends only on (chunks, nodes).
-    std::vector<std::optional<Acc>> node_partial(nodes);
-    detail::run_workers(std::min<unsigned>(t, nodes), [&](unsigned r) {
-      for (unsigned range = r; range < nodes;
-           range += std::min<unsigned>(t, nodes)) {
-        const std::size_t begin = range_begin(range);
-        const std::size_t end = range_end(range);
-        if (begin >= end) continue;
-        Acc acc = std::move(*partial[begin]);
-        for (std::size_t c = begin + 1; c < end; ++c) {
-          merge(acc, *partial[c]);
-        }
-        node_partial[range].emplace(std::move(acc));
-      }
-    });
-    for (unsigned r = 0; r < nodes; ++r) {
-      if (node_partial[r]) merge(total, *node_partial[r]);
-    }
+  for (std::size_t c = 0; c < chunks; ++c) {
+    merge(total, *partial[c]);
   }
   if (timing != nullptr) {
     const auto fold_end = Clock::now();

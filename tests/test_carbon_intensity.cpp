@@ -38,6 +38,10 @@ TEST(IntensityCurve, RejectsNonPositiveHours) {
   EXPECT_THROW(IntensityCurve("bad", hours), InvalidArgument);
   hours[7] = -5.0;
   EXPECT_THROW(IntensityCurve("bad", hours), InvalidArgument);
+  hours[7] = HUGE_VAL;
+  EXPECT_THROW(IntensityCurve("bad", hours), InvalidArgument);
+  hours[7] = NAN;
+  EXPECT_THROW(IntensityCurve("bad", hours), InvalidArgument);
 }
 
 TEST(IntensityCurve, WrapsHourOfDay) {

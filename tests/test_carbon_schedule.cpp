@@ -78,7 +78,9 @@ TEST(TroughWindow, SpikeCurveAvoidsTheSpike) {
   // A single dirty hour: the chosen window must not overlap it, and ties
   // among the clean windows resolve to the earliest start (hour 0 when
   // the spike sits late enough).
-  const CarbonScheduler scheduler(spike_curve("spike", 100.0, 900.0, 12));
+  // The scheduler keeps a pointer to its curve: the curve must outlive it.
+  const IntensityCurve curve = spike_curve("spike", 100.0, 900.0, 12);
+  const CarbonScheduler scheduler(curve);
   const PreloadConfig window = scheduler.trough_window();
   EXPECT_DOUBLE_EQ(window.window_start_hour, 0.0);
   EXPECT_DOUBLE_EQ(window.window_end_hour, 2.0);
@@ -142,8 +144,8 @@ TEST(PlanRoutes, PrefersCleanerViableMetroOnly) {
   const IntensityCurve home = IntensityCurve::constant("home", 300.0);
   const IntensityCurve near = IntensityCurve::constant("near", 100.0);
   const IntensityCurve far = IntensityCurve::constant("far", 10.0);
-  const CarbonScheduler scheduler(
-      spike_curve("user", 300.0, 301.0, 0));  // non-flat: routing active
+  const IntensityCurve user = spike_curve("user", 300.0, 301.0, 0);
+  const CarbonScheduler scheduler(user);  // non-flat: routing active
   const RoutingPlan plan =
       scheduler.plan_routes({&home, &near, &far}, 0, 24);
   ASSERT_EQ(plan.hours.size(), 24u);
@@ -158,7 +160,8 @@ TEST(PlanRoutes, PrefersCleanerViableMetroOnly) {
 
 TEST(PlanRoutes, TiesKeepTheHomeMetro) {
   const IntensityCurve same = IntensityCurve::constant("same", 200.0);
-  const CarbonScheduler scheduler(spike_curve("user", 200.0, 201.0, 0));
+  const IntensityCurve user = spike_curve("user", 200.0, 201.0, 0);
+  const CarbonScheduler scheduler(user);
   const RoutingPlan plan = scheduler.plan_routes({&same, &same}, 0, 24);
   EXPECT_EQ(plan.hours_routed_away(), 0u);
 }
@@ -168,8 +171,8 @@ TEST(PlanRoutes, ZeroLatencyBoundDisablesRouting) {
   config.max_added_latency_ms = 0.0;
   const IntensityCurve dirty = IntensityCurve::constant("dirty", 500.0);
   const IntensityCurve clean = IntensityCurve::constant("clean", 10.0);
-  const CarbonScheduler scheduler(spike_curve("user", 500.0, 501.0, 0),
-                                  config);
+  const IntensityCurve user = spike_curve("user", 500.0, 501.0, 0);
+  const CarbonScheduler scheduler(user, config);
   const RoutingPlan plan = scheduler.plan_routes({&dirty, &clean}, 0, 24);
   EXPECT_EQ(plan.hours_routed_away(), 0u);
 }
@@ -426,6 +429,18 @@ TEST_F(FromCsvTest, RejectsNonPositiveValues) {
   for (int h = 0; h < 24; ++h) negative_body += (h == 7 ? "-5\n" : "100\n");
   EXPECT_THROW(
       (void)IntensityCurve::from_csv(write_csv("neg.csv", negative_body)),
+      InvalidArgument);
+  // strtod accepts "inf": an infinite hour must not load as a curve with
+  // max() = mean() = inf.
+  std::string inf_body;
+  for (int h = 0; h < 24; ++h) inf_body += (h == 7 ? "inf\n" : "100\n");
+  EXPECT_THROW(
+      (void)IntensityCurve::from_csv(write_csv("inf.csv", inf_body)),
+      InvalidArgument);
+  std::string inf_pairs = "hour,g\n0,inf\n";
+  for (int h = 1; h < 24; ++h) inf_pairs += std::to_string(h) + ",100\n";
+  EXPECT_THROW(
+      (void)IntensityCurve::from_csv(write_csv("inf_pairs.csv", inf_pairs)),
       InvalidArgument);
 }
 

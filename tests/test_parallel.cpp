@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "trace/synthetic.h"
 #include "trace/trace_stats.h"
 #include "util/error.h"
-#include "util/numa.h"
 #include "util/stats.h"
 
 namespace cl {
@@ -465,79 +465,38 @@ TEST(ShardedAnalysis, AnalyzerOutputsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// ----------------------------------------------- NUMA-aware reductions
-
-TEST(Numa, ParseCpuListHandlesKernelRangeSyntax) {
-  EXPECT_EQ(parse_cpu_list("0"), (std::vector<int>{0}));
-  EXPECT_EQ(parse_cpu_list("0-3"), (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(parse_cpu_list("0-3,8,10-11"),
-            (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
-  EXPECT_EQ(parse_cpu_list("7,5"), (std::vector<int>{7, 5}));
-  EXPECT_TRUE(parse_cpu_list("").empty());
-  EXPECT_TRUE(parse_cpu_list("a-b").empty());
-  EXPECT_TRUE(parse_cpu_list("3-1").empty());   // descending range
-  EXPECT_TRUE(parse_cpu_list("0,,2").empty());  // empty token
-  EXPECT_TRUE(parse_cpu_list("-1").empty());    // negative id
-  EXPECT_TRUE(parse_cpu_list("0-2x").empty());  // trailing garbage
-}
-
-TEST(Numa, WorkerPlacementIsRoundRobin) {
-  // Single node: everyone lands on node 0 (and pinning stays a no-op).
-  for (unsigned worker : {0u, 1u, 5u}) {
-    EXPECT_EQ(numa_node_for_worker(worker, 0), 0u);
-    EXPECT_EQ(numa_node_for_worker(worker, 1), 0u);
-  }
-  // Multi-node: round-robin, so consecutive workers alternate sockets
-  // and the distribution across nodes is balanced.
-  EXPECT_EQ(numa_node_for_worker(0, 2), 0u);
-  EXPECT_EQ(numa_node_for_worker(1, 2), 1u);
-  EXPECT_EQ(numa_node_for_worker(2, 2), 0u);
-  EXPECT_EQ(numa_node_for_worker(5, 4), 1u);
-}
-
-TEST(Numa, TopologyDiscoveryAlwaysYieldsAtLeastOneNode) {
-  EXPECT_GE(numa_topology().nodes(), 1u);
-  EXPECT_EQ(numa_fold_nodes(), numa_topology().nodes());
-  // Out-of-range nodes are never pinnable.
-  EXPECT_FALSE(pin_current_thread_to_node(numa_topology().nodes()));
-}
-
-TEST(ParallelChunkedReduce, ForcedMultiNodeFoldIsBitIdentical) {
-  // The node-range fold (socket-local partial folds before the global
-  // ascending merge) must produce the same result at every *thread*
-  // count for a fixed node count — the machine shapes the association,
-  // the thread count never does. Forced fold_nodes exercises the
-  // multi-node fold paths on single-node CI hosts.
+TEST(ParallelChunkedReduce, FoldMatchesSequentialChunkFold) {
+  // The fold shape is pinned against an independent reference: sum each
+  // fixed-length chunk left to right, then fold the chunk sums left to
+  // right. The values mix magnitudes so that any other association (a
+  // per-worker or per-node pre-fold, a plain element-wise sum) changes
+  // the bits.
+  constexpr std::size_t kChunk = 128;
   std::vector<double> xs(20000);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     xs[i] = (i % 5 == 0 ? 1e13 : 1e-4) / static_cast<double>(i + 1);
   }
-  const auto reduce = [&](unsigned threads, unsigned fold_nodes) {
-    return parallel_chunked_reduce_stateful(
+  double reference = 0.0;
+  for (std::size_t begin = 0; begin < xs.size(); begin += kChunk) {
+    double chunk = 0.0;
+    for (std::size_t i = begin; i < std::min(xs.size(), begin + kChunk); ++i) {
+      chunk += xs[i];
+    }
+    reference += chunk;
+  }
+  double element_wise = 0.0;
+  for (const double x : xs) element_wise += x;
+  ASSERT_NE(reference, element_wise) << "inputs do not expose association";
+
+  for (unsigned threads : {1u, 2u, 7u, 0u}) {
+    const double sum = parallel_chunked_reduce_stateful(
         xs.size(), threads, [] { return 0; }, [] { return 0.0; },
         [&](int&, double& acc, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) acc += xs[i];
         },
-        [](double& total, const double& chunk) { total += chunk; },
-        /*chunk_len=*/128, /*timing=*/nullptr, fold_nodes);
-  };
-  for (unsigned fold_nodes : {2u, 3u}) {
-    const double reference = reduce(1, fold_nodes);
-    for (unsigned threads : {2u, 7u}) {
-      EXPECT_EQ(reduce(threads, fold_nodes), reference)
-          << "fold_nodes=" << fold_nodes << " threads=" << threads;
-    }
+        [](double& total, const double& chunk) { total += chunk; }, kChunk);
+    EXPECT_EQ(sum, reference) << "threads=" << threads;
   }
-  // nodes=1 must reproduce the historical flat ascending fold exactly —
-  // i.e. match the plain stateless reduction.
-  const double flat = parallel_chunked_reduce(
-      xs.size(), 3, [] { return 0.0; },
-      [&](double& acc, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) acc += xs[i];
-      },
-      [](double& total, const double& chunk) { total += chunk; },
-      /*chunk_len=*/128);
-  EXPECT_EQ(reduce(4, 1), flat);
 }
 
 TEST(ParallelChunkedReduce, ReduceTimingIsPopulated) {
@@ -554,9 +513,6 @@ TEST(ParallelChunkedReduce, ReduceTimingIsPopulated) {
   EXPECT_EQ(sum, 5000.0 * 4999.0 / 2.0);
   EXPECT_GE(timing.work_seconds, 0.0);
   EXPECT_GE(timing.merge_seconds, 0.0);
-  // The work phase wraps the merge phase plus the chunk execution, so it
-  // can never be shorter.
-  EXPECT_GE(timing.work_seconds, timing.merge_seconds);
 }
 
 TEST(ShardedSimulator, SimPhaseTimingIsPopulated) {

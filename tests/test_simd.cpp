@@ -1,21 +1,17 @@
-// test_simd.cpp — the SIMD lane wrappers (util/simd.h) and the sweep
-// kernels' scalar/SIMD bit-identity contract (sim/sweep_kernels.h).
+// test_simd.cpp — the VF64 lane wrapper (util/simd.h) and the vector
+// sweep kernels' bit-identity with their scalar twins
+// (sim/sweep_kernels.h).
 //
-// Every kernel pair is exercised at the boundary lengths where lane
+// The vector kernels are exercised at the boundary lengths where lane
 // handling goes wrong — 0, 1, lanes−1, lanes, lanes+1 and a large
 // randomized body — and the outputs are compared *bitwise* (EXPECT_EQ on
-// doubles, never near), because the whole design rests on the SIMD
-// variants producing the exact scalar bits. Window-bound inputs include
-// denormals and values an ulp either side of a window boundary: the
-// truncations must agree there too.
+// doubles, never near), because the whole design rests on the vector
+// kernels producing the exact scalar bits.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <limits>
 #include <vector>
 
 #include "sim/sweep_kernels.h"
@@ -26,8 +22,6 @@ namespace cl {
 namespace {
 
 using simd::VF64;
-using simd::VU32;
-using simd::VU64;
 
 // The boundary lengths every kernel is checked at (plus a large body).
 std::vector<std::size_t> boundary_lengths() {
@@ -55,19 +49,14 @@ TEST(SimdWrappers, F64ArithmeticMatchesScalar) {
     a[l] = rng.uniform(-100.0, 100.0);
     b[l] = rng.uniform(0.5, 100.0);
   }
-  const VF64 va = VF64::load(a);
-  const VF64 vb = VF64::load(b);
+  const VF64 va = VF64::loadu(a);
+  const VF64 vb = VF64::loadu(b);
+  double sum[VF64::kLanes];
+  (va + vb).storeu(sum);
   for (std::size_t l = 0; l < VF64::kLanes; ++l) {
-    EXPECT_EQ((va + vb).lane(l), a[l] + b[l]);
-    EXPECT_EQ((va - vb).lane(l), a[l] - b[l]);
+    EXPECT_EQ(sum[l], a[l] + b[l]);
     EXPECT_EQ((va * vb).lane(l), a[l] * b[l]);
     EXPECT_EQ((va / vb).lane(l), a[l] / b[l]);
-    EXPECT_EQ(VF64::max(va, vb).lane(l), a[l] > b[l] ? a[l] : b[l]);
-  }
-  VF64 acc = va;
-  acc += vb;
-  for (std::size_t l = 0; l < VF64::kLanes; ++l) {
-    EXPECT_EQ(acc.lane(l), a[l] + b[l]);
   }
 }
 
@@ -78,7 +67,7 @@ TEST(SimdWrappers, F64MaskSelectsZeroOrValue) {
     a[l] = l % 2 == 0 ? 3.5 : -1.25;
     b[l] = 0.0;
   }
-  const VF64 mask = VF64::gt_mask(VF64::load(a), VF64::load(b));
+  const VF64 mask = VF64::gt_mask(VF64::loadu(a), VF64::loadu(b));
   const VF64 sel = VF64::mask_and(VF64::set1(7.75), mask);
   for (std::size_t l = 0; l < VF64::kLanes; ++l) {
     EXPECT_EQ(sel.lane(l), a[l] > 0.0 ? 7.75 : 0.0);
@@ -100,116 +89,35 @@ TEST(SimdWrappers, F64GatherReadsIndexedElements) {
   }
 }
 
-TEST(SimdWrappers, U32MaxCmpeqAndAllOnes) {
-  std::uint32_t a[VU32::kLanes];
-  std::uint32_t b[VU32::kLanes];
-  for (std::size_t l = 0; l < VU32::kLanes; ++l) {
-    // Values straddling 2³¹ — the SSE2 emulation sign-biases pcmpgtd,
-    // which is exactly what this pins down.
-    a[l] = l % 2 == 0 ? 0x80000001u + static_cast<std::uint32_t>(l) : 7u;
-    b[l] = l % 2 == 0 ? 3u : 0xFFFFFFF0u;
-  }
-  const VU32 va = VU32::loadu(a);
-  const VU32 vb = VU32::loadu(b);
-  const VU32 m = VU32::max(va, vb);
-  for (std::size_t l = 0; l < VU32::kLanes; ++l) {
-    EXPECT_EQ(m.lane(l), a[l] > b[l] ? a[l] : b[l]);
-  }
-  EXPECT_TRUE(VU32::cmpeq(va, va).all_ones());
-  EXPECT_FALSE(VU32::cmpeq(va, vb).all_ones());
-  EXPECT_FALSE((VU32::cmpeq(va, va) & VU32::cmpeq(va, vb)).all_ones());
-}
-
-TEST(SimdWrappers, U32ToF64IsExact) {
-  std::uint32_t a[VU32::kLanes];
-  for (std::size_t l = 0; l < VU32::kLanes; ++l) {
-    a[l] = 0x7FFFFFFFu - static_cast<std::uint32_t>(l);  // < 2³¹: exact
-  }
-  const VU32 va = VU32::loadu(a);
-  for (std::size_t lo = 0; lo + VF64::kLanes <= VU32::kLanes;
-       lo += VF64::kLanes) {
-    const VF64 f = va.to_f64(lo);
-    for (std::size_t l = 0; l < VF64::kLanes; ++l) {
-      EXPECT_EQ(f.lane(l), static_cast<double>(a[lo + l]));
-    }
-  }
-}
-
-TEST(SimdWrappers, U64PackedKeyOps) {
-  std::uint64_t w[VU64::kLanes];
-  std::uint64_t g[VU64::kLanes];
-  for (std::size_t l = 0; l < VU64::kLanes; ++l) {
-    w[l] = 0x12345678ull + l;
-    g[l] = 0xABCDEFull - l;
-  }
-  const VU64 key = VU64::loadu(w).shl(24) | VU64::loadu(g);
-  std::uint64_t out[VU64::kLanes];
-  key.storeu(out);
-  for (std::size_t l = 0; l < VU64::kLanes; ++l) {
-    EXPECT_EQ(out[l], (w[l] << 24) | g[l]);
-    EXPECT_EQ(key.lane(l), (w[l] << 24) | g[l]);
-    EXPECT_EQ((VU64::set1(5) + VU64::loadu(w)).lane(l), 5 + w[l]);
-  }
-}
-
 TEST(SimdWrappers, AlignedVectorIsCacheLineAligned) {
   simd::aligned_vector<double> v(17, 1.0);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % simd::kAlign, 0u);
 }
 
-TEST(SimdWrappers, RuntimeToggleReadsEnvironment) {
-  unsetenv("CL_SIMD");
-  EXPECT_TRUE(simd::runtime_enabled());
-  setenv("CL_SIMD", "off", 1);
-  EXPECT_FALSE(simd::runtime_enabled());
-  EXPECT_FALSE(simd::active());
-  setenv("CL_SIMD", "on", 1);
-  EXPECT_TRUE(simd::runtime_enabled());
-  unsetenv("CL_SIMD");
-}
-
 // ----------------------------------------------------------------- kernels
 
-/// Shared fixture data: a scattered "trace" of n sessions reached
-/// through a shuffled index column, as the sweep does.
+/// Gather-kernel input: a scattered "trace" of n sessions reached
+/// through a strided index column, as the sweep does.
 struct KernelInput {
   std::vector<std::uint32_t> indices;
-  std::vector<double> start, duration;
   std::vector<std::uint32_t> user, isp, exp;
   std::vector<std::uint8_t> bitrate;
 };
 
-KernelInput make_input(std::size_t n, Rng& rng, bool boundary_starts) {
+KernelInput make_input(std::size_t n, Rng& rng) {
   // The backing columns are larger than the swarm and indexed out of
   // order — gathers must not assume contiguity.
   const std::size_t cols = n + 64;
   KernelInput in;
-  in.start.resize(cols);
-  in.duration.resize(cols);
   in.user.resize(cols);
   in.isp.resize(cols);
   in.exp.resize(cols);
   in.bitrate.resize(cols);
   for (std::size_t i = 0; i < cols; ++i) {
-    in.start[i] = rng.uniform(0.0, 86400.0);
-    in.duration[i] = rng.uniform(0.0, 5400.0);
     in.user[i] = static_cast<std::uint32_t>(rng.uniform_index(1u << 20));
     in.isp[i] = static_cast<std::uint32_t>(rng.uniform_index(3));
     in.exp[i] = static_cast<std::uint32_t>(rng.uniform_index(40));
     in.bitrate[i] = static_cast<std::uint8_t>(rng.uniform_index(4));
-  }
-  if (boundary_starts && cols >= 8) {
-    // Exactly on / an ulp either side of a Δτ = 10 s window boundary,
-    // plus denormal and epsilon-scale values — the truncation edge.
-    in.start[0] = 120.0;
-    in.start[1] = std::nextafter(120.0, 0.0);
-    in.start[2] = std::nextafter(120.0, 1e9);
-    in.start[3] = 5e-324;  // smallest denormal
-    in.start[4] = std::numeric_limits<double>::epsilon();
-    in.duration[4] = 5e-324;
-    in.duration[5] = 0.0;
-    in.duration[6] = std::nextafter(10.0, 0.0);
-    in.duration[7] = std::nextafter(10.0, 1e9);
   }
   in.indices.resize(n);
   for (std::size_t g = 0; g < n; ++g) {
@@ -218,84 +126,32 @@ KernelInput make_input(std::size_t n, Rng& rng, bool boundary_starts) {
   return in;
 }
 
-TEST(SweepKernels, WindowBoundsSimdMatchesScalarBitwise) {
-  for (const std::size_t n : boundary_lengths()) {
-    Rng rng(42 + n);
-    const KernelInput in = make_input(n, rng, /*boundary_starts=*/true);
-    const double dt = 10.0;
-    std::vector<std::uint64_t> ws_s(n), we_s(n), ws_v(n), we_v(n);
-    const auto rs = sweep_kernels::window_bounds_scalar(
-        in.indices, in.start.data(), in.duration.data(), dt, ws_s.data(),
-        we_s.data());
-    const auto rv = sweep_kernels::window_bounds_simd(
-        in.indices, in.start.data(), in.duration.data(), dt, ws_v.data(),
-        we_v.data());
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(rs.watch_seconds),
-              std::bit_cast<std::uint64_t>(rv.watch_seconds))
-        << "watch-time reduction diverged at n=" << n;
-    EXPECT_EQ(rs.crossings, rv.crossings) << "n=" << n;
-    EXPECT_EQ(rs.max_end_window, rv.max_end_window) << "n=" << n;
-    EXPECT_EQ(ws_s, ws_v) << "n=" << n;
-    EXPECT_EQ(we_s, we_v) << "n=" << n;
-  }
-}
-
-TEST(SweepKernels, GatherPeerColumnsSimdMatchesScalar) {
+TEST(SweepKernels, GatherPeerColumnsNullUserLeavesOtherColumns) {
+  // A null user output skips that gather (per-user collection off) but
+  // must not disturb the other columns or the summary.
   std::array<double, 4> beta{800000.0, 1500000.0, 3000000.0, 5000000.0};
   for (const std::size_t n : boundary_lengths()) {
     if (n == 0) continue;  // kernel 2 requires n >= 1 (reads indices[0])
     Rng rng(7 + n);
-    const KernelInput in = make_input(n, rng, false);
-    std::vector<std::uint32_t> us(n), is(n), es(n), uv(n), iv(n), ev(n);
-    std::vector<double> bs(n), bv(n);
-    const auto rs = sweep_kernels::gather_peer_columns_scalar(
+    const KernelInput in = make_input(n, rng);
+    std::vector<std::uint32_t> us(n), is(n), es(n), is2(n), es2(n);
+    std::vector<double> bs(n), bs2(n);
+    const auto rs = sweep_kernels::gather_peer_columns(
         in.indices, in.user.data(), in.isp.data(), in.exp.data(),
         in.bitrate.data(), beta.data(), us.data(), is.data(), es.data(),
         bs.data());
-    const auto rv = sweep_kernels::gather_peer_columns_simd(
-        in.indices, in.user.data(), in.isp.data(), in.exp.data(),
-        in.bitrate.data(), beta.data(), uv.data(), iv.data(), ev.data(),
-        bv.data());
-    EXPECT_EQ(rs.max_exp, rv.max_exp) << "n=" << n;
-    EXPECT_EQ(rs.single_isp, rv.single_isp) << "n=" << n;
-    EXPECT_EQ(us, uv);
-    EXPECT_EQ(is, iv);
-    EXPECT_EQ(es, ev);
-    EXPECT_EQ(bs, bv);
-    // Null user output skips that gather but must not disturb the rest.
-    std::vector<std::uint32_t> is2(n), es2(n);
-    std::vector<double> bs2(n);
     const auto rn = sweep_kernels::gather_peer_columns(
-        simd::active(), in.indices, in.user.data(), in.isp.data(),
-        in.exp.data(), in.bitrate.data(), beta.data(), nullptr, is2.data(),
-        es2.data(), bs2.data());
+        in.indices, in.user.data(), in.isp.data(), in.exp.data(),
+        in.bitrate.data(), beta.data(), nullptr, is2.data(), es2.data(),
+        bs2.data());
+    for (std::size_t g = 0; g < n; ++g) {
+      EXPECT_EQ(us[g], in.user[in.indices[g]]);
+    }
     EXPECT_EQ(rn.max_exp, rs.max_exp);
     EXPECT_EQ(rn.single_isp, rs.single_isp);
     EXPECT_EQ(is2, is);
     EXPECT_EQ(es2, es);
     EXPECT_EQ(bs2, bs);
-  }
-}
-
-TEST(SweepKernels, GatherPopsSimdMatchesScalar) {
-  std::vector<std::uint32_t> table(40);
-  for (std::size_t e = 0; e < table.size(); ++e) {
-    table[e] = static_cast<std::uint32_t>(e / 3);
-  }
-  for (const std::size_t n : boundary_lengths()) {
-    Rng rng(11 + n);
-    std::vector<std::uint32_t> g_exp(n);
-    for (auto& e : g_exp) {
-      e = static_cast<std::uint32_t>(rng.uniform_index(table.size()));
-    }
-    std::vector<std::uint32_t> ps(n), pv(n);
-    const std::uint32_t ms =
-        sweep_kernels::gather_pops_scalar(g_exp.data(), n, table.data(),
-                                          ps.data());
-    const std::uint32_t mv = sweep_kernels::gather_pops_simd(
-        g_exp.data(), n, table.data(), pv.data());
-    EXPECT_EQ(ms, mv) << "n=" << n;
-    EXPECT_EQ(ps, pv) << "n=" << n;
   }
 }
 
@@ -326,9 +182,9 @@ TEST(SweepKernels, UploadSharesSimdMatchesScalarBitwise) {
                                         cnt_exp.data(), dem_pop.data(),
                                         cnt_pop.data(), core_term,
                                         outs.data());
-    sweep_kernels::upload_shares_simd(actives.data(), n, dem_exp.data(),
-                                      cnt_exp.data(), dem_pop.data(),
-                                      cnt_pop.data(), core_term, outv.data());
+    sweep_kernels::upload_shares(actives.data(), n, dem_exp.data(),
+                                 cnt_exp.data(), dem_pop.data(),
+                                 cnt_pop.data(), core_term, outv.data());
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(outs[j].upload_bits),
                 std::bit_cast<std::uint64_t>(outv[j].upload_bits))
@@ -349,7 +205,7 @@ TEST(SweepKernels, FoldTrafficSimdMatchesScalarBitwise) {
     }
     const double windows = rng.uniform(1.0, 8640.0);
     sweep_kernels::fold_traffic_scalar(tbs, al, windows);
-    sweep_kernels::fold_traffic_simd(tbv, al, windows);
+    sweep_kernels::fold_traffic(tbv, al, windows);
     for (std::size_t k = 0; k < sweep_kernels::kTrafficLanes; ++k) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(tbs[k]),
                 std::bit_cast<std::uint64_t>(tbv[k]));

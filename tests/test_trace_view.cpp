@@ -205,41 +205,6 @@ TEST(TraceView, SimResultsIdenticalRowsVsColumnsVsMmapEverywhere) {
   }
 }
 
-// Forcing CL_SIMD=off swaps every sweep kernel onto its scalar twin
-// (util/simd.h reads the environment per SwarmSweep construction). The
-// scalar and intrinsic paths must agree bit-for-bit — the kernels'
-// lane-width-independence contract — and both must match run_rows.
-TEST(TraceView, SimResultsIdenticalUnderScalarFallback) {
-  struct EnvGuard {
-    EnvGuard() { setenv("CL_SIMD", "off", 1); }
-    ~EnvGuard() { unsetenv("CL_SIMD"); }
-  };
-  for (const std::string metro_name :
-       {"london_top5", "us_sparse", "fiber_dense"}) {
-    const Metro& metro = MetroRegistry::instance().get(metro_name);
-    const Trace trace = small_trace(metro_name);
-
-    SimConfig config;
-    config.collect_hourly = true;
-    config.collect_per_user = true;
-    config.collect_swarms = true;
-    config.threads = 1;
-    const SimResult reference = HybridSimulator(metro, config).run_rows(trace);
-
-    for (unsigned threads : {1u, 2u, 7u, 0u}) {
-      config.threads = threads;
-      const HybridSimulator sim(metro, config);
-      const TraceView view = TraceView::from_trace(trace, threads);
-      const SimResult intrinsic = sim.run(view);
-      {
-        const EnvGuard guard;
-        expect_results_identical(sim.run(view), reference);
-        expect_results_identical(sim.run(view), intrinsic);
-      }
-    }
-  }
-}
-
 // ------------------------------------------------------------ edge cases
 
 TEST(TraceView, EmptyTrace) {

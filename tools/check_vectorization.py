@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Vectorization drift gate for the sweep's scalar fallback loops.
+"""Vectorization drift gate for the sweep's auto-vectorized loops.
 
-The sweep's hottest kernels are hand-vectorized (sim/sweep_kernels.h),
-but the *scalar twins* — what `CL_SIMD=off` and non-intrinsic builds
-run — plus a handful of hot loops outside the kernels still lean on the
+Two sweep kernels are hand-vectorized with the VF64 lane wrapper
+(sim/sweep_kernels.h: upload_shares and fold_traffic). Every other hot
+loop — the window-bounds stripe fold among them — leans on the
 auto-vectorizer. Auto-vectorization is fragile: an innocent-looking edit
 (a new branch, an escaping pointer, a call the compiler can't inline)
 silently drops a loop back to scalar code and nobody notices until a
@@ -15,8 +15,8 @@ How it works:
      the line directly above the `for`:  `// [vec:NAME]`.
   2. This script compiles the sweep translation units with GCC's
      `-fopt-info-vec-optimized` remarks, `-DCL_SIMD_FORCE_SCALAR=1` (so
-     the scalar kernel twins are what the optimizer sees — the gate
-     checks the fallback, not the intrinsics) and `-march=x86-64-v4`
+     no intrinsic code is in play — the gate checks what the compiler
+     vectorizes on its own) and `-march=x86-64-v4`
      (the widest x86-64 baseline: the gate asks "is the loop shape
      vectorizable", independent of the host CPU — nothing is executed).
   3. Every marker must be matched by a `loop vectorized` remark within
@@ -157,7 +157,7 @@ def main() -> int:
               "the allowlist.")
         return 1
     print(f"OK: all {len(ALLOWLIST)} marked loops vectorize "
-          "(scalar-fallback build, -march=x86-64-v4)")
+          "(forced-scalar build, -march=x86-64-v4)")
     return 0
 
 
