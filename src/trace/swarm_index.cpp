@@ -1,7 +1,9 @@
 #include "trace/swarm_index.h"
 
-#include <algorithm>
+#include <bit>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/error.h"
 
@@ -11,41 +13,79 @@ SwarmIndex build_swarm_index(const Trace& trace) {
   const std::size_t n = trace.sessions.size();
   CL_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max());
 
+  // One compact entry per session, so every radix pass below reads its
+  // input sequentially. `differ` collects, per key column, the bits that
+  // differ between some two sessions.
+  struct Entry {
+    std::uint32_t content;
+    std::uint32_t isp;
+    std::uint32_t bitrate;
+    std::uint32_t session;
+  };
+  std::vector<Entry> entries(n);
+  Entry first{};
+  Entry differ{};
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const SessionRecord& s = trace.sessions[i];
+    const Entry e{s.content, s.isp, static_cast<std::uint32_t>(s.bitrate), i};
+    if (i == 0) first = e;
+    differ.content |= e.content ^ first.content;
+    differ.isp |= e.isp ^ first.isp;
+    differ.bitrate |= e.bitrate ^ first.bitrate;
+    entries[i] = e;
+  }
+
+  // Stable LSD radix sort by (content, isp, bitrate), least significant
+  // digit first. Starting from ascending session order, stability leaves
+  // ascending session indices inside each group — the order the
+  // simulator's hash-grouping path produces. Bits that are the same in
+  // every session cannot reorder anything, so each column's digits cover
+  // only the span from its lowest to its highest differing bit, at most
+  // kDigitBits per pass, and a digit with no differing bit is skipped: a
+  // generated trace sorts in three passes, one each for the bitrate, the
+  // ISP and the content id.
+  constexpr unsigned kDigitBits = 12;
+  std::vector<Entry> scratch(n);
+  std::vector<std::size_t> start;
+  for (std::uint32_t Entry::*column :
+       {&Entry::bitrate, &Entry::isp, &Entry::content}) {
+    const std::uint32_t span = differ.*column;
+    if (span == 0) continue;
+    const auto lo = static_cast<unsigned>(std::countr_zero(span));
+    const auto hi = static_cast<unsigned>(std::bit_width(span));
+    const unsigned passes = (hi - lo + kDigitBits - 1) / kDigitBits;
+    const unsigned width = (hi - lo + passes - 1) / passes;
+    const std::uint32_t mask = (std::uint32_t{1} << width) - 1;
+    for (unsigned shift = lo; shift < hi; shift += width) {
+      if (((span >> shift) & mask) == 0) continue;  // constant digit
+      const auto digit = [column, shift, mask](const Entry& e) {
+        return (e.*column >> shift) & mask;
+      };
+      start.assign(std::size_t{mask} + 1, 0);
+      for (const Entry& e : entries) ++start[digit(e)];
+      std::size_t at = 0;
+      for (std::size_t& bucket : start) at += std::exchange(bucket, at);
+      for (const Entry& e : entries) scratch[start[digit(e)]++] = e;
+      entries.swap(scratch);
+    }
+  }
+  scratch = {};
+
   SwarmIndex index;
   index.order.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) index.order[i] = i;
-  // Sort by (content, isp, bitrate, session index): groups come out in
-  // ascending key order with ascending indices inside each group — the
-  // exact order the simulator's hash-grouping path produces.
-  std::sort(index.order.begin(), index.order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const SessionRecord& sa = trace.sessions[a];
-              const SessionRecord& sb = trace.sessions[b];
-              if (sa.content != sb.content) return sa.content < sb.content;
-              if (sa.isp != sb.isp) return sa.isp < sb.isp;
-              if (sa.bitrate != sb.bitrate) return sa.bitrate < sb.bitrate;
-              return a < b;
-            });
-
-  for (std::size_t i = 0; i < n;) {
-    const SessionRecord& first = trace.sessions[index.order[i]];
-    SwarmIndexGroup group;
-    group.content = first.content;
-    group.isp = first.isp;
-    group.bitrate = static_cast<std::uint8_t>(first.bitrate);
-    group.begin = i;
-    std::size_t end = i + 1;
-    while (end < n) {
-      const SessionRecord& s = trace.sessions[index.order[end]];
-      if (s.content != first.content || s.isp != first.isp ||
-          s.bitrate != first.bitrate) {
-        break;
-      }
-      ++end;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Entry& e = entries[i];
+    index.order[i] = e.session;
+    if (i == 0 || e.content != entries[i - 1].content ||
+        e.isp != entries[i - 1].isp || e.bitrate != entries[i - 1].bitrate) {
+      SwarmIndexGroup group;
+      group.content = e.content;
+      group.isp = e.isp;
+      group.bitrate = static_cast<std::uint8_t>(e.bitrate);
+      group.begin = i;
+      index.groups.push_back(group);
     }
-    group.count = end - i;
-    index.groups.push_back(group);
-    i = end;
+    ++index.groups.back().count;
   }
   return index;
 }

@@ -1,7 +1,11 @@
 #include "trace/synthetic.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "util/error.h"
 #include "util/parallel.h"
@@ -10,40 +14,73 @@ namespace cl {
 
 namespace {
 
-std::vector<UserProfile> build_users(const TraceConfig& config,
-                                     const Metro& metro) {
-  Rng rng(config.seed ^ 0x5a5a5a5a5a5a5a5aULL);
-  Rng activity_rng(config.seed ^ 0xa5a5a5a5a5a5a5a5ULL);
-  Rng taste_rng(config.seed ^ 0x3c3c3c3c3c3c3c3cULL);
-  const auto households = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::lround(
-             config.households_ratio * static_cast<double>(config.users))));
-  std::vector<UserProfile> users;
-  users.reserve(config.users);
-  for (std::uint32_t u = 0; u < config.users; ++u) {
-    UserProfile profile;
-    profile.isp = metro.sample_isp(rng);
-    profile.exp = metro.place_user(profile.isp, rng).exp;
-    profile.household =
-        static_cast<std::uint32_t>(rng.uniform_index(households));
-    profile.activity =
-        activity_rng.lognormal(0.0, config.user_activity_sigma);
-    profile.mainstream = taste_rng.uniform();
-    users.push_back(profile);
-  }
-  return users;
+/// Content `id`'s own RNG stream: its output depends on nothing else, so
+/// items can be generated in any order on any worker.
+Rng content_rng(std::uint64_t seed, std::size_t id) {
+  return Rng(seed ^ (0x517cc1b727220a95ULL * (id + 1)));
 }
 
-std::vector<double> taste_weights(const std::vector<UserProfile>& users,
-                                  double skew, bool head) {
-  std::vector<double> w;
-  w.reserve(users.size());
-  for (const auto& u : users) {
-    const double taste = head ? u.mainstream : 1.0 - u.mainstream;
-    // The epsilon keeps every user reachable from every tier.
-    w.push_back(u.activity * (std::pow(taste, skew) + 1e-9));
+/// The trace's session order: start time, then content, then user.
+bool start_order(const SessionRecord& a, const SessionRecord& b) {
+  if (a.start != b.start) return a.start < b.start;
+  if (a.content != b.content) return a.content < b.content;
+  return a.user < b.user;
+}
+
+/// Sorts `sessions` into start_order. A stable scatter into hour buckets
+/// (the hour is monotone in the start time, so bucket order is already
+/// sorted order) splits the sort into independent per-bucket sorts, which
+/// run concurrently, largest bucket first. The result is the one sorted
+/// order, whatever the thread count.
+std::vector<SessionRecord> sort_by_start(std::vector<SessionRecord> sessions,
+                                         double span_s, unsigned threads) {
+  const std::size_t n = sessions.size();
+  const std::size_t hours = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(span_s / 3600.0)));
+  const auto hour_of = [hours](const SessionRecord& s) {
+    return std::min(hours - 1, static_cast<std::size_t>(s.start / 3600.0));
+  };
+
+  // Stable counting scatter, one input chunk per worker: chunk c's
+  // sessions of hour h land after those of every earlier chunk.
+  const unsigned chunks = resolve_threads(threads, n);
+  std::vector<std::vector<std::size_t>> cursor(
+      chunks, std::vector<std::size_t>(hours, 0));
+  parallel_shards(n, chunks, [&](unsigned c, std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) ++cursor[c][hour_of(sessions[i])];
+  });
+  std::vector<std::size_t> bucket(hours + 1, 0);
+  for (std::size_t h = 0; h < hours; ++h) {
+    std::size_t at = bucket[h];
+    for (unsigned c = 0; c < chunks; ++c) {
+      const std::size_t count = cursor[c][h];
+      cursor[c][h] = at;
+      at += count;
+    }
+    bucket[h + 1] = at;
   }
-  return w;
+  std::vector<SessionRecord> sorted(n);
+  parallel_shards(n, chunks, [&](unsigned c, std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      sorted[cursor[c][hour_of(sessions[i])]++] = sessions[i];
+    }
+  });
+  sessions = {};
+
+  std::vector<std::size_t> by_size(hours);
+  for (std::size_t h = 0; h < hours; ++h) by_size[h] = h;
+  std::stable_sort(by_size.begin(), by_size.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return bucket[a + 1] - bucket[a] >
+                            bucket[b + 1] - bucket[b];
+                   });
+  parallel_for_dynamic(hours, threads, [&](std::size_t i) {
+    const std::size_t h = by_size[i];
+    std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(bucket[h]),
+              sorted.begin() + static_cast<std::ptrdiff_t>(bucket[h + 1]),
+              start_order);
+  });
+  return sorted;
 }
 
 }  // namespace
@@ -100,6 +137,85 @@ TraceConfig TraceConfig::london_month_paper(double days) {
   return config;
 }
 
+TraceGenerator::UserTable TraceGenerator::build_users(
+    const TraceConfig& config, const Metro& metro) {
+  const std::size_t n = config.users;
+  const auto households = std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(std::lround(
+             config.households_ratio * static_cast<double>(config.users))));
+  const double sigma = config.user_activity_sigma;
+  CL_EXPECTS(sigma >= 0);
+  // Three independent streams, each drawn by its own worker into its own
+  // array. The activity stream only draws its Box–Muller uniforms; the
+  // math runs afterwards, in parallel with the taste weights. The arrays
+  // are reserved on the calling thread, so their memory does not stay
+  // behind in the workers' malloc arenas once freed; the uniform pairs
+  // share one array (over glibc's 32 MiB mmap-threshold cap at paper
+  // scale), so freeing it returns its pages to the system.
+  std::vector<UserProfile> profiles;
+  std::vector<std::array<double, 2>> activity_draws;  // u1, u2
+  std::vector<double> tail;  // mainstreamness, then the tail weights
+  profiles.reserve(n);
+  activity_draws.reserve(n);
+  tail.reserve(n);
+  parallel_for_dynamic(3, config.threads, [&](std::size_t stream) {
+    switch (stream) {
+      case 0: {
+        Rng rng(config.seed ^ 0x5a5a5a5a5a5a5a5aULL);
+        for (std::size_t u = 0; u < n; ++u) {
+          UserProfile profile;
+          profile.isp = metro.sample_isp(rng);
+          profile.exp = metro.place_user(profile.isp, rng).exp;
+          profile.household =
+              static_cast<std::uint32_t>(rng.uniform_index(households));
+          profiles.push_back(profile);
+        }
+        break;
+      }
+      case 1: {
+        // The draws of rng.lognormal(0, sigma), in its order.
+        Rng rng(config.seed ^ 0xa5a5a5a5a5a5a5a5ULL);
+        for (std::size_t u = 0; u < n; ++u) {
+          const double u1 = 1.0 - rng.uniform();
+          activity_draws.push_back({u1, rng.uniform()});
+        }
+        break;
+      }
+      default: {
+        Rng rng(config.seed ^ 0x3c3c3c3c3c3c3c3cULL);
+        for (std::size_t u = 0; u < n; ++u) tail.push_back(rng.uniform());
+        break;
+      }
+    }
+  });
+  const double skew = config.taste_skew;
+  std::vector<double> head(n);
+  parallel_shards(
+      n, config.threads, [&](unsigned, std::size_t begin, std::size_t end) {
+        for (std::size_t u = begin; u < end; ++u) {
+          const auto [u1, u2] = activity_draws[u];
+          const double activity = std::exp(sigma * Rng::box_muller(u1, u2));
+          const double mainstream = tail[u];
+          // The epsilon keeps every user reachable from every tier.
+          head[u] = activity * (std::pow(mainstream, skew) + 1e-9);
+          tail[u] = activity * (std::pow(1.0 - mainstream, skew) + 1e-9);
+        }
+      });
+  activity_draws = {};
+  // Each sampler's prefix sum is serial; build the two side by side.
+  std::optional<DiscreteSampler> head_sampler;
+  std::optional<DiscreteSampler> tail_sampler;
+  parallel_for_dynamic(2, config.threads, [&](std::size_t side) {
+    if (side == 0) {
+      head_sampler.emplace(std::move(head));
+    } else {
+      tail_sampler.emplace(std::move(tail));
+    }
+  });
+  return {std::move(profiles), std::move(*head_sampler),
+          std::move(*tail_sampler)};
+}
+
 TraceGenerator::TraceGenerator(TraceConfig config, const Metro& metro)
     : config_([&] {
         CL_EXPECTS(config.days >= 1);
@@ -116,49 +232,34 @@ TraceGenerator::TraceGenerator(TraceConfig config, const Metro& metro)
       catalogue_(config_.exemplar_views, config_.catalogue_tail,
                  config_.tail_views, config_.zipf_exponent),
       users_(build_users(config_, metro)),
-      head_user_sampler_(taste_weights(users_, config_.taste_skew, true)),
-      tail_user_sampler_(taste_weights(users_, config_.taste_skew, false)),
       hour_sampler_(std::vector<double>(config_.diurnal.begin(),
                                         config_.diurnal.end())),
       bitrate_sampler_(std::vector<double>(config_.bitrate_mix.begin(),
                                            config_.bitrate_mix.end())) {}
 
 Trace TraceGenerator::generate() {
-  // Contents are sharded across workers; every content item keeps its own
-  // deterministically seeded RNG stream, so a shard's output depends only
-  // on which contents it covers. Shards cover ascending contiguous id
-  // ranges, so concatenating per-shard vectors in shard order reproduces
-  // the sequential content-id order exactly — the generated trace is
-  // bit-identical for every thread count.
-  const unsigned threads = resolve_threads(config_.threads, catalogue_.size());
-  std::vector<std::vector<SessionRecord>> shard_sessions(threads);
-  parallel_shards(
-      catalogue_.size(), threads,
-      [&](unsigned shard, std::size_t begin, std::size_t end) {
-        auto& out = shard_sessions[shard];
-        out.reserve(static_cast<std::size_t>(
-            catalogue_.total_views() * config_.days / 30.0 * 1.1 /
-            static_cast<double>(threads)));
-        for (std::size_t id = begin; id < end; ++id) {
-          Rng rng(config_.seed ^ (0x517cc1b727220a95ULL * (id + 1)));
-          append_content_sessions(static_cast<std::uint32_t>(id), rng, out);
-        }
-      });
-  std::vector<SessionRecord> sessions;
-  std::size_t total = 0;
-  for (const auto& shard : shard_sessions) total += shard.size();
-  sessions.reserve(total);
-  for (auto& shard : shard_sessions) {
-    sessions.insert(sessions.end(), shard.begin(), shard.end());
+  // Slot pre-pass: every item's session count is the first draw of its
+  // own stream, so the prefix sum fixes where each item's sessions go
+  // before any session exists.
+  const std::size_t contents = catalogue_.size();
+  std::vector<std::size_t> slot(contents + 1, 0);
+  for (std::size_t id = 0; id < contents; ++id) {
+    Rng rng = content_rng(config_.seed, id);
+    slot[id + 1] =
+        slot[id] + session_count(static_cast<std::uint32_t>(id), rng);
   }
-  std::sort(sessions.begin(), sessions.end(),
-            [](const SessionRecord& a, const SessionRecord& b) {
-              if (a.start != b.start) return a.start < b.start;
-              if (a.content != b.content) return a.content < b.content;
-              return a.user < b.user;
-            });
+  // Items claimed one at a time balance the few huge head items against
+  // the long tail; each worker redraws the count and fills the item's slot.
+  std::vector<SessionRecord> sessions(slot.back());
+  parallel_for_dynamic(contents, config_.threads, [&](std::size_t id) {
+    const auto content_id = static_cast<std::uint32_t>(id);
+    Rng rng = content_rng(config_.seed, id);
+    const std::size_t count = session_count(content_id, rng);
+    fill_content_sessions(content_id, rng, sessions.data() + slot[id], count);
+  });
   Trace trace;
-  trace.sessions = std::move(sessions);
+  trace.sessions = sort_by_start(std::move(sessions), config_.span().value(),
+                                 config_.threads);
   trace.span = config_.span();
   trace.metro_name = metro_->name();  // empty for unnamed custom metros
   trace.validate();
@@ -167,29 +268,29 @@ Trace TraceGenerator::generate() {
 
 Trace TraceGenerator::generate_content(std::uint32_t content_id) {
   CL_EXPECTS(content_id < catalogue_.size());
-  std::vector<SessionRecord> sessions;
-  Rng rng(config_.seed ^ (0x517cc1b727220a95ULL * (content_id + 1)));
-  append_content_sessions(content_id, rng, sessions);
-  std::sort(sessions.begin(), sessions.end(),
-            [](const SessionRecord& a, const SessionRecord& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.user < b.user;
-            });
+  Rng rng = content_rng(config_.seed, content_id);
+  std::vector<SessionRecord> sessions(session_count(content_id, rng));
+  fill_content_sessions(content_id, rng, sessions.data(), sessions.size());
   Trace trace;
-  trace.sessions = std::move(sessions);
+  trace.sessions = sort_by_start(std::move(sessions), config_.span().value(),
+                                 config_.threads);
   trace.span = config_.span();
   trace.metro_name = metro_->name();
   trace.validate();
   return trace;
 }
 
-void TraceGenerator::append_content_sessions(
-    std::uint32_t content_id, Rng& rng,
-    std::vector<SessionRecord>& out) const {
+std::size_t TraceGenerator::session_count(std::uint32_t content_id,
+                                          Rng& rng) const {
+  const double expected = catalogue_.item(content_id).expected_views_per_month *
+                          config_.days / 30.0;
+  return static_cast<std::size_t>(rng.poisson(expected));
+}
+
+void TraceGenerator::fill_content_sessions(std::uint32_t content_id, Rng& rng,
+                                           SessionRecord* out,
+                                           std::size_t count) const {
   const ContentInfo& info = catalogue_.item(content_id);
-  const double expected =
-      info.expected_views_per_month * config_.days / 30.0;
-  const std::uint64_t n = rng.poisson(expected);
   const auto whole_days =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(config_.days));
   const double span_s = config_.span().value();
@@ -199,13 +300,13 @@ void TraceGenerator::append_content_sessions(
   // Head (exemplar) contents draw mainstream viewers; the tail draws
   // niche viewers (see TraceConfig::taste_skew).
   const DiscreteSampler& user_sampler =
-      content_id < catalogue_.exemplar_count() ? head_user_sampler_
-                                               : tail_user_sampler_;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    SessionRecord s;
+      content_id < catalogue_.exemplar_count() ? users_.head_sampler
+                                               : users_.tail_sampler;
+  for (std::size_t i = 0; i < count; ++i) {
+    SessionRecord& s = out[i];
     s.content = content_id;
     s.user = static_cast<std::uint32_t>(user_sampler(rng));
-    const UserProfile& profile = users_[s.user];
+    const UserProfile& profile = users_.profiles[s.user];
     s.household = profile.household;
     s.isp = profile.isp;
     s.exp = profile.exp;
@@ -218,7 +319,6 @@ void TraceGenerator::append_content_sessions(
     s.duration = info.nominal_length.value() * fraction;
     if (s.start >= span_s) s.start = span_s - 1.0;
     if (s.end() > span_s) s.duration = span_s - s.start;
-    out.push_back(s);
   }
 }
 

@@ -42,9 +42,11 @@ struct TraceConfig {
   /// before constructing the generator.
   std::string metro = "london_top5";
 
-  /// Worker threads for generate(): content items are sharded across
-  /// workers, each with its own deterministic per-content RNG stream, and
-  /// recombined in content-id order — the resulting trace is bit-identical
+  /// Worker threads for the user table and generate(). Every content item
+  /// has its own deterministic RNG stream and a slot fixed by the session
+  /// counts of the items before it; workers claim items one at a time and
+  /// fill their slots, then sort the time buckets concurrently. The three
+  /// user streams run side by side. The resulting trace is bit-identical
   /// for every thread count. 0 = all hardware threads.
   unsigned threads = 1;
 
@@ -113,21 +115,32 @@ struct TraceConfig {
   [[nodiscard]] Seconds span() const { return Seconds::from_days(days); }
 };
 
-/// Static profile of one generated user.
+/// Static profile of one generated user: the fields its sessions carry.
+/// A user's activity and taste position (TraceConfig::taste_skew) only
+/// feed the head/tail user-sampling weights, so they are folded into those
+/// and not kept here.
 struct UserProfile {
   std::uint32_t household = 0;
   std::uint32_t isp = 0;
   std::uint32_t exp = 0;
-  double activity = 1.0;    ///< relative demand weight
-  double mainstream = 0.5;  ///< taste position: 1 = head-only, 0 = niche
 };
+static_assert(sizeof(UserProfile) == 12,
+              "the 3.3 M-user paper table is 12 bytes a user");
 
 /// Generates traces from a TraceConfig over a Metro's ISP topologies.
 class TraceGenerator {
  public:
   TraceGenerator(TraceConfig config, const Metro& metro);
 
-  /// Generates the full trace (sessions sorted by start time).
+  /// Generates the full trace, sessions sorted by (start, content, user).
+  ///
+  /// A pre-pass draws each content item's session count (the first draw
+  /// of its RNG stream) and prefix-sums the counts into slots; workers
+  /// then claim items from an atomic cursor and write each item's sessions
+  /// into its slot. The filled array is scattered stably into hour buckets
+  /// (the hour is monotone in the start time) and the buckets are sorted
+  /// concurrently. Every step's output is independent of the thread
+  /// count, so the trace is too.
   [[nodiscard]] Trace generate();
 
   /// Generates only the sessions of one content item — cheaper when an
@@ -137,19 +150,34 @@ class TraceGenerator {
   [[nodiscard]] const TraceConfig& config() const { return config_; }
   [[nodiscard]] const Catalogue& catalogue() const { return catalogue_; }
   [[nodiscard]] const std::vector<UserProfile>& users() const {
-    return users_;
+    return users_.profiles;
   }
 
  private:
-  void append_content_sessions(std::uint32_t content_id, Rng& rng,
-                               std::vector<SessionRecord>& out) const;
+  /// The user population and the two taste-weighted samplers over it.
+  struct UserTable {
+    std::vector<UserProfile> profiles;
+    DiscreteSampler head_sampler;  ///< for head (exemplar) contents
+    DiscreteSampler tail_sampler;  ///< for tail contents
+  };
+
+  [[nodiscard]] static UserTable build_users(const TraceConfig& config,
+                                             const Metro& metro);
+
+  /// Draws content `content_id`'s session count: the first draw of its
+  /// RNG stream `rng`.
+  [[nodiscard]] std::size_t session_count(std::uint32_t content_id,
+                                          Rng& rng) const;
+
+  /// Writes content `content_id`'s sessions into out[0, count), drawing
+  /// from `rng` right after session_count().
+  void fill_content_sessions(std::uint32_t content_id, Rng& rng,
+                             SessionRecord* out, std::size_t count) const;
 
   TraceConfig config_;
   const Metro* metro_;
   Catalogue catalogue_;
-  std::vector<UserProfile> users_;
-  DiscreteSampler head_user_sampler_;  ///< for head (exemplar) contents
-  DiscreteSampler tail_user_sampler_;  ///< for tail contents
+  UserTable users_;
   DiscreteSampler hour_sampler_;
   DiscreteSampler bitrate_sampler_;
 };

@@ -5,9 +5,14 @@
 //
 //  * parallel_shards splits [0, n) into one contiguous chunk per worker.
 //    Shard boundaries depend on the thread count, so callers must only use
-//    it where results are recombined in index order (e.g. the trace
-//    generator concatenates per-shard session vectors in shard order,
-//    which equals content-id order for contiguous shards).
+//    it where each index's output is independent of the shard it fell in
+//    (element-wise transforms, writes into per-index slots).
+//
+//  * parallel_for_dynamic hands out single indices from an atomic cursor,
+//    for items of very uneven cost (the trace generator's content items,
+//    whose session counts span four orders of magnitude). fn(i) writes
+//    only what index i owns, so the result cannot depend on which worker
+//    claimed which index.
 //
 //  * parallel_chunked_reduce splits [0, n) into fixed-size chunks whose
 //    boundaries depend only on n, hands chunks to workers, and merges the
@@ -122,6 +127,22 @@ void parallel_shards(std::size_t n, unsigned threads, Fn&& fn) {
     const std::size_t begin = n * shard / t;
     const std::size_t end = n * (shard + 1) / t;
     if (begin < end) fn(shard, begin, end);
+  });
+}
+
+/// Calls fn(i) once for every i in [0, n) on up to `threads` workers that
+/// claim indices in ascending order from one atomic cursor: a worker that
+/// drew a heavy item simply claims fewer. Which worker runs which index is
+/// racy, so fn(i) must write only state owned by index i.
+template <typename Fn>
+void parallel_for_dynamic(std::size_t n, unsigned threads, Fn&& fn) {
+  if (n == 0) return;
+  std::atomic<std::size_t> cursor{0};
+  detail::run_workers(resolve_threads(threads, n), [&](unsigned) {
+    for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+         i < n; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+    }
   });
 }
 

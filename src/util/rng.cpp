@@ -1,7 +1,12 @@
 #include "util/rng.h"
 
+#include <math.h>  // lgamma_r
+
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "util/error.h"
 
@@ -104,8 +109,11 @@ std::uint64_t Rng::poisson(double mean) {
     const double k = std::floor((2.0 * a / us + b) * u + mean + 0.43);
     if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
     if (k < 0 || (us < 0.013 && v > us)) continue;
+    // lgamma_r, not std::lgamma: the latter writes the global `signgam`,
+    // a data race when several generator workers draw at once.
+    int sign = 0;
     if (std::log(v) + std::log(inv_alpha) - std::log(a / (us * us) + b) <=
-        k * std::log(mean) - mean - std::lgamma(k + 1.0)) {
+        k * std::log(mean) - mean - ::lgamma_r(k + 1.0, &sign)) {
       return static_cast<std::uint64_t>(k);
     }
   }
@@ -116,6 +124,10 @@ double Rng::normal() {
   // uniforms and streams remain alignment-independent.
   const double u1 = 1.0 - uniform();  // (0, 1]
   const double u2 = uniform();
+  return box_muller(u1, u2);
+}
+
+double Rng::box_muller(double u1, double u2) {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
 }
 
@@ -133,48 +145,46 @@ Rng Rng::split() {
   return Rng((*this)());
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  CL_EXPECTS(n >= 1);
-  CL_EXPECTS(s >= 0);
-  cdf_.resize(n);
+DiscreteSampler::DiscreteSampler(std::vector<double> weights)
+    : cdf_(std::move(weights)) {
+  CL_EXPECTS(!cdf_.empty());
+  CL_EXPECTS(cdf_.size() <= std::numeric_limits<std::uint32_t>::max());
   double sum = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    sum += 1.0 / std::pow(static_cast<double>(k + 1), s);
-    cdf_[k] = sum;
-  }
-  for (auto& v : cdf_) v /= sum;
-  cdf_.back() = 1.0;
-}
-
-std::size_t ZipfSampler::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
-}
-
-double ZipfSampler::pmf(std::size_t k) const {
-  CL_EXPECTS(k < cdf_.size());
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
-}
-
-DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
-  CL_EXPECTS(!weights.empty());
-  cdf_.resize(weights.size());
-  double sum = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    CL_EXPECTS(weights[i] >= 0);
-    sum += weights[i];
-    cdf_[i] = sum;
+  for (double& v : cdf_) {
+    CL_EXPECTS(v >= 0);
+    sum += v;
+    v = sum;
   }
   CL_EXPECTS(sum > 0);
   for (auto& v : cdf_) v /= sum;
   cdf_.back() = 1.0;
+
+  // About one guide bucket per CDF entry, capped at 2^16 buckets (256 KiB).
+  const std::size_t buckets =
+      std::size_t{1} << std::min(16, static_cast<int>(
+                                         std::bit_width(cdf_.size())));
+  guide_scale_ = static_cast<double>(buckets);
+  guide_.resize(buckets + 1);
+  std::size_t i = 0;
+  for (std::size_t k = 0; k <= buckets; ++k) {
+    // k·2^-b is exact, and the CDF is non-decreasing, so one forward scan
+    // finds every bucket's lower_bound.
+    const double edge = static_cast<double>(k) / guide_scale_;
+    while (cdf_[i] < edge) ++i;  // stops at back() == 1 >= edge
+    guide_[k] = static_cast<std::uint32_t>(i);
+  }
 }
 
 std::size_t DiscreteSampler::operator()(Rng& rng) const {
   const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+  // u < 1 is a multiple of 2^-53, so u·2^b is exact and its floor k picks
+  // the bucket [k·2^-b, (k+1)·2^-b) holding u: lower_bound(cdf, u) lies
+  // in [guide_[k], guide_[k+1]].
+  const auto k = static_cast<std::size_t>(u * guide_scale_);
+  const auto first = cdf_.begin() + guide_[k];
+  const auto last = cdf_.begin() + guide_[k + 1];
+  return static_cast<std::size_t>(std::lower_bound(first, last, u) -
+                                  cdf_.begin());
 }
 
 double DiscreteSampler::probability(std::size_t k) const {

@@ -21,6 +21,8 @@
 #include "trace/synthetic.h"
 #include "util/error.h"
 
+#include "temp_path.h"
+
 namespace cl {
 namespace {
 
@@ -363,8 +365,7 @@ TEST(ScheduleConfig, RejectsOutOfRangeValues) {
 class FromCsvTest : public ::testing::Test {
  protected:
   std::string write_csv(const std::string& name, const std::string& body) {
-    const std::string path =
-        (std::filesystem::temp_directory_path() / name).string();
+    const std::string path = test::unique_temp_path(name);
     std::ofstream out(path);
     out << body;
     out.close();

@@ -15,6 +15,8 @@
 #include <sstream>
 #include <string>
 
+#include "temp_path.h"
+
 #ifndef CL_CLI_PATH
 #error "CMake must define CL_CLI_PATH (path of the built cl binary)"
 #endif
@@ -42,8 +44,7 @@ RunResult run_cli(const std::string& args) {
 }
 
 std::string temp_trace_path() {
-  return (std::filesystem::temp_directory_path() /
-          "cl_smoke_trace.csv").string();
+  return cl::test::unique_temp_path("cl_smoke_trace.csv");
 }
 
 TEST(CliSmoke, UsageOnNoCommand) {
@@ -240,16 +241,16 @@ TEST(CliSmoke, HelpListsMetroPresets) {
 }
 
 TEST(CliSmoke, GenerateRejectsUnknownMetroListingValidNames) {
-  std::filesystem::remove("/tmp/cl_smoke_nometro.csv");
-  const RunResult result = run_cli(
-      "generate --out /tmp/cl_smoke_nometro.csv --metro narnia "
-      "--preset small --days 1");
+  const std::string trace = cl::test::unique_temp_path("cl_smoke_nometro.csv");
+  std::filesystem::remove(trace);
+  const RunResult result = run_cli("generate --out " + trace +
+                                   " --metro narnia --preset small --days 1");
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.output.find("unknown metro 'narnia'"), std::string::npos);
   EXPECT_NE(result.output.find("london_top5"), std::string::npos);
   EXPECT_NE(result.output.find("us_sparse"), std::string::npos);
   EXPECT_NE(result.output.find("fiber_dense"), std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists("/tmp/cl_smoke_nometro.csv"));
+  EXPECT_FALSE(std::filesystem::exists(trace));
 }
 
 TEST(CliSmoke, SimulateRejectsUnknownMetro) {
@@ -527,8 +528,7 @@ TEST(CliSmoke, LedgerScheduleFlatOnlyAppends) {
 TEST(CliSmoke, IntensityAcceptsCsvFilePath) {
   // A 24-row ElectricityMap-style export is accepted anywhere a preset
   // name is, and the curve takes the file's stem as its name.
-  const std::string csv =
-      (std::filesystem::temp_directory_path() / "my_grid.csv").string();
+  const std::string csv = cl::test::unique_temp_path("my_grid.csv");
   {
     std::ofstream out(csv);
     out << "hour,gCO2_per_kwh\n";
@@ -580,9 +580,9 @@ TEST(CliSmoke, ExperimentUnknownFlagErrors) {
 
 TEST(CliSmoke, ExperimentWritesManifestAndCellFilesToOutDir) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "cl_smoke_experiment";
+  const fs::path dir = cl::test::unique_temp_path("cl_smoke_experiment");
   fs::remove_all(dir);
-  const fs::path spec = fs::temp_directory_path() / "cl_smoke_spec.json";
+  const fs::path spec = cl::test::unique_temp_path("cl_smoke_spec.json");
   {
     std::ofstream out(spec);
     out << R"({"name": "smoketest", "base": {"simulate": "off"},

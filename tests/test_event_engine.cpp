@@ -24,6 +24,8 @@
 #include "util/error.h"
 #include "util/rng.h"
 
+#include "temp_path.h"
+
 namespace cl {
 namespace {
 
@@ -238,9 +240,8 @@ std::string slurp(const std::string& path) {
 TEST(FlashCrowd, CsvRoundTripIsByteExact) {
   const FlashCrowdConfig config = flash_crowd_preset("spike", 300, 7200, 1);
   const Trace trace = generate_flash_crowd(metro(), config, 21);
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string a = (dir / "cl_fc_a.csv").string();
-  const std::string b = (dir / "cl_fc_b.csv").string();
+  const std::string a = test::unique_temp_path("cl_fc_a.csv");
+  const std::string b = test::unique_temp_path("cl_fc_b.csv");
   write_trace_file(a, trace);
   const Trace back = read_trace_file(a);
   EXPECT_EQ(back.metro_name, metro().name());
@@ -254,8 +255,7 @@ TEST(FlashCrowd, BinaryRoundTripIsByteExact) {
   const FlashCrowdConfig config = flash_crowd_preset("ramp", 300, 7200, 1);
   const Trace trace = generate_flash_crowd(metro(), config, 21);
   const std::string serialized = serialize_trace_binary(trace);
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string path = (dir / "cl_fc.cltrace").string();
+  const std::string path = test::unique_temp_path("cl_fc.cltrace");
   write_trace_binary_file(path, trace);
   const Trace back = read_trace_any(path, TraceFormat::kBinary, 1);
   EXPECT_EQ(back.metro_name, metro().name());

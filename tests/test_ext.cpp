@@ -18,6 +18,8 @@
 #include "trace/trace_stats.h"
 #include "util/error.h"
 
+#include "temp_path.h"
+
 namespace cl {
 namespace {
 
@@ -267,8 +269,7 @@ TEST(Live, MetroSurvivesCsvRoundTrip) {
   LiveEventConfig config;
   config.viewers = 50;
   const Trace trace = generate_live_event(metro(), config, 5);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cl_live_metro.csv").string();
+  const std::string path = test::unique_temp_path("cl_live_metro.csv");
   write_trace_file(path, trace);
   const Trace back = read_trace_file(path);
   std::filesystem::remove(path);

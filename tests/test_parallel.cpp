@@ -87,6 +87,26 @@ TEST(ParallelShards, PropagatesWorkerExceptions) {
       std::runtime_error);
 }
 
+TEST(ParallelForDynamic, CallsEveryIndexExactlyOnce) {
+  for (unsigned threads : {1u, 2u, 3u, 8u}) {
+    std::vector<std::atomic<int>> hits(101);
+    parallel_for_dynamic(hits.size(), threads,
+                         [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+  parallel_for_dynamic(0, 4, [](std::size_t) { FAIL() << "n = 0 ran"; });
+}
+
+TEST(ParallelForDynamic, PropagatesWorkerExceptions) {
+  EXPECT_THROW(parallel_for_dynamic(100, 4,
+                                    [](std::size_t i) {
+                                      if (i == 57) {
+                                        throw std::runtime_error("boom");
+                                      }
+                                    }),
+               std::runtime_error);
+}
+
 TEST(ParallelChunkedReduce, SumBitIdenticalAcrossThreadCounts) {
   // Values with spread magnitudes so FP addition order matters.
   std::vector<double> xs(10000);

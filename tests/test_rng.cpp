@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "util/error.h"
 #include "util/stats.h"
@@ -157,41 +160,6 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_LT(equal, 3);
 }
 
-TEST(ZipfSampler, PmfSumsToOne) {
-  const ZipfSampler zipf(100, 1.0);
-  double sum = 0;
-  for (std::size_t k = 0; k < zipf.size(); ++k) sum += zipf.pmf(k);
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(ZipfSampler, PmfIsDecreasing) {
-  const ZipfSampler zipf(50, 0.9);
-  for (std::size_t k = 1; k < zipf.size(); ++k) {
-    EXPECT_GE(zipf.pmf(k - 1), zipf.pmf(k));
-  }
-}
-
-TEST(ZipfSampler, HeadToTailRatioMatchesExponent) {
-  const ZipfSampler zipf(1000, 1.0);
-  EXPECT_NEAR(zipf.pmf(0) / zipf.pmf(9), 10.0, 1e-9);
-}
-
-TEST(ZipfSampler, ZeroExponentIsUniform) {
-  const ZipfSampler zipf(10, 0.0);
-  for (std::size_t k = 0; k < 10; ++k) EXPECT_NEAR(zipf.pmf(k), 0.1, 1e-12);
-}
-
-TEST(ZipfSampler, EmpiricalFrequencyMatchesPmf) {
-  const ZipfSampler zipf(20, 1.2);
-  Rng rng(67);
-  std::vector<int> counts(20, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[zipf(rng)];
-  for (std::size_t k = 0; k < 5; ++k) {
-    EXPECT_NEAR(static_cast<double>(counts[k]) / n, zipf.pmf(k), 0.01);
-  }
-}
-
 TEST(DiscreteSampler, RespectsWeights) {
   const DiscreteSampler sampler({1.0, 3.0, 6.0});
   EXPECT_NEAR(sampler.probability(0), 0.1, 1e-12);
@@ -209,6 +177,84 @@ TEST(DiscreteSampler, RejectsInvalidWeights) {
   EXPECT_THROW(DiscreteSampler({}), InvalidArgument);
   EXPECT_THROW(DiscreteSampler({0.0, 0.0}), InvalidArgument);
   EXPECT_THROW(DiscreteSampler({1.0, -1.0}), InvalidArgument);
+}
+
+/// The sampler's specification: std::lower_bound over the normalised
+/// inclusive prefix sums, for one uniform draw.
+std::vector<double> reference_cdf(const std::vector<double>& weights) {
+  std::vector<double> cdf(weights.size());
+  double sum = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    sum += weights[i];
+    cdf[i] = sum;
+  }
+  for (auto& v : cdf) v /= sum;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+/// Draws `draws` indices from a sampler over `weights` and checks each
+/// against std::lower_bound on a copy of the same Rng; the two streams
+/// must also stay in step.
+void expect_lower_bound_draws(const std::vector<double>& weights, int draws,
+                              std::uint64_t seed) {
+  const std::vector<double> cdf = reference_cdf(weights);
+  const DiscreteSampler sampler(weights);
+  ASSERT_EQ(sampler.size(), weights.size());
+  Rng rng(seed);
+  for (int i = 0; i < draws; ++i) {
+    Rng copy = rng;
+    const std::size_t expected = static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), copy.uniform()) -
+        cdf.begin());
+    ASSERT_EQ(sampler(rng), expected)
+        << "n=" << weights.size() << " draw " << i;
+    ASSERT_EQ(rng(), copy()) << "n=" << weights.size() << " draw " << i;
+  }
+}
+
+TEST(DiscreteSampler, DrawEqualsLowerBoundOnSingleWeight) {
+  expect_lower_bound_draws({2.5}, 1000, 73);
+}
+
+TEST(DiscreteSampler, DrawEqualsLowerBoundOnTwoEntries) {
+  expect_lower_bound_draws({1.0, 3.0}, 20000, 79);
+  expect_lower_bound_draws({0.0, 1.0}, 2000, 83);
+  expect_lower_bound_draws({1.0, 0.0}, 2000, 89);
+}
+
+TEST(DiscreteSampler, DrawEqualsLowerBoundAcrossZeroWeightRuns) {
+  // Long zero runs give many equal CDF entries, some of them on guide
+  // bucket edges; leading and trailing runs cover the ends.
+  std::vector<double> weights(5000, 0.0);
+  for (std::size_t i = 1000; i < weights.size(); i += 997) weights[i] = 1.0;
+  weights[3001] = 1e-12;
+  expect_lower_bound_draws(weights, 50000, 97);
+  // Equal weights over 2^k entries put CDF values exactly on bucket edges.
+  std::vector<double> dyadic(1024, 0.0);
+  for (std::size_t i = 0; i < dyadic.size(); i += 2) dyadic[i] = 1.0;
+  expect_lower_bound_draws(dyadic, 50000, 101);
+}
+
+TEST(DiscreteSampler, DrawEqualsLowerBoundAroundGuideTableCap) {
+  for (const std::size_t n : {std::size_t{65535}, std::size_t{65536},
+                              std::size_t{65537}}) {
+    Rng weight_rng(n);
+    std::vector<double> weights(n);
+    for (double& w : weights) w = weight_rng.lognormal(0.0, 1.5);
+    expect_lower_bound_draws(weights, 50000, 103 + n);
+  }
+}
+
+TEST(DiscreteSampler, DrawEqualsLowerBoundAtPaperPopulation) {
+  // The paper month's 3.3 M-user taste weights: heavy skew, tiny floor.
+  Rng weight_rng(107);
+  std::vector<double> weights(3300000);
+  for (double& w : weights) {
+    w = weight_rng.lognormal(0.0, 1.0) *
+        (std::pow(weight_rng.uniform(), 2.0) + 1e-9);
+  }
+  expect_lower_bound_draws(weights, 200000, 109);
 }
 
 }  // namespace

@@ -11,13 +11,17 @@
 //    version" message);
 //  * corrupt-input rejection — bad magic, wrong version, truncated
 //    column blocks, trailing bytes, out-of-range payloads;
+//  * the radix-sorted swarm index against a comparison-sort oracle;
 //  * cross-thread determinism — the mmap load itself and the analyzer /
 //    simulator results on an mmap-loaded trace are bit-identical at
-//    --threads 1/2/7/hw and identical to the CSV-loaded path.
+//    --threads 1/2/7/hw and identical to the CSV-loaded path;
+//  * pinned digests of generated traces, so the generator's bytes cannot
+//    change at every thread count alike unnoticed.
 #include "trace/trace_binary.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -25,6 +29,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/analyzer.h"
 #include "sim/swarm_key.h"
@@ -37,6 +42,8 @@
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/serialize.h"
+
+#include "temp_path.h"
 
 #ifndef CL_TEST_DATA_DIR
 #error "CMake must define CL_TEST_DATA_DIR (path of tests/data)"
@@ -75,7 +82,7 @@ void expect_sessions_identical(const Trace& a, const Trace& b) {
 }
 
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return test::unique_temp_path(name);
 }
 
 /// Writes raw bytes to a temp file and returns its path.
@@ -485,6 +492,120 @@ TEST(SwarmIndexTest, ValidateRejectsTampering) {
   }
 }
 
+/// The comparison-sort swarm index: the specification build_swarm_index's
+/// radix sort must reproduce.
+SwarmIndex comparison_sort_index(const Trace& trace) {
+  const std::size_t n = trace.sessions.size();
+  SwarmIndex index;
+  index.order.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) index.order[i] = i;
+  std::sort(index.order.begin(), index.order.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const SessionRecord& sa = trace.sessions[a];
+              const SessionRecord& sb = trace.sessions[b];
+              if (sa.content != sb.content) return sa.content < sb.content;
+              if (sa.isp != sb.isp) return sa.isp < sb.isp;
+              if (sa.bitrate != sb.bitrate) return sa.bitrate < sb.bitrate;
+              return a < b;
+            });
+  for (std::size_t i = 0; i < n; ++i) {
+    const SessionRecord& s = trace.sessions[index.order[i]];
+    if (i == 0 || !(index.groups.back().content == s.content &&
+                    index.groups.back().isp == s.isp &&
+                    index.groups.back().bitrate ==
+                        static_cast<std::uint8_t>(s.bitrate))) {
+      SwarmIndexGroup group;
+      group.content = s.content;
+      group.isp = s.isp;
+      group.bitrate = static_cast<std::uint8_t>(s.bitrate);
+      group.begin = i;
+      index.groups.push_back(group);
+    }
+    ++index.groups.back().count;
+  }
+  return index;
+}
+
+void expect_same_index(const SwarmIndex& got, const SwarmIndex& want) {
+  ASSERT_EQ(got.order, want.order);
+  ASSERT_EQ(got.groups.size(), want.groups.size());
+  for (std::size_t g = 0; g < want.groups.size(); ++g) {
+    EXPECT_EQ(got.groups[g].content, want.groups[g].content) << "g=" << g;
+    EXPECT_EQ(got.groups[g].isp, want.groups[g].isp) << "g=" << g;
+    EXPECT_EQ(got.groups[g].bitrate, want.groups[g].bitrate) << "g=" << g;
+    EXPECT_EQ(got.groups[g].begin, want.groups[g].begin) << "g=" << g;
+    EXPECT_EQ(got.groups[g].count, want.groups[g].count) << "g=" << g;
+  }
+}
+
+/// A trace whose key columns draw from `contents` / `isps` and every
+/// bitrate class, with starts in random (unsorted) order.
+Trace random_key_trace(std::size_t n,
+                       const std::vector<std::uint32_t>& contents,
+                       const std::vector<std::uint32_t>& isps,
+                       std::uint64_t seed) {
+  Rng rng(seed);
+  Trace trace;
+  trace.span = Seconds::from_days(1);
+  for (std::size_t i = 0; i < n; ++i) {
+    SessionRecord s;
+    s.user = static_cast<std::uint32_t>(i);
+    s.content = contents[rng.uniform_index(contents.size())];
+    s.isp = isps[rng.uniform_index(isps.size())];
+    s.bitrate = kAllBitrateClasses[rng.uniform_index(kBitrateClasses)];
+    s.start = rng.uniform(0.0, 86000.0);
+    s.duration = 60;
+    trace.sessions.push_back(s);
+  }
+  return trace;
+}
+
+TEST(SwarmIndexTest, RadixSortMatchesComparisonSortOracle) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::vector<std::vector<std::uint32_t>> content_sets{
+      {7},                                   // one content: its passes skip
+      {0, 1, 2, 3, 4, 5, 3170},              // generated-trace shape
+      {0, 1, 255, 256, 65535, 65536, kMax - 1, kMax},  // every byte differs
+      {kMax, kMax - 1, kMax - 4096, 1u << 31},
+  };
+  const std::vector<std::vector<std::uint32_t>> isp_sets{
+      {0}, {0, 1, 2, 3, 4}, {kMax, 0, 1u << 16, 1u << 24}, {kMax - 1, kMax}};
+  std::uint64_t seed = 113;
+  for (const auto& contents : content_sets) {
+    for (const auto& isps : isp_sets) {
+      for (const std::size_t n : {std::size_t{2}, std::size_t{37},
+                                  std::size_t{5000}}) {
+        const Trace trace = random_key_trace(n, contents, isps, ++seed);
+        const SwarmIndex index = build_swarm_index(trace);
+        SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
+                     std::to_string(seed));
+        expect_same_index(index, comparison_sort_index(trace));
+        validate_swarm_index(index, trace);
+      }
+    }
+  }
+}
+
+TEST(SwarmIndexTest, RadixSortHandlesEmptyAndSingleSessionTraces) {
+  const Trace empty;
+  const SwarmIndex none = build_swarm_index(empty);
+  EXPECT_TRUE(none.order.empty());
+  EXPECT_TRUE(none.groups.empty());
+
+  const Trace one = random_key_trace(
+      1, {std::numeric_limits<std::uint32_t>::max()}, {3}, 127);
+  const SwarmIndex single = build_swarm_index(one);
+  expect_same_index(single, comparison_sort_index(one));
+  ASSERT_EQ(single.groups.size(), 1u);
+  EXPECT_EQ(single.groups[0].count, 1u);
+}
+
+TEST(SwarmIndexTest, RadixSortMatchesOracleOnGeneratedTrace) {
+  const Trace trace =
+      TraceGenerator(TraceConfig::london_month_scaled(1), metro()).generate();
+  expect_same_index(build_swarm_index(trace), comparison_sort_index(trace));
+}
+
 // ------------------------------------------------------------ golden files
 
 TEST(TraceBinaryGolden, FileBytesMatchWriter) {
@@ -716,6 +837,48 @@ TEST(TraceBinaryDeterminism, MetroGenerationBitIdenticalAcrossThreadCounts) {
               reference)
         << "threads=" << threads;
   }
+}
+
+/// Pins the generator's output bytes across commits: the FNV-1a digest of
+/// serialize_trace_binary(generate()), at every thread count. A change
+/// that alters the trace at all thread counts alike passes the identity
+/// tests above but fails here.
+void expect_generated_digest(const TraceConfig& base, const Metro& metro,
+                             std::size_t sessions, std::uint64_t digest) {
+  for (const unsigned threads : {1u, 2u, 4u, 7u, 0u}) {
+    TraceConfig config = base;
+    config.threads = threads;
+    const Trace trace = TraceGenerator(config, metro).generate();
+    EXPECT_EQ(trace.size(), sessions) << "threads=" << threads;
+    EXPECT_EQ(fnv1a(serialize_trace_binary(trace)), digest)
+        << "threads=" << threads;
+  }
+}
+
+TEST(TraceGeneratorDigest, ScaledLondonThreeDaysPinned) {
+  TraceConfig config = TraceConfig::london_month_scaled(3);
+  config.seed = 3;
+  expect_generated_digest(config, metro(), 415536, 0xa4b24f2081fada78ULL);
+}
+
+TEST(TraceGeneratorDigest, UsSparseSmallConfigPinned) {
+  // TraceBinaryDeterminism.MetroGenerationBitIdenticalAcrossThreadCounts'
+  // config, default seed.
+  TraceConfig config;
+  config.metro = "us_sparse";
+  config.days = 2;
+  config.users = 800;
+  config.exemplar_views = {5000, 600};
+  config.catalogue_tail = 80;
+  config.tail_views = 4000;
+  expect_generated_digest(config, MetroRegistry::instance().get("us_sparse"),
+                          654, 0x6ba3347ef65149d6ULL);
+}
+
+TEST(TraceGeneratorDigest, PaperDayPinned) {
+  TraceConfig config = TraceConfig::london_month_paper(1);
+  config.seed = 1;
+  expect_generated_digest(config, metro(), 784576, 0x2aeb7ab5021ce24dULL);
 }
 
 TEST(TraceBinaryDeterminism, MmapLoadBitIdenticalAcrossThreadCounts) {

@@ -8,6 +8,8 @@
 #include "trace/synthetic.h"
 #include "util/error.h"
 
+#include "temp_path.h"
+
 namespace cl {
 namespace {
 
@@ -169,7 +171,7 @@ TEST(TraceIo, RejectsMissingColumn) {
 }
 
 TEST(TraceIo, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/cl_trace_test.csv";
+  const std::string path = test::unique_temp_path("cl_trace_test.csv");
   write_trace_file(path, tiny_trace());
   const Trace restored = read_trace_file(path);
   EXPECT_EQ(restored.size(), 2u);

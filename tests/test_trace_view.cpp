@@ -34,6 +34,8 @@
 #include "util/error.h"
 #include "util/serialize.h"
 
+#include "temp_path.h"
+
 #ifndef CL_TEST_DATA_DIR
 #error "CMake must define CL_TEST_DATA_DIR (path of tests/data)"
 #endif
@@ -42,7 +44,7 @@ namespace cl {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return test::unique_temp_path(name);
 }
 
 Trace small_trace(const std::string& metro_name, unsigned seed = 7) {
