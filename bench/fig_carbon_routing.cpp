@@ -29,7 +29,7 @@
 #include "bench_json.h"
 #include "carbon/intensity_curve.h"
 #include "carbon/schedule.h"
-#include "sim/hybrid_sim.h"
+#include "core/pipeline.h"
 #include "topology/metro_registry.h"
 #include "util/table.h"
 
@@ -70,33 +70,20 @@ int main(int argc, char** argv) {
     sim_config.collect_swarms = false;
     sim_config.collect_per_user = false;
     sim_config.collect_hourly = true;
-    HybridSimulator simulator(metro, sim_config);
-    const SimResult unscheduled = simulator.run(trace);
+    const Analyzer analyzer(metro, sim_config);
+    const SimResult unscheduled = analyzer.simulate(trace);
 
     for (const auto& intensity_preset : intensities.presets()) {
-      const IntensityCurve& curve = intensities.get(intensity_preset.name);
-      const CarbonScheduler scheduler(curve);
+      const CarbonScheduler scheduler(
+          intensities.get(intensity_preset.name));
 
-      // The scheduled replay: preload into the curve's trough, then
-      // re-simulate. Inert (flat) schedulers reuse the unscheduled run
-      // — the transform is the identity, so re-running would only cost
-      // time to produce bit-identical numbers.
-      SimResult preloaded;
-      const SimResult* scheduled = &unscheduled;
-      if (!scheduler.inert()) {
-        preloaded =
-            simulator.run(scheduler.schedule_preload(trace, config.seed));
-        scheduled = &preloaded;
-      }
-
-      std::vector<const IntensityCurve*> serving;
-      for (std::size_t m = 0; m < metro_names.size(); ++m) {
-        serving.push_back(m == home
-                              ? &curve
-                              : &intensities.default_for_metro(metro_names[m]));
-      }
-      const RoutingPlan plan =
-          scheduler.plan_routes(serving, home, scheduled->hourly.size());
+      // The scheduled replay through the shared pipeline: preload into
+      // the curve's trough and re-simulate (skipped when the scheduler
+      // is inert — the transform is the identity), then route.
+      const ScheduleRun scheduling =
+          run_schedule(analyzer, scheduler, ScheduleMode::kAll, unscheduled,
+                       trace, config.seed, sim_config);
+      const RoutingPlan& plan = scheduling.plan;
 
       const std::string cell =
           metro_names[home] + "_" + intensity_preset.name;
@@ -107,20 +94,15 @@ int main(int argc, char** argv) {
       run.metrics().set(cell + "_max_added_latency_ms",
                         plan.max_added_latency_ms());
 
-      for (const auto& params : standard_params()) {
-        const EnergyAccountant energy{CostFunctions(params)};
-        const ScheduleOutcome outcome =
-            scheduler.assess(unscheduled.hourly, scheduled->hourly, energy,
-                             plan);
-
-        table.add_row({metro_names[home], intensity_preset.name, params.name,
+      for (const ScheduleOutcome& outcome : scheduling.outcomes) {
+        table.add_row({metro_names[home], intensity_preset.name, outcome.model,
                        fmt(outcome.unscheduled_g / 1000.0, 1),
                        fmt(outcome.scheduled_g / 1000.0, 1),
                        fmt_pct(outcome.reduction),
                        fmt(static_cast<double>(plan.hours_routed_away()), 0),
                        fmt(plan.mean_added_latency_ms(), 1)});
 
-        const std::string key = cell + "_" + params.name;
+        const std::string key = cell + "_" + outcome.model;
         run.metrics().set(key + "_unscheduled_kg",
                           outcome.unscheduled_g / 1000.0);
         run.metrics().set(key + "_scheduled_kg", outcome.scheduled_g / 1000.0);

@@ -168,6 +168,15 @@ double CarbonScheduler::dual_grams(const HourlyTrafficGrid& hourly,
   return grams;
 }
 
+ScheduleMode parse_schedule_mode(const std::string& mode) {
+  if (mode == "off") return ScheduleMode::kOff;
+  if (mode == "preload") return ScheduleMode::kPreload;
+  if (mode == "route") return ScheduleMode::kRoute;
+  if (mode == "all") return ScheduleMode::kAll;
+  throw ParseError("unknown schedule mode '" + mode +
+                   "' (off|preload|route|all)");
+}
+
 std::size_t metro_registry_index(const std::string& metro_name) {
   const std::vector<std::string> names = MetroRegistry::instance().names();
   for (std::size_t i = 0; i < names.size(); ++i) {

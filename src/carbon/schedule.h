@@ -93,6 +93,22 @@ struct ScheduleOutcome {
   double reduction = 0;      ///< 1 − scheduled_g / unscheduled_g
 };
 
+/// The levers of --schedule and the spec's `schedule` key: "preload"
+/// shifts sessions into the intensity trough, "route" serves hours from
+/// the cleanest viable metro, "all" does both.
+enum class ScheduleMode { kOff, kPreload, kRoute, kAll };
+
+[[nodiscard]] inline bool schedule_preloads(ScheduleMode mode) {
+  return mode == ScheduleMode::kPreload || mode == ScheduleMode::kAll;
+}
+
+[[nodiscard]] inline bool schedule_routes(ScheduleMode mode) {
+  return mode == ScheduleMode::kRoute || mode == ScheduleMode::kAll;
+}
+
+/// Parses off|preload|route|all; anything else throws cl::ParseError.
+[[nodiscard]] ScheduleMode parse_schedule_mode(const std::string& mode);
+
 /// Index of a registered metro preset in registration order — the
 /// hop-distance coordinate green routing uses (the registry order is the
 /// metro chain). Throws cl::InvalidArgument for a non-preset name.

@@ -109,43 +109,17 @@ inline void validate_intensity_flag(const Args& args) {
   (void)intensity_from(args, kDefaultMetroName);
 }
 
-/// The --schedule flag: which carbon-aware levers are active
-/// (src/carbon/schedule.h). "preload" shifts sessions into the
-/// intensity trough, "route" serves hours from the cleanest viable
-/// metro, "all" does both, "off" (the default) changes nothing.
-enum class ScheduleMode { kOff, kPreload, kRoute, kAll };
-
-[[nodiscard]] inline bool schedule_preloads(ScheduleMode mode) {
-  return mode == ScheduleMode::kPreload || mode == ScheduleMode::kAll;
-}
-
-[[nodiscard]] inline bool schedule_routes(ScheduleMode mode) {
-  return mode == ScheduleMode::kRoute || mode == ScheduleMode::kAll;
-}
-
 /// Parses --schedule; any active mode requires --intensity (a scheduler
 /// without a curve has nothing to act on, and guessing one would break
 /// the "absent --intensity → pre-intensity output" contract).
 inline ScheduleMode schedule_from(const Args& args) {
-  const std::string mode = args.get_or("schedule", "off");
-  ScheduleMode parsed;
-  if (mode == "off") {
-    parsed = ScheduleMode::kOff;
-  } else if (mode == "preload") {
-    parsed = ScheduleMode::kPreload;
-  } else if (mode == "route") {
-    parsed = ScheduleMode::kRoute;
-  } else if (mode == "all") {
-    parsed = ScheduleMode::kAll;
-  } else {
-    throw ParseError("unknown schedule mode '" + mode +
-                     "' (off|preload|route|all)");
-  }
-  if (parsed != ScheduleMode::kOff && !args.has("intensity")) {
+  const ScheduleMode mode =
+      parse_schedule_mode(args.get_or("schedule", "off"));
+  if (mode != ScheduleMode::kOff && !args.has("intensity")) {
     throw ParseError(
         "--schedule needs --intensity (the curve the scheduler acts on)");
   }
-  return parsed;
+  return mode;
 }
 
 /// Scheduler tunables from the shared flags (--latency-bound overrides
@@ -159,10 +133,6 @@ inline ScheduleConfig schedule_config_from(const Args& args) {
   }
   return config;
 }
-
-// metro_registry_index / serving_curves moved to carbon/schedule.h (the
-// experiment runner routes cells through the same helpers); unqualified
-// calls below and in the cmd_*.cpp files resolve to the cl:: versions.
 
 /// Shared --threads knob: worker threads for sharded generation, the
 /// simulator's per-swarm sweep, and analysis (0 = all hardware threads;

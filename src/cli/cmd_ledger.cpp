@@ -4,8 +4,8 @@
 
 #include "cli/cli_common.h"
 #include "cli/commands.h"
-#include "core/analyzer.h"
 #include "core/carbon_ledger.h"
+#include "core/pipeline.h"
 #include "core/report.h"
 
 namespace cl::cli {
@@ -21,22 +21,19 @@ int cmd_ledger(const Args& args) {
 
   // Under a preload schedule the ledgers account the *scheduled* run —
   // credits should reflect the traffic users actually carried. A flat
-  // curve leaves the scheduler inert, so `result` stays `base` and the
-  // ledger output is byte-identical to the unscheduled run.
+  // curve leaves the scheduler inert and the output byte-identical.
   std::optional<CarbonScheduler> scheduler;
+  std::optional<ScheduleRun> scheduling;
   if (schedule != ScheduleMode::kOff) {
     scheduler.emplace(*intensity, schedule_config_from(args));
+    scheduling = run_schedule(analyzer, *scheduler, schedule, base, trace,
+                              seed_from(args, TraceConfig{}.seed),
+                              analyzer.sim_config());
   }
-  SimResult preloaded;
-  const SimResult* result = &base;
-  if (scheduler && schedule_preloads(schedule) && !scheduler->inert()) {
-    preloaded = analyzer.simulate(scheduler->schedule_preload(
-        trace, seed_from(args, TraceConfig{}.seed)));
-    result = &preloaded;
-  }
+  const SimResult& result = scheduling ? scheduling->scheduled(base) : base;
 
   for (const auto& params : analyzer.models()) {
-    const CarbonLedger ledger(*result, params);
+    const CarbonLedger ledger(result, params);
     std::cout << "\n";
     print_ledger_summary(std::cout, ledger);
     if (intensity) {
@@ -45,25 +42,9 @@ int cmd_ledger(const Args& args) {
     }
   }
 
-  if (scheduler) {
-    const std::size_t home = metro_registry_index(metro.name());
-    const std::size_t hours = result->hourly.size();
-    const RoutingPlan plan =
-        schedule_routes(schedule)
-            ? scheduler->plan_routes(serving_curves(metro.name(), *intensity),
-                                     home, hours)
-            : scheduler->home_plan(home, hours);
-    std::vector<ScheduleOutcome> outcomes;
-    for (const auto& params : analyzer.models()) {
-      const EnergyAccountant accountant{CostFunctions(params)};
-      outcomes.push_back(
-          scheduler->assess(base.hourly, result->hourly, accountant, plan));
-    }
+  if (scheduling) {
     std::cout << "\n";
-    print_schedule_report(std::cout, *scheduler, plan,
-                          schedule_preloads(schedule),
-                          schedule_routes(schedule), base.offload(),
-                          result->offload(), outcomes);
+    print_schedule_report(std::cout, *scheduler, schedule, base, *scheduling);
   }
   return 0;
 }

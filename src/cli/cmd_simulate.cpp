@@ -1,11 +1,11 @@
-// cmd_simulate — aggregate hybrid-vs-CDN savings over a trace.
+// cmd_simulate — loads a trace, runs the shared pipeline and prints it.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 
 #include "cli/cli_common.h"
 #include "cli/commands.h"
-#include "core/analyzer.h"
+#include "core/pipeline.h"
 #include "core/report.h"
 
 namespace cl::cli {
@@ -51,17 +51,11 @@ int cmd_simulate(const Args& args) {
             << view.span().value() / 86400.0 << " days, metro "
             << metro.name() << "\n\n";
 
-  // One simulator run feeds every report flavour: the swarms the
-  // aggregate's theory column needs, plus (with --intensity) the hourly
-  // grid the carbon weighting needs.
-  SimConfig config = analyzer.sim_config();
-  config.collect_swarms = true;
-  config.collect_hourly = intensity != nullptr;
-  config.collect_per_user = false;
-  config.overload = args.has("overload");
+  // One simulator run feeds every report flavour (core/pipeline.h).
   SimPhaseTiming timing;
-  const SimResult result = HybridSimulator(metro, config)
-                               .run(view, want_timing ? &timing : nullptr);
+  const SimulateRun run = run_simulate(analyzer, view, intensity,
+                                       args.has("overload"),
+                                       want_timing ? &timing : nullptr);
 
   if (want_timing) {
     print_timing(std::cout, "load", load_seconds);
@@ -78,17 +72,17 @@ int cmd_simulate(const Args& args) {
     std::cout << "\n";
   }
 
-  print_aggregate(std::cout, analyzer.aggregate(result));
-  if (config.overload) {
+  print_aggregate(std::cout, run.aggregate);
+  if (run.config.overload) {
     std::cout << "\noverload: "
-              << result.overload_spill.value() / 8e9
+              << run.result.overload_spill.value() / 8e9
               << " GB of peer demand spilled back to the CDN\n";
   }
   if (intensity) {
     std::cout << "\ncarbon under intensity " << intensity->name() << " (mean "
               << intensity->mean() << " gCO2/kWh, min " << intensity->min()
               << ", max " << intensity->max() << "):\n";
-    print_carbon_report(std::cout, analyzer.carbon_report(result, *intensity));
+    print_carbon_report(std::cout, run.carbon);
   }
 
   if (schedule != ScheduleMode::kOff) {
@@ -97,34 +91,12 @@ int cmd_simulate(const Args& args) {
     // scheduler is inert so the appended numbers repeat the unscheduled
     // ones exactly (the flat no-op contract, DESIGN.md §11).
     const CarbonScheduler scheduler(*intensity, schedule_config_from(args));
-    SimResult preloaded_result;
-    const SimResult* scheduled = &result;
-    if (schedule_preloads(schedule) && !scheduler.inert()) {
-      const Trace shifted =
-          scheduler.schedule_preload(rows, seed_from(args, TraceConfig{}.seed));
-      preloaded_result =
-          HybridSimulator(metro, config)
-              .run(TraceView::from_trace(shifted, config.threads), nullptr);
-      scheduled = &preloaded_result;
-    }
-    const std::size_t home = metro_registry_index(metro.name());
-    const std::size_t hours = scheduled->hourly.size();
-    const RoutingPlan plan =
-        schedule_routes(schedule)
-            ? scheduler.plan_routes(serving_curves(metro.name(), *intensity),
-                                    home, hours)
-            : scheduler.home_plan(home, hours);
-    std::vector<ScheduleOutcome> outcomes;
-    for (const auto& params : analyzer.models()) {
-      const EnergyAccountant accountant{CostFunctions(params)};
-      outcomes.push_back(
-          scheduler.assess(result.hourly, scheduled->hourly, accountant, plan));
-    }
+    const ScheduleRun scheduling =
+        run_schedule(analyzer, scheduler, schedule, run.result, rows,
+                     seed_from(args, TraceConfig{}.seed), run.config);
     std::cout << "\n";
-    print_schedule_report(std::cout, scheduler, plan,
-                          schedule_preloads(schedule),
-                          schedule_routes(schedule), result.offload(),
-                          scheduled->offload(), outcomes);
+    print_schedule_report(std::cout, scheduler, schedule, run.result,
+                          scheduling);
   }
   return 0;
 }

@@ -82,6 +82,7 @@ class Analyzer {
   Analyzer(const Metro& metro, SimConfig sim_config,
            std::vector<EnergyParams> models = standard_params());
 
+  [[nodiscard]] const Metro& metro() const { return *metro_; }
   [[nodiscard]] const SimConfig& sim_config() const { return sim_config_; }
   [[nodiscard]] const std::vector<EnergyParams>& models() const {
     return models_;

@@ -81,33 +81,32 @@ void print_ledger_carbon(std::ostream& out, const CarbonLedger& ledger,
 }
 
 void print_schedule_report(std::ostream& out, const CarbonScheduler& scheduler,
-                           const RoutingPlan& plan, bool preload_active,
-                           bool routing_active, double unscheduled_offload,
-                           double scheduled_offload,
-                           const std::vector<ScheduleOutcome>& outcomes) {
+                           ScheduleMode mode, const SimResult& base,
+                           const ScheduleRun& run) {
+  const RoutingPlan& plan = run.plan;
   out << "schedule under intensity " << scheduler.user_curve().name() << ":\n";
   if (scheduler.inert()) {
     out << "  flat curve, no intensity signal: scheduler inert, results "
            "bit-identical to unscheduled\n";
   } else {
-    if (preload_active) {
+    if (schedule_preloads(mode)) {
       const PreloadConfig window = scheduler.trough_window();
       out << "  preload: trough window [" << fmt(window.window_start_hour, 0)
           << ":00, " << fmt(window.window_end_hour, 0) << ":00), adoption "
           << fmt_pct(window.adoption) << "\n";
     }
-    if (routing_active) {
+    if (schedule_routes(mode)) {
       out << "  routing: " << plan.hours_routed_away() << "/"
           << plan.hours.size() << " hours served off-home, mean added latency "
           << fmt(plan.mean_added_latency_ms(), 1) << " ms (bound "
           << fmt(scheduler.config().max_added_latency_ms, 0) << " ms)\n";
     }
   }
-  out << "  offload G: " << fmt_pct(unscheduled_offload) << " unscheduled -> "
-      << fmt_pct(scheduled_offload) << " scheduled\n";
+  out << "  offload G: " << fmt_pct(base.offload()) << " unscheduled -> "
+      << fmt_pct(run.scheduled(base).offload()) << " scheduled\n";
   TextTable table({"model", "unscheduled (kgCO2)", "scheduled (kgCO2)",
                    "reduction"});
-  for (const auto& o : outcomes) {
+  for (const auto& o : run.outcomes) {
     table.add_row({o.model, fmt(o.unscheduled_g / 1000.0, 2),
                    fmt(o.scheduled_g / 1000.0, 2), fmt_pct(o.reduction)});
   }

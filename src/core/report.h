@@ -7,9 +7,8 @@
 #include <ostream>
 #include <vector>
 
-#include "carbon/schedule.h"
-#include "core/analyzer.h"
 #include "core/carbon_ledger.h"
+#include "core/pipeline.h"
 #include "trace/trace_stats.h"
 
 namespace cl {
@@ -38,14 +37,12 @@ void print_ledger_carbon(std::ostream& out, const CarbonLedger& ledger,
 void print_carbon_report(std::ostream& out,
                          const std::vector<CarbonOutcome>& outcomes);
 
-/// Prints the carbon-aware scheduling section: the active levers (trough
-/// preload window, routing plan stats), the offload shift, and the
-/// per-model scheduled-vs-unscheduled gram outcomes. An inert (flat)
-/// scheduler prints its no-op note instead of decisions.
+/// Prints the scheduling section of `run` over the unscheduled `base`: the
+/// active levers (trough preload window, routing plan stats), the offload
+/// shift, and the per-model scheduled-vs-unscheduled gram outcomes. An
+/// inert (flat) scheduler prints its no-op note instead of decisions.
 void print_schedule_report(std::ostream& out, const CarbonScheduler& scheduler,
-                           const RoutingPlan& plan, bool preload_active,
-                           bool routing_active, double unscheduled_offload,
-                           double scheduled_offload,
-                           const std::vector<ScheduleOutcome>& outcomes);
+                           ScheduleMode mode, const SimResult& base,
+                           const ScheduleRun& run);
 
 }  // namespace cl

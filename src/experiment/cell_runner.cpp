@@ -2,33 +2,19 @@
 
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "carbon/intensity_curve.h"
-#include "carbon/schedule.h"
-#include "core/analyzer.h"
-#include "energy/cost_functions.h"
+#include "core/pipeline.h"
 #include "energy/energy_params.h"
 #include "ext/adoption.h"
 #include "ext/edge_cache.h"
 #include "ext/preload.h"
-#include "sim/hybrid_sim.h"
 #include "topology/metro_registry.h"
 #include "trace/synthetic.h"
 #include "trace/trace_view.h"
 
 namespace cl {
-
-namespace {
-
-[[nodiscard]] bool schedule_preloads(const std::string& mode) {
-  return mode == "preload" || mode == "all";
-}
-
-[[nodiscard]] bool schedule_routes(const std::string& mode) {
-  return mode == "route" || mode == "all";
-}
-
-}  // namespace
 
 CellOutcome run_cell(const CellConfig& config, unsigned threads) {
   CellOutcome outcome;
@@ -75,80 +61,58 @@ CellOutcome run_cell(const CellConfig& config, unsigned threads) {
   }
 
   if (config.simulate) {
-    // From here the calls mirror cmd_simulate.cpp line for line — that
-    // is what makes a cell bit-identical to the standalone CLI run.
+    // The shared pipeline (core/pipeline.h) `cl simulate` calls: a cell
+    // is bit-identical to the standalone CLI run by construction.
     SimConfig sim_config;
     sim_config.q_over_beta = config.qb;
     sim_config.threads = threads;
     const Analyzer analyzer(metro, sim_config);
-    SimConfig run_config = analyzer.sim_config();
-    run_config.collect_swarms = true;
-    run_config.collect_hourly = intensity != nullptr;
-    run_config.collect_per_user = false;
-    run_config.overload = config.overload;
-    outcome.sim = HybridSimulator(metro, run_config)
-                      .run(TraceView::from_trace(rows, threads), nullptr);
-    const SimResult& result = outcome.sim;
+    SimulateRun run =
+        run_simulate(analyzer, TraceView::from_trace(rows, threads),
+                     intensity, config.overload);
 
-    outcome.metrics.set("offload", result.offload());
-    for (const AggregateOutcome& aggregate : analyzer.aggregate(result)) {
+    outcome.metrics.set("offload", run.result.offload());
+    for (const AggregateOutcome& aggregate : run.aggregate) {
       outcome.metrics.set("savings_" + aggregate.model,
                           aggregate.sim_savings);
       outcome.metrics.set("theory_savings_" + aggregate.model,
                           aggregate.theory_savings);
     }
-    if (run_config.overload) {
+    if (run.config.overload) {
       outcome.metrics.set("overload_spill_gb",
-                          result.overload_spill.value() / 8e9);
+                          run.result.overload_spill.value() / 8e9);
     }
-    if (intensity) {
-      for (const CarbonOutcome& carbon :
-           analyzer.carbon_report(result, *intensity)) {
-        outcome.metrics.set("carbon_savings_" + carbon.model,
-                            carbon.carbon_savings);
-        outcome.metrics.set("carbon_saved_g_" + carbon.model,
-                            carbon.saved_g);
-      }
+    for (const CarbonOutcome& carbon : run.carbon) {
+      outcome.metrics.set("carbon_savings_" + carbon.model,
+                          carbon.carbon_savings);
+      outcome.metrics.set("carbon_saved_g_" + carbon.model, carbon.saved_g);
     }
 
-    if (config.schedule != "off") {
+    const ScheduleMode mode = parse_schedule_mode(config.schedule);
+    if (mode != ScheduleMode::kOff) {
       const CarbonScheduler scheduler(*intensity, ScheduleConfig{});
-      SimResult preloaded_result;
-      const SimResult* scheduled = &result;
-      if (schedule_preloads(config.schedule) && !scheduler.inert()) {
-        const Trace shifted = scheduler.schedule_preload(rows, config.seed);
-        preloaded_result =
-            HybridSimulator(metro, run_config)
-                .run(TraceView::from_trace(shifted, threads), nullptr);
-        scheduled = &preloaded_result;
-      }
-      const std::size_t home = metro_registry_index(metro.name());
-      const std::size_t hours = scheduled->hourly.size();
-      const RoutingPlan plan =
-          schedule_routes(config.schedule)
-              ? scheduler.plan_routes(serving_curves(metro.name(), *intensity),
-                                      home, hours)
-              : scheduler.home_plan(home, hours);
-      outcome.metrics.set("schedule_hours_routed_away",
-                          static_cast<double>(plan.hours_routed_away()));
+      const ScheduleRun scheduling = run_schedule(
+          analyzer, scheduler, mode, run.result, rows, config.seed, run.config);
+      outcome.metrics.set(
+          "schedule_hours_routed_away",
+          static_cast<double>(scheduling.plan.hours_routed_away()));
       outcome.metrics.set("schedule_mean_added_latency_ms",
-                          plan.mean_added_latency_ms());
-      outcome.metrics.set("schedule_scheduled_offload", scheduled->offload());
-      for (const auto& params : analyzer.models()) {
-        const EnergyAccountant accountant{CostFunctions(params)};
-        const ScheduleOutcome assessed = scheduler.assess(
-            result.hourly, scheduled->hourly, accountant, plan);
-        outcome.metrics.set("schedule_reduction_" + params.name,
+                          scheduling.plan.mean_added_latency_ms());
+      outcome.metrics.set("schedule_scheduled_offload",
+                          scheduling.scheduled(run.result).offload());
+      for (const ScheduleOutcome& assessed : scheduling.outcomes) {
+        outcome.metrics.set("schedule_reduction_" + assessed.model,
                             assessed.reduction);
-        outcome.metrics.set("schedule_scheduled_g_" + params.name,
+        outcome.metrics.set("schedule_scheduled_g_" + assessed.model,
                             assessed.scheduled_g);
       }
     }
+    outcome.sim = std::move(run.result);
   }
 
   if (config.adoption > 0) {
-    // The incentive fixed point, as bench/ablation_adoption.cpp runs it
-    // (same thresholds, same seed participation, same ISP-0 tree).
+    // The incentive fixed point per energy model on ISP 0's tree
+    // (experiments/ablation_adoption.json sweeps the tiers).
     for (const auto& params : standard_params()) {
       const AdoptionModel model(SavingsModel(params, metro.isp(0)));
       AdoptionConfig adoption;
@@ -165,8 +129,8 @@ CellOutcome run_cell(const CellConfig& config, unsigned threads) {
   }
 
   if (config.edge_cache > 0) {
-    // ExP LRU caches, as bench/ablation_edge_cache.cpp runs them (no
-    // metric collection in the miss simulation).
+    // ExP LRU caches (experiments/ablation_edge_cache.json sweeps the
+    // sizes); the miss simulation collects no metrics.
     SimConfig cache_sim;
     cache_sim.q_over_beta = config.qb;
     cache_sim.threads = threads;

@@ -1,13 +1,9 @@
 // cell_runner.h — executes one ExperimentCell against the library.
 //
-// A cell run is the library-level twin of a `cl simulate` invocation with
-// the equivalent flags: the same trace generation, the same SimConfig,
-// the same analyzer/scheduler calls in the same order — so its SimResult
-// is bit-identical to the CLI's (tests/test_experiment.cpp pins this at
-// several --threads values). On top of the simulate core it runs the
-// extension subsystems a cell may enable (adoption fixed point, edge
-// caches, preload transform), mirroring the bench binaries' calls so a
-// spec cell reproduces bench numbers exactly.
+// A cell generates the trace `cl simulate` generates for the same flags
+// and calls the same pipeline (core/pipeline.h), so its SimResult and
+// metrics match the CLI's by construction at every --threads value. A
+// cell may also preload its trace, solve adoption and run edge caches.
 #pragma once
 
 #include <string>

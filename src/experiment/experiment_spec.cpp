@@ -7,6 +7,7 @@
 #include <set>
 
 #include "carbon/intensity_curve.h"
+#include "carbon/schedule.h"
 #include "topology/metro_registry.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -157,11 +158,7 @@ void parse_preload_window(const std::string& text, double* start,
   }
   if (key == "schedule") {
     const std::string mode = string_of(key, value);
-    if (mode != "off" && mode != "preload" && mode != "route" &&
-        mode != "all") {
-      throw ParseError("unknown schedule mode '" + mode +
-                       "' (off|preload|route|all)");
-    }
+    (void)parse_schedule_mode(mode);
     return mode;
   }
   if (key == "days" || key == "scale" || key == "qb") {
@@ -532,6 +529,13 @@ std::vector<ExperimentCell> ExperimentSpec::cells() const {
       throw ParseError("cell '" + cell.slug +
                        "' would run nothing (simulate is off and no "
                        "adoption/edge_cache tier is set)");
+    }
+    if (!cell.config.simulate &&
+        (cell.config.schedule != "off" || cell.config.overload ||
+         cell.config.intensity != "none")) {
+      throw ParseError("cell '" + cell.slug +
+                       "' sets schedule, overload or intensity, which only "
+                       "act on the simulated run, but simulate is off");
     }
 
     cell.index = out.size();

@@ -43,6 +43,9 @@
 //   seed             master seed, non-negative integer       20130901
 //   qb               upload ratio q/beta > 0                 1
 //
+// A cell with simulate off must set adoption or edge_cache and leave
+// schedule, overload and intensity (simulated-run settings) at default.
+//
 // Every malformed input — unknown axis, empty value list, duplicate
 // axis, out-of-range value, missing intensity CSV — is a cl::ParseError
 // with a distinct, actionable message (tests/test_experiment.cpp pins

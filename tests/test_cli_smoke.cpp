@@ -9,12 +9,14 @@
 #include <sys/wait.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "fnv1a.h"
 #include "temp_path.h"
 
 #ifndef CL_CLI_PATH
@@ -523,6 +525,41 @@ TEST(CliSmoke, LedgerScheduleFlatOnlyAppends) {
       << "without:\n" << without.output << "\nwith:\n" << with.output;
   EXPECT_NE(with.output.find("scheduler inert"), std::string::npos);
   std::filesystem::remove(trace);
+}
+
+TEST(CliSmoke, SimulateAndLedgerReportsPinned) {
+  // The whole merged stdout+stderr of the simulate/ledger pipeline —
+  // report, carbon weighting and schedule section — pinned by digest at
+  // two thread counts, so a refactor of how the commands compose the
+  // simulator, reports and scheduler cannot move a single byte.
+  struct Pin {
+    const char* command;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"simulate --days 1 --seed 7 --intensity uk_2018 --overload "
+       "--schedule all",
+       0xc46c729dc365c266ULL},
+      {"simulate --days 1 --seed 7 --metro us_sparse --intensity metro "
+       "--schedule route",
+       0xef2213949bff77f0ULL},
+      {"simulate --days 1 --seed 7 --intensity uk_2018",
+       0x95ffa7c044845525ULL},
+      {"ledger --days 1 --seed 7 --intensity uk_2018 --schedule preload",
+       0x9a89bdb939aecd89ULL},
+      {"ledger --days 1 --seed 7 --metro us_sparse --intensity us_caiso "
+       "--schedule all",
+       0x06bbf6207cdabc87ULL},
+  };
+  for (const Pin& pin : pins) {
+    for (const char* threads : {" --threads 1", " --threads 3"}) {
+      const std::string command = std::string(pin.command) + threads;
+      SCOPED_TRACE(command);
+      const RunResult result = run_cli(command);
+      ASSERT_EQ(result.exit_code, 0) << result.output;
+      EXPECT_EQ(cl::test::fnv1a(result.output), pin.digest) << result.output;
+    }
+  }
 }
 
 TEST(CliSmoke, IntensityAcceptsCsvFilePath) {

@@ -4,9 +4,11 @@
 // exclusion, canonical value forms), and the parity contracts — a cell
 // run is bit-identical to a standalone `cl simulate` composition at
 // every thread count, and the checked-in ablation specs reproduce the
-// bench binaries' numbers exactly.
+// adoption and edge-cache models' numbers exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,8 @@
 #include "trace/trace_view.h"
 #include "util/error.h"
 #include "util/json.h"
+
+#include "fnv1a.h"
 
 #ifndef CL_TEST_DATA_DIR
 #error "CMake must define CL_TEST_DATA_DIR"
@@ -125,6 +129,27 @@ TEST(ExperimentSpecReject, ScheduleNeedsIntensity) {
 
 TEST(ExperimentSpecReject, CellRunsNothing) {
   expect_reject(R"({"base": {"simulate": "off"}})", "would run nothing");
+}
+
+// schedule, overload and intensity only act on the simulated run: a
+// cell that skips the simulator must not be labelled with one of them.
+TEST(ExperimentSpecReject, ScheduleWithSimulateOff) {
+  expect_reject(R"({"base": {"simulate": "off", "adoption": 50,
+                             "schedule": "all", "intensity": "uk_2018"}})",
+                "only act on the simulated run, but simulate is off");
+}
+
+TEST(ExperimentSpecReject, OverloadWithSimulateOff) {
+  expect_reject(R"({"base": {"simulate": "off", "adoption": 50,
+                             "overload": "on"}})",
+                "only act on the simulated run, but simulate is off");
+}
+
+TEST(ExperimentSpecReject, IntensityWithSimulateOff) {
+  expect_reject(R"({"base": {"simulate": "off", "edge_cache": 10},
+                    "axes": {"intensity": ["none", "uk_2018"]}})",
+                "cell 'intensity-uk_2018' sets schedule, overload or "
+                "intensity");
 }
 
 TEST(ExperimentSpecReject, PinNamesUndeclaredAxisOrValue) {
@@ -304,8 +329,40 @@ TEST(ExperimentParity, GoldenCellMatchesStandaloneSimulateAtEveryThreads) {
             expected.overload_spill.value() / 8e9);
 }
 
-/// experiments/ablation_adoption.json reproduces the bench binary's
-/// fixed-point numbers bit-identically (bench/ablation_adoption.cpp).
+/// Every scheduled cell's rendered metrics — offload, savings, carbon,
+/// spill and the schedule section — pinned by digest at threads 1 and
+/// hw, over both schedule levers on two metros with different grids.
+TEST(ExperimentParity, ScheduleCellsPinned) {
+  const ExperimentSpec spec = ExperimentSpec::parse(
+      R"({"base": {"days": 1, "overload": "on", "intensity": "metro"},
+          "axes": {"metro": ["london_top5", "us_sparse"],
+                   "schedule": ["off", "preload", "route", "all"]}})",
+      "schedule_pins");
+  const std::map<std::string, std::uint64_t> pins = {
+      {"metro-london_top5_schedule-off", 0x88cb0e89cf7b6f3aULL},
+      {"metro-london_top5_schedule-preload", 0xabcbb675947902bdULL},
+      {"metro-london_top5_schedule-route", 0x5819d3897bf94914ULL},
+      {"metro-london_top5_schedule-all", 0x0bc330f5dccf4691ULL},
+      {"metro-us_sparse_schedule-off", 0x390883612398ed10ULL},
+      {"metro-us_sparse_schedule-preload", 0xfda267c14a7550c8ULL},
+      {"metro-us_sparse_schedule-route", 0xaecce09233a4335eULL},
+      {"metro-us_sparse_schedule-all", 0xce00211516ecbe1fULL},
+  };
+  const std::vector<ExperimentCell> cells = spec.cells();
+  ASSERT_EQ(cells.size(), pins.size());
+  for (const ExperimentCell& cell : cells) {
+    ASSERT_EQ(pins.count(cell.slug), 1u) << cell.slug;
+    for (const unsigned threads : {1u, 0u}) {
+      SCOPED_TRACE(cell.slug + " threads " + std::to_string(threads));
+      const std::string render =
+          run_cell(cell.config, threads).metrics.render();
+      EXPECT_EQ(test::fnv1a(render), pins.at(cell.slug)) << render;
+    }
+  }
+}
+
+/// experiments/ablation_adoption.json reproduces the adoption fixed
+/// point solved directly from ext/adoption.h, bit-identically.
 TEST(ExperimentParity, AdoptionSpecMatchesBenchComputation) {
   const ExperimentSpec spec = ExperimentSpec::parse_file(
       std::string(CL_EXPERIMENTS_DIR) + "/ablation_adoption.json");
@@ -331,9 +388,9 @@ TEST(ExperimentParity, AdoptionSpecMatchesBenchComputation) {
   }
 }
 
-/// One cell of experiments/ablation_edge_cache.json reproduces the bench
-/// binary's cache sweep numbers bit-identically (capacity 50, P2P on —
-/// the cell the bench exports as metrics).
+/// One cell of experiments/ablation_edge_cache.json (capacity 50, P2P
+/// on) reproduces the cache simulator run directly from ext/edge_cache.h,
+/// bit-identically.
 TEST(ExperimentParity, EdgeCacheSpecMatchesBenchComputation) {
   const ExperimentSpec spec = ExperimentSpec::parse_file(
       std::string(CL_EXPERIMENTS_DIR) + "/ablation_edge_cache.json");
@@ -347,7 +404,8 @@ TEST(ExperimentParity, EdgeCacheSpecMatchesBenchComputation) {
   }
   ASSERT_NE(cell, nullptr);
 
-  // The bench's own composition (bench/ablation_edge_cache.cpp).
+  // The edge-cache ablation composed by hand: a 10-day London month and
+  // a miss simulation that collects no metrics.
   const Metro& metro = MetroRegistry::instance().get(kDefaultMetroName);
   TraceConfig trace_config = TraceConfig::london_month_scaled(10);
   trace_config.threads = 1;

@@ -43,6 +43,7 @@
 #include "util/rng.h"
 #include "util/serialize.h"
 
+#include "fnv1a.h"
 #include "temp_path.h"
 
 #ifndef CL_TEST_DATA_DIR
@@ -185,15 +186,7 @@ std::string golden_path() {
   return std::string(CL_TEST_DATA_DIR) + "/golden_v2.cltrace";
 }
 
-/// FNV-1a 64-bit digest — enough to pin accidental byte changes.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using test::fnv1a;
 
 // ------------------------------------------------------------ round trips
 
