@@ -34,14 +34,14 @@ std::size_t swarms_per_chunk(std::size_t swarms) {
 /// grouping map built below — both outlive the sweep.
 using SwarmEntry = std::pair<SwarmKey, std::span<const std::uint32_t>>;
 
-/// Swarm list from the view's persisted full-key index — no hashing, no
-/// re-sorting, and the spans are column ranges straight into the
-/// (possibly mmap'd) order block. Only valid when the config keys swarms
-/// by the full (content, ISP, bitrate) tuple, i.e. the index's own
-/// partition.
-std::vector<SwarmEntry> swarms_from_index(const TraceView& view) {
-  const std::span<const SwarmIndexGroup> groups = view.groups();
-  const std::span<const std::uint32_t> order = view.order();
+/// Swarm list from a persisted full-key index (a Trace's swarm_index or
+/// a TraceView's groups/order) — no hashing, no re-sorting, and the
+/// spans are ranges straight into the (possibly mmap'd) order block.
+/// Only valid when the config keys swarms by the full (content, ISP,
+/// bitrate) tuple, i.e. the index's own partition.
+std::vector<SwarmEntry> swarms_from_index(
+    std::span<const SwarmIndexGroup> groups,
+    std::span<const std::uint32_t> order) {
   std::vector<SwarmEntry> swarms;
   swarms.reserve(groups.size());
   for (const SwarmIndexGroup& group : groups) {
@@ -54,23 +54,16 @@ std::vector<SwarmEntry> swarms_from_index(const TraceView& view) {
   return swarms;
 }
 
-/// Swarm list via hash grouping over the key columns (relaxed keys, or
-/// traces without an index). `groups` is an out-parameter purely to own
-/// the index vectors the returned spans point into.
+/// Swarm list via hash grouping of sessions [0, n) by `key_of(i)`
+/// (relaxed keys, or traces without an index). `groups` is an
+/// out-parameter purely to own the index vectors the returned spans
+/// point into.
+template <typename KeyOf>
 std::vector<SwarmEntry> swarms_by_grouping(
-    const TraceView& view, const SimConfig& config,
+    std::size_t n, KeyOf&& key_of,
     std::unordered_map<SwarmKey, std::vector<std::uint32_t>>& groups) {
-  const std::span<const std::uint32_t> content = view.content();
-  const std::span<const std::uint32_t> isp = view.isp();
-  const std::span<const std::uint8_t> bitrate = view.bitrate();
   groups.reserve(1024);
-  for (std::uint32_t i = 0; i < view.size(); ++i) {
-    SwarmKey key;
-    key.content = content[i];
-    if (config.isp_friendly) key.isp = isp[i];
-    if (config.split_by_bitrate) key.bitrate = bitrate[i];
-    groups[key].push_back(i);
-  }
+  for (std::uint32_t i = 0; i < n; ++i) groups[key_of(i)].push_back(i);
   // Deterministic sweep order (unordered_map order is
   // implementation-defined and would perturb floating-point accumulation).
   // Lexicographic (content, isp, bitrate) — the swarm index's order, and
@@ -91,20 +84,69 @@ std::vector<SwarmEntry> swarms_by_grouping(
   return swarms;
 }
 
-/// Pads the hourly grid of a collect_hourly result to the full
-/// [hours][isps] shape (traffic-free cells stay zero), and the overload
-/// spill vector to the same hour count when the overload model ran.
-void pad_hourly(SimResult& result, double span_seconds,
-                std::size_t isp_count) {
-  const auto hours = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(span_seconds / 3600.0)));
-  if (result.hourly.size() < hours) result.hourly.resize(hours);
-  for (auto& hour : result.hourly) {
-    if (hour.size() < isp_count) hour.resize(isp_count);
+/// The sweep-ordered swarm list of sessions [0, n). Under the paper's
+/// full (content, ISP, bitrate) partition a trace that carries its swarm
+/// index (every `.cltrace`) is listed straight from it; relaxed
+/// partitions (cross-ISP / mixed-bitrate ablations) and index-less
+/// traces group by `key_of(i)` through a hash map. Both emit the same
+/// key order, so results are bit-identical between them. `owned` keeps
+/// the grouped index vectors alive.
+template <typename KeyOf>
+std::vector<SwarmEntry> list_swarms(
+    const SimConfig& config, std::span<const SwarmIndexGroup> groups,
+    std::span<const std::uint32_t> order, std::size_t n, KeyOf&& key_of,
+    std::unordered_map<SwarmKey, std::vector<std::uint32_t>>& owned) {
+  if (config.isp_friendly && config.split_by_bitrate && !groups.empty() &&
+      order.size() == n) {
+    return swarms_from_index(groups, order);
   }
-  if (result.config.overload && result.hourly_spill.size() < hours) {
-    result.hourly_spill.resize(hours);
+  return swarms_by_grouping(n, key_of, owned);
+}
+
+/// Sweeps the key-ordered swarm list on config.threads workers:
+/// sweep_one(sweep, entry, acc) sweeps one swarm with the worker's
+/// reusable SwarmSweep (scratch buffers + matcher) into its chunk's
+/// SimResult partial, and partials merge in ascending swarm-key order —
+/// bit-identical results at every thread count (the util/parallel.h
+/// contract). Partials start with an empty hourly grid; sweeps grow it
+/// only for the hours their swarms touch (a month of per-chunk full
+/// grids would cost O(chunks × hours × isps) up front), and the merged
+/// grid is padded to the full [hours][isps] shape at the end (traffic-free
+/// cells stay zero), the overload spill vector to the same hour count.
+template <typename SweepOne>
+SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
+                       Seconds span, const std::vector<SwarmEntry>& swarms,
+                       SweepKernelTiming* kernel_timing,
+                       ReduceTiming* reduce_timing, SweepOne&& sweep_one) {
+  SimResult result = parallel_chunked_reduce_stateful(
+      swarms.size(), config.threads,
+      [&] { return SwarmSweep(metro, config, kernel_timing); },
+      [&] {
+        SimResult partial;
+        partial.config = config;
+        partial.span = span;
+        return partial;
+      },
+      [&](SwarmSweep& sweep, SimResult& acc, std::size_t begin,
+          std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          sweep_one(sweep, swarms[i], acc);
+        }
+      },
+      [](SimResult& merged, const SimResult& chunk) { merged.merge(chunk); },
+      swarms_per_chunk(swarms.size()), reduce_timing);
+  if (config.collect_hourly) {
+    const auto hours = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(span.value() / 3600.0)));
+    if (result.hourly.size() < hours) result.hourly.resize(hours);
+    for (auto& hour : result.hourly) {
+      if (hour.size() < metro.isp_count()) hour.resize(metro.isp_count());
+    }
+    if (config.overload && result.hourly_spill.size() < hours) {
+      result.hourly_spill.resize(hours);
+    }
   }
+  return result;
 }
 
 [[noreturn]] void metro_mismatch(const Metro& metro,
@@ -170,56 +212,30 @@ SimResult HybridSimulator::run(const TraceView& view,
     }
   }
 
-  // Partials start with an empty hourly grid; sweeps grow it only for the
-  // hours their swarms actually touch (a month of per-chunk full grids
-  // would cost O(chunks × hours × isps) up-front), and run() pads the
-  // merged result to the full [hours][isps] shape at the end.
-  const auto make_partial = [&] {
-    SimResult partial;
-    partial.config = config_;
-    partial.span = view.span();
-    return partial;
-  };
-
-  // Under the paper's full (content, ISP, bitrate) partition, a trace
-  // loaded from the binary columnar format already carries its swarms in
-  // sweep order — consume the index instead of re-grouping. Relaxed
-  // partitions (cross-ISP / mixed-bitrate ablations) and index-less
-  // traces group through a hash map as before; both paths emit the same
-  // key order, so results are bit-identical between them.
-  const bool index_usable =
-      config_.isp_friendly && config_.split_by_bitrate && view.has_index();
+  const std::span<const std::uint32_t> content = view.content();
+  const std::span<const std::uint8_t> bitrate = view.bitrate();
   std::unordered_map<SwarmKey, std::vector<std::uint32_t>> groups;
-  const std::vector<SwarmEntry> swarms =
-      index_usable ? swarms_from_index(view)
-                   : swarms_by_grouping(view, config_, groups);
+  const std::vector<SwarmEntry> swarms = list_swarms(
+      config_, view.groups(), view.order(), view.size(),
+      [&](std::uint32_t i) {
+        SwarmKey key;
+        key.content = content[i];
+        if (config_.isp_friendly) key.isp = isp[i];
+        if (config_.split_by_bitrate) key.bitrate = bitrate[i];
+        return key;
+      },
+      groups);
   const auto group_end = Clock::now();
 
-  // Shard the key-ordered swarm list across workers: each worker reuses
-  // one SwarmSweep (scratch buffers + matcher) for every swarm it sweeps,
-  // each fixed-size chunk accumulates into its own SimResult partial,
-  // and partials merge in ascending swarm-key order —
-  // bit-identical results at every thread count (the util/parallel.h
-  // contract).
   ReduceTiming reduce_timing;
   SweepKernelTiming kernel_timing;
-  SweepKernelTiming* kernel_sink = timing != nullptr ? &kernel_timing : nullptr;
-  SimResult result = parallel_chunked_reduce_stateful(
-      swarms.size(), config_.threads,
-      [&] { return SwarmSweep(*metro_, config_, kernel_sink); }, make_partial,
-      [&](SwarmSweep& sweep, SimResult& acc, std::size_t begin,
-          std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          sweep.sweep(swarms[i].first, swarms[i].second, view, acc);
-        }
-      },
-      [](SimResult& merged, const SimResult& chunk) { merged.merge(chunk); },
-      swarms_per_chunk(swarms.size()),
-      timing != nullptr ? &reduce_timing : nullptr);
-
-  if (config_.collect_hourly) {
-    pad_hourly(result, view.span().value(), metro_->isp_count());
-  }
+  SimResult result = sweep_swarms(
+      *metro_, config_, view.span(), swarms,
+      timing != nullptr ? &kernel_timing : nullptr,
+      timing != nullptr ? &reduce_timing : nullptr,
+      [&](SwarmSweep& sweep, const SwarmEntry& swarm, SimResult& acc) {
+        sweep.sweep(swarm.first, swarm.second, view, acc);
+      });
   if (timing != nullptr) {
     timing->group_seconds =
         std::chrono::duration<double>(group_end - group_start).count();
@@ -245,67 +261,19 @@ SimResult HybridSimulator::run_rows(const Trace& trace) const {
     }
   }
 
-  const auto make_partial = [&] {
-    SimResult partial;
-    partial.config = config_;
-    partial.span = trace.span;
-    return partial;
-  };
-
-  const bool index_usable =
-      config_.isp_friendly && config_.split_by_bitrate &&
-      !trace.swarm_index.empty() &&
-      trace.swarm_index.order.size() == trace.sessions.size();
   std::unordered_map<SwarmKey, std::vector<std::uint32_t>> groups;
-  std::vector<SwarmEntry> swarms;
-  if (index_usable) {
-    swarms.reserve(trace.swarm_index.groups.size());
-    for (const SwarmIndexGroup& group : trace.swarm_index.groups) {
-      SwarmKey key;
-      key.content = group.content;
-      key.isp = group.isp;
-      key.bitrate = group.bitrate;
-      swarms.emplace_back(
-          key, std::span<const std::uint32_t>(
-                   trace.swarm_index.order.data() + group.begin, group.count));
-    }
-  } else {
-    groups.reserve(1024);
-    for (std::uint32_t i = 0; i < trace.sessions.size(); ++i) {
-      groups[swarm_key_for(trace.sessions[i], config_)].push_back(i);
-    }
-    swarms.reserve(groups.size());
-    for (const auto& [key, indices] : groups) {
-      swarms.emplace_back(key, std::span<const std::uint32_t>(indices));
-    }
-    std::sort(swarms.begin(), swarms.end(),
-              [](const SwarmEntry& a, const SwarmEntry& b) {
-                if (a.first.content != b.first.content) {
-                  return a.first.content < b.first.content;
-                }
-                if (a.first.isp != b.first.isp) {
-                  return a.first.isp < b.first.isp;
-                }
-                return a.first.bitrate < b.first.bitrate;
-              });
-  }
-
-  SimResult result = parallel_chunked_reduce_stateful(
-      swarms.size(), config_.threads,
-      [&] { return SwarmSweep(*metro_, config_); }, make_partial,
-      [&](SwarmSweep& sweep, SimResult& acc, std::size_t begin,
-          std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          sweep.sweep_rows(swarms[i].first, swarms[i].second, trace, acc);
-        }
+  const std::vector<SwarmEntry> swarms = list_swarms(
+      config_, trace.swarm_index.groups, trace.swarm_index.order,
+      trace.sessions.size(),
+      [&](std::uint32_t i) {
+        return swarm_key_for(trace.sessions[i], config_);
       },
-      [](SimResult& merged, const SimResult& chunk) { merged.merge(chunk); },
-      swarms_per_chunk(swarms.size()));
-
-  if (config_.collect_hourly) {
-    pad_hourly(result, trace.span.value(), metro_->isp_count());
-  }
-  return result;
+      groups);
+  return sweep_swarms(
+      *metro_, config_, trace.span, swarms, nullptr, nullptr,
+      [&](SwarmSweep& sweep, const SwarmEntry& swarm, SimResult& acc) {
+        sweep.sweep_rows(swarm.first, swarm.second, trace, acc);
+      });
 }
 
 }  // namespace cl

@@ -22,8 +22,8 @@
 // transposes the rows into an owned SoA view first; `.cltrace` input
 // should be opened as a view (TraceView::open_binary) so the sweep runs
 // directly on the mmap'd blocks with zero materialization. run_rows
-// keeps the historical row-structured path as the bit-identity reference
-// and bench baseline.
+// sweeps the row-structured Trace through the same listing, reduce and
+// event loop — the bit-identity reference and bench baseline.
 //
 // Parallel execution: swarms are independent, so run() shards the
 // key-sorted swarm list across SimConfig::threads workers. Each worker
@@ -59,7 +59,7 @@ struct SimPhaseTiming {
   // sweep hot path, so they are only measured when `timing` is non-null.
   double sweep_gather1_seconds = 0;   ///< window bounds + watch time
   double sweep_gather2_seconds = 0;   ///< per-peer column gathers
-  double sweep_events_seconds = 0;    ///< event sort + stretch loop
+  double sweep_events_seconds = 0;    ///< event streams + stretch loop
   double sweep_allocate_seconds = 0;  ///< per-stretch allocation
 };
 
@@ -86,9 +86,12 @@ class HybridSimulator {
   /// owned SoA view (one O(n) pass) and runs on the columns.
   [[nodiscard]] SimResult run(const Trace& trace) const;
 
-  /// The historical row-structured path (SessionRecord loads inside the
-  /// sweep loops, virtual Matcher dispatch) — bit-identical to run() and
-  /// kept as its oracle and as bench/micro_sweep's baseline.
+  /// The row-structured reference path — bit-identical to run() and kept
+  /// as its oracle and as bench/micro_sweep's baseline. It shares run()'s
+  /// swarm listing, sharded reduce and event loop; what it checks is the
+  /// rest: a per-row metro check, SessionRecord loads in place of the
+  /// column gathers, and virtual Matcher dispatch in place of the flat
+  /// allocator and its lone-peer / pair shortcuts.
   [[nodiscard]] SimResult run_rows(const Trace& trace) const;
 
  private:

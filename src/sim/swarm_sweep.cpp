@@ -52,12 +52,12 @@ std::array<double, kBitrateClasses> beta_table() {
   return table;
 }
 
-/// Packed leave-event sort key layout: window in the high 40 bits,
-/// session index in the low 24. Sorting the keys as plain u64 yields
-/// exactly the (window, idx) order the generic event sort produces for
-/// leaves. Swarms beyond either field's range (a >16.7M-session swarm,
-/// or a window index past ~34 800 years at Δτ = 10 s) take the generic
-/// run_events fallback.
+/// Packed leave sort key layout: window in the high 40 bits, session
+/// index in the low 24. Sorting the keys as plain u64 yields exactly the
+/// (window, idx) leave order. Swarms beyond either field's range (a
+/// >16.7M-session swarm, or a window index past ~34 800 years at
+/// Δτ = 10 s) sort their leave indices with a (window, idx) comparator
+/// instead — same order, slower sort.
 constexpr int kLeaveIdxBits = 24;
 constexpr std::uint64_t kLeaveIdxMask = (std::uint64_t{1} << kLeaveIdxBits) - 1;
 constexpr std::uint64_t kMaxPackWindow = std::uint64_t{1}
@@ -113,9 +113,9 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
   const double dt = config_.window.value();
   if (lone_flat_ && active_.size() == 1) {
     // Lone-peer stretch on the flat-allocator route: the allocation is
-    // fully determined (server_bits = β·Δτ, every other lane zero — see
-    // allocate_existence_flat's n == 1 branch), so skip the allocation
-    // and fold only the server lane. Bit-identical to the full path:
+    // fully determined (server_bits = β·Δτ, every other lane zero — the
+    // existence matcher gates every peer transfer on n >= 2), so skip the
+    // allocation and fold only the server lane. Bit-identical to the full path:
     // the skipped lanes would add +0.0·windows = +0.0, and the traffic
     // accumulators are never -0.0 (they start at +0.0 and only gain
     // non-negative terms), so x + 0.0 == x bitwise.
@@ -306,64 +306,56 @@ void SwarmSweep::emit_swarm(SwarmKey key, std::size_t session_count,
   out.swarms.push_back(swarm);
 }
 
-template <typename MakePeer, typename Allocate>
-void SwarmSweep::run_events(SwarmKey key, std::size_t session_count,
-                            double watch_seconds, double span_seconds,
-                            std::size_t max_hours, SimResult& out,
-                            MakePeer&& make_peer, Allocate&& allocate) {
-  if (events_.empty()) {
-    emit_swarm(key, session_count, watch_seconds, span_seconds, nullptr, out);
-    return;
-  }
-  std::sort(events_.begin(), events_.end(),
-            [](const Event& a, const Event& b) {
-              if (a.window != b.window) return a.window < b.window;
-              if (a.type != b.type) return a.type < b.type;
-              return a.idx < b.idx;
-            });
-
-  active_.clear();
-  pos_.assign(session_count, -1);
-  TrafficBreakdown swarm_traffic;
-
-  std::size_t k = 0;
-  std::uint64_t cur_w = events_.front().window;
-  while (k < events_.size()) {
-    // Apply every event at cur_w (leaves first by sort order).
-    while (k < events_.size() && events_[k].window == cur_w) {
-      const Event& e = events_[k];
-      if (e.type == 1) {
-        pos_[e.idx] = static_cast<std::int32_t>(active_.size());
-        active_.push_back(make_peer(e.idx, cur_w));
-      } else {
-        const auto i = static_cast<std::size_t>(pos_[e.idx]);
-        CL_ENSURES(pos_[e.idx] >= 0 && i < active_.size());
-        active_[i] = active_.back();
-        pos_[active_[i].session] = static_cast<std::int32_t>(i);
-        active_.pop_back();
-        pos_[e.idx] = -1;
-      }
-      ++k;
+void SwarmSweep::build_event_streams(std::size_t crossings,
+                                     std::uint64_t max_end_window) {
+  const std::size_t count = w_start_.size();
+  const bool packable =
+      max_end_window < kMaxPackWindow && count <= kLeaveIdxMask + 1;
+  join_idx_.clear();
+  join_idx_.reserve(crossings);
+  leave_keys_.clear();
+  if (packable) leave_keys_.reserve(crossings);
+  // Sessions shorter than one window never complete a full Δτ streaming
+  // step and emit no events. Scanning g upwards lists joins in (window,
+  // idx) order whenever the swarm's sessions are start-sorted — true of
+  // every generated and loaded trace — so only a shuffled one is sorted.
+  bool joins_sorted = true;
+  std::uint64_t prev = 0;
+  for (std::size_t g = 0; g < count; ++g) {
+    if (w_end_[g] > w_start_[g]) {
+      if (w_start_[g] < prev) joins_sorted = false;
+      prev = w_start_[g];
+      join_idx_.push_back(static_cast<std::uint32_t>(g));
+      if (packable) leave_keys_.push_back((w_end_[g] << kLeaveIdxBits) | g);
     }
-    if (k == events_.size()) break;
-    const std::uint64_t next_w = events_[k].window;
-    if (!active_.empty()) {
-      process_stretch(allocate, cur_w, next_w, swarm_traffic, max_hours, out);
-    }
-    cur_w = next_w;
   }
-  CL_ENSURES(active_.empty());
-
-  out.total += swarm_traffic;
-  emit_swarm(key, session_count, watch_seconds, span_seconds, &swarm_traffic,
-             out);
+  leave_idx_.resize(join_idx_.size());
+  if (packable) {
+    std::sort(leave_keys_.begin(), leave_keys_.end());
+    for (std::size_t k = 0; k < leave_keys_.size(); ++k) {
+      leave_idx_[k] =
+          static_cast<std::uint32_t>(leave_keys_[k] & kLeaveIdxMask);
+    }
+  } else {
+    std::copy(join_idx_.begin(), join_idx_.end(), leave_idx_.begin());
+    std::sort(leave_idx_.begin(), leave_idx_.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                return w_end_[x] != w_end_[y] ? w_end_[x] < w_end_[y] : x < y;
+              });
+  }
+  if (!joins_sorted) {
+    std::stable_sort(join_idx_.begin(), join_idx_.end(),
+                     [&](std::uint32_t x, std::uint32_t y) {
+                       return w_start_[x] < w_start_[y];
+                     });
+  }
 }
 
 template <typename MakePeer, typename Allocate>
-void SwarmSweep::run_events_merge(SwarmKey key, std::size_t session_count,
-                                  double watch_seconds, double span_seconds,
-                                  std::size_t max_hours, SimResult& out,
-                                  MakePeer&& make_peer, Allocate&& allocate) {
+void SwarmSweep::replay_events(SwarmKey key, std::size_t session_count,
+                               double watch_seconds, double span_seconds,
+                               std::size_t max_hours, SimResult& out,
+                               MakePeer&& make_peer, Allocate&& allocate) {
   const std::size_t m = join_idx_.size();
   if (m == 0) {
     emit_swarm(key, session_count, watch_seconds, span_seconds, nullptr, out);
@@ -374,16 +366,15 @@ void SwarmSweep::run_events_merge(SwarmKey key, std::size_t session_count,
   TrafficBreakdown swarm_traffic;
 
   // The earliest event is always a join (every leave strictly follows
-  // its own join), so starting at the first join window replays exactly
-  // the sorted-event order: all leaves at cur_w, then all joins, then
-  // one stretch to the next event window.
+  // its own join), so the loop starts at the first join window. At each
+  // event window: all leaves, then all joins, then one stretch to the
+  // next event window.
   std::size_t ji = 0;
   std::size_t li = 0;
   std::uint64_t cur_w = w_start_[join_idx_[0]];
   for (;;) {
-    while (li < m && (leave_keys_[li] >> kLeaveIdxBits) == cur_w) {
-      const auto idx =
-          static_cast<std::uint32_t>(leave_keys_[li] & kLeaveIdxMask);
+    while (li < m && w_end_[leave_idx_[li]] == cur_w) {
+      const std::uint32_t idx = leave_idx_[li];
       const auto i = static_cast<std::size_t>(pos_[idx]);
       CL_ENSURES(pos_[idx] >= 0 && i < active_.size());
       active_[i] = active_.back();
@@ -400,7 +391,7 @@ void SwarmSweep::run_events_merge(SwarmKey key, std::size_t session_count,
     }
     if (ji == m && li == m) break;
     std::uint64_t next_w = std::numeric_limits<std::uint64_t>::max();
-    if (li < m) next_w = leave_keys_[li] >> kLeaveIdxBits;
+    if (li < m) next_w = w_end_[leave_idx_[li]];
     if (ji < m) next_w = std::min(next_w, w_start_[join_idx_[ji]]);
     if (!active_.empty()) {
       process_stretch(allocate, cur_w, next_w, swarm_traffic, max_hours, out);
@@ -429,47 +420,13 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
   const std::size_t count = indices.size();
 
   // Gather phase 1 (kernel 1): window bounds, stripe-8 watch-time sum,
-  // and the window-crossing count — sessions shorter than one window
-  // never complete a full Δτ streaming step and emit no events, so the
-  // crossing count sizes the event streams exactly.
+  // the window-crossing count that sizes the event streams, and the
+  // largest end window that picks their leave sort.
   w_start_.resize(count);
   w_end_.resize(count);
   const sweep_kernels::WindowBounds bounds = sweep_kernels::window_bounds(
       indices, view.start().data(), view.duration().data(), dt,
       w_start_.data(), w_end_.data());
-
-  // Build the event streams. Joins inherit the trace's start ordering
-  // (verified — a shuffled trace falls back to the sorting loop), and
-  // leaves become packed u64 sort keys when they fit.
-  const bool packable =
-      bounds.max_end_window < kMaxPackWindow && count <= kLeaveIdxMask + 1;
-  bool joins_sorted = true;
-  join_idx_.clear();
-  leave_keys_.clear();
-  if (packable) {
-    join_idx_.reserve(bounds.crossings);
-    leave_keys_.reserve(bounds.crossings);
-    std::uint64_t prev = 0;
-    for (std::size_t g = 0; g < count; ++g) {
-      if (w_end_[g] > w_start_[g]) {
-        if (w_start_[g] < prev) joins_sorted = false;
-        prev = w_start_[g];
-        join_idx_.push_back(static_cast<std::uint32_t>(g));
-        leave_keys_.push_back((w_end_[g] << kLeaveIdxBits) | g);
-      }
-    }
-  }
-  const bool merge_path = packable && joins_sorted;
-  if (!merge_path) {
-    events_.clear();
-    events_.reserve(bounds.crossings * 2);
-    for (std::size_t g = 0; g < count; ++g) {
-      if (w_end_[g] > w_start_[g]) {
-        events_.push_back({w_start_[g], 1, static_cast<std::uint32_t>(g)});
-        events_.push_back({w_end_[g], 0, static_cast<std::uint32_t>(g)});
-      }
-    }
-  }
   Clock::time_point t1;
   if (timed) t1 = Clock::now();
 
@@ -553,14 +510,9 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
 
   const double span_seconds = view.span().value();
   const std::size_t max_hours = hour_bound(span_seconds);
-  if (merge_path) {
-    std::sort(leave_keys_.begin(), leave_keys_.end());
-    run_events_merge(key, count, bounds.watch_seconds, span_seconds, max_hours,
-                     out, make_peer, allocate);
-  } else {
-    run_events(key, count, bounds.watch_seconds, span_seconds, max_hours, out,
-               make_peer, allocate);
-  }
+  build_event_streams(bounds.crossings, bounds.max_end_window);
+  replay_events(key, count, bounds.watch_seconds, span_seconds, max_hours, out,
+                make_peer, allocate);
 
   if (timed) {
     const auto t3 = Clock::now();
@@ -585,11 +537,13 @@ void SwarmSweep::sweep_rows(SwarmKey key,
   lone_flat_ = false;  // reference path: always through the matcher
   // First pass: window bounds into scratch + the stripe-8 watch-time sum
   // (the same reduction shape as sweep()'s kernel 1 — the two paths'
-  // capacities must agree bit-for-bit) + the exact event count.
+  // capacities must agree bit-for-bit) + the crossing count and largest
+  // end window build_event_streams takes.
   w_start_.resize(count);
   w_end_.resize(count);
   double acc8[sweep_kernels::kStripe] = {};
   std::size_t crossings = 0;
+  std::uint64_t max_end_window = 0;
   for (std::size_t g = 0; g < count; ++g) {
     const SessionRecord& s = trace.sessions[indices[g]];
     acc8[g % sweep_kernels::kStripe] += s.duration;
@@ -598,21 +552,15 @@ void SwarmSweep::sweep_rows(SwarmKey key,
     w_start_[g] = w_start;
     w_end_[g] = w_end;
     crossings += w_end > w_start ? 1 : 0;
+    max_end_window = std::max(max_end_window, w_end);
   }
   double watch_seconds = acc8[0];
   // [vec:rows-watch-fold]
   for (std::size_t k = 1; k < sweep_kernels::kStripe; ++k) {
     watch_seconds += acc8[k];
   }
-  events_.clear();
-  events_.reserve(crossings * 2);
-  for (std::size_t g = 0; g < count; ++g) {
-    if (w_end_[g] > w_start_[g]) {
-      events_.push_back({w_start_[g], 1, static_cast<std::uint32_t>(g)});
-      events_.push_back({w_end_[g], 0, static_cast<std::uint32_t>(g)});
-    }
-  }
-  run_events(
+  build_event_streams(crossings, max_end_window);
+  replay_events(
       key, count, watch_seconds, trace.span.value(),
       hour_bound(trace.span.value()), out,
       [&](std::uint32_t idx, std::uint64_t window) {
@@ -635,19 +583,13 @@ void SwarmSweep::sweep_rows(SwarmKey key,
 void SwarmSweep::allocate_existence_flat(std::span<const ActivePeer> actives,
                                          std::size_t seed_index,
                                          std::vector<PeerAllocation>& out) {
+  // Only process_stretch's generic route calls this: it never sweeps an
+  // empty stretch, and on the flat route a lone-peer stretch returns
+  // before reaching it.
   const std::size_t n = actives.size();
-  CL_EXPECTS(n == 0 || seed_index < n);
+  CL_EXPECTS(n >= 2 && seed_index < n);
   out.assign(n, PeerAllocation{});
-  if (n == 0) return;
   const double dt = config_.window.value();
-  if (n == 1) {
-    // A lone peer pulls everything from the CDN and uploads nothing —
-    // the dominant stretch shape in sparse swarms, worth skipping the
-    // counting passes for. Identical to the general path below (every
-    // peer transfer is gated on n >= 2).
-    out[0].server_bits = actives[0].beta * dt;
-    return;
-  }
   const double ratio = std::min(config_.q_over_beta, 1.0);
 
   for (const ActivePeer& a : actives) {

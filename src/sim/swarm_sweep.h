@@ -5,26 +5,30 @@
 // (paper Section IV.A), which makes the simulator embarrassingly parallel
 // *per swarm*. A SwarmSweep is one worker's sweep engine: it owns every
 // piece of scratch state the event-batched sweep needs (the join/leave
-// event streams, the active-peer list, the session→active index map, the
+// index streams, the active-peer list, the session→active index map, the
 // per-window allocation buffer, the gathered per-swarm column scratch)
 // plus its own Matcher instance, and is reused across all swarms that
 // worker processes — after the first few swarms the sweep runs
 // allocation-free.
 //
-// Two data paths share one event loop:
+// Two data paths share one event loop. Each fills the swarm's window
+// bounds (w_start_/w_end_), and from there both run the same
+// build_event_streams (window-crossing sessions as join and leave index
+// streams in (window, idx) order) and the same replay_events (leaves,
+// then joins, then one stretch per event window). They differ only in
+// how a joining peer is read and how a stretch is allocated:
 //
 //  * sweep(…, TraceView) — the hot path. The swarm's sessions are
 //    gathered from the trace columns into small contiguous primitive
 //    arrays (window bounds, user/ISP/ExP/PoP ids, β) by the kernels in
-//    sim/sweep_kernels.h, and the inner loops touch only those arrays. Join
-//    events inherit the trace's start ordering, so only the leave
-//    stream is sorted — as packed (window, idx) u64 keys. Single-ISP
-//    swarms under the existence matcher additionally bypass the virtual
-//    Matcher for a flat-array allocator (bit-identical output, no hash
-//    maps on the hot path).
+//    sim/sweep_kernels.h, and the inner loops touch only those arrays.
+//    Single-ISP swarms under the existence matcher additionally bypass
+//    the virtual Matcher for a flat-array allocator (bit-identical
+//    output, no hash maps on the hot path).
 //  * sweep_rows(…, Trace) — the row-structured reference path, reading
 //    SessionRecords and dispatching through the Matcher interface. Kept
-//    as the bit-identity oracle and the bench/micro_sweep baseline.
+//    as the bit-identity oracle of the gathers and the flat allocator,
+//    and as the bench/micro_sweep baseline.
 //
 // A sweep accumulates into a partial SimResult; partials merge with
 // SimResult::merge (see sim/metrics.h) in ascending swarm-key order, so
@@ -59,7 +63,7 @@ namespace cl {
 struct SweepKernelTiming {
   std::atomic<double> gather1_seconds{0};   ///< window bounds + watch time
   std::atomic<double> gather2_seconds{0};   ///< per-peer column gathers
-  std::atomic<double> events_seconds{0};    ///< event sort + stretch loop
+  std::atomic<double> events_seconds{0};    ///< event streams + stretch loop
   std::atomic<double> allocate_seconds{0};  ///< per-stretch allocation
 };
 
@@ -83,37 +87,28 @@ class SwarmSweep {
              const TraceView& view, SimResult& out);
 
   /// Row-structured reference sweep over trace.sessions — bit-identical
-  /// to sweep() by construction (same events, same order, same matcher
-  /// arithmetic); kept for identity tests and the micro_sweep baseline.
+  /// to sweep() by construction (same event streams and event loop, same
+  /// matcher arithmetic); kept for identity tests and the micro_sweep
+  /// baseline.
   void sweep_rows(SwarmKey key, std::span<const std::uint32_t> indices,
                   const Trace& trace, SimResult& out);
 
  private:
-  /// A join or leave of one swarm session at a window boundary.
-  struct Event {
-    std::uint64_t window = 0;
-    std::uint8_t type = 0;  ///< 0 = leave, 1 = join (leaves apply first)
-    std::uint32_t idx = 0;  ///< index within the swarm's session list
-  };
+  /// Builds the event streams from the filled w_start_/w_end_: the
+  /// window-crossing sessions' indices in (join window, idx) order into
+  /// join_idx_ and in (leave window, idx) order into leave_idx_.
+  /// `max_end_window` bounds every w_end_ (it picks the leave sort).
+  void build_event_streams(std::size_t crossings,
+                           std::uint64_t max_end_window);
 
-  /// Generic event loop over the pre-built events_ (sorted here):
-  /// sweep_rows' path, and sweep()'s fallback for swarms whose leave
-  /// events don't fit the packed-key layout.
+  /// The event loop over join_idx_ / leave_idx_: at each event window
+  /// applies every leave, then every join (make_peer), then sweeps the
+  /// constant-membership stretch to the next event window.
   template <typename MakePeer, typename Allocate>
-  void run_events(SwarmKey key, std::size_t session_count,
-                  double watch_seconds, double span_seconds,
-                  std::size_t max_hours, SimResult& out, MakePeer&& make_peer,
-                  Allocate&& allocate);
-
-  /// Stream-merge event loop — the SoA hot path. Joins come from
-  /// join_idx_ (already window-ordered: sessions are start-sorted);
-  /// leaves from leave_keys_ (packed u64 keys, sorted by the caller).
-  /// Applies the exact event order run_events' sort would produce.
-  template <typename MakePeer, typename Allocate>
-  void run_events_merge(SwarmKey key, std::size_t session_count,
-                        double watch_seconds, double span_seconds,
-                        std::size_t max_hours, SimResult& out,
-                        MakePeer&& make_peer, Allocate&& allocate);
+  void replay_events(SwarmKey key, std::size_t session_count,
+                     double watch_seconds, double span_seconds,
+                     std::size_t max_hours, SimResult& out,
+                     MakePeer&& make_peer, Allocate&& allocate);
 
   /// One constant-membership stretch [w0, w1): seed selection,
   /// allocation, traffic folds (+ optional hourly / per-user splits).
@@ -146,7 +141,6 @@ class SwarmSweep {
   bool lone_flat_ = false;
 
   // Scratch, reused across swarms (cleared, not reallocated).
-  std::vector<Event> events_;
   std::vector<ActivePeer> active_;
   std::vector<std::int32_t> pos_;
   std::vector<PeerAllocation> alloc_;
@@ -154,9 +148,10 @@ class SwarmSweep {
   // touched when config.overload finds a spill; see process_stretch).
   std::vector<PeerAllocation> spill_alloc_;
 
-  // Event streams of the merge path: crossing-session indices in join
-  // order, and packed (window << 24 | idx) leave sort keys.
-  simd::aligned_vector<std::uint32_t> join_idx_;
+  // Event streams (build_event_streams): crossing-session indices in
+  // join order and in leave order, plus the packed (window << 24 | idx)
+  // u64 keys the leave order is sorted as when they fit.
+  simd::aligned_vector<std::uint32_t> join_idx_, leave_idx_;
   simd::aligned_vector<std::uint64_t> leave_keys_;
 
   // Per-swarm gathered columns (the SoA path's contiguous hot arrays),

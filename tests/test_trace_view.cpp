@@ -7,7 +7,8 @@
 //  * the SoA-vs-row bit-identity contract — run(TraceView) over both
 //    backings (owned transpose, mmap'd zero-copy) produces SimResults
 //    identical to run_rows at --threads 1/2/7/hw across all three metro
-//    presets, pinned with exact (==) comparisons;
+//    presets and five configs (default, cross-ISP, mixed bitrate,
+//    capacity matcher, overload), pinned with exact (==) comparisons;
 //  * edge cases — empty trace, single-session swarm, legacy v1
 //    `.cltrace` (no metro-name block);
 //  * corrupt-input rejection — an out-of-range bitrate byte in the
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/hybrid_sim.h"
@@ -90,6 +92,11 @@ void expect_results_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.total.cross_isp.value(), b.total.cross_isp.value());
   for (std::size_t l = 0; l < kLocalityLevels; ++l) {
     EXPECT_EQ(a.total.peer[l].value(), b.total.peer[l].value());
+  }
+  EXPECT_EQ(a.overload_spill.value(), b.overload_spill.value());
+  ASSERT_EQ(a.hourly_spill.size(), b.hourly_spill.size());
+  for (std::size_t h = 0; h < a.hourly_spill.size(); ++h) {
+    EXPECT_EQ(a.hourly_spill[h].value(), b.hourly_spill[h].value());
   }
   ASSERT_EQ(a.hourly.size(), b.hourly.size());
   for (std::size_t h = 0; h < a.hourly.size(); ++h) {
@@ -178,6 +185,20 @@ TEST(TraceView, OpenBinaryIsZeroCopyAndMatchesMaterializedLoad) {
 // ------------------------------------------- SoA-vs-row bit-identity
 
 TEST(TraceView, SimResultsIdenticalRowsVsColumnsVsMmapEverywhere) {
+  // The default config lists swarms from the persisted index; the two
+  // relaxed partitions take the hash grouping (the cross-ISP one also
+  // sweeps through the virtual matcher); the capacity matcher and the
+  // overload cap change what every stretch allocates.
+  std::vector<std::pair<std::string, SimConfig>> configs(5);
+  configs[0].first = "default";
+  configs[1].first = "cross-ISP";
+  configs[1].second.isp_friendly = false;
+  configs[2].first = "mixed bitrate";
+  configs[2].second.split_by_bitrate = false;
+  configs[3].first = "capacity matcher";
+  configs[3].second.matcher = MatcherKind::kCapacity;
+  configs[4].first = "overload";
+  configs[4].second.overload = true;
   for (const std::string metro_name :
        {"london_top5", "us_sparse", "fiber_dense"}) {
     const Metro& metro = MetroRegistry::instance().get(metro_name);
@@ -186,22 +207,24 @@ TEST(TraceView, SimResultsIdenticalRowsVsColumnsVsMmapEverywhere) {
         temp_path("cl_trace_view_identity_" + metro_name + ".cltrace");
     write_trace_binary_file(path, trace);
 
-    SimConfig config;
-    config.collect_hourly = true;
-    config.collect_per_user = true;
-    config.collect_swarms = true;
-    config.threads = 1;
-    const SimResult reference =
-        HybridSimulator(metro, config).run_rows(trace);
+    for (auto [label, config] : configs) {
+      SCOPED_TRACE(metro_name + ", " + label);
+      config.collect_hourly = true;
+      config.collect_per_user = true;
+      config.collect_swarms = true;
+      config.threads = 1;
+      const SimResult reference =
+          HybridSimulator(metro, config).run_rows(trace);
 
-    for (unsigned threads : {1u, 2u, 7u, 0u}) {
-      config.threads = threads;
-      const HybridSimulator sim(metro, config);
-      const TraceView transposed = TraceView::from_trace(trace, threads);
-      const TraceView mapped = TraceView::open_binary(path, threads);
-      expect_results_identical(sim.run(transposed), reference);
-      expect_results_identical(sim.run(mapped), reference);
-      expect_results_identical(sim.run_rows(trace), reference);
+      for (unsigned threads : {1u, 2u, 7u, 0u}) {
+        config.threads = threads;
+        const HybridSimulator sim(metro, config);
+        const TraceView transposed = TraceView::from_trace(trace, threads);
+        const TraceView mapped = TraceView::open_binary(path, threads);
+        expect_results_identical(sim.run(transposed), reference);
+        expect_results_identical(sim.run(mapped), reference);
+        expect_results_identical(sim.run_rows(trace), reference);
+      }
     }
     std::filesystem::remove(path);
   }
