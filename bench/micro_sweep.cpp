@@ -1,7 +1,7 @@
-// micro_sweep — simulator sweep throughput: the historical row path
-// (SessionRecord loads + virtual matcher dispatch, run_rows) vs the
-// columnar SoA path (mmap'd TraceView columns + gathered scratch + the
-// flat existence matcher, run).
+// micro_sweep — simulator sweep throughput: the per-peer row path
+// (SessionRecord loads + a virtual matcher allocation of every stretch,
+// run_rows) vs the columnar SoA path (mmap'd TraceView columns +
+// gathered scratch + the count route, run).
 //
 // This is the bench behind the ROADMAP "zero-materialization sweep"
 // item: the acceptance bar is a >= 4x single-thread sessions/s speedup
@@ -9,7 +9,12 @@
 // compare_bench_json.py --min; runs measured 4.8-5.5x, so the floor
 // sits clear of run-to-run noise).
 // Both paths must produce bit-identical SimResult totals — the bench
-// fails hard on divergence.
+// fails hard on divergence. The count route sums lanes in a different
+// order than the per-peer fold, so identity holds only because of this
+// bench's config: at q/β = 1, Δτ = 10 s and no overload, every per-window
+// lane is an integer number of bits (β·Δτ with integer β), and every
+// partial and total sum stays an integer below 2^53, so both orders add
+// exactly.
 //
 // Flags beyond the standard --json/--threads:
 //   --sessions N   trace size (default 1,000,000)
@@ -82,7 +87,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// FNV-1a over the bit patterns of the result's headline doubles — equal
-/// digests mean the two paths agreed bit-for-bit on every total.
+/// digests mean the two paths agreed bit-for-bit on every total (exact
+/// integer sums in this config; see the header).
 std::uint64_t result_digest(const SimResult& result) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](double x) {
@@ -173,7 +179,7 @@ int main(int argc, char** argv) {
   if (row_digest != soa_digest) {
     std::cerr << "error: row and SoA paths diverged (digest "
               << row_digest << " vs " << soa_digest
-              << ") — the SoA sweep is supposed to be bit-identical\n";
+              << ") — both sum exact integers here and must agree\n";
     return 1;
   }
 

@@ -68,6 +68,13 @@ int cmd_simulate(const Args& args) {
     print_timing(std::cout, "  gather2", timing.sweep_gather2_seconds);
     print_timing(std::cout, "  events", timing.sweep_events_seconds);
     print_timing(std::cout, "  allocate", timing.sweep_allocate_seconds);
+    // Which route swept each stretch: the count route (existence
+    // matcher, single-ISP swarm) or the per-peer one; `allocate` times
+    // only the latter.
+    std::cout << "timing:   stretches  count " << timing.count_stretches
+              << ", per-peer " << timing.per_peer_stretches
+              << ", overload-split " << timing.overload_split_stretches
+              << "\n";
     print_timing(std::cout, "merge", timing.merge_seconds);
     std::cout << "\n";
   }

@@ -245,6 +245,10 @@ SimResult HybridSimulator::run(const TraceView& view,
     timing->sweep_gather2_seconds = kernel_timing.gather2_seconds.load();
     timing->sweep_events_seconds = kernel_timing.events_seconds.load();
     timing->sweep_allocate_seconds = kernel_timing.allocate_seconds.load();
+    timing->count_stretches = kernel_timing.count_stretches.load();
+    timing->per_peer_stretches = kernel_timing.per_peer_stretches.load();
+    timing->overload_split_stretches =
+        kernel_timing.overload_split_stretches.load();
   }
   return result;
 }

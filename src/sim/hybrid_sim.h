@@ -13,7 +13,9 @@
 // windows — one allocation is computed per stretch and multiplied by the
 // stretch length (splitting at hour boundaries when the hourly grid is
 // collected). This is exact, not an approximation, and reduces the cost
-// from O(windows × peers) to O(events × peers).
+// from O(windows × peers) to O(events × peers). Under the existence
+// matcher the allocation depends only on bucket counts, so the sweep's
+// count route keeps those counts incrementally and costs O(events).
 //
 // Data path: the simulator consumes *columns* (trace/trace_view.h), not
 // rows. run(TraceView) is the engine — workers receive column index
@@ -23,7 +25,8 @@
 // should be opened as a view (TraceView::open_binary) so the sweep runs
 // directly on the mmap'd blocks with zero materialization. run_rows
 // sweeps the row-structured Trace through the same listing, reduce and
-// event loop — the bit-identity reference and bench baseline.
+// event loop, always per peer — the per-peer reference and bench
+// baseline.
 //
 // Parallel execution: swarms are independent, so run() shards the
 // key-sorted swarm list across SimConfig::threads workers. Each worker
@@ -37,6 +40,8 @@
 // (content, ISP, bitrate) partition run() consumes it directly instead
 // of re-grouping — same key order, bit-identical results either way.
 #pragma once
+
+#include <cstdint>
 
 #include "sim/metrics.h"
 #include "sim/sim_config.h"
@@ -55,12 +60,19 @@ struct SimPhaseTiming {
 
   // Per-kernel split of the sweep phase (sim/sweep_kernels.h), summed
   // across workers — CPU seconds, so the four can exceed sweep_seconds
-  // wall time when threads > 1. Collecting them adds clock reads to the
-  // sweep hot path, so they are only measured when `timing` is non-null.
+  // wall time when threads > 1. Collecting them adds clock reads per
+  // swarm and per per-peer allocation, so they are only measured when
+  // `timing` is non-null.
   double sweep_gather1_seconds = 0;   ///< window bounds + watch time
   double sweep_gather2_seconds = 0;   ///< per-peer column gathers
   double sweep_events_seconds = 0;    ///< event streams + stretch loop
-  double sweep_allocate_seconds = 0;  ///< per-stretch allocation
+  double sweep_allocate_seconds = 0;  ///< per-peer route's Matcher calls
+
+  // Which sweep route handled each stretch (sim/swarm_sweep.h). Integer
+  // counts, so they are the same at every thread count.
+  std::uint64_t count_stretches = 0;     ///< count route
+  std::uint64_t per_peer_stretches = 0;  ///< per-peer route
+  std::uint64_t overload_split_stretches = 0;  ///< first window capped
 };
 
 /// Trace-driven hybrid-CDN simulator.
@@ -86,12 +98,15 @@ class HybridSimulator {
   /// owned SoA view (one O(n) pass) and runs on the columns.
   [[nodiscard]] SimResult run(const Trace& trace) const;
 
-  /// The row-structured reference path — bit-identical to run() and kept
-  /// as its oracle and as bench/micro_sweep's baseline. It shares run()'s
+  /// The row-structured per-peer reference path, kept as run()'s
+  /// reference and as bench/micro_sweep's baseline. It shares run()'s
   /// swarm listing, sharded reduce and event loop; what it checks is the
   /// rest: a per-row metro check, SessionRecord loads in place of the
-  /// column gathers, and virtual Matcher dispatch in place of the flat
-  /// allocator and its lone-peer / pair shortcuts.
+  /// column gathers, and a per-peer virtual Matcher allocation of every
+  /// stretch in place of run()'s count route. Where run() also sweeps
+  /// per-peer (capacity matcher, ISP-spanning swarms) the two are
+  /// bit-identical; on the count route they agree to the oracle
+  /// tolerances of tests/test_sweep_oracle.cpp.
   [[nodiscard]] SimResult run_rows(const Trace& trace) const;
 
  private:

@@ -69,8 +69,8 @@ void ExistenceMatcher::allocate(std::span<const ActivePeer> actives,
   }
 
   // Attribute uploads evenly across the members of each serving bucket
-  // (see DESIGN.md §5: totals are exact, the per-user split is the
-  // symmetric-swarm approximation).
+  // (see DESIGN.md §9, "Per-user bytes on the count route": totals are
+  // exact, the per-user split is the symmetric-swarm approximation).
   for (std::size_t j = 0; j < n; ++j) {
     const auto& a = actives[j];
     double up = 0;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <utility>
 
 #include "sim/sweep_kernels.h"
 #include "trace/bitrate.h"
@@ -63,6 +65,46 @@ constexpr std::uint64_t kLeaveIdxMask = (std::uint64_t{1} << kLeaveIdxBits) - 1;
 constexpr std::uint64_t kMaxPackWindow = std::uint64_t{1}
                                          << (64 - kLeaveIdxBits);
 
+/// Sorts packed leave keys listed in ascending index order into
+/// (window, idx) order. Below kRadixMin keys a comparison sort is
+/// cheapest. Above it, a stable LSD radix sort over the window field
+/// alone does it: stability keeps ascending indices inside each window.
+/// As in build_swarm_index, only the window bits that differ between
+/// some two keys are sorted, at most kDigitBits per pass — two passes
+/// for a month of 10 s windows. `scratch` and `count` are reused buffers.
+void sort_leave_keys(simd::aligned_vector<std::uint64_t>& keys,
+                     simd::aligned_vector<std::uint64_t>& scratch,
+                     std::vector<std::size_t>& count) {
+  constexpr std::size_t kRadixMin = 256;
+  constexpr unsigned kDigitBits = 10;
+  if (keys.size() < kRadixMin) {
+    std::sort(keys.begin(), keys.end());
+    return;
+  }
+  std::uint64_t differ = 0;
+  for (const std::uint64_t key : keys) differ |= key ^ keys[0];
+  const std::uint64_t span = differ >> kLeaveIdxBits;
+  if (span == 0) return;  // one leave window: already in index order
+  const auto lo = static_cast<unsigned>(std::countr_zero(span));
+  const auto hi = static_cast<unsigned>(std::bit_width(span));
+  const unsigned passes = (hi - lo + kDigitBits - 1) / kDigitBits;
+  const unsigned width = (hi - lo + passes - 1) / passes;
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  scratch.resize(keys.size());
+  for (unsigned shift = kLeaveIdxBits + lo; shift < kLeaveIdxBits + hi;
+       shift += width) {
+    const auto digit = [shift, mask](std::uint64_t key) {
+      return static_cast<std::size_t>((key >> shift) & mask);
+    };
+    count.assign(mask + 1, 0);
+    for (const std::uint64_t key : keys) ++count[digit(key)];
+    std::size_t at = 0;
+    for (std::size_t& bucket : count) at += std::exchange(bucket, at);
+    for (const std::uint64_t key : keys) scratch[count[digit(key)]++] = key;
+    keys.swap(scratch);
+  }
+}
+
 /// Splits the windows [wa, wb) at hour boundaries and calls
 /// fn(row, chunk) once per hour they touch: `row` is that hour's per-ISP
 /// traffic row and `chunk` the number of the windows inside it. The
@@ -105,96 +147,112 @@ SwarmSweep::SwarmSweep(const Metro& metro, const SimConfig& config,
   CL_EXPECTS(config_.q_over_beta >= 0);
 }
 
-template <typename Allocate>
-void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
-                                 std::uint64_t w1,
+void SwarmSweep::build_event_streams(std::size_t crossings,
+                                     std::uint64_t max_end_window) {
+  const std::size_t count = w_start_.size();
+  const bool packable =
+      max_end_window < kMaxPackWindow && count <= kLeaveIdxMask + 1;
+  join_idx_.clear();
+  join_idx_.reserve(crossings);
+  leave_keys_.clear();
+  if (packable) leave_keys_.reserve(crossings);
+  // Sessions shorter than one window never complete a full Δτ streaming
+  // step and emit no events. Scanning g upwards lists joins in (window,
+  // idx) order whenever the swarm's sessions are start-sorted — true of
+  // every generated and loaded trace — so only a shuffled one is sorted.
+  bool joins_sorted = true;
+  std::uint64_t prev = 0;
+  for (std::size_t g = 0; g < count; ++g) {
+    if (w_end_[g] > w_start_[g]) {
+      if (w_start_[g] < prev) joins_sorted = false;
+      prev = w_start_[g];
+      join_idx_.push_back(static_cast<std::uint32_t>(g));
+      if (packable) leave_keys_.push_back((w_end_[g] << kLeaveIdxBits) | g);
+    }
+  }
+  leave_idx_.resize(join_idx_.size());
+  leave_w_.resize(join_idx_.size());
+  if (packable) {
+    sort_leave_keys(leave_keys_, sort_scratch_, sort_count_);
+    for (std::size_t k = 0; k < leave_keys_.size(); ++k) {
+      leave_idx_[k] =
+          static_cast<std::uint32_t>(leave_keys_[k] & kLeaveIdxMask);
+      leave_w_[k] = leave_keys_[k] >> kLeaveIdxBits;
+    }
+  } else {
+    std::copy(join_idx_.begin(), join_idx_.end(), leave_idx_.begin());
+    std::sort(leave_idx_.begin(), leave_idx_.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                return w_end_[x] != w_end_[y] ? w_end_[x] < w_end_[y] : x < y;
+              });
+    for (std::size_t k = 0; k < leave_idx_.size(); ++k) {
+      leave_w_[k] = w_end_[leave_idx_[k]];
+    }
+  }
+  if (!joins_sorted) {
+    std::stable_sort(join_idx_.begin(), join_idx_.end(),
+                     [&](std::uint32_t x, std::uint32_t y) {
+                       return w_start_[x] < w_start_[y];
+                     });
+  }
+}
+
+template <typename Leave, typename Join, typename Stretch>
+void SwarmSweep::replay_events(Leave&& leave, Join&& join, Stretch&& stretch) {
+  const std::size_t m = join_idx_.size();
+  if (m == 0) return;
+  // The earliest event is always a join (every leave strictly follows
+  // its own join), so the loop starts at the first join window. At each
+  // event window: all leaves, then all joins, then one stretch to the
+  // next event window unless the swarm is empty (ji − li members).
+  std::size_t ji = 0;
+  std::size_t li = 0;
+  std::uint64_t cur_w = w_start_[join_idx_[0]];
+  for (;;) {
+    while (li < m && leave_w_[li] == cur_w) leave(leave_idx_[li++]);
+    while (ji < m && w_start_[join_idx_[ji]] == cur_w) {
+      join(join_idx_[ji++], cur_w);
+    }
+    if (ji == m && li == m) break;
+    std::uint64_t next_w = std::numeric_limits<std::uint64_t>::max();
+    if (li < m) next_w = leave_w_[li];
+    if (ji < m) next_w = std::min(next_w, w_start_[join_idx_[ji]]);
+    if (ji > li) stretch(cur_w, next_w);
+    cur_w = next_w;
+  }
+}
+
+template <typename MakePeer>
+void SwarmSweep::sweep_per_peer(std::size_t session_count,
+                                std::size_t max_hours,
+                                TrafficBreakdown& swarm_traffic,
+                                SimResult& out, MakePeer&& make_peer) {
+  active_.clear();
+  pos_.assign(session_count, -1);
+  replay_events(
+      [&](std::uint32_t idx) {
+        const auto i = static_cast<std::size_t>(pos_[idx]);
+        CL_ENSURES(pos_[idx] >= 0 && i < active_.size());
+        active_[i] = active_.back();
+        pos_[active_[i].session] = static_cast<std::int32_t>(i);
+        active_.pop_back();
+        pos_[idx] = -1;
+      },
+      [&](std::uint32_t idx, std::uint64_t window) {
+        pos_[idx] = static_cast<std::int32_t>(active_.size());
+        active_.push_back(make_peer(idx, window));
+      },
+      [&](std::uint64_t w0, std::uint64_t w1) {
+        process_stretch(w0, w1, swarm_traffic, max_hours, out);
+      });
+  CL_ENSURES(active_.empty());
+}
+
+void SwarmSweep::process_stretch(std::uint64_t w0, std::uint64_t w1,
                                  TrafficBreakdown& swarm_traffic,
                                  std::size_t max_hours, SimResult& out) {
   const double dt = config_.window.value();
-  if (lone_flat_ && active_.size() == 1) {
-    // Lone-peer stretch on the flat-allocator route: the allocation is
-    // fully determined (server_bits = β·Δτ, every other lane zero — the
-    // existence matcher gates every peer transfer on n >= 2), so skip the
-    // allocation and fold only the server lane. Bit-identical to the full path:
-    // the skipped lanes would add +0.0·windows = +0.0, and the traffic
-    // accumulators are never -0.0 (they start at +0.0 and only gain
-    // non-negative terms), so x + 0.0 == x bitwise.
-    const ActivePeer& a = active_[0];
-    const double demand = a.beta * dt;
-    const auto total_windows = static_cast<double>(w1 - w0);
-    traffic_lanes(swarm_traffic)[0] += demand * total_windows;
-    if (config_.collect_per_user) {
-      // downloaded_bits() would sum demand + four +0.0 terms — bitwise
-      // `demand`; the upload add would be +0.0 — skipped (same argument).
-      out.users[a.user].downloaded += Bits{demand * total_windows};
-    }
-    if (config_.collect_hourly) {
-      for_each_hour(w0, w1, dt, max_hours, metro_->isp_count(), out,
-                    [&](std::vector<TrafficBreakdown>& row, double chunk) {
-                      traffic_lanes(row[a.isp])[0] += demand * chunk;
-                    });
-    }
-    return;
-  }
-  if (lone_flat_ && active_.size() == 2 && !config_.overload) {
-    // Pair stretch, closed form. With two peers in one ISP the flat
-    // allocator's counting degenerates: the non-seed peer moves
-    // d = ratio·β·Δτ to the first level the pair shares (ExP, else PoP,
-    // else core), and whichever bucket serves, it has exactly two
-    // members — both uploads are d / 2.0, the same divide the counting
-    // path performs (cnt cast 2u → 2.0). Lanes that stay zero fold as
-    // +0.0 adds either way, so fold_traffic on these stack rows executes
-    // the full path's exact add sequence.
-    const ActivePeer& a0 = active_[0];
-    const ActivePeer& a1 = active_[1];
-    const std::size_t seed =
-        (a1.join_window < a0.join_window ||
-         (a1.join_window == a0.join_window && a1.session < a0.session))
-            ? 1
-            : 0;
-    const std::size_t other = 1 - seed;
-    double al[2][6] = {};  // server, peer[0..2], cross_isp, upload
-    al[0][0] = a0.beta * dt;
-    al[1][0] = a1.beta * dt;
-    const double d = std::min(config_.q_over_beta, 1.0) * al[other][0];
-    if (d > 0) {
-      const ActivePeer& ao = active_[other];
-      const ActivePeer& as = active_[seed];
-      const std::size_t lvl =
-          ao.exp == as.exp
-              ? index(LocalityLevel::kExchangePoint)
-              : (ao.pop == as.pop ? index(LocalityLevel::kPop)
-                                  : index(LocalityLevel::kCore));
-      al[other][1 + lvl] = d;
-      al[other][0] -= d;
-      const double up = d / 2.0;
-      al[0][5] = up;
-      al[1][5] = up;
-    }
-    const auto total_windows = static_cast<double>(w1 - w0);
-    for (std::size_t i = 0; i < 2; ++i) {
-      sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic), al[i],
-                                  total_windows);
-      if (config_.collect_per_user) {
-        UserTraffic& ut = out.users[active_[i].user];
-        // downloaded_bits() order: (server + cross), then the peer lanes.
-        const double down = al[i][0] + al[i][4] + al[i][1] + al[i][2] +
-                            al[i][3];
-        ut.downloaded += Bits{down * total_windows};
-        ut.uploaded += Bits{al[i][5] * total_windows};
-      }
-    }
-    if (config_.collect_hourly) {
-      for_each_hour(w0, w1, dt, max_hours, metro_->isp_count(), out,
-                    [&](std::vector<TrafficBreakdown>& row, double chunk) {
-                      for (std::size_t i = 0; i < 2; ++i) {
-                        sweep_kernels::fold_traffic(
-                            traffic_lanes(row[active_[i].isp]), al[i], chunk);
-                      }
-                    });
-    }
-    return;
-  }
+  ++counts_.per_peer;
   // Seed peer: the longest-present member (deterministic tie-break).
   std::size_t seed = 0;
   for (std::size_t i = 1; i < active_.size(); ++i) {
@@ -204,7 +262,13 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
       seed = i;
     }
   }
-  allocate(std::span<const ActivePeer>(active_), seed);
+  if (timing_ != nullptr) {
+    const auto a0 = std::chrono::steady_clock::now();
+    matcher_->allocate(active_, seed, config_, alloc_);
+    allocate_seconds_ += seconds_between(a0, std::chrono::steady_clock::now());
+  } else {
+    matcher_->allocate(active_, seed, config_, alloc_);
+  }
 
   // Overload model (SimConfig::overload): cap peer transfers in the
   // stretch's *first* window at the aggregate upload capacity of the warm
@@ -243,6 +307,7 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
         spill_bits += moved;
       }
       split_first = true;
+      ++counts_.overload_split;
     }
   }
   // The stretch folds as two runs: [w0, wm) under the (possibly capped)
@@ -267,16 +332,7 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
   fold_totals(first_alloc, static_cast<double>(wm - w0));
   if (wm < w1) fold_totals(alloc_, static_cast<double>(w1 - wm));
 
-  if (split_first) {
-    out.overload_spill += Bits{spill_bits};
-    if (config_.collect_hourly) {
-      const auto hour =
-          static_cast<std::size_t>(static_cast<double>(w0) * dt / 3600.0);
-      CL_ENSURES(hour < max_hours);
-      if (hour >= out.hourly_spill.size()) out.hourly_spill.resize(hour + 1);
-      out.hourly_spill[hour] += Bits{spill_bits};
-    }
-  }
+  if (split_first) add_spill(w0, spill_bits, max_hours, out);
   if (config_.collect_hourly) {
     const auto fold_hourly = [&](const std::vector<PeerAllocation>& alloc_row,
                                  std::uint64_t wa, std::uint64_t wb) {
@@ -294,115 +350,258 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
   }
 }
 
-void SwarmSweep::emit_swarm(SwarmKey key, std::size_t session_count,
-                            double watch_seconds, double span_seconds,
-                            const TrafficBreakdown* traffic, SimResult& out) {
-  if (!config_.collect_swarms) return;
-  SwarmResult swarm;
-  swarm.key = key;
-  swarm.sessions = session_count;
-  swarm.capacity = span_seconds > 0 ? watch_seconds / span_seconds : 0;
-  if (traffic != nullptr) swarm.traffic = *traffic;
-  out.swarms.push_back(swarm);
+void SwarmSweep::add_spill(std::uint64_t w0, double spill_bits,
+                           std::size_t max_hours, SimResult& out) const {
+  out.overload_spill += Bits{spill_bits};
+  if (!config_.collect_hourly) return;
+  const auto hour = static_cast<std::size_t>(static_cast<double>(w0) *
+                                             config_.window.value() / 3600.0);
+  CL_ENSURES(hour < max_hours);
+  if (hour >= out.hourly_spill.size()) out.hourly_spill.resize(hour + 1);
+  out.hourly_spill[hour] += Bits{spill_bits};
 }
 
-void SwarmSweep::build_event_streams(std::size_t crossings,
-                                     std::uint64_t max_end_window) {
-  const std::size_t count = w_start_.size();
-  const bool packable =
-      max_end_window < kMaxPackWindow && count <= kLeaveIdxMask + 1;
-  join_idx_.clear();
-  join_idx_.reserve(crossings);
-  leave_keys_.clear();
-  if (packable) leave_keys_.reserve(crossings);
-  // Sessions shorter than one window never complete a full Δτ streaming
-  // step and emit no events. Scanning g upwards lists joins in (window,
-  // idx) order whenever the swarm's sessions are start-sorted — true of
-  // every generated and loaded trace — so only a shuffled one is sorted.
-  bool joins_sorted = true;
-  std::uint64_t prev = 0;
-  for (std::size_t g = 0; g < count; ++g) {
-    if (w_end_[g] > w_start_[g]) {
-      if (w_start_[g] < prev) joins_sorted = false;
-      prev = w_start_[g];
-      join_idx_.push_back(static_cast<std::uint32_t>(g));
-      if (packable) leave_keys_.push_back((w_end_[g] << kLeaveIdxBits) | g);
+void SwarmSweep::sweep_counts(std::size_t max_hours,
+                              TrafficBreakdown& swarm_traffic,
+                              SimResult& out) {
+  const double dt = config_.window.value();
+  const double q = config_.q_over_beta;
+  // Bits per window a non-seed peer pulls from a peer, per bit/s of β.
+  const double k = std::min(q, 1.0) * dt;
+  const bool per_user = config_.collect_per_user;
+  const std::uint32_t isp = g_isp_[join_idx_[0]];
+  if (per_user) snap_.resize(w_start_.size());
+
+  // Swarm β sums (exact: every β is an integer bit rate): all members,
+  // members of a shared ExP, and singleton-ExP members of a shared PoP.
+  // The remaining members are served by the core. `s_fresh` sums the
+  // members that joined at the current event window (cold under the
+  // overload model).
+  double s_all = 0;
+  double s_exp = 0;
+  double s_pop = 0;
+  double s_fresh = 0;
+  std::size_t members = 0;
+  // The seed is the first entry of join_idx_ still present (w_end_ past
+  // the stretch start); entries before seed_pos have all left.
+  std::size_t seed_pos = 0;
+  std::uint32_t seed = std::numeric_limits<std::uint32_t>::max();
+  // Per-user upload integrals run on one swarm clock of effective
+  // windows (an overload-split stretch's first window counts `scale`).
+  // The core bucket holds every member, so its Φ is advanced at every
+  // stretch end instead of lazily.
+  double clock = 0;
+  double core_phi = 0;
+  double core_rate = 0;
+
+  const auto touch = [&](Bucket& b) {
+    b.phi += b.rate * (clock - b.stamp);
+    b.stamp = clock;
+    if (!b.dirty) {
+      b.dirty = true;
+      dirty_.push_back(&b);
     }
-  }
-  leave_idx_.resize(join_idx_.size());
-  if (packable) {
-    std::sort(leave_keys_.begin(), leave_keys_.end());
-    for (std::size_t k = 0; k < leave_keys_.size(); ++k) {
-      leave_idx_[k] =
-          static_cast<std::uint32_t>(leave_keys_[k] & kLeaveIdxMask);
+  };
+  const auto rebase = [](Bucket& b) {
+    const bool dirty = b.dirty;
+    b = Bucket{};
+    b.dirty = dirty;
+  };
+  // Moves one peer into or out of its ExP and PoP: take the two buckets'
+  // class contributions out of the swarm sums, update them, add them back.
+  const auto move = [&](Bucket& e, Bucket& p, double beta, bool join) {
+    s_exp -= e.count >= 2 ? e.beta : 0.0;
+    s_pop -= p.count >= 2 ? p.beta : 0.0;
+    if (join) {
+      // ExP 0→1: the peer is a singleton its PoP serves; 1→2: the old
+      // singleton now shares its ExP and leaves the PoP's sum.
+      if (e.count == 0) {
+        p.beta += beta;
+      } else if (e.count == 1) {
+        p.beta -= e.beta;
+      }
+      ++e.count;
+      e.beta += beta;
+      ++p.count;
+    } else {
+      // ExP 1→0: the singleton leaves the PoP's sum; 2→1: the remaining
+      // member becomes a singleton the PoP serves.
+      if (e.count == 1) {
+        p.beta -= beta;
+      } else if (e.count == 2) {
+        p.beta += e.beta - beta;
+      }
+      --e.count;
+      e.beta -= beta;
+      --p.count;
+      if (e.count == 0) rebase(e);
+      if (p.count == 0) rebase(p);
     }
-  } else {
-    std::copy(join_idx_.begin(), join_idx_.end(), leave_idx_.begin());
-    std::sort(leave_idx_.begin(), leave_idx_.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return w_end_[x] != w_end_[y] ? w_end_[x] < w_end_[y] : x < y;
-              });
-  }
-  if (!joins_sorted) {
-    std::stable_sort(join_idx_.begin(), join_idx_.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                       return w_start_[x] < w_start_[y];
-                     });
-  }
+    s_exp += e.count >= 2 ? e.beta : 0.0;
+    s_pop += p.count >= 2 ? p.beta : 0.0;
+  };
+
+  const auto leave = [&](std::uint32_t g) {
+    Bucket& e = exp_buckets_[g_exp_[g]];
+    Bucket& p = pop_buckets_[g_pop_[g]];
+    const double beta = g_beta_[g];
+    if (per_user) {
+      touch(e);
+      touch(p);
+      const Snapshot& at_join = snap_[g];
+      UserTraffic& ut = out.users[g_user_[g]];
+      ut.downloaded +=
+          Bits{beta * dt * static_cast<double>(w_end_[g] - w_start_[g])};
+      ut.uploaded += Bits{(e.phi - at_join.exp) + (p.phi - at_join.pop) +
+                          (core_phi - at_join.core)};
+    }
+    move(e, p, beta, false);
+    s_all -= beta;
+    if (--members == 0) {
+      s_all = 0;
+      s_exp = 0;
+      s_pop = 0;
+      core_phi = 0;
+      core_rate = 0;
+    }
+  };
+  const auto join = [&](std::uint32_t g, std::uint64_t) {
+    Bucket& e = exp_buckets_[g_exp_[g]];
+    Bucket& p = pop_buckets_[g_pop_[g]];
+    const double beta = g_beta_[g];
+    if (per_user) {
+      touch(e);
+      touch(p);
+    }
+    move(e, p, beta, true);
+    s_all += beta;
+    s_fresh += beta;
+    ++members;
+    if (per_user) snap_[g] = Snapshot{e.phi, p.phi, core_phi};
+  };
+  const auto stretch = [&](std::uint64_t w0, std::uint64_t w1) {
+    ++counts_.count;
+    while (w_end_[join_idx_[seed_pos]] <= w0) ++seed_pos;
+    const std::uint32_t s = join_idx_[seed_pos];
+    Bucket& seed_exp = exp_buckets_[g_exp_[s]];
+    Bucket& seed_pop = pop_buckets_[g_pop_[s]];
+    const double seed_beta = g_beta_[s];
+    // The seed pulls everything from the CDN: its β leaves its class.
+    double exp_sum = s_exp;
+    double pop_sum = s_pop;
+    double core_sum = s_all - s_exp - s_pop;
+    if (seed_exp.count >= 2) {
+      exp_sum -= seed_beta;
+    } else if (seed_pop.count >= 2) {
+      pop_sum -= seed_beta;
+    } else {
+      core_sum -= seed_beta;
+    }
+    if (per_user) {
+      // Upload rate of every bucket whose members or seed share changed.
+      if (s != seed) {
+        touch(seed_exp);
+        touch(seed_pop);
+        seed = s;
+      }
+      for (Bucket* b : dirty_) {
+        double served = b->beta;
+        if (b == &seed_exp || (b == &seed_pop && seed_exp.count == 1)) {
+          served -= seed_beta;
+        }
+        b->rate =
+            b->count >= 2 ? k * served / static_cast<double>(b->count) : 0.0;
+        b->dirty = false;
+      }
+      dirty_.clear();
+      core_rate =
+          members >= 2 ? k * core_sum / static_cast<double>(members) : 0.0;
+    }
+
+    // server, peer[ExP], peer[PoP], peer[core], cross_isp per window.
+    double lanes[sweep_kernels::kTrafficLanes] = {};
+    lanes[1] = k * exp_sum;
+    lanes[2] = k * pop_sum;
+    lanes[3] = k * core_sum;
+    lanes[0] = dt * s_all - (lanes[1] + lanes[2] + lanes[3]);
+
+    // Overload model: see process_stretch. Warm capacity is the β of the
+    // members that did not join at w0.
+    double first[sweep_kernels::kTrafficLanes];
+    std::copy(std::begin(lanes), std::end(lanes), std::begin(first));
+    const auto windows = static_cast<double>(w1 - w0);
+    double effective = windows;
+    bool split_first = false;
+    if (config_.overload) {
+      const double demand = k * (s_all - seed_beta);
+      const double capacity = q * dt * (s_all - s_fresh);
+      if (demand > capacity) {
+        const double scale = capacity > 0 ? capacity / demand : 0.0;
+        double spill_bits = 0.0;
+        for (std::size_t l = 1; l <= 3; ++l) {
+          first[l] = lanes[l] * scale;
+          spill_bits += lanes[l] - first[l];
+        }
+        first[0] = lanes[0] + spill_bits;
+        add_spill(w0, spill_bits, max_hours, out);
+        effective = scale + (windows - 1.0);
+        split_first = true;
+        ++counts_.overload_split;
+      }
+    }
+    s_fresh = 0;
+    const std::uint64_t wm = split_first ? w0 + 1 : w1;
+    double* total = traffic_lanes(swarm_traffic);
+    sweep_kernels::fold_traffic(total, first, static_cast<double>(wm - w0));
+    if (wm < w1) {
+      sweep_kernels::fold_traffic(total, lanes, static_cast<double>(w1 - wm));
+    }
+    if (config_.collect_hourly) {
+      const auto fold_hourly = [&](const double* row_lanes, std::uint64_t wa,
+                                   std::uint64_t wb) {
+        for_each_hour(wa, wb, dt, max_hours, metro_->isp_count(), out,
+                      [&](std::vector<TrafficBreakdown>& row, double chunk) {
+                        sweep_kernels::fold_traffic(traffic_lanes(row[isp]),
+                                                    row_lanes, chunk);
+                      });
+      };
+      fold_hourly(first, w0, wm);
+      if (wm < w1) fold_hourly(lanes, wm, w1);
+    }
+    if (per_user) {
+      clock += effective;
+      core_phi += core_rate * effective;
+    }
+  };
+
+  replay_events(leave, join, stretch);
+  CL_ENSURES(members == 0);
+  for (Bucket* b : dirty_) b->dirty = false;
+  dirty_.clear();
 }
 
-template <typename MakePeer, typename Allocate>
-void SwarmSweep::replay_events(SwarmKey key, std::size_t session_count,
-                               double watch_seconds, double span_seconds,
-                               std::size_t max_hours, SimResult& out,
-                               MakePeer&& make_peer, Allocate&& allocate) {
-  const std::size_t m = join_idx_.size();
-  if (m == 0) {
-    emit_swarm(key, session_count, watch_seconds, span_seconds, nullptr, out);
-    return;
+void SwarmSweep::finish_swarm(SwarmKey key, std::size_t session_count,
+                              double watch_seconds, double span_seconds,
+                              const TrafficBreakdown& traffic,
+                              SimResult& out) {
+  out.total += traffic;
+  if (config_.collect_swarms) {
+    SwarmResult swarm;
+    swarm.key = key;
+    swarm.sessions = session_count;
+    swarm.capacity = span_seconds > 0 ? watch_seconds / span_seconds : 0;
+    swarm.traffic = traffic;
+    out.swarms.push_back(swarm);
   }
-  active_.clear();
-  pos_.assign(session_count, -1);
-  TrafficBreakdown swarm_traffic;
-
-  // The earliest event is always a join (every leave strictly follows
-  // its own join), so the loop starts at the first join window. At each
-  // event window: all leaves, then all joins, then one stretch to the
-  // next event window.
-  std::size_t ji = 0;
-  std::size_t li = 0;
-  std::uint64_t cur_w = w_start_[join_idx_[0]];
-  for (;;) {
-    while (li < m && w_end_[leave_idx_[li]] == cur_w) {
-      const std::uint32_t idx = leave_idx_[li];
-      const auto i = static_cast<std::size_t>(pos_[idx]);
-      CL_ENSURES(pos_[idx] >= 0 && i < active_.size());
-      active_[i] = active_.back();
-      pos_[active_[i].session] = static_cast<std::int32_t>(i);
-      active_.pop_back();
-      pos_[idx] = -1;
-      ++li;
-    }
-    while (ji < m && w_start_[join_idx_[ji]] == cur_w) {
-      const std::uint32_t g = join_idx_[ji];
-      pos_[g] = static_cast<std::int32_t>(active_.size());
-      active_.push_back(make_peer(g, cur_w));
-      ++ji;
-    }
-    if (ji == m && li == m) break;
-    std::uint64_t next_w = std::numeric_limits<std::uint64_t>::max();
-    if (li < m) next_w = w_end_[leave_idx_[li]];
-    if (ji < m) next_w = std::min(next_w, w_start_[join_idx_[ji]]);
-    if (!active_.empty()) {
-      process_stretch(allocate, cur_w, next_w, swarm_traffic, max_hours, out);
-    }
-    cur_w = next_w;
+  if (timing_ != nullptr) {
+    timing_->count_stretches.fetch_add(counts_.count,
+                                       std::memory_order_relaxed);
+    timing_->per_peer_stretches.fetch_add(counts_.per_peer,
+                                          std::memory_order_relaxed);
+    timing_->overload_split_stretches.fetch_add(counts_.overload_split,
+                                                std::memory_order_relaxed);
   }
-  CL_ENSURES(active_.empty());
-
-  out.total += swarm_traffic;
-  emit_swarm(key, session_count, watch_seconds, span_seconds, &swarm_traffic,
-             out);
+  counts_ = StretchCounts{};
 }
 
 void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
@@ -448,71 +647,60 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
         want_user ? g_user_.data() : nullptr, g_isp_.data(), g_exp_.data(),
         g_beta_.data());
     single_isp = peers.single_isp;
-    std::uint32_t max_pop = 0;
     if (single_isp) {
       // One shared ExP→PoP table — gatherable.
       const std::span<const std::uint32_t> table =
           metro_->isp(g_isp_[0]).exp_to_pop();
-      max_pop = sweep_kernels::gather_pops(g_exp_.data(), count, table.data(),
-                                           g_pop_.data());
+      const std::uint32_t max_pop = sweep_kernels::gather_pops(
+          g_exp_.data(), count, table.data(), g_pop_.data());
+      // Size the count route's buckets (resize only adds all-zero ones).
+      if (exp_buckets_.size() <= peers.max_exp) {
+        exp_buckets_.resize(peers.max_exp + 1);
+      }
+      if (pop_buckets_.size() <= max_pop) pop_buckets_.resize(max_pop + 1);
     } else {
       for (std::size_t g = 0; g < count; ++g) {
-        const std::uint32_t pop = metro_->isp(g_isp_[g]).pop_of(g_exp_[g]);
-        g_pop_[g] = pop;
-        max_pop = std::max(max_pop, pop);
+        g_pop_[g] = metro_->isp(g_isp_[g]).pop_of(g_exp_[g]);
       }
-    }
-    // Size the flat matcher scratch (values stay zero: resize only adds
-    // zeros, and allocate_existence_flat re-zeroes what it touches).
-    if (cnt_exp_.size() <= peers.max_exp) {
-      cnt_exp_.resize(peers.max_exp + 1, 0);
-      dem_exp_.resize(peers.max_exp + 1, 0.0);
-    }
-    if (cnt_pop_.size() <= max_pop) {
-      cnt_pop_.resize(max_pop + 1, 0);
-      dem_pop_.resize(max_pop + 1, 0.0);
     }
   }
   Clock::time_point t2;
   if (timed) t2 = Clock::now();
 
-  // The flat allocator's ExP/PoP-indexed arrays assume every active peer
-  // shares one ISP — true for every ISP-keyed swarm; ISP-spanning swarms
-  // (cross-ISP ablation) take the generic matcher.
-  const bool flat = config_.matcher == MatcherKind::kExistence && single_isp;
-  lone_flat_ = flat;
-  double allocate_seconds = 0;
-  const bool have_user = config_.collect_per_user;
-  const auto make_peer = [&](std::uint32_t idx, std::uint64_t window) {
-    ActivePeer peer;
-    peer.session = idx;
-    // The user id only feeds the per-user split; when that collection is
-    // off the user column was never gathered (see gather phase 2).
-    peer.user = have_user ? g_user_[idx] : 0;
-    peer.isp = g_isp_[idx];
-    peer.exp = g_exp_[idx];
-    peer.pop = g_pop_[idx];
-    peer.beta = g_beta_[idx];
-    peer.join_window = window;
-    return peer;
-  };
-  const auto allocate = [&](std::span<const ActivePeer> actives,
-                            std::size_t seed) {
-    Clock::time_point a0;
-    if (timed) a0 = Clock::now();
-    if (flat) {
-      allocate_existence_flat(actives, seed, alloc_);
-    } else {
-      matcher_->allocate(actives, seed, config_, alloc_);
-    }
-    if (timed) allocate_seconds += seconds_between(a0, Clock::now());
-  };
-
+  // The count route's ExP/PoP-indexed buckets assume every member shares
+  // one ISP — true of every ISP-keyed swarm; ISP-spanning swarms
+  // (cross-ISP ablation) and the capacity matcher go per-peer.
+  const bool count_route =
+      config_.matcher == MatcherKind::kExistence && single_isp;
   const double span_seconds = view.span().value();
   const std::size_t max_hours = hour_bound(span_seconds);
   build_event_streams(bounds.crossings, bounds.max_end_window);
-  replay_events(key, count, bounds.watch_seconds, span_seconds, max_hours, out,
-                make_peer, allocate);
+  TrafficBreakdown swarm_traffic;
+  allocate_seconds_ = 0;
+  if (join_idx_.empty()) {
+    // No session completes a window: no traffic.
+  } else if (count_route) {
+    sweep_counts(max_hours, swarm_traffic, out);
+  } else {
+    const bool have_user = config_.collect_per_user;
+    sweep_per_peer(count, max_hours, swarm_traffic, out,
+                   [&](std::uint32_t idx, std::uint64_t window) {
+                     ActivePeer peer;
+                     peer.session = idx;
+                     // The user id only feeds the per-user split; when
+                     // that collection is off the user column was never
+                     // gathered (see gather phase 2).
+                     peer.user = have_user ? g_user_[idx] : 0;
+                     peer.isp = g_isp_[idx];
+                     peer.exp = g_exp_[idx];
+                     peer.pop = g_pop_[idx];
+                     peer.beta = g_beta_[idx];
+                     peer.join_window = window;
+                     return peer;
+                   });
+  }
+  finish_swarm(key, count, bounds.watch_seconds, span_seconds, swarm_traffic,
+               out);
 
   if (timed) {
     const auto t3 = Clock::now();
@@ -521,8 +709,9 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
     timing_->gather2_seconds.fetch_add(seconds_between(t1, t2),
                                        std::memory_order_relaxed);
     timing_->events_seconds.fetch_add(
-        seconds_between(t2, t3) - allocate_seconds, std::memory_order_relaxed);
-    timing_->allocate_seconds.fetch_add(allocate_seconds,
+        seconds_between(t2, t3) - allocate_seconds_,
+        std::memory_order_relaxed);
+    timing_->allocate_seconds.fetch_add(allocate_seconds_,
                                         std::memory_order_relaxed);
   }
 }
@@ -534,7 +723,6 @@ void SwarmSweep::sweep_rows(SwarmKey key,
                                    std::numeric_limits<std::int32_t>::max()));
   const double dt = config_.window.value();
   const std::size_t count = indices.size();
-  lone_flat_ = false;  // reference path: always through the matcher
   // First pass: window bounds into scratch + the stripe-8 watch-time sum
   // (the same reduction shape as sweep()'s kernel 1 — the two paths'
   // capacities must agree bit-for-bit) + the crossing count and largest
@@ -560,88 +748,22 @@ void SwarmSweep::sweep_rows(SwarmKey key,
     watch_seconds += acc8[k];
   }
   build_event_streams(crossings, max_end_window);
-  replay_events(
-      key, count, watch_seconds, trace.span.value(),
-      hour_bound(trace.span.value()), out,
-      [&](std::uint32_t idx, std::uint64_t window) {
-        const SessionRecord& s = trace.sessions[indices[idx]];
-        ActivePeer peer;
-        peer.session = idx;
-        peer.user = s.user;
-        peer.isp = s.isp;
-        peer.exp = s.exp;
-        peer.pop = metro_->isp(s.isp).pop_of(s.exp);
-        peer.beta = s.beta().value();
-        peer.join_window = window;
-        return peer;
-      },
-      [&](std::span<const ActivePeer> actives, std::size_t seed) {
-        matcher_->allocate(actives, seed, config_, alloc_);
-      });
-}
-
-void SwarmSweep::allocate_existence_flat(std::span<const ActivePeer> actives,
-                                         std::size_t seed_index,
-                                         std::vector<PeerAllocation>& out) {
-  // Only process_stretch's generic route calls this: it never sweeps an
-  // empty stretch, and on the flat route a lone-peer stretch returns
-  // before reaching it.
-  const std::size_t n = actives.size();
-  CL_EXPECTS(n >= 2 && seed_index < n);
-  out.assign(n, PeerAllocation{});
-  const double dt = config_.window.value();
-  const double ratio = std::min(config_.q_over_beta, 1.0);
-
-  for (const ActivePeer& a : actives) {
-    ++cnt_exp_[a.exp];
-    ++cnt_pop_[a.pop];
-  }
-  const auto cnt_isp = static_cast<std::uint32_t>(n);  // single-ISP swarm
-
-  // Same accumulation order as ExistenceMatcher::allocate — every
-  // floating-point add/divide happens on the same values in the same
-  // sequence, so the allocation is bit-identical to the generic matcher.
-  double dem_core = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const ActivePeer& a = actives[i];
-    const double demand = a.beta * dt;
-    out[i].server_bits = demand;
-    if (i == seed_index) continue;
-    const double d = ratio * demand;
-    if (d <= 0) continue;
-    if (cnt_exp_[a.exp] >= 2) {
-      out[i].peer_bits[index(LocalityLevel::kExchangePoint)] = d;
-      dem_exp_[a.exp] += d;
-    } else if (cnt_pop_[a.pop] >= 2) {
-      out[i].peer_bits[index(LocalityLevel::kPop)] = d;
-      dem_pop_[a.pop] += d;
-    } else {
-      // With n >= 2 peers in one ISP the core layer always has company;
-      // the generic matcher's cross-ISP branch is unreachable here.
-      out[i].peer_bits[index(LocalityLevel::kCore)] = d;
-      dem_core += d;
-    }
-    out[i].server_bits -= d;
-  }
-
-  // Attribute uploads evenly across the members of each serving bucket
-  // (kernel 3; see DESIGN.md: totals are exact, the per-user split is
-  // the symmetric-swarm approximation). A bucket's demand is > 0 iff the
-  // map-based matcher would have an entry for it (all deposits are > 0).
-  // The core share is the same divide for every member — hoisted.
-  const double core_term =
-      dem_core > 0 ? dem_core / static_cast<double>(cnt_isp) : 0.0;
-  sweep_kernels::upload_shares(actives.data(), n, dem_exp_.data(),
-                               cnt_exp_.data(), dem_pop_.data(),
-                               cnt_pop_.data(), core_term, out.data());
-
-  // Restore the all-zero scratch invariant (touched entries only).
-  for (const ActivePeer& a : actives) {
-    cnt_exp_[a.exp] = 0;
-    dem_exp_[a.exp] = 0;
-    cnt_pop_[a.pop] = 0;
-    dem_pop_[a.pop] = 0;
-  }
+  TrafficBreakdown swarm_traffic;
+  sweep_per_peer(count, hour_bound(trace.span.value()), swarm_traffic, out,
+                 [&](std::uint32_t idx, std::uint64_t window) {
+                   const SessionRecord& s = trace.sessions[indices[idx]];
+                   ActivePeer peer;
+                   peer.session = idx;
+                   peer.user = s.user;
+                   peer.isp = s.isp;
+                   peer.exp = s.exp;
+                   peer.pop = metro_->isp(s.isp).pop_of(s.exp);
+                   peer.beta = s.beta().value();
+                   peer.join_window = window;
+                   return peer;
+                 });
+  finish_swarm(key, count, watch_seconds, trace.span.value(), swarm_traffic,
+               out);
 }
 
 }  // namespace cl

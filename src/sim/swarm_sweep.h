@@ -15,27 +15,34 @@
 // bounds (w_start_/w_end_), and from there both run the same
 // build_event_streams (window-crossing sessions as join and leave index
 // streams in (window, idx) order) and the same replay_events (leaves,
-// then joins, then one stretch per event window). They differ only in
-// how a joining peer is read and how a stretch is allocated:
+// then joins, then one stretch per event window). What a join, a leave
+// and a stretch do is the route's business:
 //
 //  * sweep(…, TraceView) — the hot path. The swarm's sessions are
 //    gathered from the trace columns into small contiguous primitive
 //    arrays (window bounds, user/ISP/ExP/PoP ids, β) by the kernels in
 //    sim/sweep_kernels.h, and the inner loops touch only those arrays.
-//    Single-ISP swarms under the existence matcher additionally bypass
-//    the virtual Matcher for a flat-array allocator (bit-identical
-//    output, no hash maps on the hot path).
+//    Single-ISP swarms under the existence matcher take the *count
+//    route* (sweep_counts): the matcher's outcome depends only on how
+//    many members each ExP and PoP holds, so a join or leave updates O(1)
+//    bucket counters and β sums and a stretch folds O(1) lanes, whatever
+//    the swarm size. Per-user bytes settle lazily when a peer leaves
+//    (downloads from its window count, uploads from per-bucket running
+//    integrals). Every other swarm — the capacity matcher, ISP-spanning
+//    swarms — takes the per-peer route (sweep_per_peer): an active-peer
+//    list, one virtual Matcher allocation and one per-peer fold per
+//    stretch.
 //  * sweep_rows(…, Trace) — the row-structured reference path, reading
-//    SessionRecords and dispatching through the Matcher interface. Kept
-//    as the bit-identity oracle of the gathers and the flat allocator,
-//    and as the bench/micro_sweep baseline.
+//    SessionRecords and always taking the per-peer route through the
+//    Matcher interface. It is the per-peer reference the count route is
+//    tested against (to the oracle tolerances of
+//    tests/test_sweep_oracle.cpp; bitwise where sweep() also runs
+//    per-peer) and the bench/micro_sweep baseline.
 //
 // A sweep accumulates into a partial SimResult; partials merge with
 // SimResult::merge (see sim/metrics.h) in ascending swarm-key order, so
-// the full simulation is bit-identical for every thread count — and
-// identical between the two data paths and every SIMD backend (the
-// vector kernels' lane-width-independence rule, DESIGN.md §"SIMD
-// kernels").
+// the full simulation is bit-identical for every thread count and
+// between the mmap'd and owned-SoA inputs of sweep().
 #pragma once
 
 #include <atomic>
@@ -59,12 +66,17 @@ namespace cl {
 /// (`cl simulate --timing`). Workers add their per-swarm kernel times
 /// with relaxed atomics — the totals are CPU seconds summed across
 /// workers, so they can exceed the sweep phase's wall time when
-/// threads > 1.
+/// threads > 1. The stretch counters say which route handled each
+/// stretch; they are integers added once per swarm, so they are the same
+/// at every thread count.
 struct SweepKernelTiming {
   std::atomic<double> gather1_seconds{0};   ///< window bounds + watch time
   std::atomic<double> gather2_seconds{0};   ///< per-peer column gathers
   std::atomic<double> events_seconds{0};    ///< event streams + stretch loop
-  std::atomic<double> allocate_seconds{0};  ///< per-stretch allocation
+  std::atomic<double> allocate_seconds{0};  ///< per-peer route's Matcher calls
+  std::atomic<std::uint64_t> count_stretches{0};     ///< count route
+  std::atomic<std::uint64_t> per_peer_stretches{0};  ///< per-peer route
+  std::atomic<std::uint64_t> overload_split_stretches{0};  ///< either route
 };
 
 /// One worker's reusable swarm-sweep engine.
@@ -72,8 +84,9 @@ class SwarmSweep {
  public:
   /// `metro` supplies the per-ISP trees for locality lookups and must
   /// outlive the sweep. `timing`, when non-null, receives the per-kernel
-  /// wall-time split (adds clock reads to the hot path — only wire it up
-  /// when the caller asked for timing).
+  /// wall-time split and the stretch counters (adds clock reads around
+  /// each swarm and each per-peer allocation — only wire it up when the
+  /// caller asked for timing).
   SwarmSweep(const Metro& metro, const SimConfig& config,
              SweepKernelTiming* timing = nullptr);
 
@@ -86,61 +99,100 @@ class SwarmSweep {
   void sweep(SwarmKey key, std::span<const std::uint32_t> indices,
              const TraceView& view, SimResult& out);
 
-  /// Row-structured reference sweep over trace.sessions — bit-identical
-  /// to sweep() by construction (same event streams and event loop, same
-  /// matcher arithmetic); kept for identity tests and the micro_sweep
-  /// baseline.
+  /// Row-structured per-peer reference sweep over trace.sessions (same
+  /// event streams and event loop as sweep(), always the per-peer route);
+  /// kept for the identity and oracle tests and the micro_sweep baseline.
   void sweep_rows(SwarmKey key, std::span<const std::uint32_t> indices,
                   const Trace& trace, SimResult& out);
 
  private:
+  /// One ExP or PoP of the count route, indexed by its id. An ExP bucket
+  /// sums the β of all its members; a PoP bucket counts all its members
+  /// but sums only the β of its singleton-ExP members (the ones it
+  /// serves). `phi` is the bucket's running upload integral, Σ (bucket
+  /// demand / members) × effective windows, brought up to the swarm
+  /// clock at `stamp` and growing at `rate` per effective window since;
+  /// `dirty` marks a bucket whose rate is recomputed before the next
+  /// stretch. All-zero between swarms.
+  struct Bucket {
+    double beta = 0;
+    double phi = 0;
+    double rate = 0;
+    double stamp = 0;
+    std::uint32_t count = 0;
+    bool dirty = false;
+  };
+
+  /// A peer's upload-integral snapshot at join: its ExP, PoP and core Φ.
+  struct Snapshot {
+    double exp = 0;
+    double pop = 0;
+    double core = 0;
+  };
+
+  /// Route counters of the swarm being swept (finish_swarm moves them to
+  /// timing_).
+  struct StretchCounts {
+    std::uint64_t count = 0;
+    std::uint64_t per_peer = 0;
+    std::uint64_t overload_split = 0;
+  };
+
   /// Builds the event streams from the filled w_start_/w_end_: the
   /// window-crossing sessions' indices in (join window, idx) order into
-  /// join_idx_ and in (leave window, idx) order into leave_idx_.
+  /// join_idx_ and in (leave window, idx) order into leave_idx_, with
+  /// the leave windows in leave_w_.
   /// `max_end_window` bounds every w_end_ (it picks the leave sort).
   void build_event_streams(std::size_t crossings,
                            std::uint64_t max_end_window);
 
   /// The event loop over join_idx_ / leave_idx_: at each event window
-  /// applies every leave, then every join (make_peer), then sweeps the
-  /// constant-membership stretch to the next event window.
-  template <typename MakePeer, typename Allocate>
-  void replay_events(SwarmKey key, std::size_t session_count,
-                     double watch_seconds, double span_seconds,
-                     std::size_t max_hours, SimResult& out,
-                     MakePeer&& make_peer, Allocate&& allocate);
+  /// calls leave(idx) for every leave, then join(idx, window) for every
+  /// join, then stretch(w0, w1) over the constant-membership stretch to
+  /// the next event window when the swarm is not empty.
+  template <typename Leave, typename Join, typename Stretch>
+  void replay_events(Leave&& leave, Join&& join, Stretch&& stretch);
 
-  /// One constant-membership stretch [w0, w1): seed selection,
-  /// allocation, traffic folds (+ optional hourly / per-user splits).
-  template <typename Allocate>
-  void process_stretch(Allocate& allocate, std::uint64_t w0, std::uint64_t w1,
+  /// Per-peer route: replays the events over an active-peer list built
+  /// by make_peer(idx, join_window) and sweeps each stretch through
+  /// process_stretch.
+  template <typename MakePeer>
+  void sweep_per_peer(std::size_t session_count, std::size_t max_hours,
+                      TrafficBreakdown& swarm_traffic, SimResult& out,
+                      MakePeer&& make_peer);
+
+  /// One constant-membership stretch [w0, w1) of the per-peer route: seed
+  /// selection, Matcher allocation, overload cap, traffic folds (+
+  /// optional hourly / per-user splits).
+  void process_stretch(std::uint64_t w0, std::uint64_t w1,
                        TrafficBreakdown& swarm_traffic, std::size_t max_hours,
                        SimResult& out);
 
-  /// Appends the per-swarm row when collect_swarms is on.
-  void emit_swarm(SwarmKey key, std::size_t session_count,
-                  double watch_seconds, double span_seconds,
-                  const TrafficBreakdown* traffic, SimResult& out);
+  /// Adds one stretch's overload spill to `out` (total and, when hourly
+  /// rows are collected, the hour of its first window w0).
+  void add_spill(std::uint64_t w0, double spill_bits, std::size_t max_hours,
+                 SimResult& out) const;
 
-  /// Flat-array ExistenceMatcher for single-ISP swarms: replaces the
-  /// hash-map counting with arrays indexed by ExP/PoP id (bounded by the
-  /// ISP tree), preserving the exact floating-point accumulation order —
-  /// the allocation is bit-identical to ExistenceMatcher::allocate.
-  void allocate_existence_flat(std::span<const ActivePeer> actives,
-                               std::size_t seed_index,
-                               std::vector<PeerAllocation>& out);
+  /// Count route (existence matcher, single-ISP swarm) over the gathered
+  /// columns: O(1) bucket updates per event, O(1) lanes per stretch.
+  void sweep_counts(std::size_t max_hours, TrafficBreakdown& swarm_traffic,
+                    SimResult& out);
+
+  /// Adds the swarm's traffic to out.total, appends its per-swarm row
+  /// when collect_swarms is on, and moves its route counters to timing_.
+  void finish_swarm(SwarmKey key, std::size_t session_count,
+                    double watch_seconds, double span_seconds,
+                    const TrafficBreakdown& traffic, SimResult& out);
 
   const Metro* metro_;
   SimConfig config_;
   std::unique_ptr<Matcher> matcher_;
   SweepKernelTiming* timing_ = nullptr;
-  // True while sweeping on the flat-allocator route (sweep() sets it per
-  // swarm; sweep_rows keeps it off so the reference path stays generic):
-  // lone-peer stretches — the dominant shape in sparse swarms — then
-  // bypass allocation entirely (see process_stretch's fast path).
-  bool lone_flat_ = false;
+  double allocate_seconds_ = 0;  // per-peer Matcher time of this swarm
+  StretchCounts counts_;
 
-  // Scratch, reused across swarms (cleared, not reallocated).
+  // Per-peer route scratch, reused across swarms (cleared, not
+  // reallocated).
   std::vector<ActivePeer> active_;
   std::vector<std::int32_t> pos_;
   std::vector<PeerAllocation> alloc_;
@@ -149,10 +201,13 @@ class SwarmSweep {
   std::vector<PeerAllocation> spill_alloc_;
 
   // Event streams (build_event_streams): crossing-session indices in
-  // join order and in leave order, plus the packed (window << 24 | idx)
-  // u64 keys the leave order is sorted as when they fit.
+  // join order and in leave order, the leave windows in leave order (so
+  // the event loop reads them sequentially), plus the packed
+  // (window << 24 | idx) u64 keys the leave order is sorted as when they
+  // fit, with the radix sort's scratch and bucket counts.
   simd::aligned_vector<std::uint32_t> join_idx_, leave_idx_;
-  simd::aligned_vector<std::uint64_t> leave_keys_;
+  simd::aligned_vector<std::uint64_t> leave_w_, leave_keys_, sort_scratch_;
+  std::vector<std::size_t> sort_count_;
 
   // Per-swarm gathered columns (the SoA path's contiguous hot arrays),
   // 64-byte aligned so the kernels' whole-array loads are aligned.
@@ -160,11 +215,12 @@ class SwarmSweep {
   simd::aligned_vector<std::uint32_t> g_user_, g_isp_, g_exp_, g_pop_;
   simd::aligned_vector<double> g_beta_;
 
-  // Flat-array matcher scratch, indexed by ExP / PoP id. All-zero
-  // between allocations (allocate_existence_flat re-zeroes the entries
-  // it touched).
-  simd::aligned_vector<std::uint32_t> cnt_exp_, cnt_pop_;
-  simd::aligned_vector<double> dem_exp_, dem_pop_;
+  // Count-route scratch: buckets by ExP / PoP id (all-zero between
+  // swarms), the per-session Φ snapshots (per-user collection only) and
+  // the buckets whose upload rate changed since the last stretch.
+  std::vector<Bucket> exp_buckets_, pop_buckets_;
+  std::vector<Snapshot> snap_;
+  std::vector<Bucket*> dirty_;
 };
 
 }  // namespace cl

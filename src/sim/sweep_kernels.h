@@ -6,18 +6,17 @@
 //   2. gather_peer_columns — per-peer user/ISP/ExP/β column gathers,
 //                            single-ISP check, running ExP maximum.
 //      gather_pops         — ExP→PoP table gather + running maximum.
-//   3. upload_shares       — the flat existence-matcher's proportional
-//                            upload attribution (masked divides).
-//   4. fold_traffic        — the per-stretch traffic accumulation
+//   3. fold_traffic        — the per-stretch traffic accumulation
 //                            (lane-parallel multiply-add, no reduction).
 //
-// Kernels 3 and 4 are hand-vectorized on the VF64 lane wrapper
-// (util/simd.h); their `_scalar` twins finish the tail lanes and are the
-// reference the parity tests compare against. The vector code performs the same IEEE-754
-// operations on the same values as the scalar twin, so every backend
-// produces the same bits (DESIGN.md §"SIMD kernels"). Kernels 1 and 2
-// are scalar: they are gather-bound, and hand-vectorized versions
-// measured no faster.
+// Kernel 3 is hand-vectorized on the VF64 lane wrapper (util/simd.h);
+// its `_scalar` twin finishes the tail lanes and is the reference the
+// parity test compares against. The vector code performs the same
+// IEEE-754 operations on the same values as the scalar twin, so every
+// backend produces the same bits (DESIGN.md §"SIMD kernels"). Kernels 1
+// and 2 are scalar: they are gather-bound, and hand-vectorized versions
+// measured no faster. The count route's upload attribution has no
+// per-peer kernel: it divides once per bucket, not once per member.
 //
 // The watch-time sum of kernel 1 has a fixed stripe-8 shape (element i
 // adds to accumulator i mod 8, folded left-to-right at the end). The
@@ -29,7 +28,6 @@
 #include <cstdint>
 #include <span>
 
-#include "sim/matcher.h"
 #include "util/simd.h"
 
 namespace cl::sweep_kernels {
@@ -137,77 +135,7 @@ inline std::uint32_t gather_pops(const std::uint32_t* g_exp, std::size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Kernel 3 — proportional upload attribution (flat existence matcher)
-// ---------------------------------------------------------------------------
-//
-// out[j].upload_bits = [dem_exp[e]>0] dem_exp[e]/cnt_exp[e]
-//                    + [dem_pop[p]>0] dem_pop[p]/cnt_pop[p]
-//                    + core_term
-//
-// The conditional adds are masked selects in the vector kernel: excluded
-// terms contribute +0.0, and x + 0.0 == x bitwise for the non-negative
-// demands involved, so both the kernel and its scalar twin produce the
-// exact sum (exp_term + pop_term) + core_term. Divides are lane-wise
-// IEEE — same bits as scalar. cnt_* convert u32→f64 exactly.
-
-inline void upload_shares_scalar(const ActivePeer* actives, std::size_t n,
-                                 const double* dem_exp,
-                                 const std::uint32_t* cnt_exp,
-                                 const double* dem_pop,
-                                 const std::uint32_t* cnt_pop,
-                                 double core_term, PeerAllocation* out) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const ActivePeer& a = actives[j];
-    const double de = dem_exp[a.exp];
-    const double qe = de > 0 ? de / static_cast<double>(cnt_exp[a.exp]) : 0.0;
-    const double dp = dem_pop[a.pop];
-    const double qp = dp > 0 ? dp / static_cast<double>(cnt_pop[a.pop]) : 0.0;
-    out[j].upload_bits = qe + qp + core_term;
-  }
-}
-
-inline void upload_shares(const ActivePeer* actives, std::size_t n,
-                          const double* dem_exp, const std::uint32_t* cnt_exp,
-                          const double* dem_pop, const std::uint32_t* cnt_pop,
-                          double core_term, PeerAllocation* out) {
-  using simd::VF64;
-  constexpr std::size_t kW = VF64::kLanes;
-  if constexpr (kW == 1) {
-    upload_shares_scalar(actives, n, dem_exp, cnt_exp, dem_pop, cnt_pop,
-                         core_term, out);
-  } else {
-    const VF64 vzero = VF64::zero();
-    const VF64 vcore = VF64::set1(core_term);
-    std::size_t j = 0;
-    for (; j + kW <= n; j += kW) {
-      std::uint32_t eidx[kW];
-      std::uint32_t pidx[kW];
-      double ce[kW];
-      double cp[kW];
-      for (std::size_t l = 0; l < kW; ++l) {
-        eidx[l] = actives[j + l].exp;
-        pidx[l] = actives[j + l].pop;
-        ce[l] = static_cast<double>(cnt_exp[eidx[l]]);
-        cp[l] = static_cast<double>(cnt_pop[pidx[l]]);
-      }
-      const VF64 de = VF64::gather(dem_exp, eidx);
-      const VF64 dp = VF64::gather(dem_pop, pidx);
-      const VF64 qe =
-          VF64::mask_and(de / VF64::loadu(ce), VF64::gt_mask(de, vzero));
-      const VF64 qp =
-          VF64::mask_and(dp / VF64::loadu(cp), VF64::gt_mask(dp, vzero));
-      const VF64 up = qe + qp + vcore;
-      for (std::size_t l = 0; l < kW; ++l) {
-        out[j + l].upload_bits = up.lane(l);
-      }
-    }
-    upload_shares_scalar(actives + j, n - j, dem_exp, cnt_exp, dem_pop,
-                         cnt_pop, core_term, out + j);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Kernel 4 — per-stretch traffic fold
+// Kernel 3 — per-stretch traffic fold
 // ---------------------------------------------------------------------------
 //
 // tb[k] += al[k] * windows over the 5 contiguous traffic lanes

@@ -12,12 +12,13 @@
 // operations on the same values whatever the lane width (DESIGN.md
 // §"SIMD kernels").
 //
-// VF64 exposes exactly the operation set the two vectorized kernels in
-// sim/sweep_kernels.h (upload_shares, fold_traffic) need — this is not a
-// general vector library: unaligned load/store, broadcast, +, *, /,
-// `gt_mask`/`mask_and` (branchless `x > t ? v : 0` selects), per-lane
-// extract, and an index-array gather (native on AVX2, per-lane loads
-// elsewhere).
+// VF64 is not a general vector library. The one vectorized kernel in
+// sim/sweep_kernels.h (fold_traffic) uses unaligned load/store,
+// broadcast, + and *. The rest — /, `gt_mask`/`mask_and` (branchless
+// `x > t ? v : 0` selects), per-lane extract and an index-array gather
+// (native on AVX2, per-lane loads elsewhere) — served the per-peer
+// upload kernel the count route replaced; only tests/test_simd.cpp uses
+// them now.
 //
 // Alignment: `aligned_vector<T>` (a std::vector on AlignedAllocator)
 // gives the sweep's scratch arrays 64-byte alignment — one cache line,

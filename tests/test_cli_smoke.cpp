@@ -546,10 +546,10 @@ TEST(CliSmoke, SimulateAndLedgerReportsPinned) {
       {"simulate --days 1 --seed 7 --intensity uk_2018",
        0x95ffa7c044845525ULL},
       {"ledger --days 1 --seed 7 --intensity uk_2018 --schedule preload",
-       0x9a89bdb939aecd89ULL},
+       0xdc66e252161c64c9ULL},
       {"ledger --days 1 --seed 7 --metro us_sparse --intensity us_caiso "
        "--schedule all",
-       0x06bbf6207cdabc87ULL},
+       0x73d520f0dae28613ULL},
   };
   for (const Pin& pin : pins) {
     for (const char* threads : {" --threads 1", " --threads 3"}) {

@@ -339,14 +339,14 @@ TEST(ExperimentParity, ScheduleCellsPinned) {
                    "schedule": ["off", "preload", "route", "all"]}})",
       "schedule_pins");
   const std::map<std::string, std::uint64_t> pins = {
-      {"metro-london_top5_schedule-off", 0x88cb0e89cf7b6f3aULL},
-      {"metro-london_top5_schedule-preload", 0xabcbb675947902bdULL},
-      {"metro-london_top5_schedule-route", 0x5819d3897bf94914ULL},
-      {"metro-london_top5_schedule-all", 0x0bc330f5dccf4691ULL},
-      {"metro-us_sparse_schedule-off", 0x390883612398ed10ULL},
-      {"metro-us_sparse_schedule-preload", 0xfda267c14a7550c8ULL},
-      {"metro-us_sparse_schedule-route", 0xaecce09233a4335eULL},
-      {"metro-us_sparse_schedule-all", 0xce00211516ecbe1fULL},
+      {"metro-london_top5_schedule-off", 0xab87ac086109d5d8ULL},
+      {"metro-london_top5_schedule-preload", 0x2615faa3822219c1ULL},
+      {"metro-london_top5_schedule-route", 0x0c7d6b4b9caaea89ULL},
+      {"metro-london_top5_schedule-all", 0x5f37bf1b5530b627ULL},
+      {"metro-us_sparse_schedule-off", 0xf2cd13527c528a19ULL},
+      {"metro-us_sparse_schedule-preload", 0x423ec9f74ba66bc9ULL},
+      {"metro-us_sparse_schedule-route", 0xce194ef70f90784fULL},
+      {"metro-us_sparse_schedule-all", 0xf657bc959f0b309eULL},
   };
   const std::vector<ExperimentCell> cells = spec.cells();
   ASSERT_EQ(cells.size(), pins.size());

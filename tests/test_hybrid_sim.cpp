@@ -217,9 +217,32 @@ TEST(HybridSim, CollectTogglesOnlyDropMetrics) {
   lean.collect_swarms = false;
   const auto full = HybridSimulator(metro(), SimConfig{}).run(trace);
   const auto slim = HybridSimulator(metro(), lean).run(trace);
-  EXPECT_NEAR(slim.total.total().value(), full.total.total().value(), 1.0);
-  EXPECT_NEAR(slim.total.peer_total().value(),
-              full.total.peer_total().value(), 1.0);
+  // Totals must not depend on which metrics are collected: every lane
+  // is bit-identical, including between two runs that differ only in the
+  // per-user split (hourly rows on in both).
+  SimConfig no_users;
+  no_users.collect_per_user = false;
+  const auto hourly_only = HybridSimulator(metro(), no_users).run(trace);
+  for (const SimResult* other : {&slim, &hourly_only}) {
+    EXPECT_EQ(other->total.server, full.total.server);
+    EXPECT_EQ(other->total.cross_isp, full.total.cross_isp);
+    for (std::size_t l = 0; l < kLocalityLevels; ++l) {
+      EXPECT_EQ(other->total.peer[l], full.total.peer[l]);
+    }
+  }
+  ASSERT_EQ(hourly_only.hourly.size(), full.hourly.size());
+  for (std::size_t h = 0; h < full.hourly.size(); ++h) {
+    ASSERT_EQ(hourly_only.hourly[h].size(), full.hourly[h].size());
+    for (std::size_t isp = 0; isp < full.hourly[h].size(); ++isp) {
+      EXPECT_EQ(hourly_only.hourly[h][isp].server, full.hourly[h][isp].server);
+      for (std::size_t l = 0; l < kLocalityLevels; ++l) {
+        EXPECT_EQ(hourly_only.hourly[h][isp].peer[l],
+                  full.hourly[h][isp].peer[l]);
+      }
+    }
+  }
+  EXPECT_FALSE(hourly_only.hourly.empty());
+  EXPECT_TRUE(hourly_only.users.empty());
   EXPECT_TRUE(slim.swarms.empty());
   EXPECT_TRUE(slim.users.empty());
   EXPECT_TRUE(slim.hourly.empty());

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -19,9 +20,11 @@
 
 #include "core/analyzer.h"
 #include "sim/swarm_sweep.h"
+#include "trace/swarm_index.h"
 #include "trace/synthetic.h"
 #include "trace/trace_stats.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace cl {
@@ -550,6 +553,68 @@ TEST(ShardedSimulator, SimPhaseTimingIsPopulated) {
   EXPECT_EQ(timed.total.server.value(), untimed.total.server.value());
   EXPECT_EQ(timed.total.peer_total().value(),
             untimed.total.peer_total().value());
+}
+
+TEST(ShardedSimulator, StretchCountsNameTheRouteAndIgnoreThreads) {
+  // Three contents × two bitrates, each swarm holding peers of both ISPs
+  // 0 and 1, so under isp_friendly = false every swarm spans ISPs.
+  Rng rng(5);
+  std::vector<SessionRecord> sessions;
+  for (std::uint32_t u = 0; u < 600; ++u) {
+    SessionRecord s;
+    s.user = u;
+    s.household = u;
+    s.content = (u / 4) % 3;
+    s.isp = u % 2;
+    s.bitrate = (u / 2) % 2 == 0 ? BitrateClass::kSd : BitrateClass::kHd;
+    s.exp = static_cast<std::uint32_t>(rng.uniform_index(5));
+    s.start = rng.uniform(0.0, 6 * 3600.0);
+    s.duration = rng.exponential(1.0 / 1200.0);
+    sessions.push_back(s);
+  }
+  std::sort(sessions.begin(), sessions.end(),
+            [](const SessionRecord& a, const SessionRecord& b) {
+              return a.start < b.start;
+            });
+  Trace trace{std::move(sessions), Seconds{86400.0}, {}, {}};
+  trace.swarm_index = build_swarm_index(trace);
+  const TraceView view = TraceView::from_trace(trace);
+
+  const auto counts = [&](SimConfig config, unsigned threads) {
+    config.threads = threads;
+    SimPhaseTiming timing;
+    (void)HybridSimulator(metro(), config).run(view, &timing);
+    return std::array<std::uint64_t, 3>{timing.count_stretches,
+                                        timing.per_peer_stretches,
+                                        timing.overload_split_stretches};
+  };
+  SimConfig overload;
+  overload.overload = true;
+  SimConfig cross_isp;
+  cross_isp.isp_friendly = false;
+  SimConfig capacity;
+  capacity.matcher = MatcherKind::kCapacity;
+  for (const SimConfig& config :
+       {SimConfig{}, overload, cross_isp, capacity}) {
+    EXPECT_EQ(counts(config, 1), counts(config, 4));
+  }
+  // The default config sweeps every stretch on the count route...
+  const auto plain = counts(SimConfig{}, 1);
+  EXPECT_GT(plain[0], 0u);
+  EXPECT_EQ(plain[1], 0u);
+  EXPECT_EQ(plain[2], 0u);
+  // ...and so does the overload model, splitting some stretches.
+  const auto capped = counts(overload, 1);
+  EXPECT_EQ(capped[0], plain[0]);
+  EXPECT_EQ(capped[1], 0u);
+  EXPECT_GT(capped[2], 0u);
+  // ISP-spanning swarms and the capacity matcher go per-peer.
+  const auto spanning = counts(cross_isp, 1);
+  EXPECT_EQ(spanning[0], 0u);
+  EXPECT_GT(spanning[1], 0u);
+  const auto greedy = counts(capacity, 1);
+  EXPECT_EQ(greedy[0], 0u);
+  EXPECT_EQ(greedy[1], plain[0]);
 }
 
 }  // namespace

@@ -155,44 +155,6 @@ TEST(SweepKernels, GatherPeerColumnsNullUserLeavesOtherColumns) {
   }
 }
 
-TEST(SweepKernels, UploadSharesSimdMatchesScalarBitwise) {
-  constexpr std::size_t kExps = 16;
-  constexpr std::size_t kPops = 8;
-  for (const std::size_t n : boundary_lengths()) {
-    Rng rng(23 + n);
-    std::vector<ActivePeer> actives(n);
-    std::vector<std::uint32_t> cnt_exp(kExps, 0), cnt_pop(kPops, 0);
-    std::vector<double> dem_exp(kExps, 0.0), dem_pop(kPops, 0.0);
-    for (auto& a : actives) {
-      a.exp = static_cast<std::uint32_t>(rng.uniform_index(kExps));
-      a.pop = a.exp % kPops;
-      ++cnt_exp[a.exp];
-      ++cnt_pop[a.pop];
-    }
-    for (std::size_t e = 0; e < kExps; ++e) {
-      // Half the buckets have zero demand — exercises the masked select.
-      if (cnt_exp[e] > 0 && e % 2 == 0) dem_exp[e] = rng.uniform(1.0, 9e6);
-    }
-    for (std::size_t p = 0; p < kPops; ++p) {
-      if (cnt_pop[p] > 0 && p % 2 == 1) dem_pop[p] = rng.uniform(1.0, 9e6);
-    }
-    const double core_term = 1234.5;
-    std::vector<PeerAllocation> outs(n), outv(n);
-    sweep_kernels::upload_shares_scalar(actives.data(), n, dem_exp.data(),
-                                        cnt_exp.data(), dem_pop.data(),
-                                        cnt_pop.data(), core_term,
-                                        outs.data());
-    sweep_kernels::upload_shares(actives.data(), n, dem_exp.data(),
-                                 cnt_exp.data(), dem_pop.data(),
-                                 cnt_pop.data(), core_term, outv.data());
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(outs[j].upload_bits),
-                std::bit_cast<std::uint64_t>(outv[j].upload_bits))
-          << "n=" << n << " j=" << j;
-    }
-  }
-}
-
 TEST(SweepKernels, FoldTrafficSimdMatchesScalarBitwise) {
   Rng rng(31);
   for (int rep = 0; rep < 100; ++rep) {

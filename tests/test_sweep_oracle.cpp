@@ -1,20 +1,29 @@
-// Tests for the swarm sweep's event streams (sim/swarm_sweep.h) against
-// an independent per-window oracle.
+// Tests for the swarm sweep (sim/swarm_sweep.h) against an independent
+// per-window oracle.
 //
 // The oracle shares nothing with the sweep but ExistenceMatcher: it
 // walks every Δτ window of every swarm, collects that window's active
 // set by scanning all sessions, picks the seed (earliest join, lowest
 // index), allocates, applies the overload cap with warm = joined before
-// this window, and sums. No stretch batching, no event streams, no
-// lone-peer or pair shortcuts. run(view) and run_rows must agree with it
-// to a relative 1e-12 (the sweep multiplies one allocation by a stretch
-// length where the oracle adds it once per window).
+// this window, and sums totals, per-swarm lanes, hourly rows, spill and
+// per-user bytes. No stretch batching, no event streams, no bucket
+// counts, no lazy settlement. run(view) — the count route on every
+// single-ISP swarm — and run_rows — the per-peer route — must agree with
+// it to a relative 1e-12 on totals, swarms, hourly rows and spill (the
+// sweep multiplies one allocation by a stretch length where the oracle
+// adds it once per window), and to a relative 1e-9 or 1 bit on per-user
+// bytes (the count route settles uploads as differences of running
+// per-bucket integrals, which cancel).
 //
 // Inputs cover every branch of the event-stream sort:
-//  * random start-sorted traces (joins already in order, packed leaves);
+//  * random start-sorted traces (joins already in order, packed leaves
+//    under the comparison sort);
 //  * a hand-built trace whose sessions are listed out of start order
 //    (joins need the stable sort);
-//  * sessions past 2^40 windows (leaves too large for the packed keys).
+//  * sessions past 2^40 windows (leaves too large for the packed keys);
+// and the count route's settlement: a bucket held for 10^5 windows by
+// one peer while short visitors pass through it (a 601-session swarm, so
+// its packed leaves take the radix sort).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +32,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -54,6 +64,9 @@ Lanes lanes_of(const TrafficBreakdown& t) {
 struct OracleResult {
   Lanes total{};
   std::map<std::uint64_t, Lanes> swarms;  ///< by SwarmKey::packed()
+  std::map<std::pair<std::size_t, std::uint32_t>, Lanes> hourly;  ///< (h, isp)
+  std::map<std::size_t, double> hourly_spill;
+  std::map<std::uint32_t, std::array<double, 2>> users;  ///< down, up
   double spill = 0;
 };
 
@@ -99,6 +112,8 @@ OracleResult oracle(const Trace& trace, const SimConfig& config) {
         active.push_back(peer);
       }
       if (active.empty()) continue;
+      const auto hour =
+          static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
       // Listed by ascending index, so a strict < keeps the lowest index
       // among the earliest joiners.
       std::size_t seed = 0;
@@ -107,15 +122,18 @@ OracleResult oracle(const Trace& trace, const SimConfig& config) {
       }
       matcher.allocate(active, seed, config, alloc);
       if (config.overload) {
-        double demand = 0;
-        double capacity = 0;
+        // Demand and capacity compared as exact β sums (every β is an
+        // integer bit rate), so a tie — one fresh joiner as fast as the
+        // seed at q/β ≤ 1 — never overloads on a rounding of the sums.
+        double demand_beta = 0;
+        double warm_beta = 0;
         for (std::size_t i = 0; i < active.size(); ++i) {
-          for (const double p : alloc[i].peer_bits) demand += p;
-          demand += alloc[i].cross_isp_bits;
-          if (active[i].join_window < w) {
-            capacity += config.q_over_beta * active[i].beta * dt;
-          }
+          if (i != seed) demand_beta += active[i].beta;
+          if (active[i].join_window < w) warm_beta += active[i].beta;
         }
+        const double ratio = std::min(config.q_over_beta, 1.0);
+        const double demand = ratio * dt * demand_beta;
+        const double capacity = config.q_over_beta * dt * warm_beta;
         if (demand > capacity) {
           const double scale = capacity > 0 ? capacity / demand : 0.0;
           for (PeerAllocation& a : alloc) {
@@ -127,17 +145,25 @@ OracleResult oracle(const Trace& trace, const SimConfig& config) {
             moved += a.cross_isp_bits * (1 - scale);
             a.cross_isp_bits *= scale;
             a.server_bits += moved;
+            a.upload_bits *= scale;
             r.spill += moved;
+            r.hourly_spill[hour] += moved;
           }
         }
       }
-      for (const PeerAllocation& a : alloc) {
+      for (std::size_t i = 0; i < active.size(); ++i) {
+        const PeerAllocation& a = alloc[i];
         const Lanes l = {a.server_bits, a.peer_bits[0], a.peer_bits[1],
                          a.peer_bits[2], a.cross_isp_bits};
+        Lanes& row = r.hourly[{hour, active[i].isp}];
         for (std::size_t j = 0; j < l.size(); ++j) {
           r.total[j] += l[j];
           swarm[j] += l[j];
+          row[j] += l[j];
         }
+        auto& user = r.users[active[i].user];
+        user[0] += a.downloaded_bits();
+        user[1] += a.upload_bits;
       }
     }
   }
@@ -157,6 +183,13 @@ void expect_lanes_close(const Lanes& got, const Lanes& want,
   }
 }
 
+/// Per-user bytes: relative 1e-9, or 1 bit absolute.
+void expect_bytes_close(double got, double want, const std::string& what) {
+  EXPECT_LE(std::abs(got - want),
+            std::max(1.0, 1e-9 * std::max(std::abs(got), std::abs(want))))
+      << what << ": got " << got << ", oracle " << want;
+}
+
 void expect_matches_oracle(const SimResult& got, const OracleResult& want,
                            const std::string& what) {
   expect_lanes_close(lanes_of(got.total), want.total, what + " total");
@@ -168,27 +201,68 @@ void expect_matches_oracle(const SimResult& got, const OracleResult& want,
     expect_lanes_close(lanes_of(swarm.traffic), it->second,
                        what + " swarm " + std::to_string(swarm.key.packed()));
   }
+  if (got.config.collect_hourly) {
+    for (const auto& [cell, lanes] : want.hourly) {
+      ASSERT_LT(cell.first, got.hourly.size()) << what;
+      ASSERT_LT(cell.second, got.hourly[cell.first].size()) << what;
+    }
+    for (std::size_t h = 0; h < got.hourly.size(); ++h) {
+      for (std::uint32_t isp = 0; isp < got.hourly[h].size(); ++isp) {
+        const auto it = want.hourly.find({h, isp});
+        expect_lanes_close(lanes_of(got.hourly[h][isp]),
+                           it == want.hourly.end() ? Lanes{} : it->second,
+                           what + " hour " + std::to_string(h) + " isp " +
+                               std::to_string(isp));
+      }
+    }
+    if (got.config.overload) {
+      for (const auto& [hour, spill] : want.hourly_spill) {
+        ASSERT_LT(hour, got.hourly_spill.size()) << what;
+      }
+      for (std::size_t h = 0; h < got.hourly_spill.size(); ++h) {
+        const auto it = want.hourly_spill.find(h);
+        expect_close(got.hourly_spill[h].value(),
+                     it == want.hourly_spill.end() ? 0.0 : it->second,
+                     what + " spill hour " + std::to_string(h));
+      }
+    }
+  }
+  if (got.config.collect_per_user) {
+    ASSERT_EQ(got.users.size(), want.users.size()) << what;
+    for (const auto& [user, traffic] : got.users) {
+      const auto it = want.users.find(user);
+      ASSERT_NE(it, want.users.end()) << what << " user " << user;
+      expect_bytes_close(traffic.downloaded.value(), it->second[0],
+                         what + " user " + std::to_string(user) + " down");
+      expect_bytes_close(traffic.uploaded.value(), it->second[1],
+                         what + " user " + std::to_string(user) + " up");
+    }
+  }
 }
 
 /// Runs the columnar sweep (on an owned SoA view) and the row path
-/// (run_rows) under `config` with overload off and on, and checks both
-/// against the per-window oracle. Returns the overload run's oracle
-/// spill.
+/// (run_rows) under `config` at q/β = 1 and 0.3 (non-integer lanes),
+/// each with overload off and on, and checks both against the
+/// per-window oracle. Returns the oracle spill at q/β = 1 with overload.
 double check_against_oracle(const Trace& trace, SimConfig config,
                             const std::string& what) {
   double spill = 0;
-  for (const bool overload : {false, true}) {
-    config.overload = overload;
-    const std::string label = what + (overload ? " overload" : " steady");
-    const OracleResult want = oracle(trace, config);
-    EXPECT_GT(want.total[1] + want.total[2] + want.total[3] + want.total[4],
-              0.0)
-        << label << ": peers should share";
-    const HybridSimulator sim(metro(), config);
-    expect_matches_oracle(sim.run(TraceView::from_trace(trace)), want,
-                          label + " run(view)");
-    expect_matches_oracle(sim.run_rows(trace), want, label + " run_rows");
-    if (overload) spill = want.spill;
+  for (const double q_over_beta : {1.0, 0.3}) {
+    for (const bool overload : {false, true}) {
+      config.q_over_beta = q_over_beta;
+      config.overload = overload;
+      const std::string label = what + " q/b " + std::to_string(q_over_beta) +
+                                (overload ? " overload" : " steady");
+      const OracleResult want = oracle(trace, config);
+      EXPECT_GT(want.total[1] + want.total[2] + want.total[3] + want.total[4],
+                0.0)
+          << label << ": peers should share";
+      const HybridSimulator sim(metro(), config);
+      expect_matches_oracle(sim.run(TraceView::from_trace(trace)), want,
+                            label + " run(view)");
+      expect_matches_oracle(sim.run_rows(trace), want, label + " run_rows");
+      if (overload && q_over_beta == 1.0) spill = want.spill;
+    }
   }
   return spill;
 }
@@ -249,8 +323,11 @@ TEST(SweepOracle, RandomTracesMatchPerWindowOracle) {
     SimConfig config;
     config.isp_friendly = false;  // hash grouping, cross-ISP peers
     check_against_oracle(trace, config, what + " cross-ISP");
+    config.isp_friendly = true;
+    config.split_by_bitrate = false;  // count route with mixed β
+    check_against_oracle(trace, config, what + " mixed bitrate");
     trace.swarm_index = build_swarm_index(trace);
-    config.isp_friendly = true;  // swarms listed from the index
+    config.split_by_bitrate = true;  // swarms listed from the index
     EXPECT_GT(check_against_oracle(trace, config, what), 0.0)
         << what << ": the join bursts should overload";
   }
@@ -307,6 +384,36 @@ TEST(SweepOracle, WindowsPastPackedKeyRangeMatchPerWindowOracle) {
             });
   const Trace trace{std::move(sessions), Seconds{base + 3600.0}, {}, {}};
   EXPECT_GT(check_against_oracle(trace, config, "past 2^40"), 0.0);
+}
+
+TEST(SweepOracle, LongLivedBucketSettlesVisitorsWithinTolerance) {
+  // One peer holds exchange point 0 (with its PoP and the ISP core) for
+  // over 10^5 windows while short visitors pass, most of them through the
+  // same ExP. Those buckets never empty, so the count route's upload
+  // integrals never rebase and every visitor's upload settles as a small
+  // difference of two large running sums. Δτ = 1 s keeps the oracle's
+  // per-window walk short.
+  SimConfig config;
+  config.window = Seconds{1.0};
+  const double span = 120000.0;
+  std::vector<SessionRecord> sessions;
+  sessions.push_back(session(0, 0, 0.5, span - 1.0, 0, 0));
+  Rng rng(17);
+  for (std::uint32_t u = 1; u <= 600; ++u) {
+    const double start = rng.uniform(1.0, span - 200.0);
+    const double duration = rng.uniform(0.5, 120.0);
+    const auto exp = static_cast<std::uint32_t>(
+        rng.bernoulli(0.6) ? 0 : rng.uniform_index(8));
+    sessions.push_back(session(u, 0, start, duration, 0, exp));
+  }
+  std::sort(sessions.begin(), sessions.end(),
+            [](const SessionRecord& a, const SessionRecord& b) {
+              return a.start < b.start;
+            });
+  Trace trace{std::move(sessions), Seconds{span}, {}, {}};
+  trace.swarm_index = build_swarm_index(trace);
+  ASSERT_GE(span - 1.0, 1e5 * config.window.value());
+  check_against_oracle(trace, config, "long-lived");
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Vectorization drift gate for the sweep's auto-vectorized loops.
 
-Two sweep kernels are hand-vectorized with the VF64 lane wrapper
-(sim/sweep_kernels.h: upload_shares and fold_traffic). Every other hot
-loop — the window-bounds stripe fold among them — leans on the
-auto-vectorizer. Auto-vectorization is fragile: an innocent-looking edit
-(a new branch, an escaping pointer, a call the compiler can't inline)
-silently drops a loop back to scalar code and nobody notices until a
-bench regresses. This gate makes that drift loud.
+One sweep kernel is hand-vectorized with the VF64 lane wrapper
+(sim/sweep_kernels.h: fold_traffic). Every other hot loop — the
+window-bounds stripe fold among them — leans on the auto-vectorizer.
+Auto-vectorization is fragile: an innocent-looking edit (a new branch,
+an escaping pointer, a call the compiler can't inline) silently drops a
+loop back to scalar code and nobody notices until a bench regresses.
+This gate makes that drift loud.
 
 How it works:
 
