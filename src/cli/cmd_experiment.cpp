@@ -38,6 +38,8 @@ int cmd_experiment(const Args& args) {
       run_experiment(spec, run_config, &std::cout);
   std::cout << "wrote " << run.cells.size() << " cell files and manifest "
             << run.manifest_path << " (wall " << json_number(run.wall_seconds)
+            << " s: traces " << json_number(run.trace_seconds)
+            << " s, simulations " << json_number(run.simulate_seconds)
             << " s)\n";
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <ostream>
 
@@ -51,6 +52,67 @@ void write_cell_json(const std::string& path, const std::string& bench,
   }
 }
 
+inline constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// One shared stage item: a distinct trace or simulation.
+struct SharedItem {
+  std::size_t cell = 0;     ///< the first cell that reads it (its inputs)
+  std::size_t readers = 0;  ///< cells reading it whose tails are still due
+  double share = 0;         ///< its stage time over its readers
+};
+
+/// Which cells share which trace and simulation: cells with equal
+/// trace_key / simulation_key (cell_runner.h) share one.
+struct SharedPlan {
+  std::vector<SharedItem> traces;
+  std::vector<SharedItem> simulations;
+  std::vector<std::size_t> cell_trace;  ///< per cell: its trace, or kNone
+  std::vector<std::size_t> cell_sim;  ///< per cell: its simulation, or kNone
+};
+
+/// Finds `key` in `ids` or appends a new item for `cell`; counts the
+/// reader either way and returns the item's index.
+template <typename Key>
+std::size_t add_reader(std::map<Key, std::size_t>& ids,
+                  std::vector<SharedItem>& items, const Key& key,
+                  std::size_t cell) {
+  const auto [it, added] = ids.try_emplace(key, items.size());
+  if (added) items.push_back(SharedItem{cell});
+  ++items[it->second].readers;
+  return it->second;
+}
+
+[[nodiscard]] SharedPlan plan_shared_work(
+    const std::vector<ExperimentCell>& cells) {
+  SharedPlan plan;
+  std::map<TraceKey, std::size_t> trace_ids;
+  std::map<SimulationKey, std::size_t> sim_ids;
+  for (const ExperimentCell& cell : cells) {
+    const CellConfig& config = cell.config;
+    plan.cell_trace.push_back(
+        config.generates_trace()
+            ? add_reader(trace_ids, plan.traces, trace_key(config), cell.index)
+            : kNone);
+    plan.cell_sim.push_back(
+        config.simulate ? add_reader(sim_ids, plan.simulations,
+                                     simulation_key(config), cell.index)
+                        : kNone);
+  }
+  return plan;
+}
+
+/// Runs fn(i, inner) for every i in [0, n): up to `total` items at once,
+/// each on the leftover share of the threads. The split affects only
+/// wall time — every stage is bit-identical at any thread count.
+template <typename Fn>
+void run_stage(std::size_t n, unsigned total, Fn&& fn) {
+  if (n == 0) return;
+  const unsigned outer =
+      static_cast<unsigned>(std::min<std::size_t>(total, n));
+  const unsigned inner = std::max(1u, total / outer);
+  parallel_for_dynamic(n, outer, [&](std::size_t i) { fn(i, inner); });
+}
+
 }  // namespace
 
 void print_matrix(std::ostream& out, const ExperimentSpec& spec) {
@@ -81,49 +143,71 @@ ExperimentRunResult run_experiment(const ExperimentSpec& spec,
   const auto run_start = Clock::now();
   const std::vector<ExperimentCell> cells = spec.cells();
   std::filesystem::create_directories(config.out_dir);
+  SharedPlan plan = plan_shared_work(cells);
+  if (progress != nullptr) {
+    *progress << cells.size() << " cells: " << plan.traces.size()
+              << " traces, " << plan.simulations.size() << " simulations\n";
+  }
 
-  // Split the thread budget: up to `outer` cells in flight, each running
-  // its inner stages with the leftover share. The split affects only
-  // wall time — every subsystem is bit-identical at any thread count, so
-  // per-cell results do not depend on it.
+  // Shared stages: each distinct trace once, then each distinct
+  // simulation once, reading its trace by const reference.
   const unsigned total = resolve_threads(config.threads);
-  const unsigned outer = static_cast<unsigned>(
-      std::min<std::size_t>(total, cells.size()));
-  const unsigned inner = std::max(1u, total / outer);
-
-  std::mutex progress_mutex;
   ExperimentRunResult run;
-  run.cells = parallel_chunked_reduce_stateful(
-      cells.size(), outer,
-      /*make_state=*/[] { return 0; },
-      /*make_acc=*/[] { return std::vector<CellRunRecord>{}; },
-      /*chunk_fn=*/
-      [&](int&, std::vector<CellRunRecord>& acc, std::size_t begin,
-          std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto cell_start = Clock::now();
-          CellRunRecord record;
-          record.cell = cells[i];
-          record.outcome = run_cell(cells[i].config, inner);
-          record.wall_seconds = seconds_since(cell_start);
-          record.file = "BENCH_" + bench_name(spec, cells[i]) + ".json";
-          write_cell_json(
-              (std::filesystem::path(config.out_dir) / record.file).string(),
-              bench_name(spec, cells[i]), record, inner);
-          if (progress != nullptr) {
-            const std::lock_guard<std::mutex> lock(progress_mutex);
-            *progress << "  [" << cells[i].index + 1 << "/" << cells.size()
-                      << "] " << cells[i].slug << "  ("
-                      << json_number(record.wall_seconds) << " s)\n";
-          }
-          acc.push_back(std::move(record));
-        }
-      },
-      /*merge=*/
-      [](std::vector<CellRunRecord>& into, std::vector<CellRunRecord>& from) {
-        for (auto& record : from) into.push_back(std::move(record));
-      },
-      /*chunk_len=*/1);
+  run.traces = plan.traces.size();
+  run.simulations = plan.simulations.size();
+  const auto shared_start = Clock::now();
+  std::vector<Trace> traces(plan.traces.size());
+  run_stage(traces.size(), total, [&](std::size_t t, unsigned inner) {
+    const auto start = Clock::now();
+    SharedItem& item = plan.traces[t];
+    traces[t] = make_cell_trace(cells[item.cell].config, inner);
+    item.share = seconds_since(start) / item.readers;
+  });
+  run.trace_seconds = seconds_since(shared_start);
+  std::vector<SimulateRun> runs(plan.simulations.size());
+  run_stage(runs.size(), total, [&](std::size_t s, unsigned inner) {
+    const auto start = Clock::now();
+    SharedItem& item = plan.simulations[s];
+    runs[s] = simulate_cell(cells[item.cell].config,
+                            traces[plan.cell_trace[item.cell]], inner);
+    item.share = seconds_since(start) / item.readers;
+  });
+  run.simulate_seconds = seconds_since(shared_start) - run.trace_seconds;
+
+  // Per-cell tails. A trace or simulation is freed as soon as the last
+  // tail reading it finishes.
+  std::mutex mutex;  // guards the reader counts and progress
+  run.cells.resize(cells.size());
+  run_stage(cells.size(), total, [&](std::size_t i, unsigned inner) {
+    const auto tail_start = Clock::now();
+    const std::size_t t = plan.cell_trace[i];
+    const std::size_t s = plan.cell_sim[i];
+    CellRunRecord& record = run.cells[i];
+    record.cell = cells[i];
+    record.outcome =
+        finish_cell(cells[i].config, t == kNone ? nullptr : &traces[t],
+                    s == kNone ? nullptr : &runs[s], inner);
+    record.wall_seconds = seconds_since(tail_start);
+    if (t != kNone) record.wall_seconds += plan.traces[t].share;
+    if (s != kNone) record.wall_seconds += plan.simulations[s].share;
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (t != kNone && --plan.traces[t].readers == 0) traces[t] = Trace{};
+      if (s != kNone && --plan.simulations[s].readers == 0) {
+        runs[s] = SimulateRun{};
+      }
+    }
+    record.file = "BENCH_" + bench_name(spec, cells[i]) + ".json";
+    write_cell_json(
+        (std::filesystem::path(config.out_dir) / record.file).string(),
+        bench_name(spec, cells[i]), record, inner);
+    if (progress != nullptr) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      *progress << "  [" << cells[i].index + 1 << "/" << cells.size()
+                << "] " << cells[i].slug << "  ("
+                << json_number(record.wall_seconds) << " s)\n";
+    }
+  });
   run.wall_seconds = seconds_since(run_start);
 
   // The manifest: one BENCH_<spec>.json naming every cell file, itself
@@ -133,6 +217,7 @@ ExperimentRunResult run_experiment(const ExperimentSpec& spec,
   manifest.set("schema_version", std::int64_t{1});
   manifest.set("threads", static_cast<std::int64_t>(total));
   manifest.set("wall_seconds", run.wall_seconds);
+  manifest.set("shared_seconds", run.trace_seconds + run.simulate_seconds);
   if (!spec.description().empty()) {
     manifest.set("description", spec.description());
   }
@@ -154,6 +239,8 @@ ExperimentRunResult run_experiment(const ExperimentSpec& spec,
   JsonObject metrics;
   metrics.set("cells", static_cast<std::int64_t>(run.cells.size()));
   metrics.set("axes", static_cast<std::int64_t>(spec.axes().size()));
+  metrics.set("traces", static_cast<std::int64_t>(run.traces));
+  metrics.set("simulations", static_cast<std::int64_t>(run.simulations));
   manifest.set("metrics", metrics);
 
   run.manifest_path =

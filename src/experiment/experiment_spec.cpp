@@ -9,6 +9,7 @@
 #include "carbon/intensity_curve.h"
 #include "carbon/schedule.h"
 #include "topology/metro_registry.h"
+#include "trace/synthetic.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -536,6 +537,24 @@ std::vector<ExperimentCell> ExperimentSpec::cells() const {
       throw ParseError("cell '" + cell.slug +
                        "' sets schedule, overload or intensity, which only "
                        "act on the simulated run, but simulate is off");
+    }
+
+    // The generator's own preconditions, checked here so a bad cell fails
+    // before any cell has run or written its file.
+    if (cell.config.generates_trace()) {
+      if (cell.config.days < 1) {
+        throw ParseError("cell '" + cell.slug + "': days " +
+                         fmt_shortest(cell.config.days) +
+                         " is under the generated trace's 1-day minimum");
+      }
+      const std::uint32_t users =
+          TraceConfig::london_month_scaled(cell.config.days).users;
+      if (std::llround(users * cell.config.scale) == 0) {
+        throw ParseError("cell '" + cell.slug + "': scale " +
+                         fmt_shortest(cell.config.scale) +
+                         " leaves no users (" + std::to_string(users) +
+                         " x scale rounds to 0)");
+      }
     }
 
     cell.index = out.size();

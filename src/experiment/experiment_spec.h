@@ -45,6 +45,8 @@
 //
 // A cell with simulate off must set adoption or edge_cache and leave
 // schedule, overload and intensity (simulated-run settings) at default.
+// A cell that generates a trace (simulate on, or an edge cache) needs
+// days >= 1 and a scale that leaves at least one user.
 //
 // Every malformed input — unknown axis, empty value list, duplicate
 // axis, out-of-range value, missing intensity CSV — is a cl::ParseError
@@ -79,6 +81,12 @@ struct CellConfig {
   double scale = 1;
   std::uint64_t seed = 20130901;  ///< TraceConfig's master-seed default
   double qb = 1;
+
+  /// Whether the cell reads a generated trace: it simulates or runs edge
+  /// caches.
+  [[nodiscard]] bool generates_trace() const {
+    return simulate || edge_cache > 0;
+  }
 };
 
 /// One axis of the matrix: a parameter name plus its (post-pinning)

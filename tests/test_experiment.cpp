@@ -1,10 +1,12 @@
 // Tests of the experiment subsystem (src/experiment/): the spec loader's
 // reject matrix (every malformed spec is a distinct, actionable
 // ParseError), the matrix expansion semantics (order, pinning,
-// exclusion, canonical value forms), and the parity contracts — a cell
+// exclusion, canonical value forms), the parity contracts — a cell
 // run is bit-identical to a standalone `cl simulate` composition at
 // every thread count, and the checked-in ablation specs reproduce the
-// adoption and edge-cache models' numbers exactly.
+// adoption and edge-cache models' numbers exactly — and the runner's
+// shared work: a matrix shares exactly the traces and simulations whose
+// inputs are equal, and every shared cell equals its standalone run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 
 #include "core/analyzer.h"
 #include "experiment/cell_runner.h"
+#include "experiment/experiment_runner.h"
 #include "experiment/experiment_spec.h"
 #include "ext/adoption.h"
 #include "ext/edge_cache.h"
@@ -25,6 +28,8 @@
 #include "util/json.h"
 
 #include "fnv1a.h"
+#include "sim_equal.h"
+#include "temp_path.h"
 
 #ifndef CL_TEST_DATA_DIR
 #error "CMake must define CL_TEST_DATA_DIR"
@@ -169,6 +174,40 @@ TEST(ExperimentSpecReject, ZeroCellsAfterExclusion) {
   expect_reject(R"({"axes": {"adoption": [50]},
                     "exclude": [{"adoption": 50}]})",
                 "zero cells");
+}
+
+// The trace generator needs a whole day and at least one user. A spec
+// asking for less fails at parse time, before any cell has run or shared
+// its trace; cells that generate no trace are not held to it.
+TEST(ExperimentSpecReject, DaysUnderOneDay) {
+  expect_reject(R"({"base": {"days": 0.5}})",
+                "cell 'base': days 0.5 is under the generated trace's "
+                "1-day minimum");
+  expect_reject(R"({"base": {"simulate": "off", "edge_cache": 10},
+                    "axes": {"days": [1, 0.5]}})",
+                "cell 'days-0.5': days 0.5");
+  EXPECT_EQ(ExperimentSpec::parse(R"({"base": {"simulate": "off",
+                                   "adoption": 50, "days": 0.5}})",
+                                  "t")
+                .cell_count(),
+            1u);
+}
+
+TEST(ExperimentSpecReject, ScaleLeavesNoUsers) {
+  expect_reject(R"({"base": {"days": 1, "scale": 0.00001}})",
+                "cell 'base': scale 1e-05 leaves no users (30000 x scale "
+                "rounds to 0)");
+  expect_reject(R"({"base": {"days": 1, "scale": 0.00001,
+                             "simulate": "off", "edge_cache": 10}})",
+                "leaves no users");
+  EXPECT_EQ(ExperimentSpec::parse(R"({"base": {"scale": 0.00002}})", "t")
+                .cell_count(),
+            1u);  // 0.6 users round to 1
+  EXPECT_EQ(ExperimentSpec::parse(R"({"base": {"simulate": "off",
+                                   "adoption": 50, "scale": 0.00001}})",
+                                  "t")
+                .cell_count(),
+            1u);
 }
 
 TEST(ExperimentSpecReject, MissingSpecFile) {
@@ -428,6 +467,145 @@ TEST(ExperimentParity, EdgeCacheSpecMatchesBenchComputation) {
     EXPECT_EQ(metric(outcome.metrics, "cache_savings_" + params.name),
               EdgeCacheSimulator::savings(expected, params));
   }
+}
+
+// --- shared work --------------------------------------------------------
+
+/// Runs `spec` through run_experiment into this test's temp directory.
+ExperimentRunResult run_matrix(const ExperimentSpec& spec, unsigned threads) {
+  ExperimentRunConfig config;
+  config.out_dir = test::unique_temp_path(spec.name() + "_threads_" +
+                                          std::to_string(threads));
+  config.threads = threads;
+  return run_experiment(spec, config);
+}
+
+/// Two metros x overload x schedule {off, all}, plus four London cells:
+/// one with an edge cache (shares a trace and a simulation), one
+/// preloaded (its own trace), one at qb 0.5 (shares the trace only) and
+/// one adoption cell that runs no simulator. Every cell also solves the
+/// adoption fixed point.
+TEST(ExperimentRunner, SharedWorkEqualsStandaloneCells) {
+  const ExperimentSpec spec = ExperimentSpec::parse(
+      R"({"base": {"days": 1, "scale": 0.05, "adoption": 50},
+          "axes": {"metro": ["london_top5", "us_sparse"],
+                   "overload": ["off", "on"],
+                   "schedule": ["off", "all"],
+                   "edge_cache": ["off", 10],
+                   "preload": ["off", "7-9"],
+                   "qb": [1, 0.5],
+                   "simulate": ["on", "off"],
+                   "intensity": ["metro", "none"]},
+          "exclude": [
+            {"edge_cache": 10, "preload": "7-9"},
+            {"edge_cache": 10, "qb": 0.5},
+            {"edge_cache": 10, "simulate": "off"},
+            {"preload": "7-9", "qb": 0.5},
+            {"preload": "7-9", "simulate": "off"},
+            {"qb": 0.5, "simulate": "off"},
+            {"edge_cache": 10, "metro": "us_sparse"},
+            {"edge_cache": 10, "overload": "on"},
+            {"edge_cache": 10, "schedule": "all"},
+            {"preload": "7-9", "metro": "us_sparse"},
+            {"preload": "7-9", "overload": "on"},
+            {"preload": "7-9", "schedule": "all"},
+            {"qb": 0.5, "metro": "us_sparse"}, {"qb": 0.5, "overload": "on"},
+            {"qb": 0.5, "schedule": "all"},
+            {"simulate": "off", "metro": "us_sparse"},
+            {"simulate": "off", "overload": "on"},
+            {"simulate": "off", "schedule": "all"},
+            {"intensity": "none", "simulate": "on"},
+            {"intensity": "metro", "simulate": "off"}]})",
+      "shared");
+  const std::vector<ExperimentCell> cells = spec.cells();
+  ASSERT_EQ(cells.size(), 12u);
+  std::vector<CellOutcome> standalone;
+  for (const ExperimentCell& cell : cells) {
+    standalone.push_back(run_cell(cell.config, 1));
+  }
+
+  for (const unsigned threads : {1u, 2u, 7u, 0u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const ExperimentRunResult run = run_matrix(spec, threads);
+    // London, US and the preloaded London trace; four base simulations
+    // plus the preloaded and the qb 0.5 ones.
+    EXPECT_EQ(run.traces, 3u);
+    EXPECT_EQ(run.simulations, 6u);
+    ASSERT_EQ(run.cells.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      SCOPED_TRACE(cells[i].slug);
+      const CellOutcome& shared = run.cells[i].outcome;
+      EXPECT_EQ(run.cells[i].cell.slug, cells[i].slug);
+      EXPECT_EQ(shared.metrics.render(), standalone[i].metrics.render());
+      EXPECT_EQ(shared.sessions, standalone[i].sessions);
+      test::expect_sim_identical(shared.sim, standalone[i].sim);
+    }
+  }
+}
+
+/// The manifest's distinct-trace and distinct-simulation counts for a
+/// two-cell matrix over `base` and `axis`.
+std::pair<double, double> shared_counts(const std::string& base,
+                                        const std::string& axis) {
+  const ExperimentSpec spec = ExperimentSpec::parse(
+      "{\"base\": {" + base + "}, \"axes\": {" + axis + "}}", "plan");
+  const JsonValue manifest =
+      JsonValue::parse_file(run_matrix(spec, 0).manifest_path);
+  const JsonValue& metrics = *manifest.find("metrics");
+  EXPECT_EQ(metrics.find("cells")->as_number(), 2);
+  return {metrics.find("traces")->as_number(),
+          metrics.find("simulations")->as_number()};
+}
+
+TEST(ExperimentRunner, PlanSharesOnlyIdenticalInputs) {
+  using Counts = std::pair<double, double>;
+  const std::string day = R"("days": 1, )";
+  const std::string scale = R"("scale": 0.01, )";
+  const std::string small = day + scale + R"("intensity": "metro")";
+  // Tail-only parameters share both the trace and the simulation.
+  EXPECT_EQ(shared_counts(small, R"("schedule": ["off", "all"])"),
+            Counts(1, 1));
+  EXPECT_EQ(shared_counts(small, R"("edge_cache": ["off", 10])"),
+            Counts(1, 1));
+  EXPECT_EQ(shared_counts(small, R"("adoption": ["off", 50])"),
+            Counts(1, 1));
+  // A preload setting is no trace input while preload is off.
+  EXPECT_EQ(shared_counts(small, R"("preload_adoption": [0.5, 0.25])"),
+            Counts(1, 1));
+  // Simulation inputs share the trace only.
+  EXPECT_EQ(shared_counts(small, R"("qb": [1, 0.5])"), Counts(1, 2));
+  EXPECT_EQ(shared_counts(small, R"("overload": ["off", "on"])"),
+            Counts(1, 2));
+  EXPECT_EQ(shared_counts(day + R"("scale": 0.01)",
+                          R"("intensity": ["none", "uk_2018"])"),
+            Counts(1, 2));
+  // Trace inputs share nothing.
+  EXPECT_EQ(shared_counts(small, R"("metro": ["london_top5", "us_sparse"])"),
+            Counts(2, 2));
+  EXPECT_EQ(shared_counts(small, R"("seed": [1, 2])"), Counts(2, 2));
+  EXPECT_EQ(shared_counts(scale + R"("intensity": "metro")",
+                          R"("days": [1, 2])"),
+            Counts(2, 2));
+  EXPECT_EQ(shared_counts(day + R"("intensity": "metro")",
+                          R"("scale": [0.01, 0.02])"),
+            Counts(2, 2));
+  EXPECT_EQ(shared_counts(small, R"("preload": ["7-9", "8-9"])"),
+            Counts(2, 2));
+  EXPECT_EQ(shared_counts(small, R"("preload": ["7-9", "7-10"])"),
+            Counts(2, 2));
+  EXPECT_EQ(shared_counts(small + R"(, "preload": "7-9")",
+                          R"("preload_adoption": [0.5, 0.25])"),
+            Counts(2, 2));
+  // Cells that simulate nothing generate nothing.
+  EXPECT_EQ(shared_counts(R"("simulate": "off")", R"("adoption": [50, 5])"),
+            Counts(0, 0));
+
+  const ExperimentRunResult smoke = run_matrix(
+      ExperimentSpec::parse_file(std::string(CL_EXPERIMENTS_DIR) +
+                                 "/smoke_2x2.json"),
+      0);
+  EXPECT_EQ(smoke.traces, 2u);
+  EXPECT_EQ(smoke.simulations, 4u);
 }
 
 }  // namespace

@@ -27,6 +27,8 @@
 #include "util/rng.h"
 #include "util/stats.h"
 
+#include "sim_equal.h"
+
 namespace cl {
 namespace {
 
@@ -224,55 +226,6 @@ TEST(ParallelChunkedReduce, StatefulVariantReusesWorkerState) {
   }
 }
 
-/// Exact-equality comparison of two full SimResults (total, hourly grids,
-/// per-user map, per-swarm entries) — the simulator's bit-identity
-/// contract across thread counts.
-void expect_sim_result_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.span.value(), b.span.value());
-  EXPECT_EQ(a.total.server.value(), b.total.server.value());
-  EXPECT_EQ(a.total.cross_isp.value(), b.total.cross_isp.value());
-  for (std::size_t l = 0; l < kLocalityLevels; ++l) {
-    EXPECT_EQ(a.total.peer[l].value(), b.total.peer[l].value());
-  }
-
-  ASSERT_EQ(a.hourly.size(), b.hourly.size());
-  for (std::size_t h = 0; h < a.hourly.size(); ++h) {
-    ASSERT_EQ(a.hourly[h].size(), b.hourly[h].size());
-    for (std::size_t i = 0; i < a.hourly[h].size(); ++i) {
-      EXPECT_EQ(a.hourly[h][i].server.value(), b.hourly[h][i].server.value());
-      EXPECT_EQ(a.hourly[h][i].cross_isp.value(),
-                b.hourly[h][i].cross_isp.value());
-      for (std::size_t l = 0; l < kLocalityLevels; ++l) {
-        EXPECT_EQ(a.hourly[h][i].peer[l].value(),
-                  b.hourly[h][i].peer[l].value());
-      }
-    }
-  }
-
-  ASSERT_EQ(a.users.size(), b.users.size());
-  for (const auto& [user, traffic] : a.users) {
-    const auto it = b.users.find(user);
-    ASSERT_NE(it, b.users.end()) << "user " << user;
-    EXPECT_EQ(traffic.downloaded.value(), it->second.downloaded.value());
-    EXPECT_EQ(traffic.uploaded.value(), it->second.uploaded.value());
-  }
-
-  ASSERT_EQ(a.swarms.size(), b.swarms.size());
-  for (std::size_t s = 0; s < a.swarms.size(); ++s) {
-    EXPECT_EQ(a.swarms[s].key.packed(), b.swarms[s].key.packed());
-    EXPECT_EQ(a.swarms[s].sessions, b.swarms[s].sessions);
-    EXPECT_EQ(a.swarms[s].capacity, b.swarms[s].capacity);
-    EXPECT_EQ(a.swarms[s].traffic.server.value(),
-              b.swarms[s].traffic.server.value());
-    EXPECT_EQ(a.swarms[s].traffic.cross_isp.value(),
-              b.swarms[s].traffic.cross_isp.value());
-    for (std::size_t l = 0; l < kLocalityLevels; ++l) {
-      EXPECT_EQ(a.swarms[s].traffic.peer[l].value(),
-                b.swarms[s].traffic.peer[l].value());
-    }
-  }
-}
-
 SimResult run_sim(const Trace& trace, unsigned threads) {
   SimConfig config;  // all collection toggles on
   config.threads = threads;
@@ -288,7 +241,7 @@ TEST(ShardedSimulator, SimResultBitIdenticalAcrossThreadCounts) {
   // 0 = all hardware threads.
   for (unsigned threads : {2u, 7u, 0u}) {
     const SimResult result = run_sim(trace, threads);
-    expect_sim_result_identical(result, reference);
+    test::expect_sim_identical(result, reference);
   }
 }
 
@@ -309,7 +262,7 @@ TEST(ShardedSimulator, EmptyTraceIdenticalAcrossThreadCounts) {
   EXPECT_EQ(reference.total.total().value(), 0.0);
   EXPECT_TRUE(reference.swarms.empty());
   EXPECT_TRUE(reference.users.empty());
-  expect_sim_result_identical(run_sim(empty, 4), reference);
+  test::expect_sim_identical(run_sim(empty, 4), reference);
 }
 
 TEST(ShardedSimulator, SingleSwarmIdenticalAcrossThreadCounts) {
@@ -331,7 +284,7 @@ TEST(ShardedSimulator, SingleSwarmIdenticalAcrossThreadCounts) {
   const Trace trace{std::move(sessions), Seconds{86400.0}, {}, {}};
   const SimResult reference = run_sim(trace, 1);
   ASSERT_EQ(reference.swarms.size(), 1u);
-  expect_sim_result_identical(run_sim(trace, 4), reference);
+  test::expect_sim_identical(run_sim(trace, 4), reference);
 }
 
 TEST(ShardedSimulator, AllSubWindowSessionsIdenticalAcrossThreadCounts) {
@@ -358,7 +311,7 @@ TEST(ShardedSimulator, AllSubWindowSessionsIdenticalAcrossThreadCounts) {
   for (const auto& swarm : reference.swarms) {
     EXPECT_GT(swarm.capacity, 0.0);
   }
-  expect_sim_result_identical(run_sim(trace, 7), reference);
+  test::expect_sim_identical(run_sim(trace, 7), reference);
 }
 
 TEST(SimResultMerge, SumsConcatenatesAndFolds) {

@@ -41,6 +41,7 @@
 #include "util/error.h"
 #include "util/serialize.h"
 
+#include "sim_equal.h"
 #include "temp_path.h"
 
 #ifndef CL_TEST_DATA_DIR
@@ -87,51 +88,6 @@ void expect_columns_match_rows(const TraceView& view, const Trace& trace) {
     // patterns as the rows.
     ASSERT_EQ(view.start()[i], s.start) << "i=" << i;
     ASSERT_EQ(view.duration()[i], s.duration) << "i=" << i;
-  }
-}
-
-/// Exact-equality comparison of the SimResult fields the sweep produces.
-void expect_results_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.span.value(), b.span.value());
-  EXPECT_EQ(a.total.server.value(), b.total.server.value());
-  EXPECT_EQ(a.total.cross_isp.value(), b.total.cross_isp.value());
-  for (std::size_t l = 0; l < kLocalityLevels; ++l) {
-    EXPECT_EQ(a.total.peer[l].value(), b.total.peer[l].value());
-  }
-  EXPECT_EQ(a.overload_spill.value(), b.overload_spill.value());
-  ASSERT_EQ(a.hourly_spill.size(), b.hourly_spill.size());
-  for (std::size_t h = 0; h < a.hourly_spill.size(); ++h) {
-    EXPECT_EQ(a.hourly_spill[h].value(), b.hourly_spill[h].value());
-  }
-  ASSERT_EQ(a.hourly.size(), b.hourly.size());
-  for (std::size_t h = 0; h < a.hourly.size(); ++h) {
-    ASSERT_EQ(a.hourly[h].size(), b.hourly[h].size());
-    for (std::size_t i = 0; i < a.hourly[h].size(); ++i) {
-      EXPECT_EQ(a.hourly[h][i].server.value(), b.hourly[h][i].server.value());
-      for (std::size_t l = 0; l < kLocalityLevels; ++l) {
-        EXPECT_EQ(a.hourly[h][i].peer[l].value(),
-                  b.hourly[h][i].peer[l].value());
-      }
-    }
-  }
-  ASSERT_EQ(a.users.size(), b.users.size());
-  for (const auto& [user, traffic] : a.users) {
-    const auto it = b.users.find(user);
-    ASSERT_NE(it, b.users.end()) << "user " << user;
-    EXPECT_EQ(traffic.downloaded.value(), it->second.downloaded.value());
-    EXPECT_EQ(traffic.uploaded.value(), it->second.uploaded.value());
-  }
-  ASSERT_EQ(a.swarms.size(), b.swarms.size());
-  for (std::size_t s = 0; s < a.swarms.size(); ++s) {
-    EXPECT_EQ(a.swarms[s].key.packed(), b.swarms[s].key.packed());
-    EXPECT_EQ(a.swarms[s].sessions, b.swarms[s].sessions);
-    EXPECT_EQ(a.swarms[s].capacity, b.swarms[s].capacity);
-    EXPECT_EQ(a.swarms[s].traffic.server.value(),
-              b.swarms[s].traffic.server.value());
-    for (std::size_t l = 0; l < kLocalityLevels; ++l) {
-      EXPECT_EQ(a.swarms[s].traffic.peer[l].value(),
-                b.swarms[s].traffic.peer[l].value());
-    }
   }
 }
 
@@ -286,7 +242,7 @@ TEST(TraceView, SimResultsIdenticalRowsVsColumnsVsMmapEverywhere) {
       const bool per_peer = config.matcher == MatcherKind::kCapacity ||
                             !config.isp_friendly;
       if (per_peer) {
-        expect_results_identical(rows_reference, reference);
+        test::expect_sim_identical(rows_reference, reference);
       } else {
         expect_results_close(rows_reference, reference);
       }
@@ -296,9 +252,9 @@ TEST(TraceView, SimResultsIdenticalRowsVsColumnsVsMmapEverywhere) {
         const HybridSimulator sim(metro, config);
         const TraceView transposed = TraceView::from_trace(trace, threads);
         const TraceView mapped = TraceView::open_binary(path, threads);
-        expect_results_identical(sim.run(transposed), reference);
-        expect_results_identical(sim.run(mapped), reference);
-        expect_results_identical(sim.run_rows(trace), rows_reference);
+        test::expect_sim_identical(sim.run(transposed), reference);
+        test::expect_sim_identical(sim.run(mapped), reference);
+        test::expect_sim_identical(sim.run_rows(trace), rows_reference);
       }
     }
     std::filesystem::remove(path);
@@ -351,7 +307,7 @@ TEST(TraceView, SingleSessionSwarm) {
   config.collect_swarms = true;
   const SimResult soa = HybridSimulator(metro, config).run(view);
   const SimResult rows = HybridSimulator(metro, config).run_rows(trace);
-  expect_results_identical(soa, rows);
+  test::expect_sim_identical(soa, rows);
   // A lone peer has nobody to share with: everything comes from the CDN.
   EXPECT_EQ(soa.total.peer_total().value(), 0.0);
   EXPECT_GT(soa.total.server.value(), 0.0);
