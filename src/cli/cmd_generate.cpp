@@ -1,5 +1,6 @@
 // cmd_generate — synthesise a workload trace and write it as CSV.
 #include <iostream>
+#include <limits>
 
 #include "cli/cli_common.h"
 #include "cli/commands.h"
@@ -33,8 +34,12 @@ TraceConfig preset_config(const Args& args) {
   config.metro = metro_flag(args);
   config.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<std::int64_t>(config.seed)));
-  config.users = static_cast<std::uint32_t>(
-      args.get_int("users", static_cast<std::int64_t>(config.users)));
+  const std::int64_t users =
+      args.get_int("users", static_cast<std::int64_t>(config.users));
+  if (users < 1 || users > std::numeric_limits<std::uint32_t>::max()) {
+    throw ParseError("--users must be in [1, 4294967295]");
+  }
+  config.users = static_cast<std::uint32_t>(users);
   config.threads = threads_from(args);
   return config;
 }

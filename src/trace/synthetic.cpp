@@ -20,6 +20,10 @@ Rng content_rng(std::uint64_t seed, std::size_t id) {
   return Rng(seed ^ (0x517cc1b727220a95ULL * (id + 1)));
 }
 
+/// Users per build_users chunk, at least: below two chunks' worth the
+/// table fills serially and no stream jumps.
+constexpr std::size_t kMinUserChunk = std::size_t{1} << 16;
+
 /// The trace's session order: start time, then content, then user.
 bool start_order(const SessionRecord& a, const SessionRecord& b) {
   if (a.start != b.start) return a.start < b.start;
@@ -145,63 +149,52 @@ TraceGenerator::UserTable TraceGenerator::build_users(
              config.households_ratio * static_cast<double>(config.users))));
   const double sigma = config.user_activity_sigma;
   CL_EXPECTS(sigma >= 0);
-  // Three independent streams, each drawn by its own worker into its own
-  // array. The activity stream only draws its Box–Muller uniforms; the
-  // math runs afterwards, in parallel with the taste weights. The arrays
-  // are reserved on the calling thread, so their memory does not stay
-  // behind in the workers' malloc arenas once freed; the uniform pairs
-  // share one array (over glibc's 32 MiB mmap-threshold cap at paper
-  // scale), so freeing it returns its pages to the system.
+  const double skew = config.taste_skew;
+  // Three streams: placement (3 draws a user: ISP, exchange point,
+  // household), activity (rng.lognormal's 2 uniforms) and taste (1
+  // uniform). Each chunk of users jumps all three to its first user and
+  // writes the profiles and both sampler weights in one pass. Only
+  // placement may draw more (uniform_index rejects a draw with probability
+  // < bound/2⁶⁴), so it is the stream fill_in_chunks checks; the other
+  // two draw exactly their share. The arrays are reserved on the calling
+  // thread, so their memory does not stay behind in the workers' malloc
+  // arenas; zeroing them is each page's first touch, which three workers
+  // share. Tail is reserved before head: in the reverse order, glibc kept
+  // 25 MB of the freed paper-scale arrays resident once a second
+  // generator was destroyed.
   std::vector<UserProfile> profiles;
-  std::vector<std::array<double, 2>> activity_draws;  // u1, u2
-  std::vector<double> tail;  // mainstreamness, then the tail weights
+  std::vector<double> head;
+  std::vector<double> tail;
   profiles.reserve(n);
-  activity_draws.reserve(n);
   tail.reserve(n);
-  parallel_for_dynamic(3, config.threads, [&](std::size_t stream) {
-    switch (stream) {
-      case 0: {
-        Rng rng(config.seed ^ 0x5a5a5a5a5a5a5a5aULL);
-        for (std::size_t u = 0; u < n; ++u) {
-          UserProfile profile;
-          profile.isp = metro.sample_isp(rng);
-          profile.exp = metro.place_user(profile.isp, rng).exp;
-          profile.household =
-              static_cast<std::uint32_t>(rng.uniform_index(households));
-          profiles.push_back(profile);
-        }
-        break;
-      }
-      case 1: {
-        // The draws of rng.lognormal(0, sigma), in its order.
-        Rng rng(config.seed ^ 0xa5a5a5a5a5a5a5a5ULL);
-        for (std::size_t u = 0; u < n; ++u) {
-          const double u1 = 1.0 - rng.uniform();
-          activity_draws.push_back({u1, rng.uniform()});
-        }
-        break;
-      }
-      default: {
-        Rng rng(config.seed ^ 0x3c3c3c3c3c3c3c3cULL);
-        for (std::size_t u = 0; u < n; ++u) tail.push_back(rng.uniform());
-        break;
-      }
+  head.reserve(n);
+  parallel_for_dynamic(3, config.threads, [&](std::size_t array) {
+    if (array == 0) {
+      profiles.resize(n);
+    } else {
+      (array == 1 ? head : tail).resize(n);
     }
   });
-  const double skew = config.taste_skew;
-  std::vector<double> head(n);
-  parallel_shards(
-      n, config.threads, [&](unsigned, std::size_t begin, std::size_t end) {
+  fill_in_chunks(
+      Rng(config.seed ^ 0x5a5a5a5a5a5a5a5aULL), n, 3, config.threads,
+      kMinUserChunk, [&](Rng& placement, std::size_t begin, std::size_t end) {
+        Rng activity_rng(config.seed ^ 0xa5a5a5a5a5a5a5a5ULL);
+        activity_rng.discard(2 * std::uint64_t{begin});
+        Rng taste_rng(config.seed ^ 0x3c3c3c3c3c3c3c3cULL);
+        taste_rng.discard(begin);
         for (std::size_t u = begin; u < end; ++u) {
-          const auto [u1, u2] = activity_draws[u];
-          const double activity = std::exp(sigma * Rng::box_muller(u1, u2));
-          const double mainstream = tail[u];
+          UserProfile& profile = profiles[u];
+          profile.isp = metro.sample_isp(placement);
+          profile.exp = metro.place_user(profile.isp, placement).exp;
+          profile.household =
+              static_cast<std::uint32_t>(placement.uniform_index(households));
+          const double activity = activity_rng.lognormal(0, sigma);
+          const double mainstream = taste_rng.uniform();
           // The epsilon keeps every user reachable from every tier.
           head[u] = activity * (std::pow(mainstream, skew) + 1e-9);
           tail[u] = activity * (std::pow(1.0 - mainstream, skew) + 1e-9);
         }
       });
-  activity_draws = {};
   // Each sampler's prefix sum is serial; build the two side by side.
   std::optional<DiscreteSampler> head_sampler;
   std::optional<DiscreteSampler> tail_sampler;

@@ -45,9 +45,11 @@ struct TraceConfig {
   /// Worker threads for the user table and generate(). Every content item
   /// has its own deterministic RNG stream and a slot fixed by the session
   /// counts of the items before it; workers claim items one at a time and
-  /// fill their slots, then sort the time buckets concurrently. The three
-  /// user streams run side by side. The resulting trace is bit-identical
-  /// for every thread count. 0 = all hardware threads.
+  /// fill their slots, then sort the time buckets concurrently. The user
+  /// table fills in contiguous chunks of at least 2¹⁶ users, one per
+  /// worker, each jumping the three user streams (Rng::discard) to its
+  /// first user. The resulting trace is bit-identical for every thread
+  /// count. 0 = all hardware threads.
   unsigned threads = 1;
 
   std::uint32_t users = 60000;     ///< population (scaled-down London)

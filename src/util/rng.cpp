@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <bitset>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace cl {
 
@@ -26,6 +28,110 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+using State = std::array<std::uint64_t, 4>;
+
+/// The xoshiro256 state update: operator() without its output scrambler.
+/// Every operation is a shift, rotation or XOR, so it is linear over GF(2).
+void step(State& s) {
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+}
+
+/// A GF(2) polynomial of degree < 256: bit i is the coefficient of xⁱ.
+using Poly = std::array<std::uint64_t, 4>;
+
+bool coefficient(const Poly& a, unsigned i) {
+  return ((a[i / 64] >> (i % 64)) & 1U) != 0;
+}
+
+/// The state update's characteristic polynomial x²⁵⁶ + p(x); returns p.
+/// Found once, by Berlekamp–Massey over 512 steps of one state bit: the
+/// polynomial is primitive (the period is 2²⁵⁶ − 1), so it is the minimal
+/// polynomial of every nonzero bit sequence the update produces.
+const Poly& characteristic() {
+  static const Poly poly = [] {
+    constexpr std::size_t kDegree = 256;
+    std::bitset<2 * kDegree> seq;
+    State s{1, 0, 0, 0};
+    for (std::size_t k = 0; k < seq.size(); ++k) {
+      seq[k] = (s[0] & 1U) != 0;
+      step(s);
+    }
+    // Connection polynomials c(x) = 1 + c₁x + … + c_len·x^len, with
+    // seq[k] = Σ cᵢ·seq[k − i] once len is final.
+    std::bitset<2 * kDegree + 1> c;
+    std::bitset<2 * kDegree + 1> b;
+    c[0] = b[0] = true;
+    std::size_t len = 0;
+    std::size_t shift = 1;
+    for (std::size_t k = 0; k < seq.size(); ++k) {
+      bool discrepancy = seq[k];
+      for (std::size_t i = 1; i <= len; ++i) {
+        discrepancy ^= c[i] && seq[k - i];
+      }
+      if (!discrepancy) {
+        ++shift;
+        continue;
+      }
+      const auto prev = c;
+      c ^= b << shift;
+      if (2 * len <= k) {
+        len = k + 1 - len;
+        b = prev;
+        shift = 1;
+      } else {
+        ++shift;
+      }
+    }
+    CL_ENSURES(len == kDegree);
+    // The characteristic polynomial is c reversed: xʲ has coefficient
+    // c_{256−j}.
+    Poly p{};
+    for (unsigned j = 0; j < kDegree; ++j) {
+      if (c[kDegree - j]) p[j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+    return p;
+  }();
+  return poly;
+}
+
+/// a·x mod x²⁵⁶ + p.
+Poly times_x(const Poly& a, const Poly& p) {
+  Poly r{a[0] << 1, (a[1] << 1) | (a[0] >> 63), (a[2] << 1) | (a[1] >> 63),
+         (a[3] << 1) | (a[2] >> 63)};
+  if ((a[3] >> 63) != 0) {
+    for (std::size_t k = 0; k < r.size(); ++k) r[k] ^= p[k];
+  }
+  return r;
+}
+
+/// a² mod x²⁵⁶ + p. Squaring over GF(2) moves the bit of xⁱ to x²ⁱ; then
+/// the top half clears from the highest term down, x²⁵⁶⁺ⁱ = xⁱ·p.
+Poly square(const Poly& a, const Poly& p) {
+  std::array<std::uint64_t, 8> w{};
+  for (unsigned i = 0; i < 256; ++i) {
+    if (coefficient(a, i)) w[i / 32] |= std::uint64_t{1} << (2 * i % 64);
+  }
+  for (unsigned i = 256; i-- > 0;) {
+    const unsigned top = 256 + i;
+    const std::uint64_t bit = std::uint64_t{1} << (top % 64);
+    if ((w[top / 64] & bit) == 0) continue;
+    w[top / 64] ^= bit;
+    const unsigned words = i / 64;
+    const unsigned bits = i % 64;
+    for (unsigned k = 0; k < 4; ++k) {
+      w[k + words] ^= p[k] << bits;
+      if (bits != 0) w[k + words + 1] ^= p[k] >> (64 - bits);
+    }
+  }
+  return {w[0], w[1], w[2], w[3]};
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -38,14 +144,33 @@ Rng::Rng(std::uint64_t seed) {
 
 Rng::result_type Rng::operator()() {
   const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
+  step(s_);
   return result;
+}
+
+void Rng::discard(std::uint64_t n) {
+  // A jump costs 256 steps plus the polynomial powering, so short skips
+  // just step.
+  if (n < 1024) {
+    for (; n > 0; --n) step(s_);
+    return;
+  }
+  // xⁿ mod the characteristic polynomial, by square-and-multiply.
+  const Poly& p = characteristic();
+  Poly r{1, 0, 0, 0};
+  for (int bit = std::bit_width(n) - 1; bit >= 0; --bit) {
+    r = square(r, p);
+    if (((n >> bit) & 1U) != 0) r = times_x(r, p);
+  }
+  // Tⁿ·s = Σ rᵢ·Tⁱ·s (Cayley–Hamilton): accumulate the next 256 states.
+  State jumped{};
+  for (unsigned i = 0; i < 256; ++i) {
+    if (coefficient(r, i)) {
+      for (std::size_t k = 0; k < jumped.size(); ++k) jumped[k] ^= s_[k];
+    }
+    step(s_);
+  }
+  s_ = jumped;
 }
 
 double Rng::uniform() {
@@ -124,10 +249,6 @@ double Rng::normal() {
   // uniforms and streams remain alignment-independent.
   const double u1 = 1.0 - uniform();  // (0, 1]
   const double u2 = uniform();
-  return box_muller(u1, u2);
-}
-
-double Rng::box_muller(double u1, double u2) {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
 }
 
@@ -143,6 +264,38 @@ double Rng::lognormal(double mu, double sigma) {
 Rng Rng::split() {
   // A fresh generator seeded from this stream; avoids correlated lanes.
   return Rng((*this)());
+}
+
+void fill_in_chunks(
+    const Rng& stream, std::size_t n, std::uint64_t draws_per_item,
+    unsigned threads, std::size_t min_chunk,
+    const std::function<void(Rng&, std::size_t, std::size_t)>& fill) {
+  CL_EXPECTS(min_chunk > 0);
+  const std::size_t chunks = std::min<std::size_t>(
+      resolve_threads(threads, n), std::max<std::size_t>(1, n / min_chunk));
+  if (chunks <= 1) {
+    Rng rng = stream;
+    fill(rng, 0, n);
+    return;
+  }
+  const auto chunk_begin = [&](std::size_t c) { return n * c / chunks; };
+  // Each chunk's stream where it starts, then where its fill left it.
+  std::vector<Rng> start(chunks, stream);
+  std::vector<Rng> end(chunks, stream);
+  parallel_for_dynamic(chunks, threads, [&](std::size_t c) {
+    // Draw from a local copy: neighbouring slots share cache lines.
+    Rng rng = stream;
+    rng.discard(draws_per_item * chunk_begin(c));
+    start[c] = rng;
+    fill(rng, chunk_begin(c), chunk_begin(c + 1));
+    end[c] = rng;
+  });
+  for (std::size_t c = 1; c < chunks; ++c) {
+    if (end[c - 1] == start[c]) continue;
+    Rng rng = end[c - 1];
+    fill(rng, chunk_begin(c), n);
+    return;
+  }
 }
 
 DiscreteSampler::DiscreteSampler(std::vector<double> weights)

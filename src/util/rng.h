@@ -8,7 +8,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace cl {
@@ -30,6 +32,16 @@ class Rng {
 
   /// Next 64 random bits.
   result_type operator()();
+
+  /// Advances the stream by `n` draws, exactly as `n` calls of operator()
+  /// would, in O(log n). The xoshiro256 state update is linear over GF(2),
+  /// so n steps equal the polynomial xⁿ reduced modulo the update's
+  /// characteristic polynomial, applied to the state (Haramoto et al.
+  /// 2008). Short skips just step.
+  void discard(std::uint64_t n);
+
+  /// Same state, so the same draws from here on.
+  friend bool operator==(const Rng&, const Rng&) = default;
 
   /// Uniform double in [0, 1).
   double uniform();
@@ -54,12 +66,6 @@ class Rng {
   /// consumption of exactly two uniforms per call).
   double normal();
 
-  /// The Box–Muller transform normal() applies to its two uniforms,
-  /// u1 = 1 − uniform() ∈ (0, 1] and then u2 = uniform() ∈ [0, 1). Lets a
-  /// serial stream draw its uniforms now and leave the math to other
-  /// threads, with the same result.
-  static double box_muller(double u1, double u2);
-
   /// Normal variate with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
@@ -73,6 +79,25 @@ class Rng {
  private:
   std::array<std::uint64_t, 4> s_{};
 };
+
+/// Fills items [0, n) from one serial stream, split into contiguous chunks
+/// that run concurrently, with the result of one serial
+/// `fill(stream, 0, n)`.
+///
+/// `fill(rng, begin, end)` fills items [begin, end), drawing from `rng` in
+/// item order, normally `draws_per_item` draws an item. Chunk [b, e)
+/// starts from `stream` advanced by draws_per_item·b (Rng::discard), so
+/// no chunk waits for another. A sampler may draw more than its share
+/// (uniform_index rejects a draw with probability < bound/2⁶⁴), shifting
+/// the rest of the stream; so each chunk's end state is checked against
+/// the next chunk's start, and from the first mismatch on the items are
+/// refilled serially from the true end state. Chunks hold at least
+/// `min_chunk` items, one per worker at most; a single chunk is one plain
+/// serial fill and jumps nowhere.
+void fill_in_chunks(
+    const Rng& stream, std::size_t n, std::uint64_t draws_per_item,
+    unsigned threads, std::size_t min_chunk,
+    const std::function<void(Rng&, std::size_t, std::size_t)>& fill);
 
 /// Samples an index from an arbitrary non-negative weight vector.
 ///

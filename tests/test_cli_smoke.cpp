@@ -242,6 +242,23 @@ TEST(CliSmoke, HelpListsMetroPresets) {
   EXPECT_NE(result.output.find("fiber_dense"), std::string::npos);
 }
 
+TEST(CliSmoke, GenerateRejectsUsersOutsideUint32) {
+  // -1 used to wrap to 4294967295 users (bad_alloc), 4294967297 to 1 user,
+  // and 0 reached the generator's precondition.
+  const std::string out = cl::test::unique_temp_path("cl_smoke_users.csv");
+  for (const char* users : {"-1", "0", "4294967296", "4294967297"}) {
+    const RunResult result = run_cli("generate --out " + out +
+                                     " --preset small --days 1 --users " +
+                                     users + " --quiet");
+    EXPECT_EQ(result.exit_code, 2) << users << ": " << result.output;
+    EXPECT_NE(result.output.find("argument error: --users must be in "
+                                 "[1, 4294967295]"),
+              std::string::npos)
+        << users << ": " << result.output;
+    EXPECT_FALSE(std::filesystem::exists(out)) << users;
+  }
+}
+
 TEST(CliSmoke, GenerateRejectsUnknownMetroListingValidNames) {
   const std::string trace = cl::test::unique_temp_path("cl_smoke_nometro.csv");
   std::filesystem::remove(trace);

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -158,6 +161,108 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (a() == child()) ++equal;
   }
   EXPECT_LT(equal, 3);
+}
+
+TEST(Rng, DiscardEqualsRepeatedDraws) {
+  // 1023 and 1024 straddle the switch from stepping to the jump.
+  for (const std::uint64_t n :
+       {0ULL, 1ULL, 2ULL, 63ULL, 64ULL, 65ULL, 1023ULL, 1024ULL, 1000003ULL}) {
+    Rng jumped(71);
+    Rng stepped(71);
+    jumped.discard(n);
+    for (std::uint64_t i = 0; i < n; ++i) stepped();
+    EXPECT_EQ(jumped, stepped) << "n=" << n;
+    EXPECT_EQ(jumped(), stepped()) << "n=" << n;
+  }
+}
+
+TEST(Rng, DiscardComposes) {
+  const std::uint64_t big = std::uint64_t{1} << 40;
+  for (const auto& [a, b] :
+       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {5, 1000000},
+           {3000000000ULL, 2000000000ULL},  // sum past 2^32
+           {big, big + 7}}) {
+    Rng twice(73);
+    Rng once(73);
+    twice.discard(a);
+    twice.discard(b);
+    once.discard(a + b);
+    EXPECT_EQ(twice, once) << a << " + " << b;
+  }
+}
+
+TEST(Rng, EqualityTellsStatesOneDrawApart) {
+  Rng a(79);
+  Rng b(79);
+  EXPECT_EQ(a, b);
+  b();
+  EXPECT_NE(a, b);
+  a();
+  EXPECT_EQ(a, b);
+}
+
+/// fill_in_chunks over `n` items of `draws` draws each, where every item
+/// in `extra` draws once more, as a uniform_index rejection would.
+std::vector<std::uint64_t> chunked_fill(std::size_t n, std::uint64_t draws,
+                                        const std::set<std::size_t>& extra,
+                                        unsigned threads,
+                                        std::size_t min_chunk) {
+  std::vector<std::uint64_t> out(n);
+  fill_in_chunks(Rng(83), n, draws, threads, min_chunk,
+                 [&](Rng& rng, std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                     out[i] = rng();
+                     for (std::uint64_t d = 1; d < draws; ++d) out[i] ^= rng();
+                     if (extra.count(i) != 0) rng();
+                   }
+                 });
+  return out;
+}
+
+TEST(FillInChunks, RefillsAfterAnItemDrawsMore) {
+  // 3 draws per item put the later chunks past the jump threshold.
+  const std::size_t n = 5003;
+  for (const std::set<std::size_t>& extra :
+       std::vector<std::set<std::size_t>>{
+           {}, {0}, {n / 2}, {n - 1}, {10, n - 10}}) {
+    const auto serial = chunked_fill(n, 3, extra, 1, 1);
+    for (const unsigned threads : {2u, 3u, 7u}) {
+      EXPECT_EQ(chunked_fill(n, 3, extra, threads, 1), serial)
+          << "threads=" << threads << " extra draws=" << extra.size();
+    }
+  }
+}
+
+TEST(FillInChunks, SmallInputIsOneUnjumpedFill) {
+  const Rng stream(89);
+  int calls = 0;
+  fill_in_chunks(stream, 100, 3, 7, 64,
+                 [&](Rng& rng, std::size_t begin, std::size_t end) {
+                   ++calls;
+                   EXPECT_EQ(rng, stream);
+                   EXPECT_EQ(begin, 0u);
+                   EXPECT_EQ(end, 100u);
+                 });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(FillInChunks, ChunkCountFollowsThreadsAndMinimum) {
+  const auto count_chunks = [](std::size_t n, unsigned threads,
+                               std::size_t min_chunk) {
+    std::atomic<std::size_t> chunks{0};
+    fill_in_chunks(Rng(97), n, 1, threads, min_chunk,
+                   [&](Rng& rng, std::size_t begin, std::size_t end) {
+                     for (std::size_t i = begin; i < end; ++i) rng();
+                     ++chunks;
+                   });
+    return chunks.load();
+  };
+  EXPECT_EQ(count_chunks(100, 7, 1), 7u);
+  EXPECT_EQ(count_chunks(5, 7, 1), 5u);      // more threads than items
+  EXPECT_EQ(count_chunks(100, 7, 40), 2u);   // chunks of at least 40
+  EXPECT_EQ(count_chunks(100, 7, 100), 1u);
+  EXPECT_EQ(count_chunks(0, 7, 1), 1u);      // one empty fill
 }
 
 TEST(DiscreteSampler, RespectsWeights) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "trace/trace_stats.h"
 #include "util/error.h"
@@ -159,6 +161,46 @@ TEST(TraceGenerator, UserProfilesConsistentWithSessions) {
     EXPECT_EQ(s.isp, users[s.user].isp);
     EXPECT_EQ(s.exp, users[s.user].exp);
     EXPECT_EQ(s.household, users[s.user].household);
+  }
+}
+
+TEST(TraceGenerator, UserTableIdenticalAtEveryThreadCount) {
+  // 458753 = 7·2¹⁶ + 1 users split into 2, 3, 4 or 7 uneven chunks; the
+  // smaller tables fill as one chunk, some with more threads than users.
+  // The sessions' users cover the head/tail sampling weights, which
+  // users() omits.
+  const auto metro = Metro::london_top5();
+  const auto fields = [](const std::vector<UserProfile>& users) {
+    std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> out;
+    for (const UserProfile& u : users) {
+      out.emplace_back(u.household, u.isp, u.exp);
+    }
+    return out;
+  };
+  const auto session_users = [](const Trace& trace) {
+    std::vector<std::uint32_t> out;
+    for (const SessionRecord& s : trace.sessions) out.push_back(s.user);
+    return out;
+  };
+  for (const std::uint32_t users : {1u, 2u, 5u, 800u, 100003u, 458753u}) {
+    TraceConfig config;
+    config.days = 1;
+    config.users = users;
+    config.exemplar_views = {3000};
+    config.catalogue_tail = 20;
+    config.tail_views = 3000;
+    config.threads = 1;
+    TraceGenerator serial(config, metro);
+    const auto reference = fields(serial.users());
+    const auto reference_sessions = session_users(serial.generate());
+    for (const unsigned threads : {2u, 3u, 7u, 0u}) {
+      config.threads = threads;
+      TraceGenerator chunked(config, metro);
+      EXPECT_EQ(fields(chunked.users()), reference)
+          << "users=" << users << " threads=" << threads;
+      EXPECT_EQ(session_users(chunked.generate()), reference_sessions)
+          << "users=" << users << " threads=" << threads;
+    }
   }
 }
 
