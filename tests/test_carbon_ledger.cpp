@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <string>
 
 #include "carbon/intensity_curve.h"
+#include "ext/live.h"
+#include "fnv1a.h"
 #include "model/carbon_credit.h"
 #include "sim/hybrid_sim.h"
 #include "trace/synthetic.h"
@@ -237,6 +241,81 @@ TEST(CarbonLedger, SimulationEndToEnd) {
   for (const auto& e : baliga.entries()) {
     EXPECT_GE(e.cct, -1.0);
   }
+}
+
+// --- Bit-identity pin of the per-user path -------------------------------
+//
+// One FNV-1a digest over both energy models' ledgers: every entry's
+// (user, downloaded, uploaded, cct) bits, then median_cct() and
+// fraction_carbon_free(). The digests were taken before the per-user
+// settlement moved from hash maps to a user-ordered column, and hold at
+// every thread count: a change to the order in which any user's bytes
+// are summed, or to the ledger's statistics, moves them.
+
+template <typename T>
+void append_bits(std::string& bytes, T value) {
+  char raw[sizeof(T)];
+  std::memcpy(raw, &value, sizeof(T));
+  bytes.append(raw, sizeof(T));
+}
+
+std::uint64_t ledger_digest(const SimResult& result) {
+  std::string bytes;
+  for (const EnergyParams& params : {baliga_params(), valancius_params()}) {
+    const CarbonLedger ledger(result, params);
+    for (const LedgerEntry& e : ledger.entries()) {
+      append_bits(bytes, e.user);
+      append_bits(bytes, e.downloaded.value());
+      append_bits(bytes, e.uploaded.value());
+      append_bits(bytes, e.cct);
+    }
+    append_bits(bytes, ledger.median_cct());
+    append_bits(bytes, ledger.fraction_carbon_free());
+  }
+  return test::fnv1a(bytes);
+}
+
+void expect_ledger_digest(const Trace& trace, SimConfig config,
+                          std::uint64_t pinned) {
+  for (const unsigned threads : {1u, 2u, 7u, 0u}) {
+    config.threads = threads;
+    const SimResult result = HybridSimulator(metro(), config).run(trace);
+    ASSERT_FALSE(result.users.empty());
+    EXPECT_EQ(ledger_digest(result), pinned)
+        << "threads " << threads << ": 0x" << std::hex
+        << ledger_digest(result);
+  }
+}
+
+const Trace& scaled_london_day() {
+  static const Trace trace =
+      TraceGenerator(TraceConfig::london_month_scaled(1), metro()).generate();
+  return trace;
+}
+
+TEST(LedgerDigest, FlashSpikeWithOverloadPinned) {
+  const Trace trace =
+      generate_flash_crowd(metro(), flash_crowd_preset("spike", 2000, 7200, 1),
+                           5);
+  SimConfig config;
+  config.overload = true;
+  expect_ledger_digest(trace, config, 0x981028b0c1fd91c0ULL);
+}
+
+TEST(LedgerDigest, ScaledLondonDayExistencePinned) {
+  expect_ledger_digest(scaled_london_day(), SimConfig{}, 0x1765124d0f91beb4ULL);
+}
+
+TEST(LedgerDigest, ScaledLondonDayCapacityPinned) {
+  SimConfig config;
+  config.matcher = MatcherKind::kCapacity;
+  expect_ledger_digest(scaled_london_day(), config, 0x08e783422d7b4381ULL);
+}
+
+TEST(LedgerDigest, ScaledLondonDayIspSpanningPinned) {
+  SimConfig config;
+  config.isp_friendly = false;
+  expect_ledger_digest(scaled_london_day(), config, 0x69961408831f556eULL);
 }
 
 }  // namespace
