@@ -32,22 +32,24 @@ int main(int argc, char** argv) {
   sim_config.threads = run.threads();
   const Analyzer analyzer(bench::metro(), sim_config);
   const SimResult result = analyzer.simulate(trace);
+  // The settled per-user column: one entry per user who streamed.
   std::cout << "users simulated: " << result.users.size() << "\n";
   run.metrics().set("users_simulated", result.users.size());
 
-  for (const auto& params : analyzer.models()) {
-    const CarbonLedger ledger(result, params);
-    std::cout << "\nCDF of per-user CCT (" << params.name << "):\n";
+  // One ledger per model, in the analyzer's model order (standard_params).
+  const CarbonLedger valancius(result, valancius_params());
+  const CarbonLedger baliga(result, baliga_params());
+  for (const CarbonLedger* ledger : {&valancius, &baliga}) {
+    std::cout << "\nCDF of per-user CCT (" << ledger->params().name
+              << "):\n";
     TextTable table({"per-user CCT", "CDF"});
-    for (const auto& p : thin(empirical_cdf(ledger.cct_values()), 18)) {
+    for (const auto& p : thin(empirical_cdf(ledger->cct_values()), 18)) {
       table.add_row({fmt(p.x, 3), fmt(p.y, 4)});
     }
     table.print(std::cout);
-    print_ledger_summary(std::cout, ledger);
+    print_ledger_summary(std::cout, *ledger);
   }
 
-  const CarbonLedger valancius(result, valancius_params());
-  const CarbonLedger baliga(result, baliga_params());
   std::cout << "\nheadline: carbon-free users — Valancius "
             << fmt_pct(valancius.fraction_carbon_free()) << " (paper ~41%), "
             << "Baliga " << fmt_pct(baliga.fraction_carbon_free())

@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   write_trace_binary_file(bin_path, trace);
   const TraceView view = TraceView::open_binary(bin_path, run.threads());
 
-  // Pure sweep: the metric-collection toggles (per-user maps, hourly
+  // Pure sweep: the metric-collection toggles (per-user sums, hourly
   // grids, per-swarm rows) cost the same on both paths and would only
   // dilute the row-vs-SoA contrast this bench exists to measure.
   SimConfig config;

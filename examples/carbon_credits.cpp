@@ -9,6 +9,7 @@
 // Usage:  ./build/examples/carbon_credits
 #include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "carbon/intensity_curve.h"
 #include "core/analyzer.h"
@@ -33,16 +34,19 @@ int main() {
 
     // The best and worst balances illustrate the paper's point: heavy
     // sharers of popular content offset far more than they consume, while
-    // niche-content viewers keep their full footprint.
-    auto entries = ledger.entries();
-    std::sort(entries.begin(), entries.end(),
-              [](const LedgerEntry& a, const LedgerEntry& b) {
-                return a.cct > b.cct;
-              });
+    // niche-content viewers keep their full footprint. The entries are
+    // in user order; ties on CCT go to the lower user id.
+    const auto& entries = ledger.entries();
+    std::vector<LedgerEntry> top(std::min<std::size_t>(3, entries.size()));
+    std::partial_sort_copy(entries.begin(), entries.end(), top.begin(),
+                           top.end(),
+                           [](const LedgerEntry& a, const LedgerEntry& b) {
+                             return a.cct != b.cct ? a.cct > b.cct
+                                                   : a.user < b.user;
+                           });
     TextTable table({"user", "downloaded (GB)", "uploaded (GB)", "CCT"});
     std::cout << "top sharers:\n";
-    for (std::size_t i = 0; i < 3 && i < entries.size(); ++i) {
-      const auto& e = entries[i];
+    for (const auto& e : top) {
       table.add_row({std::to_string(e.user), fmt(e.downloaded.gigabytes(), 2),
                      fmt(e.uploaded.gigabytes(), 2), fmt(e.cct, 3)});
     }

@@ -1,29 +1,26 @@
 #include "core/carbon_ledger.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "model/carbon_credit.h"
 #include "util/error.h"
-#include "util/stats.h"
 
 namespace cl {
 
 CarbonLedger::CarbonLedger(const SimResult& result, EnergyParams params)
     : params_(std::move(params)) {
   params_.validate();
+  // The settled column is already in ascending user order.
   entries_.reserve(result.users.size());
-  for (const auto& [user, traffic] : result.users) {
+  for (const UserTraffic& traffic : result.users) {
     LedgerEntry entry;
-    entry.user = user;
+    entry.user = traffic.user;
     entry.downloaded = traffic.downloaded;
     entry.uploaded = traffic.uploaded;
     entry.cct = per_user_cct(traffic.downloaded, traffic.uploaded, params_);
     entries_.push_back(entry);
   }
-  std::sort(entries_.begin(), entries_.end(),
-            [](const LedgerEntry& a, const LedgerEntry& b) {
-              return a.user < b.user;
-            });
   // Collapse the hourly grid across ISPs: the intensity weighting only
   // needs "how much moved during hour h" (peer bits == user uploads).
   hourly_flows_.reserve(result.hourly.size());
@@ -53,8 +50,17 @@ double CarbonLedger::fraction_carbon_free() const {
 double CarbonLedger::median_cct() const {
   auto values = cct_values();
   if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return quantile_sorted(values, 0.5);
+  // quantile_sorted(sorted, 0.5) without the full sort: the order
+  // statistic at ⌊(n−1)/2⌋ and, for even n, the smallest value above it
+  // are the two sorted neighbours it interpolates, with the same weights.
+  const double pos = 0.5 * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), mid, values.end());
+  if (lo + 1 >= values.size()) return *mid;
+  const double frac = pos - static_cast<double>(lo);
+  const double next = *std::min_element(mid + 1, values.end());
+  return *mid * (1.0 - frac) + next * frac;
 }
 
 Energy CarbonLedger::total_credits() const {

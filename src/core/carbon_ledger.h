@@ -6,6 +6,10 @@
 // their uploads displaced) and owes l·γm per bit their modem moved. The
 // normalised balance is the per-user CCT of Eq. 13; users with CCT >= 0
 // stream carbon-free.
+//
+// The ledger reads SimResult::users, the simulator's settled per-user
+// column, in order: its entries come out in ascending user id with no
+// sort, and median_cct selects rather than sorts.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +40,15 @@ struct HourFlow {
 /// model.
 class CarbonLedger {
  public:
-  /// Requires `result` to have been produced with collect_per_user = true.
+  /// Requires `result` to have been produced with collect_per_user = true
+  /// (its `users` is the settled, user-ordered column).
   /// When the result also carries the hourly grid (collect_hourly), the
   /// ledger retains per-hour system flows and can weight its totals by a
   /// grid carbon-intensity curve (the gCO₂ methods below).
   CarbonLedger(const SimResult& result, EnergyParams params);
 
   [[nodiscard]] const EnergyParams& params() const { return params_; }
+  /// One entry per user, ascending user id (the column's order).
   [[nodiscard]] const std::vector<LedgerEntry>& entries() const {
     return entries_;
   }
@@ -54,7 +60,9 @@ class CarbonLedger {
   /// paper's ">70 % of users become carbon positive" metric.
   [[nodiscard]] double fraction_carbon_free() const;
 
-  /// Median per-user CCT.
+  /// Median per-user CCT: quantile_sorted(sorted CCTs, 0.5), bit for
+  /// bit, found by selection in O(n) instead of a full sort. 0 when the
+  /// ledger is empty.
   [[nodiscard]] double median_cct() const;
 
   /// Total credits issued by the CDN: PUE·γs · (all uploaded bits).

@@ -113,6 +113,9 @@ std::vector<SwarmEntry> list_swarms(
 /// grids would cost O(chunks × hours × isps) up front), and the merged
 /// grid is padded to the full [hours][isps] shape at the end (traffic-free
 /// cells stay zero), the overload spill vector to the same hour count.
+/// Each chunk ends by appending its per-user sums to its partial; the
+/// merged lists settle once into the user-ordered column, timed as part
+/// of the merge.
 template <typename SweepOne>
 SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
                        Seconds span, const std::vector<SwarmEntry>& swarms,
@@ -132,9 +135,16 @@ SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
         for (std::size_t i = begin; i < end; ++i) {
           sweep_one(sweep, swarms[i], acc);
         }
+        sweep.finish_chunk(acc);
       },
       [](SimResult& merged, const SimResult& chunk) { merged.merge(chunk); },
       swarms_per_chunk(swarms.size()), reduce_timing);
+  const auto settle_start = std::chrono::steady_clock::now();
+  result.settle_users();
+  if (reduce_timing != nullptr) {
+    reduce_timing->merge_seconds += std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - settle_start).count();
+  }
   if (config.collect_hourly) {
     const auto hours = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(span.value() / 3600.0)));

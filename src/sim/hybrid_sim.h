@@ -56,7 +56,7 @@ namespace cl {
 struct SimPhaseTiming {
   double group_seconds = 0;  ///< metro-fit validation + swarm grouping
   double sweep_seconds = 0;  ///< concurrent per-swarm sweep phase
-  double merge_seconds = 0;  ///< folding the per-chunk SimResult partials
+  double merge_seconds = 0;  ///< partial fold + per-user column settle
 
   // Per-kernel split of the sweep phase (sim/sweep_kernels.h), summed
   // across workers — CPU seconds, so the four can exceed sweep_seconds

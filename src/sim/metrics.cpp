@@ -1,6 +1,9 @@
 #include "sim/metrics.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <utility>
 
 namespace cl {
 
@@ -47,13 +50,49 @@ void SimResult::merge(const SimResult& other) {
     }
   }
 
-  for (const auto& [user, traffic] : other.users) {
-    UserTraffic& ut = users[user];
-    ut.downloaded += traffic.downloaded;
-    ut.uploaded += traffic.uploaded;
-  }
-
+  users.insert(users.end(), other.users.begin(), other.users.end());
   swarms.insert(swarms.end(), other.swarms.begin(), other.swarms.end());
+}
+
+void SimResult::settle_users() {
+  // Stable order by user id, so one user's entries keep their list
+  // (chunk) order: an LSD radix sort over the user-id bits that differ
+  // between some two entries, at most kDigitBits per pass.
+  constexpr unsigned kDigitBits = 11;
+  std::uint32_t differ = 0;
+  for (const UserTraffic& u : users) differ |= u.user ^ users[0].user;
+  if (differ != 0) {
+    const auto lo = static_cast<unsigned>(std::countr_zero(differ));
+    const auto hi = static_cast<unsigned>(std::bit_width(differ));
+    const unsigned passes = (hi - lo + kDigitBits - 1) / kDigitBits;
+    const unsigned width = (hi - lo + passes - 1) / passes;
+    const std::uint32_t mask = (std::uint32_t{1} << width) - 1;
+    std::vector<UserTraffic> scratch(users.size());
+    std::vector<std::size_t> count;
+    for (unsigned shift = lo; shift < hi; shift += width) {
+      const auto digit = [shift, mask](const UserTraffic& u) {
+        return static_cast<std::size_t>((u.user >> shift) & mask);
+      };
+      count.assign(std::size_t{mask} + 1, 0);
+      for (const UserTraffic& u : users) ++count[digit(u)];
+      std::size_t at = 0;
+      for (std::size_t& bucket : count) at += std::exchange(bucket, at);
+      for (const UserTraffic& u : users) scratch[count[digit(u)]++] = u;
+      users.swap(scratch);
+    }
+  }
+  // Fold each user's run in place.
+  std::size_t settled = 0;
+  for (std::size_t i = 0; i < users.size();) {
+    UserTraffic sum;
+    sum.user = users[i].user;
+    for (; i < users.size() && users[i].user == sum.user; ++i) {
+      sum.downloaded += users[i].downloaded;
+      sum.uploaded += users[i].uploaded;
+    }
+    users[settled++] = sum;
+  }
+  users.resize(settled);
 }
 
 double swarm_savings(const SwarmResult& swarm,

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "energy/accounting.h"
@@ -12,8 +11,9 @@
 
 namespace cl {
 
-/// Per-user byte totals (drives the Fig. 6 carbon-credit ledger).
+/// One user's byte totals (drives the Fig. 6 carbon-credit ledger).
 struct UserTraffic {
+  std::uint32_t user = 0;
   Bits downloaded;  ///< all useful bytes the user streamed
   Bits uploaded;    ///< bytes the user served to peers
 };
@@ -49,8 +49,13 @@ struct SimResult {
   /// gCO₂/kWh at consumption time.
   std::vector<std::vector<TrafficBreakdown>> hourly;
 
-  /// Per-user byte totals (empty unless config.collect_per_user).
-  std::unordered_map<std::uint32_t, UserTraffic> users;
+  /// Per-user byte totals (empty unless config.collect_per_user). In a
+  /// finished run this is the settled column: ascending user id, one
+  /// entry per user with a window-crossing session. A chunk partial
+  /// lists each user its swarms touched once, summed from 0 in the order
+  /// the sweep settled them (sim/swarm_sweep.h); merge() concatenates
+  /// the lists and settle_users() folds them into the column.
+  std::vector<UserTraffic> users;
 
   /// Bits the overload model (SimConfig::overload) bounced back to the
   /// CDN: peer transfers exceeding the warm members' aggregate upload
@@ -75,11 +80,19 @@ struct SimResult {
   /// Folds another partial into this one: sums `total`, element-wise adds
   /// the `hourly` per-ISP grids (growing this grid when `other`'s is
   /// larger), sums the overload spill (total and per-hour, same growth
-  /// rule), folds the per-user map, and appends `other.swarms` — so
-  /// merging chunk partials in ascending swarm-key order keeps `swarms`
-  /// globally key-sorted. `span` takes the larger of the two; `config` is
-  /// left untouched (partials of one run share it by construction).
+  /// rule), and appends `other.users` and `other.swarms` — so merging
+  /// chunk partials in ascending swarm-key order keeps `swarms` globally
+  /// key-sorted and lists every user's chunk sums in chunk order. `span`
+  /// takes the larger of the two; `config` is left untouched (partials
+  /// of one run share it by construction).
   void merge(const SimResult& other);
+
+  /// Folds the concatenated chunk lists in `users` into the settled
+  /// column: ascending user id, one entry per user, each user's totals
+  /// summed from 0 over their entries in list order — ((0 + c₀) + c₁) + …
+  /// over the chunks, the same sums at every thread count.
+  /// HybridSimulator::run calls it once, after the last merge.
+  void settle_users();
 };
 
 /// End-to-end savings of one swarm under an energy model (Eq. 1 evaluated

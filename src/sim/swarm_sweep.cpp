@@ -130,6 +130,12 @@ void for_each_hour(std::uint64_t wa, std::uint64_t wb, double dt,
   }
 }
 
+/// Home slot of a user id in the per-user table before masking
+/// (Fibonacci hashing: consecutive ids land far apart).
+std::size_t user_hash(std::uint32_t user) {
+  return static_cast<std::size_t>((user * 0x9E3779B97F4A7C15ULL) >> 32);
+}
+
 double seconds_between(std::chrono::steady_clock::time_point t0,
                        std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -227,8 +233,10 @@ void SwarmSweep::sweep_per_peer(std::size_t session_count,
                                 std::size_t max_hours,
                                 TrafficBreakdown& swarm_traffic,
                                 SimResult& out, MakePeer&& make_peer) {
+  const bool per_user = config_.collect_per_user;
   active_.clear();
   pos_.assign(session_count, -1);
+  if (per_user) peer_entry_.resize(session_count);
   replay_events(
       [&](std::uint32_t idx) {
         const auto i = static_cast<std::size_t>(pos_[idx]);
@@ -241,6 +249,7 @@ void SwarmSweep::sweep_per_peer(std::size_t session_count,
       [&](std::uint32_t idx, std::uint64_t window) {
         pos_[idx] = static_cast<std::int32_t>(active_.size());
         active_.push_back(make_peer(idx, window));
+        if (per_user) peer_entry_[idx] = user_entry(active_.back().user);
       },
       [&](std::uint64_t w0, std::uint64_t w1) {
         process_stretch(w0, w1, swarm_traffic, max_hours, out);
@@ -323,7 +332,7 @@ void SwarmSweep::process_stretch(std::uint64_t w0, std::uint64_t w1,
       sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic),
                                   alloc_lanes(alloc_row[i]), windows);
       if (config_.collect_per_user) {
-        UserTraffic& ut = out.users[active_[i].user];
+        UserTraffic& ut = user_sums_[peer_entry_[active_[i].session]];
         ut.downloaded += Bits{alloc_row[i].downloaded_bits() * windows};
         ut.uploaded += Bits{alloc_row[i].upload_bits * windows};
       }
@@ -449,7 +458,7 @@ void SwarmSweep::sweep_counts(std::size_t max_hours,
       touch(e);
       touch(p);
       const Snapshot& at_join = snap_[g];
-      UserTraffic& ut = out.users[g_user_[g]];
+      UserTraffic& ut = user_sums_[user_entry(g_user_[g])];
       ut.downloaded +=
           Bits{beta * dt * static_cast<double>(w_end_[g] - w_start_[g])};
       ut.uploaded += Bits{(e.phi - at_join.exp) + (p.phi - at_join.pop) +
@@ -578,6 +587,43 @@ void SwarmSweep::sweep_counts(std::size_t max_hours,
   CL_ENSURES(members == 0);
   for (Bucket* b : dirty_) b->dirty = false;
   dirty_.clear();
+}
+
+std::uint32_t SwarmSweep::user_entry(std::uint32_t user) {
+  if (2 * (user_sums_.size() + 1) > user_slots_.size()) {
+    // Grow to keep the table at most half full; re-slot this chunk's
+    // entries (other chunks' slots are stale anyway).
+    user_slots_.assign(std::max<std::size_t>(1024, 2 * user_slots_.size()),
+                       UserSlot{});
+    chunk_stamp_ = 1;
+    const std::size_t mask = user_slots_.size() - 1;
+    for (std::size_t e = 0; e < user_sums_.size(); ++e) {
+      std::size_t at = user_hash(user_sums_[e].user);
+      while (user_slots_[at & mask].stamp == chunk_stamp_) ++at;
+      user_slots_[at & mask] = {chunk_stamp_, static_cast<std::uint32_t>(e)};
+    }
+  }
+  const std::size_t mask = user_slots_.size() - 1;
+  for (std::size_t at = user_hash(user);; ++at) {
+    UserSlot& slot = user_slots_[at & mask];
+    if (slot.stamp != chunk_stamp_) {
+      slot = {chunk_stamp_, static_cast<std::uint32_t>(user_sums_.size())};
+      UserTraffic& sum = user_sums_.emplace_back();
+      sum.user = user;
+      return slot.entry;
+    }
+    if (user_sums_[slot.entry].user == user) return slot.entry;
+  }
+}
+
+void SwarmSweep::finish_chunk(SimResult& out) {
+  out.users.insert(out.users.end(), user_sums_.begin(), user_sums_.end());
+  user_sums_.clear();
+  if (++chunk_stamp_ == 0) {
+    // Stamp wrap-around: forget every slot explicitly.
+    std::fill(user_slots_.begin(), user_slots_.end(), UserSlot{});
+    chunk_stamp_ = 1;
+  }
 }
 
 void SwarmSweep::finish_swarm(SwarmKey key, std::size_t session_count,

@@ -39,6 +39,12 @@
 //    tests/test_sweep_oracle.cpp; bitwise where sweep() also runs
 //    per-peer) and the bench/micro_sweep baseline.
 //
+// Per-user bytes of both routes sum into per-chunk scratch: one running
+// (user, downloaded, uploaded) entry per user the chunk's swarms touched,
+// in first-touch order, found through a flat open-addressing table sized
+// to the chunk (not to the user-id range). finish_chunk() appends the
+// entries to the chunk partial and resets the scratch.
+//
 // A sweep accumulates into a partial SimResult; partials merge with
 // SimResult::merge (see sim/metrics.h) in ascending swarm-key order, so
 // the full simulation is bit-identical for every thread count and
@@ -105,6 +111,13 @@ class SwarmSweep {
   void sweep_rows(SwarmKey key, std::span<const std::uint32_t> indices,
                   const Trace& trace, SimResult& out);
 
+  /// Ends a reduction chunk: appends the chunk's per-user sums (one entry
+  /// per user its sweeps touched, first-touch order) to `out.users` and
+  /// resets the scratch for the next chunk. Call once after the chunk's
+  /// last sweep into `out`; without collect_per_user there is nothing to
+  /// append.
+  void finish_chunk(SimResult& out);
+
  private:
   /// One ExP or PoP of the count route, indexed by its id. An ExP bucket
   /// sums the β of all its members; a PoP bucket counts all its members
@@ -128,6 +141,14 @@ class SwarmSweep {
     double exp = 0;
     double pop = 0;
     double core = 0;
+  };
+
+  /// A slot of the per-user table: the user_sums_ index of a user the
+  /// chunk touched. Only slots whose `stamp` equals chunk_stamp_ belong
+  /// to the current chunk, so starting a chunk clears nothing.
+  struct UserSlot {
+    std::uint32_t stamp = 0;
+    std::uint32_t entry = 0;
   };
 
   /// Route counters of the swarm being swept (finish_swarm moves them to
@@ -178,6 +199,10 @@ class SwarmSweep {
   void sweep_counts(std::size_t max_hours, TrafficBreakdown& swarm_traffic,
                     SimResult& out);
 
+  /// The user_sums_ index of `user`'s running sum in the current chunk,
+  /// appending a zero entry on first touch.
+  std::uint32_t user_entry(std::uint32_t user);
+
   /// Adds the swarm's traffic to out.total, appends its per-swarm row
   /// when collect_swarms is on, and moves its route counters to timing_.
   void finish_swarm(SwarmKey key, std::size_t session_count,
@@ -221,6 +246,16 @@ class SwarmSweep {
   std::vector<Bucket> exp_buckets_, pop_buckets_;
   std::vector<Snapshot> snap_;
   std::vector<Bucket*> dirty_;
+
+  // Per-user chunk scratch (collect_per_user only): the running sums in
+  // first-touch order; the linear-probing table over them (power-of-two
+  // size, at most half full, grown to the largest chunk seen); the
+  // current chunk's stamp; and, on the per-peer route, each gathered
+  // session's user_sums_ index, looked up once at join.
+  std::vector<UserTraffic> user_sums_;
+  std::vector<UserSlot> user_slots_;
+  std::uint32_t chunk_stamp_ = 1;
+  std::vector<std::uint32_t> peer_entry_;
 };
 
 }  // namespace cl

@@ -11,8 +11,17 @@
 
 namespace cl::test {
 
+/// A finished run's per-user column: strictly ascending user ids, so no
+/// user is listed twice.
+inline void expect_users_settled(const SimResult& r) {
+  for (std::size_t i = 1; i < r.users.size(); ++i) {
+    ASSERT_LT(r.users[i - 1].user, r.users[i].user) << "entry " << i;
+  }
+}
+
 /// Every lane of two SimResults compared with EXPECT_EQ: span, total,
 /// spill, hourly grids and spill, per-user bytes and per-swarm entries.
+/// Both per-user columns must be settled.
 inline void expect_sim_identical(const SimResult& a, const SimResult& b) {
   const auto expect_traffic = [](const TrafficBreakdown& x,
                                  const TrafficBreakdown& y) {
@@ -36,12 +45,15 @@ inline void expect_sim_identical(const SimResult& a, const SimResult& b) {
       expect_traffic(a.hourly[h][i], b.hourly[h][i]);
     }
   }
+  expect_users_settled(a);
+  expect_users_settled(b);
   ASSERT_EQ(a.users.size(), b.users.size());
-  for (const auto& [user, traffic] : a.users) {
-    const auto it = b.users.find(user);
-    ASSERT_NE(it, b.users.end()) << "user " << user;
-    EXPECT_EQ(traffic.downloaded.value(), it->second.downloaded.value());
-    EXPECT_EQ(traffic.uploaded.value(), it->second.uploaded.value());
+  for (std::size_t i = 0; i < a.users.size(); ++i) {
+    const UserTraffic& x = a.users[i];
+    const UserTraffic& y = b.users[i];
+    ASSERT_EQ(x.user, y.user) << "entry " << i;
+    EXPECT_EQ(x.downloaded.value(), y.downloaded.value()) << "user " << x.user;
+    EXPECT_EQ(x.uploaded.value(), y.uploaded.value()) << "user " << x.user;
   }
   ASSERT_EQ(a.swarms.size(), b.swarms.size());
   for (std::size_t s = 0; s < a.swarms.size(); ++s) {

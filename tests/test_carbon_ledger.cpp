@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <string>
@@ -12,8 +13,11 @@
 #include "fnv1a.h"
 #include "model/carbon_credit.h"
 #include "sim/hybrid_sim.h"
+#include "sim_equal.h"
 #include "trace/synthetic.h"
 #include "util/error.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 namespace cl {
 namespace {
@@ -26,9 +30,9 @@ const Metro& metro() {
 SimResult fabricated_result() {
   SimResult result;
   // User 0: pure downloader. User 1: balanced sharer. User 2: heavy seeder.
-  result.users[0] = {Bits{1e9}, Bits{0}};
-  result.users[1] = {Bits{1e9}, Bits{0.8e9}};
-  result.users[2] = {Bits{1e9}, Bits{3e9}};
+  result.users.push_back({0, Bits{1e9}, Bits{0}});
+  result.users.push_back({1, Bits{1e9}, Bits{0.8e9}});
+  result.users.push_back({2, Bits{1e9}, Bits{3e9}});
   return result;
 }
 
@@ -59,7 +63,7 @@ TEST(CarbonLedger, ValanciusStricterThanBaliga) {
   // 0.8/1.0 = 0.8 > 0.73: user 1 is carbon free under both; craft a user
   // at 0.6 to split the models.
   SimResult result;
-  result.users[0] = {Bits{1e9}, Bits{0.6e9}};
+  result.users.push_back({0, Bits{1e9}, Bits{0.6e9}});
   const CarbonLedger valancius(result, valancius_params());
   const CarbonLedger baliga(result, baliga_params());
   EXPECT_LT(valancius.entries()[0].cct, 0.0);
@@ -99,11 +103,31 @@ TEST(CarbonLedger, MedianCct) {
               per_user_cct(Bits{1e9}, Bits{0.8e9}, baliga_params()), 1e-12);
 }
 
+TEST(CarbonLedger, MedianEqualsQuantileOfSortedCopy) {
+  // median_cct selects instead of sorting; it must return the very bits
+  // quantile_sorted gives on a fully sorted copy — odd and even counts,
+  // ties, and a ledger whose two middle values are equal.
+  Rng rng(17);
+  for (const std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 10u, 11u, 256u, 257u, 1000u}) {
+    SimResult result;
+    for (std::uint32_t u = 0; u < n; ++u) {
+      // Coarse byte grid: many users share a CCT.
+      result.users.push_back(
+          {u, Bits{1e9 * static_cast<double>(1 + rng.uniform_index(4))},
+           Bits{1e9 * static_cast<double>(rng.uniform_index(6))}});
+    }
+    const CarbonLedger ledger(result, valancius_params());
+    auto sorted = ledger.cct_values();
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(ledger.median_cct(), quantile_sorted(sorted, 0.5)) << n;
+  }
+}
+
 TEST(CarbonLedger, ZeroTrafficUserIsNeutral) {
   // A user who moved nothing at all has no footprint and no credits:
   // CCT is exactly 0 (carbon-neutral), and they count as carbon-free.
   SimResult result;
-  result.users[0] = {Bits{0}, Bits{0}};
+  result.users.push_back({0, Bits{0}, Bits{0}});
   const CarbonLedger ledger(result, baliga_params());
   ASSERT_EQ(ledger.entries().size(), 1u);
   EXPECT_DOUBLE_EQ(ledger.entries()[0].cct, 0.0);
@@ -118,9 +142,9 @@ TEST(CarbonLedger, UploadOnlyUserHitsTheCctCeilingForm) {
   // independent of how much was uploaded.
   const auto params = valancius_params();
   SimResult small, large;
-  small.users[0] = {Bits{0}, Bits{1e9}};
+  small.users.push_back({0, Bits{0}, Bits{1e9}});
   // ×8: an exact power-of-two scaling, so the ratio is bitwise identical.
-  large.users[0] = {Bits{0}, Bits{8e9}};
+  large.users.push_back({0, Bits{0}, Bits{8e9}});
   const CarbonLedger a(small, params);
   const CarbonLedger b(large, params);
   const double expected = params.pue * params.gamma_server.value() /
@@ -142,9 +166,9 @@ TEST(CarbonLedger, CreditCostBoundaryPueGammaSEqualsLossGammaM) {
   params.validate();
 
   SimResult result;
-  result.users[0] = {Bits{0}, Bits{5e9}};    // upload-only: exactly neutral
-  result.users[1] = {Bits{1e9}, Bits{1e9}};  // balanced: -0.5
-  result.users[2] = {Bits{1e9}, Bits{0}};    // pure downloader: -1
+  result.users.push_back({0, Bits{0}, Bits{5e9}});  // upload-only: neutral
+  result.users.push_back({1, Bits{1e9}, Bits{1e9}});  // balanced: -0.5
+  result.users.push_back({2, Bits{1e9}, Bits{0}});    // pure downloader: -1
   const CarbonLedger ledger(result, params);
   EXPECT_DOUBLE_EQ(ledger.entries()[0].cct, 0.0);
   EXPECT_DOUBLE_EQ(ledger.entries()[1].cct, -0.5);
@@ -281,6 +305,7 @@ void expect_ledger_digest(const Trace& trace, SimConfig config,
     config.threads = threads;
     const SimResult result = HybridSimulator(metro(), config).run(trace);
     ASSERT_FALSE(result.users.empty());
+    test::expect_users_settled(result);
     EXPECT_EQ(ledger_digest(result), pinned)
         << "threads " << threads << ": 0x" << std::hex
         << ledger_digest(result);

@@ -195,7 +195,7 @@ TEST(HybridSim, ConservationOnRealisticTrace) {
   // (4) Per-user downloads must add up to the grand total; per-user
   // uploads must equal peer-delivered bits.
   double down = 0, up = 0;
-  for (const auto& [user, traffic] : result.users) {
+  for (const UserTraffic& traffic : result.users) {
     down += traffic.downloaded.value();
     up += traffic.uploaded.value();
   }

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -331,9 +332,9 @@ TEST(SimResultMerge, SumsConcatenatesAndFolds) {
   b.hourly[0][1].server = Bits{2.0};
   b.hourly[1][0].server = Bits{9.0};
 
-  a.users[7] = {Bits{10.0}, Bits{1.0}};
-  b.users[7] = {Bits{20.0}, Bits{2.0}};
-  b.users[9] = {Bits{5.0}, Bits{0.0}};
+  // Chunk lists: merge concatenates them, settle_users folds them.
+  a.users = {{7, Bits{10.0}, Bits{1.0}}};
+  b.users = {{9, Bits{5.0}, Bits{0.0}}, {7, Bits{20.0}, Bits{2.0}}};
 
   SwarmResult s1, s2;
   s1.key = SwarmKey{.content = 1, .isp = 0, .bitrate = 1};
@@ -349,10 +350,17 @@ TEST(SimResultMerge, SumsConcatenatesAndFolds) {
   ASSERT_EQ(a.hourly.size(), 2u);
   EXPECT_EQ(a.hourly[0][1].server.value(), 13.0);
   EXPECT_EQ(a.hourly[1][0].server.value(), 9.0);
+  ASSERT_EQ(a.users.size(), 3u);
+  EXPECT_EQ(a.users[0].user, 7u);
+  EXPECT_EQ(a.users[1].user, 9u);
+  EXPECT_EQ(a.users[2].user, 7u);
+  a.settle_users();
   ASSERT_EQ(a.users.size(), 2u);
-  EXPECT_EQ(a.users[7].downloaded.value(), 30.0);
-  EXPECT_EQ(a.users[7].uploaded.value(), 3.0);
-  EXPECT_EQ(a.users[9].downloaded.value(), 5.0);
+  EXPECT_EQ(a.users[0].user, 7u);
+  EXPECT_EQ(a.users[0].downloaded.value(), 30.0);
+  EXPECT_EQ(a.users[0].uploaded.value(), 3.0);
+  EXPECT_EQ(a.users[1].user, 9u);
+  EXPECT_EQ(a.users[1].downloaded.value(), 5.0);
   ASSERT_EQ(a.swarms.size(), 2u);
   EXPECT_EQ(a.swarms[0].key.packed(), s1.key.packed());
   EXPECT_EQ(a.swarms[1].key.packed(), s2.key.packed());
@@ -363,7 +371,7 @@ TEST(SimResultMerge, MergingEmptyPartialIsIdentity) {
   a.total.server = Bits{42.0};
   a.hourly.assign(1, std::vector<TrafficBreakdown>(1));
   a.hourly[0][0].server = Bits{42.0};
-  a.users[1] = {Bits{42.0}, Bits{0.0}};
+  a.users = {{1, Bits{42.0}, Bits{0.0}}};
   const SimResult empty;
   a.merge(empty);
   EXPECT_EQ(a.total.server.value(), 42.0);
@@ -371,6 +379,112 @@ TEST(SimResultMerge, MergingEmptyPartialIsIdentity) {
   EXPECT_EQ(a.hourly[0][0].server.value(), 42.0);
   EXPECT_EQ(a.users.size(), 1u);
   EXPECT_TRUE(a.swarms.empty());
+}
+
+TEST(SimResultMerge, SettleFoldsEachUserFromZeroInListOrder) {
+  // Concatenated chunk lists with repeated users, small and large, with
+  // user ids up to 2^32 − 1 (three radix passes). Every
+  // settled total must be the left fold ((0 + c0) + c1) + … over that
+  // user's entries in list order — values of very different magnitude
+  // make any other order round differently.
+  Rng rng(23);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                              std::size_t{256}, std::size_t{20000}}) {
+    SimResult r;
+    std::vector<std::uint32_t> ids;
+    for (std::size_t i = 0; i < 64; ++i) {
+      ids.push_back(static_cast<std::uint32_t>(rng()));
+    }
+    ids.push_back(0);
+    ids.push_back(std::numeric_limits<std::uint32_t>::max());
+    std::map<std::uint32_t, std::pair<Bits, Bits>> want;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t user = ids[rng.uniform_index(ids.size())];
+      const double scale = rng.bernoulli(0.1) ? 1e16 : 1.0;
+      UserTraffic entry;
+      entry.user = user;
+      entry.downloaded = Bits{scale * rng.uniform(0.5, 1.5)};
+      entry.uploaded = Bits{rng.uniform(0.0, 3.0) / scale};
+      r.users.push_back(entry);
+      auto& [down, up] = want[user];
+      down += entry.downloaded;
+      up += entry.uploaded;
+    }
+    r.settle_users();
+    test::expect_users_settled(r);
+    ASSERT_EQ(r.users.size(), want.size()) << n;
+    auto it = want.begin();
+    for (const UserTraffic& got : r.users) {
+      ASSERT_EQ(got.user, it->first);
+      EXPECT_EQ(got.downloaded.value(), it->second.first.value()) << n;
+      EXPECT_EQ(got.uploaded.value(), it->second.second.value()) << n;
+      ++it;
+    }
+  }
+}
+
+TEST(ShardedSimulator, UserAcrossChunksSettlesAsChunkThenFold) {
+  // User 42 watches swarm A twice and swarms B and C once each. Three
+  // swarms make three single-swarm chunks, so A's chunk sums the user's
+  // two sessions in its scratch and the settle folds the three chunk
+  // sums. Each chunk sum is what a run of that swarm alone reports.
+  const auto swarm_sessions = [](std::uint32_t content, double first_start) {
+    std::vector<SessionRecord> sessions;
+    for (std::uint32_t u = 0; u < 12; ++u) {
+      SessionRecord s;
+      s.user = 100 * (content + 1) + u;
+      s.household = s.user;
+      s.content = content;
+      s.exp = (u * 7 + content) % 9;
+      s.bitrate = BitrateClass::kSd;
+      s.start = first_start + 37.0 * u;
+      s.duration = 300.0 + 53.0 * u;
+      sessions.push_back(s);
+    }
+    sessions[3].user = 42;
+    if (content == 0) sessions[9].user = 42;
+    return sessions;
+  };
+  std::vector<std::vector<SessionRecord>> swarms = {
+      swarm_sessions(0, 0.0), swarm_sessions(1, 113.0),
+      swarm_sessions(2, 257.0)};
+  std::vector<SessionRecord> all;
+  for (const auto& s : swarms) all.insert(all.end(), s.begin(), s.end());
+  const auto user_42 = [](const SimResult& r) {
+    test::expect_users_settled(r);
+    const auto it = std::find_if(
+        r.users.begin(), r.users.end(),
+        [](const UserTraffic& t) { return t.user == 42; });
+    EXPECT_NE(it, r.users.end());
+    return it == r.users.end() ? UserTraffic{} : *it;
+  };
+  for (const MatcherKind matcher :
+       {MatcherKind::kExistence, MatcherKind::kCapacity}) {
+    SimConfig config;
+    config.matcher = matcher;
+    Bits down;
+    Bits up;
+    for (const auto& s : swarms) {
+      const SimResult alone =
+          HybridSimulator(metro(), config)
+              .run(Trace{s, Seconds{86400.0}, {}, {}});
+      ASSERT_EQ(alone.swarms.size(), 1u);
+      const UserTraffic chunk = user_42(alone);
+      down += chunk.downloaded;
+      up += chunk.uploaded;
+    }
+    for (const unsigned threads : {1u, 3u}) {
+      config.threads = threads;
+      const SimResult full =
+          HybridSimulator(metro(), config)
+              .run(Trace{all, Seconds{86400.0}, {}, {}});
+      ASSERT_EQ(full.swarms.size(), 3u);
+      const UserTraffic settled = user_42(full);
+      EXPECT_EQ(settled.downloaded.value(), down.value());
+      EXPECT_EQ(settled.uploaded.value(), up.value());
+      EXPECT_GT(settled.uploaded.value(), 0.0);
+    }
+  }
 }
 
 TEST(ShardedSimulator, OversizedSwarmGuardIsInPlace) {

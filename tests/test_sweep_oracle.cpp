@@ -229,13 +229,16 @@ void expect_matches_oracle(const SimResult& got, const OracleResult& want,
   }
   if (got.config.collect_per_user) {
     ASSERT_EQ(got.users.size(), want.users.size()) << what;
-    for (const auto& [user, traffic] : got.users) {
-      const auto it = want.users.find(user);
-      ASSERT_NE(it, want.users.end()) << what << " user " << user;
+    // std::map iterates in ascending user order, as the column is laid out.
+    auto it = want.users.begin();
+    for (const UserTraffic& traffic : got.users) {
+      const std::uint32_t user = traffic.user;
+      ASSERT_EQ(user, it->first) << what;
       expect_bytes_close(traffic.downloaded.value(), it->second[0],
                          what + " user " + std::to_string(user) + " down");
       expect_bytes_close(traffic.uploaded.value(), it->second[1],
                          what + " user " + std::to_string(user) + " up");
+      ++it;
     }
   }
 }

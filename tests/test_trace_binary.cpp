@@ -980,11 +980,12 @@ TEST(TraceBinaryDeterminism, SimResultBitIdenticalMmapVsCsvAcrossThreads) {
       }
     }
     ASSERT_EQ(result.users.size(), reference.users.size());
-    for (const auto& [user, traffic] : reference.users) {
-      const auto it = result.users.find(user);
-      ASSERT_NE(it, result.users.end());
-      EXPECT_EQ(it->second.downloaded.value(), traffic.downloaded.value());
-      EXPECT_EQ(it->second.uploaded.value(), traffic.uploaded.value());
+    for (std::size_t u = 0; u < reference.users.size(); ++u) {
+      const UserTraffic& got = result.users[u];
+      const UserTraffic& want = reference.users[u];
+      ASSERT_EQ(got.user, want.user);
+      EXPECT_EQ(got.downloaded.value(), want.downloaded.value());
+      EXPECT_EQ(got.uploaded.value(), want.uploaded.value());
     }
   }
 }

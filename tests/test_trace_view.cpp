@@ -124,15 +124,16 @@ void expect_results_close(const SimResult& a, const SimResult& b) {
     }
   }
   ASSERT_EQ(a.users.size(), b.users.size());
-  for (const auto& [user, traffic] : a.users) {
-    const auto it = b.users.find(user);
-    ASSERT_NE(it, b.users.end()) << "user " << user;
+  for (std::size_t u = 0; u < a.users.size(); ++u) {
+    const UserTraffic& ta = a.users[u];
+    const UserTraffic& tb = b.users[u];
+    ASSERT_EQ(ta.user, tb.user) << "entry " << u;
     for (const auto& [x, y] :
-         {std::pair{traffic.downloaded.value(), it->second.downloaded.value()},
-          std::pair{traffic.uploaded.value(), it->second.uploaded.value()}}) {
+         {std::pair{ta.downloaded.value(), tb.downloaded.value()},
+          std::pair{ta.uploaded.value(), tb.uploaded.value()}}) {
       EXPECT_LE(std::abs(x - y),
                 std::max(1.0, 1e-9 * std::max(std::abs(x), std::abs(y))))
-          << "user " << user;
+          << "user " << ta.user;
     }
   }
   ASSERT_EQ(a.swarms.size(), b.swarms.size());
