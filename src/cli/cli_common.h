@@ -1,6 +1,7 @@
 // cli_common.h — helpers shared by the CLI subcommands.
 #pragma once
 
+#include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -9,6 +10,7 @@
 
 #include "carbon/intensity_curve.h"
 #include "carbon/schedule.h"
+#include "sim/hybrid_sim.h"
 #include "sim/sim_config.h"
 #include "topology/metro_registry.h"
 #include "topology/placement.h"
@@ -214,6 +216,41 @@ inline SimConfig sim_config_from(const Args& args) {
                      "' (existence|capacity)");
   }
   return config;
+}
+
+/// One `timing:` line of --timing output.
+inline void print_timing(std::ostream& out, const char* label,
+                         double seconds) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "timing: %-10s %9.3f s", label,
+                seconds);
+  out << buffer << "\n";
+}
+
+/// The --timing block of `cl simulate` and `cl ledger`: load, then the
+/// simulator's phases (docs/CLI.md), then a blank line.
+inline void print_sim_timing(std::ostream& out, double load_seconds,
+                             const SimPhaseTiming& timing) {
+  print_timing(out, "load", load_seconds);
+  print_timing(out, "group", timing.group_seconds);
+  print_timing(out, "sweep", timing.sweep_seconds);
+  // Per-kernel split of the sweep (sim/sweep_kernels.h) — CPU seconds
+  // summed across workers, so the four can exceed the sweep wall time
+  // when --threads > 1.
+  print_timing(out, "  gather1", timing.sweep_gather1_seconds);
+  print_timing(out, "  gather2", timing.sweep_gather2_seconds);
+  print_timing(out, "  events", timing.sweep_events_seconds);
+  print_timing(out, "  allocate", timing.sweep_allocate_seconds);
+  // Which route swept each stretch: the count route (existence matcher,
+  // single-ISP swarm) or the per-peer one; `allocate` times only the
+  // latter.
+  out << "timing:   stretches  count " << timing.count_stretches
+      << ", per-peer " << timing.per_peer_stretches << ", overload-split "
+      << timing.overload_split_stretches << "\n";
+  // The fold of the chunk partials on the calling thread, most of it
+  // while the sweep still runs, plus the settle after it.
+  print_timing(out, "merge", timing.merge_seconds);
+  out << "\n";
 }
 
 }  // namespace cl::cli

@@ -1,4 +1,5 @@
 // cmd_ledger — per-user carbon credit accounting over a trace.
+#include <chrono>
 #include <iostream>
 #include <optional>
 
@@ -13,11 +14,25 @@ namespace cl::cli {
 int cmd_ledger(const Args& args) {
   validate_intensity_flag(args);
   const ScheduleMode schedule = schedule_from(args);
+  const bool want_timing = args.has("timing");
+  using Clock = std::chrono::steady_clock;
+
+  // The ledger keeps the rows (a preload schedule transforms them), so
+  // "load" is the row load plus the transpose into the simulator's
+  // columns.
+  const auto load_start = Clock::now();
   const Trace trace = load_or_generate(args);
+  const TraceView view = TraceView::from_trace(trace, threads_from(args));
+  const double load_seconds =
+      std::chrono::duration<double>(Clock::now() - load_start).count();
+
   const Metro& metro = resolve_metro(args, trace);
   const IntensityCurve* intensity = intensity_from(args, metro.name());
   const Analyzer analyzer(metro, sim_config_from(args));
-  const SimResult base = analyzer.simulate(trace);
+  SimPhaseTiming timing;
+  const SimResult base = HybridSimulator(metro, analyzer.sim_config())
+                             .run(view, want_timing ? &timing : nullptr);
+  if (want_timing) print_sim_timing(std::cout, load_seconds, timing);
 
   // Under a preload schedule the ledgers account the *scheduled* run —
   // credits should reflect the traffic users actually carried. A flat
@@ -89,7 +104,11 @@ commands:
                                   capacities & popularity for targets
   ledger    [--trace PATH] [--metro NAME] [--qb R] [--intensity NAME]
             [--schedule off|preload|route|all] [--latency-bound MS]
+            [--timing]
                                   per-user carbon credit ledger
+                                  (--timing adds the same wall-time
+                                   lines as simulate, the per-user
+                                   settle counted in merge)
   experiment SPEC.json [--out-dir D] [--threads N] [--dry-run]
                                   expand a JSON experiment spec into its
                                   cell matrix and run every cell in

@@ -1,6 +1,5 @@
 // cmd_simulate — loads a trace, runs the shared pipeline and prints it.
 #include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "cli/cli_common.h"
@@ -9,17 +8,6 @@
 #include "core/report.h"
 
 namespace cl::cli {
-
-namespace {
-
-void print_timing(std::ostream& out, const char* label, double seconds) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "timing: %-10s %9.3f s", label,
-                seconds);
-  out << buffer << "\n";
-}
-
-}  // namespace
 
 int cmd_simulate(const Args& args) {
   validate_intensity_flag(args);
@@ -57,27 +45,7 @@ int cmd_simulate(const Args& args) {
                                        args.has("overload"),
                                        want_timing ? &timing : nullptr);
 
-  if (want_timing) {
-    print_timing(std::cout, "load", load_seconds);
-    print_timing(std::cout, "group", timing.group_seconds);
-    print_timing(std::cout, "sweep", timing.sweep_seconds);
-    // Per-kernel split of the sweep (sim/sweep_kernels.h) — CPU seconds
-    // summed across workers, so the four can exceed the sweep wall time
-    // when --threads > 1.
-    print_timing(std::cout, "  gather1", timing.sweep_gather1_seconds);
-    print_timing(std::cout, "  gather2", timing.sweep_gather2_seconds);
-    print_timing(std::cout, "  events", timing.sweep_events_seconds);
-    print_timing(std::cout, "  allocate", timing.sweep_allocate_seconds);
-    // Which route swept each stretch: the count route (existence
-    // matcher, single-ISP swarm) or the per-peer one; `allocate` times
-    // only the latter.
-    std::cout << "timing:   stretches  count " << timing.count_stretches
-              << ", per-peer " << timing.per_peer_stretches
-              << ", overload-split " << timing.overload_split_stretches
-              << "\n";
-    print_timing(std::cout, "merge", timing.merge_seconds);
-    std::cout << "\n";
-  }
+  if (want_timing) print_sim_timing(std::cout, load_seconds, timing);
 
   print_aggregate(std::cout, run.aggregate);
   if (run.config.overload) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <cstddef>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -108,53 +108,72 @@ std::vector<SwarmEntry> list_swarms(
 /// reusable SwarmSweep (scratch buffers + matcher) into its chunk's
 /// SimResult partial, and partials merge in ascending swarm-key order —
 /// bit-identical results at every thread count (the util/parallel.h
-/// contract). Partials start with an empty hourly grid; sweeps grow it
-/// only for the hours their swarms touch (a month of per-chunk full
-/// grids would cost O(chunks × hours × isps) up front), and the merged
-/// grid is padded to the full [hours][isps] shape at the end (traffic-free
-/// cells stay zero), the overload spill vector to the same hour count.
-/// Each chunk ends by appending its per-user sums to its partial; the
-/// merged lists settle once into the user-ordered column, timed as part
-/// of the merge.
+/// contract). A chunk's hourly traffic arrives as one flat block over the
+/// hours its swarms touched (SwarmSweep::finish_chunk); the fold adds it
+/// into one flat [hours][isps] grid sized up front to the span, and the
+/// grid becomes SimResult::hourly at the end (traffic-free cells stay
+/// zero), the overload spill likewise per hour. Each chunk also ends by
+/// appending its per-user sums to its partial; the merged lists settle
+/// once into the user-ordered column. The settle and the grid's
+/// conversion are timed as part of the merge.
 template <typename SweepOne>
 SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
                        Seconds span, const std::vector<SwarmEntry>& swarms,
                        SweepKernelTiming* kernel_timing,
                        ReduceTiming* reduce_timing, SweepOne&& sweep_one) {
-  SimResult result = parallel_chunked_reduce_stateful(
+  const std::size_t isps = metro.isp_count();
+  const std::size_t hours =
+      config.collect_hourly ? hour_count(span.value()) : 0;
+  // The merged grid, [hour][isp] row-major, and the per-hour spill. Only
+  // the calling thread folds into them (util/parallel.h).
+  std::vector<TrafficBreakdown> grid(hours * isps);
+  std::vector<Bits> grid_spill(config.overload ? hours : 0);
+  ChunkPartial merged = parallel_chunked_reduce_stateful(
       swarms.size(), config.threads,
       [&] { return SwarmSweep(metro, config, kernel_timing); },
       [&] {
-        SimResult partial;
-        partial.config = config;
-        partial.span = span;
+        ChunkPartial partial;
+        partial.result.config = config;
+        partial.result.span = span;
         return partial;
       },
-      [&](SwarmSweep& sweep, SimResult& acc, std::size_t begin,
+      [&](SwarmSweep& sweep, ChunkPartial& acc, std::size_t begin,
           std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          sweep_one(sweep, swarms[i], acc);
+          sweep_one(sweep, swarms[i], acc.result);
         }
         sweep.finish_chunk(acc);
       },
-      [](SimResult& merged, const SimResult& chunk) { merged.merge(chunk); },
+      [&](ChunkPartial& total, const ChunkPartial& chunk) {
+        total.result.merge(chunk.result);
+        const std::size_t at = chunk.first_hour * isps;
+        CL_ENSURES(at + chunk.hourly.size() <= grid.size());
+        for (std::size_t i = 0; i < chunk.hourly.size(); ++i) {
+          grid[at + i] += chunk.hourly[i];
+        }
+        if (!chunk.hourly_spill.empty()) {
+          CL_ENSURES(chunk.first_hour + chunk.hourly_spill.size() <=
+                     grid_spill.size());
+          for (std::size_t h = 0; h < chunk.hourly_spill.size(); ++h) {
+            grid_spill[chunk.first_hour + h] += chunk.hourly_spill[h];
+          }
+        }
+      },
       swarms_per_chunk(swarms.size()), reduce_timing);
   const auto settle_start = std::chrono::steady_clock::now();
+  SimResult result = std::move(merged.result);
   result.settle_users();
+  if (config.collect_hourly) {
+    result.hourly.resize(hours);
+    for (std::size_t h = 0; h < hours; ++h) {
+      const auto row = grid.begin() + static_cast<std::ptrdiff_t>(h * isps);
+      result.hourly[h].assign(row, row + static_cast<std::ptrdiff_t>(isps));
+    }
+    result.hourly_spill = std::move(grid_spill);
+  }
   if (reduce_timing != nullptr) {
     reduce_timing->merge_seconds += std::chrono::duration<double>(
         std::chrono::steady_clock::now() - settle_start).count();
-  }
-  if (config.collect_hourly) {
-    const auto hours = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(span.value() / 3600.0)));
-    if (result.hourly.size() < hours) result.hourly.resize(hours);
-    for (auto& hour : result.hourly) {
-      if (hour.size() < metro.isp_count()) hour.resize(metro.isp_count());
-    }
-    if (config.overload && result.hourly_spill.size() < hours) {
-      result.hourly_spill.resize(hours);
-    }
   }
   return result;
 }

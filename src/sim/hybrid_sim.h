@@ -30,10 +30,10 @@
 //
 // Parallel execution: swarms are independent, so run() shards the
 // key-sorted swarm list across SimConfig::threads workers. Each worker
-// drives one reusable SwarmSweep; per-chunk SimResult partials merge in
-// ascending swarm-key order (util/parallel.h), making the full result
-// bit-identical at every thread count (see DESIGN.md §"Parallel
-// execution model").
+// drives one reusable SwarmSweep; per-chunk partials fold in ascending
+// swarm-key order on the calling thread as they become ready
+// (util/parallel.h), making the full result bit-identical at every
+// thread count (see DESIGN.md §"Parallel execution model").
 //
 // Traces loaded from the binary columnar format carry a persisted
 // swarm-key-sorted index (trace/swarm_index.h); under the default full
@@ -52,11 +52,15 @@
 namespace cl {
 
 /// Wall-clock phase breakdown of one simulator run
-/// (`cl simulate --timing`).
+/// (`cl simulate --timing`, `cl ledger --timing`).
 struct SimPhaseTiming {
   double group_seconds = 0;  ///< metro-fit validation + swarm grouping
-  double sweep_seconds = 0;  ///< concurrent per-swarm sweep phase
-  double merge_seconds = 0;  ///< partial fold + per-user column settle
+  /// Concurrent per-swarm sweep phase, up to the last partial's fold.
+  double sweep_seconds = 0;
+  /// The calling thread's fold of the chunk partials — most of it inside
+  /// sweep_seconds, while other workers still sweep — plus the per-user
+  /// settle and the hourly grid's conversion after the sweep.
+  double merge_seconds = 0;
 
   // Per-kernel split of the sweep phase (sim/sweep_kernels.h), summed
   // across workers — CPU seconds, so the four can exceed sweep_seconds

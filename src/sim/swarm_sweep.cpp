@@ -37,14 +37,6 @@ const double* alloc_lanes(const PeerAllocation& al) {
   return reinterpret_cast<const double*>(&al);
 }
 
-/// Upper bound of the lazily grown hourly grid: a session ending past
-/// the span (corrupt #span= header) must fail loudly, exactly as the
-/// old span-sized-grid bounds check did.
-std::size_t hour_bound(double span_seconds) {
-  return std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(span_seconds / 3600.0)));
-}
-
 /// β lookup column for the gather kernel: bitrate class byte → bits/s.
 std::array<double, kBitrateClasses> beta_table() {
   std::array<double, kBitrateClasses> table{};
@@ -105,31 +97,6 @@ void sort_leave_keys(simd::aligned_vector<std::uint64_t>& keys,
   }
 }
 
-/// Splits the windows [wa, wb) at hour boundaries and calls
-/// fn(row, chunk) once per hour they touch: `row` is that hour's per-ISP
-/// traffic row and `chunk` the number of the windows inside it. The
-/// partial's grid grows lazily — only hours this swarm touches get a row
-/// (HybridSimulator::run pads the merged result).
-template <typename Fn>
-void for_each_hour(std::uint64_t wa, std::uint64_t wb, double dt,
-                   std::size_t max_hours, std::size_t isps, SimResult& out,
-                   Fn&& fn) {
-  std::uint64_t w = wa;
-  while (w < wb) {
-    const auto hour =
-        static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
-    const auto hour_end_window = static_cast<std::uint64_t>(
-        std::ceil(static_cast<double>(hour + 1) * 3600.0 / dt));
-    const std::uint64_t chunk_end = std::min(wb, hour_end_window);
-    CL_ENSURES(hour < max_hours);
-    if (hour >= out.hourly.size()) out.hourly.resize(hour + 1);
-    auto& row = out.hourly[hour];
-    if (row.size() < isps) row.resize(isps);
-    fn(row, static_cast<double>(chunk_end - w));
-    w = chunk_end;
-  }
-}
-
 /// Home slot of a user id in the per-user table before masking
 /// (Fibonacci hashing: consecutive ids land far apart).
 std::size_t user_hash(std::uint32_t user) {
@@ -143,6 +110,11 @@ double seconds_between(std::chrono::steady_clock::time_point t0,
 
 }  // namespace
 
+std::size_t hour_count(double span_seconds) {
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(span_seconds / 3600.0)));
+}
+
 SwarmSweep::SwarmSweep(const Metro& metro, const SimConfig& config,
                        SweepKernelTiming* timing)
     : metro_(&metro),
@@ -151,6 +123,36 @@ SwarmSweep::SwarmSweep(const Metro& metro, const SimConfig& config,
       timing_(timing) {
   CL_EXPECTS(config_.window.value() > 0);
   CL_EXPECTS(config_.q_over_beta >= 0);
+}
+
+void SwarmSweep::size_hours(std::size_t max_hours) {
+  if (hour_end_.size() >= max_hours) return;
+  const double dt = config_.window.value();
+  hour_end_.resize(max_hours);
+  for (std::size_t h = 0; h < max_hours; ++h) {
+    hour_end_[h] = static_cast<std::uint64_t>(
+        std::ceil(static_cast<double>(h + 1) * 3600.0 / dt));
+  }
+  hour_cells_.resize(max_hours * metro_->isp_count());
+  if (config_.overload) hour_spill_.resize(max_hours);
+}
+
+template <typename Fn>
+void SwarmSweep::for_each_hour(std::uint64_t wa, std::uint64_t wb,
+                               std::size_t max_hours, Fn&& fn) {
+  const double dt = config_.window.value();
+  const std::size_t isps = metro_->isp_count();
+  std::uint64_t w = wa;
+  while (w < wb) {
+    const auto hour =
+        static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
+    CL_ENSURES(hour < max_hours);
+    const std::uint64_t chunk_end = std::min(wb, hour_end_[hour]);
+    hour_lo_ = std::min(hour_lo_, hour);
+    hour_hi_ = std::max(hour_hi_, hour + 1);
+    fn(&hour_cells_[hour * isps], static_cast<double>(chunk_end - w));
+    w = chunk_end;
+  }
 }
 
 void SwarmSweep::build_event_streams(std::size_t crossings,
@@ -345,8 +347,8 @@ void SwarmSweep::process_stretch(std::uint64_t w0, std::uint64_t w1,
   if (config_.collect_hourly) {
     const auto fold_hourly = [&](const std::vector<PeerAllocation>& alloc_row,
                                  std::uint64_t wa, std::uint64_t wb) {
-      for_each_hour(wa, wb, dt, max_hours, metro_->isp_count(), out,
-                    [&](std::vector<TrafficBreakdown>& row, double chunk) {
+      for_each_hour(wa, wb, max_hours,
+                    [&](TrafficBreakdown* row, double chunk) {
                       for (std::size_t i = 0; i < active_.size(); ++i) {
                         sweep_kernels::fold_traffic(
                             traffic_lanes(row[active_[i].isp]),
@@ -360,14 +362,15 @@ void SwarmSweep::process_stretch(std::uint64_t w0, std::uint64_t w1,
 }
 
 void SwarmSweep::add_spill(std::uint64_t w0, double spill_bits,
-                           std::size_t max_hours, SimResult& out) const {
+                           std::size_t max_hours, SimResult& out) {
   out.overload_spill += Bits{spill_bits};
   if (!config_.collect_hourly) return;
   const auto hour = static_cast<std::size_t>(static_cast<double>(w0) *
                                              config_.window.value() / 3600.0);
   CL_ENSURES(hour < max_hours);
-  if (hour >= out.hourly_spill.size()) out.hourly_spill.resize(hour + 1);
-  out.hourly_spill[hour] += Bits{spill_bits};
+  hour_spill_[hour] += Bits{spill_bits};
+  hour_lo_ = std::min(hour_lo_, hour);
+  hour_hi_ = std::max(hour_hi_, hour + 1);
 }
 
 void SwarmSweep::sweep_counts(std::size_t max_hours,
@@ -568,8 +571,8 @@ void SwarmSweep::sweep_counts(std::size_t max_hours,
     if (config_.collect_hourly) {
       const auto fold_hourly = [&](const double* row_lanes, std::uint64_t wa,
                                    std::uint64_t wb) {
-        for_each_hour(wa, wb, dt, max_hours, metro_->isp_count(), out,
-                      [&](std::vector<TrafficBreakdown>& row, double chunk) {
+        for_each_hour(wa, wb, max_hours,
+                      [&](TrafficBreakdown* row, double chunk) {
                         sweep_kernels::fold_traffic(traffic_lanes(row[isp]),
                                                     row_lanes, chunk);
                       });
@@ -616,14 +619,29 @@ std::uint32_t SwarmSweep::user_entry(std::uint32_t user) {
   }
 }
 
-void SwarmSweep::finish_chunk(SimResult& out) {
-  out.users.insert(out.users.end(), user_sums_.begin(), user_sums_.end());
+void SwarmSweep::finish_chunk(ChunkPartial& out) {
+  out.result.users.insert(out.result.users.end(), user_sums_.begin(),
+                          user_sums_.end());
   user_sums_.clear();
   if (++chunk_stamp_ == 0) {
     // Stamp wrap-around: forget every slot explicitly.
     std::fill(user_slots_.begin(), user_slots_.end(), UserSlot{});
     chunk_stamp_ = 1;
   }
+  if (hour_lo_ >= hour_hi_) return;  // no hourly traffic in this chunk
+  const std::size_t isps = metro_->isp_count();
+  const auto cells = hour_cells_.begin();
+  out.first_hour = hour_lo_;
+  out.hourly.assign(cells + hour_lo_ * isps, cells + hour_hi_ * isps);
+  std::fill(cells + hour_lo_ * isps, cells + hour_hi_ * isps,
+            TrafficBreakdown{});
+  if (!hour_spill_.empty()) {
+    const auto spill = hour_spill_.begin();
+    out.hourly_spill.assign(spill + hour_lo_, spill + hour_hi_);
+    std::fill(spill + hour_lo_, spill + hour_hi_, Bits{});
+  }
+  hour_lo_ = std::numeric_limits<std::size_t>::max();
+  hour_hi_ = 0;
 }
 
 void SwarmSweep::finish_swarm(SwarmKey key, std::size_t session_count,
@@ -719,7 +737,8 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
   const bool count_route =
       config_.matcher == MatcherKind::kExistence && single_isp;
   const double span_seconds = view.span().value();
-  const std::size_t max_hours = hour_bound(span_seconds);
+  const std::size_t max_hours = hour_count(span_seconds);
+  if (config_.collect_hourly) size_hours(max_hours);
   build_event_streams(bounds.crossings, bounds.max_end_window);
   TrafficBreakdown swarm_traffic;
   allocate_seconds_ = 0;
@@ -793,9 +812,11 @@ void SwarmSweep::sweep_rows(SwarmKey key,
   for (std::size_t k = 1; k < sweep_kernels::kStripe; ++k) {
     watch_seconds += acc8[k];
   }
+  const std::size_t max_hours = hour_count(trace.span.value());
+  if (config_.collect_hourly) size_hours(max_hours);
   build_event_streams(crossings, max_end_window);
   TrafficBreakdown swarm_traffic;
-  sweep_per_peer(count, hour_bound(trace.span.value()), swarm_traffic, out,
+  sweep_per_peer(count, max_hours, swarm_traffic, out,
                  [&](std::uint32_t idx, std::uint64_t window) {
                    const SessionRecord& s = trace.sessions[indices[idx]];
                    ActivePeer peer;

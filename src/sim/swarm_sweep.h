@@ -42,17 +42,22 @@
 // Per-user bytes of both routes sum into per-chunk scratch: one running
 // (user, downloaded, uploaded) entry per user the chunk's swarms touched,
 // in first-touch order, found through a flat open-addressing table sized
-// to the chunk (not to the user-id range). finish_chunk() appends the
-// entries to the chunk partial and resets the scratch.
+// to the chunk (not to the user-id range). Hourly traffic (and the
+// overload spill per hour) folds into one flat [hour × ISP] grid per
+// worker, sized once to the span's hour count. finish_chunk() appends the
+// per-user entries to the chunk partial, copies the grid's touched hours
+// to it as one contiguous block, and resets both scratches.
 //
-// A sweep accumulates into a partial SimResult; partials merge with
-// SimResult::merge (see sim/metrics.h) in ascending swarm-key order, so
-// the full simulation is bit-identical for every thread count and
-// between the mmap'd and owned-SoA inputs of sweep().
+// A chunk's sweeps accumulate into its ChunkPartial; partials fold in
+// ascending swarm-key order (SimResult::merge plus the hourly blocks, see
+// sim/hybrid_sim.cpp), so the full simulation is bit-identical for every
+// thread count and between the mmap'd and owned-SoA inputs of sweep().
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -85,6 +90,23 @@ struct SweepKernelTiming {
   std::atomic<std::uint64_t> overload_split_stretches{0};  ///< either route
 };
 
+/// Hours of the hourly grid over a span of `span_seconds`: ⌈span / 1 h⌉,
+/// at least one. A sweep fails loudly on a session ending past them (a
+/// corrupt #span= header).
+[[nodiscard]] std::size_t hour_count(double span_seconds);
+
+/// One reduction chunk's partial result. `result` holds everything a
+/// sweep adds to but the hourly fields: the chunk's hourly traffic comes
+/// from SwarmSweep::finish_chunk as one flat block over the hours its
+/// swarms touched, and HybridSimulator's fold adds the blocks into the
+/// merged [hours][isps] grid.
+struct ChunkPartial {
+  SimResult result;
+  std::size_t first_hour = 0;            ///< hour of the block's first row
+  std::vector<TrafficBreakdown> hourly;  ///< [hour − first_hour][isp], flat
+  std::vector<Bits> hourly_spill;  ///< [hour − first_hour] (overload only)
+};
+
 /// One worker's reusable swarm-sweep engine.
 class SwarmSweep {
  public:
@@ -98,10 +120,9 @@ class SwarmSweep {
 
   /// Sweeps one swarm (the sessions at `indices` into `view`'s columns)
   /// and accumulates its traffic into `out` — the columnar hot path.
-  /// When `config.collect_hourly` is set, `out.hourly` grows lazily to
-  /// cover the hours the swarm touches — SimResult::merge aligns
-  /// differently grown grids, and HybridSimulator::run pads the merged
-  /// result to [hours][isps].
+  /// When `config.collect_hourly` is set, the swarm's hourly traffic and
+  /// per-hour spill go to the worker's flat hourly grid instead, until
+  /// finish_chunk() hands them over; `out.hourly` is left alone.
   void sweep(SwarmKey key, std::span<const std::uint32_t> indices,
              const TraceView& view, SimResult& out);
 
@@ -112,11 +133,13 @@ class SwarmSweep {
                   const Trace& trace, SimResult& out);
 
   /// Ends a reduction chunk: appends the chunk's per-user sums (one entry
-  /// per user its sweeps touched, first-touch order) to `out.users` and
-  /// resets the scratch for the next chunk. Call once after the chunk's
-  /// last sweep into `out`; without collect_per_user there is nothing to
-  /// append.
-  void finish_chunk(SimResult& out);
+  /// per user its sweeps touched, first-touch order) to
+  /// `out.result.users`, copies the hourly grid's touched hours to
+  /// `out.first_hour` / `out.hourly` / `out.hourly_spill`, and re-zeroes
+  /// the scratch for the next chunk. Call once after the chunk's last
+  /// sweep into `out.result`; without collect_per_user and
+  /// collect_hourly there is nothing to hand over.
+  void finish_chunk(ChunkPartial& out);
 
  private:
   /// One ExP or PoP of the count route, indexed by its id. An ExP bucket
@@ -189,10 +212,23 @@ class SwarmSweep {
                        TrafficBreakdown& swarm_traffic, std::size_t max_hours,
                        SimResult& out);
 
-  /// Adds one stretch's overload spill to `out` (total and, when hourly
-  /// rows are collected, the hour of its first window w0).
+  /// Adds one stretch's overload spill to `out.overload_spill` and, when
+  /// hourly rows are collected, to the hourly grid's spill at the hour of
+  /// its first window w0.
   void add_spill(std::uint64_t w0, double spill_bits, std::size_t max_hours,
-                 SimResult& out) const;
+                 SimResult& out);
+
+  /// Sizes the hourly grid and the hour-end table to `max_hours` hours
+  /// (a no-op once they are that large: once per run).
+  void size_hours(std::size_t max_hours);
+
+  /// Splits the windows [wa, wb) at hour boundaries and calls fn(row,
+  /// windows) once per hour they touch: `row` is that hour's per-ISP
+  /// traffic row in the hourly grid and `windows` the number of the
+  /// windows inside it. Widens the chunk's touched hour range.
+  template <typename Fn>
+  void for_each_hour(std::uint64_t wa, std::uint64_t wb,
+                     std::size_t max_hours, Fn&& fn);
 
   /// Count route (existence matcher, single-ISP swarm) over the gathered
   /// columns: O(1) bucket updates per event, O(1) lanes per stretch.
@@ -256,6 +292,17 @@ class SwarmSweep {
   std::vector<UserSlot> user_slots_;
   std::uint32_t chunk_stamp_ = 1;
   std::vector<std::uint32_t> peer_entry_;
+
+  // Hourly chunk scratch (collect_hourly only), sized once per run to
+  // the span's hour count: the flat [hour][isp] traffic grid, the
+  // per-hour spill (overload only), each hour's end window
+  // ceil((h + 1)·3600 / Δτ), and the hours [hour_lo_, hour_hi_) this
+  // chunk touched — all-zero grid cells outside them.
+  std::vector<TrafficBreakdown> hour_cells_;
+  std::vector<Bits> hour_spill_;
+  std::vector<std::uint64_t> hour_end_;
+  std::size_t hour_lo_ = std::numeric_limits<std::size_t>::max();
+  std::size_t hour_hi_ = 0;
 };
 
 }  // namespace cl

@@ -1,7 +1,9 @@
 #include "trace/trace_view.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 
 #include "trace/bitrate.h"
@@ -189,23 +191,33 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
       corrupt("swarm index groups do not cover every session");
     }
   }
-  parallel_shards(g_count, threads, [&](unsigned, std::size_t gb,
-                                        std::size_t ge) {
-    for (std::size_t g = gb; g < ge; ++g) {
-      const SwarmIndexGroup& group = (*groups)[g];
-      std::uint32_t prev_session = 0;
-      for (std::uint64_t i = group.begin; i < group.begin + group.count;
-           ++i) {
-        const std::uint32_t s = view.order_[i];
-        if (s >= n) corrupt("swarm index references an out-of-range session");
-        if (i > group.begin && s <= prev_session) {
-          corrupt("swarm index session order is not ascending within a group");
-        }
-        prev_session = s;
-        if (view.content_[s] != group.content || view.isp_[s] != group.isp ||
-            view.bitrate_[s] != group.bitrate) {
-          corrupt("swarm index group key does not match its sessions");
-        }
+  // The index check shards over order positions, not groups: the Zipf
+  // head's few groups hold most sessions, so group shards would leave
+  // one worker with most of the work. A shard finds the group holding
+  // its first position by binary search on group.begin (group 0 begins
+  // at 0, and the groups cover [0, n) exactly).
+  const std::vector<SwarmIndexGroup>& index = *groups;
+  parallel_shards(n, threads, [&](unsigned, std::size_t pb,
+                                  std::size_t pe) {
+    auto group = std::prev(std::upper_bound(
+        index.begin(), index.end(), pb,
+        [](std::size_t pos, const SwarmIndexGroup& g) {
+          return pos < g.begin;
+        }));
+    std::uint64_t group_end = group->begin + group->count;
+    for (std::size_t i = pb; i < pe; ++i) {
+      if (i == group_end) {
+        ++group;
+        group_end = group->begin + group->count;
+      }
+      const std::uint32_t s = view.order_[i];
+      if (s >= n) corrupt("swarm index references an out-of-range session");
+      if (i > group->begin && s <= view.order_[i - 1]) {
+        corrupt("swarm index session order is not ascending within a group");
+      }
+      if (view.content_[s] != group->content || view.isp_[s] != group->isp ||
+          view.bitrate_[s] != group->bitrate) {
+        corrupt("swarm index group key does not match its sessions");
       }
     }
   });

@@ -16,7 +16,8 @@
 //
 //  * parallel_chunked_reduce splits [0, n) into fixed-size chunks whose
 //    boundaries depend only on n, hands chunks to workers, and merges the
-//    per-chunk accumulators in ascending chunk order. Floating-point
+//    per-chunk accumulators in ascending chunk order on the calling
+//    thread, each as soon as every earlier one is merged. Floating-point
 //    reductions (RunningStats::merge, Kahan-free sums) therefore produce
 //    the same bits at --threads 1 and --threads 64.
 //
@@ -64,11 +65,12 @@ namespace cl {
 }
 
 /// Wall-clock phase breakdown of one parallel_chunked_reduce call
-/// (cl simulate --timing): the concurrent chunk phase and the ascending
-/// fold of the per-chunk partials.
+/// (cl simulate --timing). The ascending fold of the per-chunk partials
+/// streams on the calling thread while the other workers still process
+/// chunks, so the two overlap.
 struct ReduceTiming {
-  double work_seconds = 0;
-  double merge_seconds = 0;
+  double work_seconds = 0;   ///< whole chunk phase, up to the last fold
+  double merge_seconds = 0;  ///< calling thread's time inside merge
 };
 
 namespace detail {
@@ -158,16 +160,24 @@ inline constexpr std::size_t kReduceChunk = 2048;
 /// Each worker builds one `make_state()` scratch object the first time it
 /// obtains a chunk, constructs every chunk accumulator it processes with
 /// `make_acc()`, and folds the chunk with `chunk_fn(state, acc, begin,
-/// end)`. Afterwards the accumulators fold in ascending chunk order, so
-/// the result is bit-identical for every thread count, including 1.
+/// end)`. The accumulators fold into the result in ascending chunk order,
+/// so the result is bit-identical for every thread count, including 1.
+///
+/// The fold streams: the calling thread (worker 0) folds each partial as
+/// soon as every earlier chunk has been folded — between its own chunks,
+/// and once it has no chunk left to claim, waiting for the pending ones —
+/// and frees it at once, so partials do not pile up until the last chunk
+/// ends. Only the calling thread runs `merge`: a fold on another worker
+/// would grow the merged result in that thread's allocator arena.
 ///
 /// The worker state must be pure scratch (reusable buffers, matcher
 /// instances, ...): which worker processes which chunk is racy, so any
 /// state that influenced the accumulators would break determinism.
 /// `make_acc` must likewise be safe to call concurrently.
 ///
-/// `timing`, when non-null, receives the wall-clock split between the
-/// concurrent chunk phase and the fold.
+/// `timing`, when non-null, receives the wall time of the whole chunk
+/// phase, which ends when the last partial is folded, and the calling
+/// thread's time inside `merge`, most of which overlaps the chunk work.
 template <typename MakeState, typename MakeAcc, typename ChunkFn,
           typename Merge>
 auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
@@ -182,38 +192,78 @@ auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
   if (n == 0) return total;
   chunk_len = std::max<std::size_t>(1, chunk_len);
   const std::size_t chunks = (n + chunk_len - 1) / chunk_len;
-  // One slot per chunk; the worker that processes a chunk emplaces its
-  // accumulator.
+  // One slot per chunk: the worker that processes a chunk emplaces its
+  // accumulator, then publishes the chunk's status (release) for the
+  // folding thread to read (acquire).
+  enum : int { kPending = 0, kReady = 1, kFailed = 2 };
   std::vector<std::optional<Acc>> partial(chunks);
+  std::vector<std::atomic<int>> status(chunks);
   std::atomic<std::size_t> cursor{0};
+  const auto publish = [&](std::size_t c, int value) {
+    status[c].store(value, std::memory_order_release);
+    status[c].notify_one();
+  };
+
+  // Calling thread only: folds chunks in ascending order while the next
+  // one is ready; with `wait`, blocks on pending ones until every chunk
+  // is folded. Stops at a failed chunk — its worker's exception is what
+  // run_workers rethrows.
+  std::size_t folded = 0;
+  double merge_seconds = 0;
+  const auto fold = [&](bool wait) {
+    while (folded < chunks) {
+      std::atomic<int>& s = status[folded];
+      int state = s.load(std::memory_order_acquire);
+      if (state == kPending) {
+        if (!wait) return;
+        s.wait(kPending, std::memory_order_acquire);
+        state = s.load(std::memory_order_acquire);
+      }
+      if (state == kFailed) return;
+      const auto merge_start = timing != nullptr ? Clock::now()
+                                                 : Clock::time_point{};
+      merge(total, *partial[folded]);
+      partial[folded].reset();
+      if (timing != nullptr) {
+        merge_seconds +=
+            std::chrono::duration<double>(Clock::now() - merge_start).count();
+      }
+      ++folded;
+    }
+  };
 
   const auto work_start = Clock::now();
-  detail::run_workers(resolve_threads(threads, chunks), [&](unsigned) {
+  detail::run_workers(resolve_threads(threads, chunks), [&](unsigned worker) {
     // Assignment is racy; results only key off the chunk id.
     const auto next_chunk = [&] {
       return cursor.fetch_add(1, std::memory_order_relaxed);
     };
+    const bool folds = worker == 0;
     std::size_t c = next_chunk();
-    if (c >= chunks) return;  // nothing left: skip the state construction
-    auto state = make_state();
-    for (; c < chunks; c = next_chunk()) {
-      const std::size_t begin = c * chunk_len;
-      const std::size_t end = std::min(n, begin + chunk_len);
-      partial[c].emplace(make_acc());
-      chunk_fn(state, *partial[c], begin, end);
+    if (c < chunks) {  // else skip the state construction
+      try {
+        auto state = make_state();
+        while (c < chunks) {
+          const std::size_t begin = c * chunk_len;
+          const std::size_t end = std::min(n, begin + chunk_len);
+          partial[c].emplace(make_acc());
+          chunk_fn(state, *partial[c], begin, end);
+          publish(c, kReady);
+          c = next_chunk();
+          if (folds) fold(false);
+        }
+      } catch (...) {
+        // The claimed chunk will never be ready: let the fold stop there.
+        if (c < chunks) publish(c, kFailed);
+        throw;
+      }
     }
+    if (folds) fold(true);
   });
-  const auto work_end = Clock::now();
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    merge(total, *partial[c]);
-  }
   if (timing != nullptr) {
-    const auto fold_end = Clock::now();
     timing->work_seconds =
-        std::chrono::duration<double>(work_end - work_start).count();
-    timing->merge_seconds =
-        std::chrono::duration<double>(fold_end - work_end).count();
+        std::chrono::duration<double>(Clock::now() - work_start).count();
+    timing->merge_seconds = merge_seconds;
   }
   return total;
 }

@@ -445,6 +445,35 @@ TEST(CliSmoke, LedgerFlatIntensityReproducesUnweightedNumbers) {
   std::filesystem::remove(trace);
 }
 
+TEST(CliSmoke, LedgerTimingAddsPhaseLinesOnly) {
+  // `cl ledger --timing` prints the simulate --timing block (its merge
+  // line counts the per-user settle) and leaves every ledger line as it
+  // was, at one and at several sweep threads.
+  const std::string trace = temp_trace_path() + ".ledgertiming";
+  const RunResult gen = run_cli("generate --out " + trace +
+                                " --preset small --days 1 --seed 13 --quiet");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  for (const char* threads : {" --threads 1", " --threads 3"}) {
+    SCOPED_TRACE(threads);
+    const RunResult without = run_cli("ledger --trace " + trace + threads);
+    const RunResult with =
+        run_cli("ledger --trace " + trace + threads + " --timing");
+    ASSERT_EQ(without.exit_code, 0) << without.output;
+    ASSERT_EQ(with.exit_code, 0) << with.output;
+    EXPECT_EQ(with.output.find("was ignored"), std::string::npos)
+        << with.output;
+    for (const char* line : {"timing: load ", "timing: group ",
+                             "timing: sweep ", "timing:   stretches  count ",
+                             "timing: merge "}) {
+      EXPECT_NE(with.output.find(line), std::string::npos) << line;
+    }
+    EXPECT_EQ(without.output.find("timing:"), std::string::npos);
+    EXPECT_TRUE(lines_are_ordered_subsequence(without.output, with.output))
+        << "without:\n" << without.output << "\nwith:\n" << with.output;
+  }
+  std::filesystem::remove(trace);
+}
+
 TEST(CliSmoke, SimulateFlatIntensityAppendsCarbonSection) {
   const std::string trace = temp_trace_path() + ".simintensity";
   const RunResult gen = run_cli("generate --out " + trace +

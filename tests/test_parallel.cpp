@@ -10,12 +10,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -487,6 +490,126 @@ TEST(ShardedSimulator, UserAcrossChunksSettlesAsChunkThenFold) {
   }
 }
 
+TEST(ShardedSimulator, HourlyBlocksStayBitIdenticalAndApart) {
+  // Each worker folds its chunk's hourly traffic into one flat
+  // [hour × ISP] grid and hands the touched hours over as one block when
+  // the chunk ends. Swarm A (ISP 0) plays only in the first of 48 hours,
+  // swarm B (ISP 1) only in the last, swarm C (ISP 1) in both, so C's
+  // block spans every hour, traffic-free ones included. Three swarms make
+  // three single-swarm chunks, which one worker sweeps back to back at
+  // threads 1: a chunk that inherited the previous one's cells would
+  // count them twice. Viewers join three to a window, so the overload
+  // cap spills in both hours.
+  constexpr double kSpan = 2 * 86400.0;
+  constexpr double kLastHour = kSpan - 3600.0;
+  const auto sessions_at = [](std::uint32_t content, std::uint32_t isp,
+                              double hour_start) {
+    std::vector<SessionRecord> sessions;
+    for (std::uint32_t u = 0; u < 9; ++u) {
+      SessionRecord s;
+      s.user = 1000 * (content + 1) + u + (hour_start > 0 ? 100 : 0);
+      s.household = s.user;
+      s.content = content;
+      s.isp = isp;
+      s.exp = (u * 7 + content) % 9;
+      s.bitrate = BitrateClass::kSd;
+      s.start = hour_start + 10.0 * (u / 3);
+      s.duration = 600.0 + 97.0 * u;
+      sessions.push_back(s);
+    }
+    return sessions;
+  };
+  const auto trace_of =
+      [&](std::initializer_list<std::vector<SessionRecord>> parts) {
+        std::vector<SessionRecord> sessions;
+        for (const auto& part : parts) {
+          sessions.insert(sessions.end(), part.begin(), part.end());
+        }
+        std::stable_sort(sessions.begin(), sessions.end(),
+                         [](const SessionRecord& x, const SessionRecord& y) {
+                           return x.start < y.start;
+                         });
+        return Trace{sessions, Seconds{kSpan}, {}, {}};
+      };
+  const auto a = sessions_at(0, 0, 0.0);
+  const auto b = sessions_at(1, 1, kLastHour);
+  const auto c0 = sessions_at(2, 1, 0.0);
+  const auto c1 = sessions_at(2, 1, kLastHour);
+  const Trace full = trace_of({a, b, c0, c1});
+  const TraceView view = TraceView::from_trace(full);
+
+  const auto expect_cell = [](const TrafficBreakdown& x,
+                              const TrafficBreakdown& y) {
+    EXPECT_EQ(x.server.value(), y.server.value());
+    EXPECT_EQ(x.cross_isp.value(), y.cross_isp.value());
+    for (std::size_t l = 0; l < kLocalityLevels; ++l) {
+      EXPECT_EQ(x.peer[l].value(), y.peer[l].value());
+    }
+  };
+  for (const MatcherKind matcher :
+       {MatcherKind::kExistence, MatcherKind::kCapacity}) {
+    SCOPED_TRACE(matcher == MatcherKind::kExistence ? "count route"
+                                                    : "per-peer route");
+    SimConfig config;
+    config.matcher = matcher;
+    config.overload = true;
+    SimPhaseTiming timing;
+    const SimResult ref = HybridSimulator(metro(), config).run(view, &timing);
+    ASSERT_EQ(ref.swarms.size(), 3u);
+    ASSERT_EQ(ref.hourly.size(), 48u);
+    ASSERT_EQ(ref.hourly_spill.size(), 48u);
+    EXPECT_GT(ref.hourly_spill[0].value(), 0.0);
+    EXPECT_GT(ref.hourly_spill[47].value(), 0.0);
+    if (matcher == MatcherKind::kExistence) {
+      EXPECT_GT(timing.count_stretches, 0u);
+      EXPECT_EQ(timing.per_peer_stretches, 0u);
+    } else {
+      EXPECT_EQ(timing.count_stretches, 0u);
+      EXPECT_GT(timing.per_peer_stretches, 0u);
+      // Both per-peer: the row path must match bit for bit.
+      test::expect_sim_identical(
+          HybridSimulator(metro(), config).run_rows(full), ref);
+    }
+    for (const unsigned threads : {2u, 3u, 7u}) {
+      SCOPED_TRACE(threads);
+      config.threads = threads;
+      test::expect_sim_identical(HybridSimulator(metro(), config).run(view),
+                                 ref);
+    }
+
+    // Each cell is ((0 + c₀) + c₁) + … over the chunks touching it, and
+    // a single-swarm run reports each chunk's cᵢ.
+    config.threads = 1;
+    const auto alone = [&](const Trace& trace) {
+      return HybridSimulator(metro(), config).run(trace);
+    };
+    const SimResult ra = alone(trace_of({a}));
+    const SimResult rb = alone(trace_of({b}));
+    const SimResult rc = alone(trace_of({c0, c1}));
+    for (std::size_t h = 0; h < 48; ++h) {
+      SCOPED_TRACE(h);
+      TrafficBreakdown isp0;
+      TrafficBreakdown isp1;
+      Bits spill;
+      if (h == 0) {
+        isp0 = ra.hourly[0][0];
+        isp1 = rc.hourly[0][1];
+        spill = ra.hourly_spill[0] + rc.hourly_spill[0];
+      } else if (h == 47) {
+        isp1 = rb.hourly[47][1] + rc.hourly[47][1];
+        spill = rb.hourly_spill[47] + rc.hourly_spill[47];
+      }
+      ASSERT_EQ(ref.hourly[h].size(), metro().isp_count());
+      expect_cell(ref.hourly[h][0], isp0);
+      expect_cell(ref.hourly[h][1], isp1);
+      for (std::size_t i = 2; i < metro().isp_count(); ++i) {
+        expect_cell(ref.hourly[h][i], TrafficBreakdown{});
+      }
+      EXPECT_EQ(ref.hourly_spill[h].value(), spill.value());
+    }
+  }
+}
+
 TEST(ShardedSimulator, OversizedSwarmGuardIsInPlace) {
   // The sweep refuses swarms whose session count would not fit the
   // int32_t `pos` bookkeeping. Building a >2B-session trace is not
@@ -603,6 +726,77 @@ TEST(ParallelChunkedReduce, ReduceTimingIsPopulated) {
   EXPECT_EQ(sum, 5000.0 * 4999.0 / 2.0);
   EXPECT_GE(timing.work_seconds, 0.0);
   EXPECT_GE(timing.merge_seconds, 0.0);
+}
+
+TEST(ParallelChunkedReduce, StreamingFoldIsInOrderOnTheCallingThread) {
+  // A non-commutative merge (append the chunk's id) records the fold
+  // order, and each merge records its thread: the fold must walk the
+  // chunks in ascending order on the calling thread alone, whichever
+  // worker finished which chunk first. Every 13th chunk is slow, so later
+  // chunks finish before earlier ones.
+  constexpr std::size_t kChunk = 10;
+  constexpr std::size_t kChunks = 97;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> ascending(kChunks);
+  for (std::size_t c = 0; c < kChunks; ++c) ascending[c] = c;
+  for (unsigned threads : {1u, 2u, 7u, 0u}) {
+    SCOPED_TRACE(threads);
+    std::mutex mutex;
+    std::vector<std::thread::id> merged_on;
+    const std::vector<std::size_t> order = parallel_chunked_reduce_stateful(
+        kChunks * kChunk - 3, threads, [] { return 0; },
+        [] { return std::vector<std::size_t>{}; },
+        [](int&, std::vector<std::size_t>& acc, std::size_t begin,
+           std::size_t) {
+          if ((begin / kChunk) % 13 == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          }
+          acc.push_back(begin / kChunk);
+        },
+        [&](std::vector<std::size_t>& total,
+            const std::vector<std::size_t>& chunk) {
+          {
+            const std::lock_guard lock(mutex);
+            merged_on.push_back(std::this_thread::get_id());
+          }
+          total.insert(total.end(), chunk.begin(), chunk.end());
+        },
+        kChunk);
+    EXPECT_EQ(order, ascending);
+    ASSERT_EQ(merged_on.size(), kChunks);
+    for (const std::thread::id id : merged_on) EXPECT_EQ(id, caller);
+  }
+}
+
+TEST(ParallelChunkedReduce, ThrowingChunkRethrowsOnTheCaller) {
+  // A chunk that throws never becomes ready: the fold must stop there
+  // instead of waiting for it, and the exception must reach the caller.
+  // The first, a middle and the last chunk are tried; a worker whose
+  // scratch cannot be built fails the same way.
+  const auto reduce = [](unsigned threads, std::size_t bad_chunk,
+                         bool bad_state) {
+    return parallel_chunked_reduce_stateful(
+        1000, threads,
+        [bad_state] {
+          if (bad_state) throw std::runtime_error("state");
+          return 0;
+        },
+        [] { return 0.0; },
+        [bad_chunk](int&, double& acc, std::size_t begin, std::size_t end) {
+          if (begin / 10 == bad_chunk) throw std::runtime_error("chunk");
+          acc += static_cast<double>(end - begin);
+        },
+        [](double& total, const double& chunk) { total += chunk; },
+        /*chunk_len=*/10);
+  };
+  for (unsigned threads : {1u, 2u, 7u, 0u}) {
+    SCOPED_TRACE(threads);
+    for (const std::size_t bad : {0u, 57u, 99u}) {
+      EXPECT_THROW((void)reduce(threads, bad, false), std::runtime_error);
+    }
+    EXPECT_THROW((void)reduce(threads, 1000, true), std::runtime_error);
+    EXPECT_EQ(reduce(threads, 1000, false), 1000.0);
+  }
 }
 
 TEST(ShardedSimulator, SimPhaseTimingIsPopulated) {

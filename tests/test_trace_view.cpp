@@ -370,5 +370,91 @@ TEST(TraceView, RejectsOutOfRangeBitrateColumn) {
   std::filesystem::remove(path);
 }
 
+/// File offset of payload block `id`, read from the block directory.
+std::uint64_t block_offset(const std::string& path, std::uint32_t id) {
+  std::ifstream file(path, std::ios::binary);
+  for (std::uint32_t entry = 0; entry < kTraceBinaryBlockCount; ++entry) {
+    char dir[kTraceBinaryDirEntryBytes];
+    file.seekg(static_cast<std::streamoff>(kTraceBinaryHeaderBytes +
+                                           entry * kTraceBinaryDirEntryBytes));
+    file.read(dir, sizeof(dir));
+    const auto* bytes = reinterpret_cast<const unsigned char*>(dir);
+    if (file.good() && load_u32_le(bytes) == id) return load_u64_le(bytes + 8);
+  }
+  return 0;
+}
+
+/// Overwrites the little-endian u32 at element `index` of block `id`.
+void patch_u32(const std::string& path, std::uint32_t id, std::size_t index,
+               std::uint32_t value) {
+  const std::uint64_t offset = block_offset(path, id);
+  ASSERT_GT(offset, 0u);
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  unsigned char bytes[4];
+  store_u32_le(bytes, value);
+  file.seekp(static_cast<std::streamoff>(offset + 4 * index));
+  file.write(reinterpret_cast<const char*>(bytes), sizeof(bytes));
+  ASSERT_TRUE(file.good());
+}
+
+TEST(TraceView, IndexCheckCatchesFaultsRightAfterAShardBoundary) {
+  // The swarm-index check shards over order positions, so one large
+  // group spans several shards. Content 0 holds sessions 300..2099: its
+  // group fills order positions [0, 1800), which hold every shard
+  // boundary n·1/T for T = 2, 4, 7. A fault at the boundary's first
+  // position is only caught by comparing with the entry before it, in
+  // the previous shard — both for a non-ascending entry and for a
+  // session whose key does not match its group.
+  constexpr std::size_t kSessions = 2100;
+  std::vector<SessionRecord> sessions(kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    SessionRecord& s = sessions[i];
+    s.user = static_cast<std::uint32_t>(i);
+    s.household = s.user;
+    s.content = i < 300 ? 1 + static_cast<std::uint32_t>(i % 3) : 0;
+    s.start = static_cast<double>(i);
+    s.duration = 60.0;
+  }
+  Trace trace{sessions, Seconds{86400.0}, {}, {}};
+  trace.swarm_index = build_swarm_index(trace);
+  ASSERT_EQ(trace.swarm_index.groups[0].count, 1800u);
+  const std::vector<std::uint32_t>& order = trace.swarm_index.order;
+
+  const auto expect_rejected = [](const std::string& path, unsigned threads,
+                                  const std::string& what) {
+    try {
+      [[maybe_unused]] auto v = TraceView::open_binary(path, threads);
+      ADD_FAILURE() << "accepted a corrupt index; expected: " << what;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE(threads);
+    const std::size_t p = kSessions / std::max(2u, threads);
+    const std::string path =
+        temp_path("cl_trace_view_index_fault_" + std::to_string(threads) +
+                  ".cltrace");
+
+    // Swap the entries on either side of the boundary: position p now
+    // holds a smaller session than position p − 1.
+    write_trace_binary_file(path, trace);
+    patch_u32(path, 12, p - 1, order[p]);
+    patch_u32(path, 12, p, order[p - 1]);
+    expect_rejected(path, threads, "not ascending within a group");
+
+    // Move the session at position p to another content.
+    write_trace_binary_file(path, trace);
+    patch_u32(path, 2, order[p], 2);
+    expect_rejected(path, threads, "group key does not match");
+
+    // The untouched file still opens.
+    write_trace_binary_file(path, trace);
+    EXPECT_EQ(TraceView::open_binary(path, threads).size(), kSessions);
+    std::filesystem::remove(path);
+  }
+}
+
 }  // namespace
 }  // namespace cl
