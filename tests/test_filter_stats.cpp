@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+#include <set>
+
 #include "trace/synthetic.h"
 #include "util/error.h"
 
@@ -106,6 +110,47 @@ TEST(Stats, EmptyTrace) {
   EXPECT_EQ(stats.sessions, 0u);
   EXPECT_EQ(stats.distinct_users, 0u);
   EXPECT_DOUBLE_EQ(stats.mean_concurrency, 0.0);
+}
+
+/// Distinct values of one id column, by an ordered set.
+template <typename Field>
+std::uint64_t distinct(const Trace& trace, Field field) {
+  std::set<std::uint32_t> seen;
+  for (const auto& s : trace.sessions) seen.insert(s.*field);
+  return seen.size();
+}
+
+TEST(Stats, DistinctCountsMatchOrderedSets) {
+  const Trace trace = sample_trace();
+  const TraceStats stats = compute_stats(trace);
+  EXPECT_EQ(stats.distinct_users, distinct(trace, &SessionRecord::user));
+  EXPECT_EQ(stats.distinct_households,
+            distinct(trace, &SessionRecord::household));
+  EXPECT_EQ(stats.distinct_contents,
+            distinct(trace, &SessionRecord::content));
+}
+
+TEST(Stats, DistinctCountsOfSparseIds) {
+  // Ids far above the session count, the largest id included, with
+  // repeats; the counts must not depend on how large the ids are.
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  Trace trace;
+  trace.span = Seconds::from_days(1);
+  const std::uint32_t users[] = {kMax, 0, kMax, 1u << 31, 7, 0};
+  for (std::size_t i = 0; i < std::size(users); ++i) {
+    SessionRecord s;
+    s.user = users[i];
+    s.household = users[i] / 2;
+    s.content = i % 2 == 0 ? kMax - 1 : 3;
+    s.start = static_cast<double>(i);
+    s.duration = 10;
+    trace.sessions.push_back(s);
+  }
+  const TraceStats stats = compute_stats(trace);
+  EXPECT_EQ(stats.distinct_users, 4u);
+  EXPECT_EQ(stats.distinct_households, 4u);
+  EXPECT_EQ(stats.distinct_contents, 2u);
+  EXPECT_EQ(stats.sessions_per_isp, std::vector<std::uint64_t>{6});
 }
 
 TEST(Stats, ViewsPerContentSumsToSessions) {

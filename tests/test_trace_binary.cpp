@@ -38,6 +38,7 @@
 #include "trace/trace_format.h"
 #include "trace/trace_io.h"
 #include "trace/trace_mmap.h"
+#include "trace/trace_stats.h"
 #include "trace/synthetic.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -485,6 +486,35 @@ TEST(SwarmIndexTest, ValidateRejectsTampering) {
   }
 }
 
+TEST(SwarmIndexTest, ValidateRejectsSessionInTwoGroupsAndOneMissing) {
+  // Sessions 0 and 1 share key A, session 2 has key B. The tampered
+  // index lists session 2 in both groups and session 1 in none; every
+  // count, offset and in-group order is still well formed.
+  Trace trace = tiny_trace();
+  trace.sessions[1].bitrate = trace.sessions[0].bitrate;
+  const SwarmIndex index = build_swarm_index(trace);
+  ASSERT_EQ(index.groups.size(), 2u);
+  ASSERT_EQ(index.order, (std::vector<std::uint32_t>{0, 1, 2}));
+  SwarmIndex broken = index;
+  broken.order = {0, 2, 2};
+  EXPECT_THROW(validate_swarm_index(broken, trace), ParseError);
+}
+
+TEST(SwarmIndexTest, ValidateRejectsWrongKeyOfLastSessionOnly) {
+  TraceConfig config;
+  config.days = 2;
+  config.users = 300;
+  config.exemplar_views = {900};
+  config.catalogue_tail = 20;
+  config.tail_views = 800;
+  Trace trace = TraceGenerator(config, metro()).generate();
+  const SwarmIndex index = build_swarm_index(trace);
+  validate_swarm_index(index, trace);
+  // The last session in file order moves to a content no group holds.
+  trace.sessions.back().content += 1000;
+  EXPECT_THROW(validate_swarm_index(index, trace), ParseError);
+}
+
 /// The comparison-sort swarm index: the specification build_swarm_index's
 /// radix sort must reproduce.
 SwarmIndex comparison_sort_index(const Trace& trace) {
@@ -872,6 +902,45 @@ TEST(TraceGeneratorDigest, PaperDayPinned) {
   TraceConfig config = TraceConfig::london_month_paper(1);
   config.seed = 1;
   expect_generated_digest(config, metro(), 784576, 0x2aeb7ab5021ce24dULL);
+}
+
+TEST(TraceGeneratorDigest, SessionBatchEdgesPinned) {
+  // Contents with 0, 1, 31, 32, 33 and 65 sessions put every content's
+  // last session at and around a 32-session boundary; 30 days make the
+  // day draw (uniform_index over whole days) draw from a range.
+  TraceConfig config;
+  config.seed = 7;
+  config.days = 30;
+  config.users = 3000;
+  config.exemplar_views = {65, 65, 65, 65, 65, 65, 33, 32, 31,
+                           33, 32, 31, 33, 32, 31, 33, 32, 31};
+  config.catalogue_tail = 40;
+  config.tail_views = 30;
+  const Trace trace = TraceGenerator(config, metro()).generate();
+  const std::vector<std::uint64_t> views = views_per_content(trace);
+  for (const std::uint64_t count : {31u, 32u, 33u, 65u}) {
+    EXPECT_NE(std::find(views.begin(), views.end(), count), views.end())
+        << "no content with " << count << " sessions";
+  }
+  for (const std::uint64_t count : {0u, 1u}) {
+    EXPECT_NE(std::find(views.begin(), views.end(), count), views.end())
+        << "no content with " << count << " sessions";
+  }
+  expect_generated_digest(config, metro(), 777, 0x1814d4a1c8b243f7ULL);
+}
+
+TEST(TraceBinaryWriter, FileBytesEqualSerializedBytes) {
+  TraceConfig config;
+  config.days = 2;
+  config.users = 700;
+  config.exemplar_views = {3000, 400};
+  config.catalogue_tail = 50;
+  config.tail_views = 2500;
+  const Trace trace = TraceGenerator(config, metro()).generate();
+  const std::string path = temp_path("cl_writer_bytes.cltrace");
+  write_trace_binary_file(path, trace);
+  EXPECT_EQ(read_bytes(path), serialize_trace_binary(trace));
+  std::filesystem::remove(path);
 }
 
 TEST(TraceBinaryDeterminism, MmapLoadBitIdenticalAcrossThreadCounts) {
