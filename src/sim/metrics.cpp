@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <utility>
 
+#include "util/error.h"
+
 namespace cl {
 
 std::vector<std::vector<TrafficBreakdown>> SimResult::daily_grid() const {
@@ -23,33 +25,10 @@ std::vector<std::vector<TrafficBreakdown>> SimResult::daily_grid() const {
 }
 
 void SimResult::merge(const SimResult& other) {
+  CL_EXPECTS(other.hourly.empty() && other.hourly_spill.empty());
   total += other.total;
   if (other.span.value() > span.value()) span = other.span;
-
-  if (!other.hourly.empty()) {
-    if (hourly.size() < other.hourly.size()) {
-      hourly.resize(other.hourly.size());
-    }
-    for (std::size_t h = 0; h < other.hourly.size(); ++h) {
-      const auto& other_hour = other.hourly[h];
-      auto& hour = hourly[h];
-      if (hour.size() < other_hour.size()) hour.resize(other_hour.size());
-      for (std::size_t i = 0; i < other_hour.size(); ++i) {
-        hour[i] += other_hour[i];
-      }
-    }
-  }
-
   overload_spill += other.overload_spill;
-  if (!other.hourly_spill.empty()) {
-    if (hourly_spill.size() < other.hourly_spill.size()) {
-      hourly_spill.resize(other.hourly_spill.size());
-    }
-    for (std::size_t h = 0; h < other.hourly_spill.size(); ++h) {
-      hourly_spill[h] += other.hourly_spill[h];
-    }
-  }
-
   users.insert(users.end(), other.users.begin(), other.users.end());
   swarms.insert(swarms.end(), other.swarms.begin(), other.swarms.end());
 }

@@ -77,14 +77,15 @@ struct SimResult {
   /// `hourly` is empty.
   [[nodiscard]] std::vector<std::vector<TrafficBreakdown>> daily_grid() const;
 
-  /// Folds another partial into this one: sums `total`, element-wise adds
-  /// the `hourly` per-ISP grids (growing this grid when `other`'s is
-  /// larger), sums the overload spill (total and per-hour, same growth
-  /// rule), and appends `other.users` and `other.swarms` — so merging
+  /// Folds another partial into this one: sums `total` and the overload
+  /// spill, and appends `other.users` and `other.swarms` — so merging
   /// chunk partials in ascending swarm-key order keeps `swarms` globally
   /// key-sorted and lists every user's chunk sums in chunk order. `span`
   /// takes the larger of the two; `config` is left untouched (partials
-  /// of one run share it by construction).
+  /// of one run share it by construction). A partial carries no hourly
+  /// rows: the simulator's chunk fold adds each chunk's flat hourly block
+  /// into the run's grid itself, so `other.hourly` and
+  /// `other.hourly_spill` must be empty (precondition).
   void merge(const SimResult& other);
 
   /// Folds the concatenated chunk lists in `users` into the settled

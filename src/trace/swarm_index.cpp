@@ -95,19 +95,26 @@ void validate_swarm_index(const SwarmIndex& index, const Trace& trace) {
   if (index.order.size() != n) {
     throw ParseError("swarm index order length does not match session count");
   }
+  // One walk over the groups and `order` makes the structural checks and
+  // records each session's group; the key check then reads the sessions
+  // in file order instead of jumping to them through `order`. Groups are
+  // non-empty, so their number fits the session index width and no
+  // group is numbered kUnseen.
+  constexpr std::uint32_t kUnseen = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> group_of(n, kUnseen);
   std::uint64_t covered = 0;
-  const SwarmIndexGroup* prev = nullptr;
-  for (const SwarmIndexGroup& group : index.groups) {
+  for (std::size_t g = 0; g < index.groups.size(); ++g) {
+    const SwarmIndexGroup& group = index.groups[g];
     if (group.count == 0) {
       throw ParseError("swarm index contains an empty group");
     }
     if (group.begin != covered) {
       throw ParseError("swarm index groups do not tile the order vector");
     }
-    if (prev != nullptr && !SwarmIndex::key_less(*prev, group)) {
+    if (g > 0 && !SwarmIndex::key_less(index.groups[g - 1], group)) {
       throw ParseError("swarm index group keys are not strictly ascending");
     }
-    if (group.begin + group.count > n) {
+    if (group.count > n - group.begin) {
       throw ParseError("swarm index group overruns the order vector");
     }
     std::uint32_t prev_session = 0;
@@ -120,18 +127,25 @@ void validate_swarm_index(const SwarmIndex& index, const Trace& trace) {
         throw ParseError(
             "swarm index session order is not ascending within a group");
       }
-      prev_session = session_index;
-      const SessionRecord& s = trace.sessions[session_index];
-      if (s.content != group.content || s.isp != group.isp ||
-          static_cast<std::uint8_t>(s.bitrate) != group.bitrate) {
-        throw ParseError("swarm index group key does not match its sessions");
+      if (group_of[session_index] != kUnseen) {
+        throw ParseError("swarm index lists a session in two groups");
       }
+      group_of[session_index] = static_cast<std::uint32_t>(g);
+      prev_session = session_index;
     }
     covered += group.count;
-    prev = &group;
   }
   if (covered != n) {
     throw ParseError("swarm index groups do not cover every session");
+  }
+  // n sessions listed, none twice: every session has its group.
+  for (std::size_t i = 0; i < n; ++i) {
+    const SessionRecord& s = trace.sessions[i];
+    const SwarmIndexGroup& group = index.groups[group_of[i]];
+    if (s.content != group.content || s.isp != group.isp ||
+        static_cast<std::uint8_t>(s.bitrate) != group.bitrate) {
+      throw ParseError("swarm index group key does not match its sessions");
+    }
   }
 }
 

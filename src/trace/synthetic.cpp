@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -31,14 +33,33 @@ bool start_order(const SessionRecord& a, const SessionRecord& b) {
   return a.user < b.user;
 }
 
-/// Sorts `sessions` into start_order. A stable scatter into hour buckets
-/// (the hour is monotone in the start time, so bucket order is already
-/// sorted order) splits the sort into independent per-bucket sorts, which
-/// run concurrently, largest bucket first. The result is the one sorted
-/// order, whatever the thread count.
-std::vector<SessionRecord> sort_by_start(std::vector<SessionRecord> sessions,
-                                         double span_s, unsigned threads) {
-  const std::size_t n = sessions.size();
+/// Storage for session records that nothing initializes: each record is
+/// constructed by the fill that owns it, so its pages are first touched
+/// by the fill workers, in parallel, and not by a serial zero-fill.
+struct RawRecords {
+  struct Free {
+    void operator()(SessionRecord* p) const { ::operator delete(p); }
+  };
+  std::unique_ptr<SessionRecord, Free> data;
+  std::size_t size = 0;
+
+  explicit RawRecords(std::size_t n)
+      : data(static_cast<SessionRecord*>(
+            ::operator new(n * sizeof(SessionRecord)))),
+        size(n) {}
+};
+
+/// Sorts `records` into `sorted` (already as many records) in
+/// start_order, freeing `records` once scattered. A stable scatter into
+/// hour buckets (the hour is monotone in the start time, so bucket order
+/// is already sorted order) splits the sort into independent per-bucket
+/// sorts, which run concurrently, largest bucket first. The result is the
+/// one sorted order, whatever the thread count.
+void sort_by_start(RawRecords records, std::vector<SessionRecord>& sorted,
+                   double span_s, unsigned threads) {
+  const std::size_t n = records.size;
+  const SessionRecord* sessions = records.data.get();
+  CL_EXPECTS(sorted.size() == n);
   const std::size_t hours = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::ceil(span_s / 3600.0)));
   const auto hour_of = [hours](const SessionRecord& s) {
@@ -63,13 +84,12 @@ std::vector<SessionRecord> sort_by_start(std::vector<SessionRecord> sessions,
     }
     bucket[h + 1] = at;
   }
-  std::vector<SessionRecord> sorted(n);
   parallel_shards(n, chunks, [&](unsigned c, std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       sorted[cursor[c][hour_of(sessions[i])]++] = sessions[i];
     }
   });
-  sessions = {};
+  records.data.reset();
 
   std::vector<std::size_t> by_size(hours);
   for (std::size_t h = 0; h < hours; ++h) by_size[h] = h;
@@ -84,7 +104,6 @@ std::vector<SessionRecord> sort_by_start(std::vector<SessionRecord> sessions,
               sorted.begin() + static_cast<std::ptrdiff_t>(bucket[h + 1]),
               start_order);
   });
-  return sorted;
 }
 
 }  // namespace
@@ -242,17 +261,29 @@ Trace TraceGenerator::generate() {
         slot[id] + session_count(static_cast<std::uint32_t>(id), rng);
   }
   // Items claimed one at a time balance the few huge head items against
-  // the long tail; each worker redraws the count and fills the item's slot.
-  std::vector<SessionRecord> sessions(slot.back());
-  parallel_for_dynamic(contents, config_.threads, [&](std::size_t id) {
+  // the long tail; each worker redraws the count and constructs the item's
+  // slot. The sorted rows must be a std::vector (Trace::sessions): it is
+  // reserved here, on the calling thread, so its memory stays in this
+  // thread's malloc arena, and value-initialized by task 0 while the other
+  // workers fill.
+  const std::size_t total = slot.back();
+  RawRecords sessions(total);
+  Trace trace;
+  trace.sessions.reserve(total);
+  parallel_for_dynamic(contents + 1, config_.threads, [&](std::size_t task) {
+    if (task == 0) {
+      trace.sessions.resize(total);
+      return;
+    }
+    const std::size_t id = task - 1;
     const auto content_id = static_cast<std::uint32_t>(id);
     Rng rng = content_rng(config_.seed, id);
     const std::size_t count = session_count(content_id, rng);
-    fill_content_sessions(content_id, rng, sessions.data() + slot[id], count);
+    fill_content_sessions(content_id, rng, sessions.data.get() + slot[id],
+                          count);
   });
-  Trace trace;
-  trace.sessions = sort_by_start(std::move(sessions), config_.span().value(),
-                                 config_.threads);
+  sort_by_start(std::move(sessions), trace.sessions, config_.span().value(),
+                config_.threads);
   trace.span = config_.span();
   trace.metro_name = metro_->name();  // empty for unnamed custom metros
   trace.validate();
@@ -262,11 +293,13 @@ Trace TraceGenerator::generate() {
 Trace TraceGenerator::generate_content(std::uint32_t content_id) {
   CL_EXPECTS(content_id < catalogue_.size());
   Rng rng = content_rng(config_.seed, content_id);
-  std::vector<SessionRecord> sessions(session_count(content_id, rng));
-  fill_content_sessions(content_id, rng, sessions.data(), sessions.size());
+  const std::size_t count = session_count(content_id, rng);
+  RawRecords sessions(count);
+  fill_content_sessions(content_id, rng, sessions.data.get(), count);
   Trace trace;
-  trace.sessions = sort_by_start(std::move(sessions), config_.span().value(),
-                                 config_.threads);
+  trace.sessions.resize(count);
+  sort_by_start(std::move(sessions), trace.sessions, config_.span().value(),
+                config_.threads);
   trace.span = config_.span();
   trace.metro_name = metro_->name();
   trace.validate();
@@ -295,23 +328,47 @@ void TraceGenerator::fill_content_sessions(std::uint32_t content_id, Rng& rng,
   const DiscreteSampler& user_sampler =
       content_id < catalogue_.exemplar_count() ? users_.head_sampler
                                                : users_.tail_sampler;
-  for (std::size_t i = 0; i < count; ++i) {
-    SessionRecord& s = out[i];
-    s.content = content_id;
-    s.user = static_cast<std::uint32_t>(user_sampler(rng));
-    const UserProfile& profile = users_.profiles[s.user];
-    s.household = profile.household;
-    s.isp = profile.isp;
-    s.exp = profile.exp;
-    s.bitrate = kAllBitrateClasses[bitrate_sampler_(rng)];
-    const double day = static_cast<double>(rng.uniform_index(whole_days));
-    const double hour = static_cast<double>(hour_sampler_(rng));
-    s.start = day * 86400.0 + hour * 3600.0 + rng.uniform(0.0, 3600.0);
-    const double fraction =
-        std::clamp(rng.lognormal(mu, config_.watch_sigma), 0.05, 1.0);
-    s.duration = info.nominal_length.value() * fraction;
-    if (s.start >= span_s) s.start = span_s - 1.0;
-    if (s.end() > span_s) s.duration = span_s - s.start;
+  // Sessions go in batches. The first loop takes each session's draws in
+  // stream order, keeping the user draw as its uniform; the second
+  // resolves the batch's users. At paper scale each user costs cache
+  // misses into the 26 MB CDF and then the 40 MB profile table, and the
+  // batch's users are independent, so their misses overlap instead of
+  // stalling the stream one session at a time.
+  constexpr std::size_t kBatch = 32;
+  std::array<double, kBatch> user_u;
+  std::array<BitrateClass, kBatch> bitrate;
+  std::array<double, kBatch> start;
+  std::array<double, kBatch> duration;
+  for (std::size_t first = 0; first < count; first += kBatch) {
+    const std::size_t batch = std::min(kBatch, count - first);
+    for (std::size_t i = 0; i < batch; ++i) {
+      user_u[i] = rng.uniform();
+      bitrate[i] = kAllBitrateClasses[bitrate_sampler_(rng)];
+      const double day = static_cast<double>(rng.uniform_index(whole_days));
+      const double hour = static_cast<double>(hour_sampler_(rng));
+      double at = day * 86400.0 + hour * 3600.0 + rng.uniform(0.0, 3600.0);
+      const double fraction =
+          std::clamp(rng.lognormal(mu, config_.watch_sigma), 0.05, 1.0);
+      double watched = info.nominal_length.value() * fraction;
+      if (at >= span_s) at = span_s - 1.0;
+      if (at + watched > span_s) watched = span_s - at;
+      start[i] = at;
+      duration[i] = watched;
+    }
+    for (std::size_t i = 0; i < batch; ++i) {
+      const auto user =
+          static_cast<std::uint32_t>(user_sampler.find(user_u[i]));
+      const UserProfile& profile = users_.profiles[user];
+      std::construct_at(out + first + i,
+                        SessionRecord{.user = user,
+                                      .household = profile.household,
+                                      .content = content_id,
+                                      .isp = profile.isp,
+                                      .exp = profile.exp,
+                                      .bitrate = bitrate[i],
+                                      .start = start[i],
+                                      .duration = duration[i]});
+    }
   }
 }
 

@@ -138,11 +138,13 @@ class TraceGenerator {
   ///
   /// A pre-pass draws each content item's session count (the first draw
   /// of its RNG stream) and prefix-sums the counts into slots; workers
-  /// then claim items from an atomic cursor and write each item's sessions
-  /// into its slot. The filled array is scattered stably into hour buckets
-  /// (the hour is monotone in the start time) and the buckets are sorted
-  /// concurrently. Every step's output is independent of the thread
-  /// count, so the trace is too.
+  /// then claim items from an atomic cursor and construct each item's
+  /// sessions in its slot of an uninitialized array, resolving users in
+  /// batches so their cache misses overlap. One more cursor task
+  /// value-initializes the output rows meanwhile. The filled array is
+  /// scattered stably into hour buckets (the hour is monotone in the
+  /// start time) and the buckets are sorted concurrently. Every step's
+  /// output is independent of the thread count, so the trace is too.
   [[nodiscard]] Trace generate();
 
   /// Generates only the sessions of one content item — cheaper when an
@@ -171,8 +173,9 @@ class TraceGenerator {
   [[nodiscard]] std::size_t session_count(std::uint32_t content_id,
                                           Rng& rng) const;
 
-  /// Writes content `content_id`'s sessions into out[0, count), drawing
-  /// from `rng` right after session_count().
+  /// Constructs content `content_id`'s sessions in out[0, count), which
+  /// may be uninitialized storage, drawing from `rng` right after
+  /// session_count().
   void fill_content_sessions(std::uint32_t content_id, Rng& rng,
                              SessionRecord* out, std::size_t count) const;
 

@@ -1,7 +1,10 @@
 #include "trace/trace_binary.h"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -23,98 +26,87 @@ void write_all(std::ostream& out, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Serializes one block's payload. Blocks are built (and freed) one at a
-/// time so the writer's transient memory is one column, not the file —
-/// at paper scale the file is ~1 GB and the Trace itself ~1.1 GB, so
-/// materializing a second full image would triple the peak.
-std::string block_bytes(std::uint32_t id, const Trace& trace,
-                        const SwarmIndex& index) {
-  const std::size_t n = trace.sessions.size();
-  std::string bytes;
+/// Stores `width`-byte elements, one per item, from `p` on; returns the
+/// bytes stored.
+template <typename Items, typename Store>
+std::size_t store_each(unsigned char* p, const Items& items, std::size_t width,
+                       Store&& store) {
+  for (const auto& item : items) {
+    store(p, item);
+    p += width;
+  }
+  return items.size() * width;
+}
+
+/// Serializes one block's payload into `buf` and returns its size. One
+/// buffer, sized for the largest block, serves every block in turn, so
+/// the writer's transient memory is one column, not the file — at paper
+/// scale the file is ~1 GB and the Trace itself ~1.1 GB, so materializing
+/// a second full image would triple the peak.
+std::size_t block_bytes(std::uint32_t id, const Trace& trace,
+                        const SwarmIndex& index, unsigned char* buf) {
+  const std::vector<SessionRecord>& sessions = trace.sessions;
+  const std::vector<SwarmIndexGroup>& groups = index.groups;
   switch (id) {
     case 0:
-      bytes.reserve(n * 4);
-      for (const SessionRecord& s : trace.sessions) {
-        append_u32_le(bytes, s.user);
-      }
-      break;
+      return store_each(buf, sessions, 4, [](auto* p, const auto& s) {
+        store_u32_le(p, s.user);
+      });
     case 1:
-      bytes.reserve(n * 4);
-      for (const SessionRecord& s : trace.sessions) {
-        append_u32_le(bytes, s.household);
-      }
-      break;
+      return store_each(buf, sessions, 4, [](auto* p, const auto& s) {
+        store_u32_le(p, s.household);
+      });
     case 2:
-      bytes.reserve(n * 4);
-      for (const SessionRecord& s : trace.sessions) {
-        append_u32_le(bytes, s.content);
-      }
-      break;
+      return store_each(buf, sessions, 4, [](auto* p, const auto& s) {
+        store_u32_le(p, s.content);
+      });
     case 3:
-      bytes.reserve(n * 4);
-      for (const SessionRecord& s : trace.sessions) {
-        append_u32_le(bytes, s.isp);
-      }
-      break;
+      return store_each(buf, sessions, 4, [](auto* p, const auto& s) {
+        store_u32_le(p, s.isp);
+      });
     case 4:
-      bytes.reserve(n * 4);
-      for (const SessionRecord& s : trace.sessions) {
-        append_u32_le(bytes, s.exp);
-      }
-      break;
+      return store_each(buf, sessions, 4, [](auto* p, const auto& s) {
+        store_u32_le(p, s.exp);
+      });
     case 5:
-      bytes.reserve(n);
-      for (const SessionRecord& s : trace.sessions) {
-        bytes.push_back(static_cast<char>(s.bitrate));
-      }
-      break;
+      return store_each(buf, sessions, 1, [](auto* p, const auto& s) {
+        *p = static_cast<unsigned char>(s.bitrate);
+      });
     case 6:
-      bytes.reserve(n * 8);
-      for (const SessionRecord& s : trace.sessions) {
-        append_f64_le(bytes, s.start);
-      }
-      break;
+      return store_each(buf, sessions, 8, [](auto* p, const auto& s) {
+        store_f64_le(p, s.start);
+      });
     case 7:
-      bytes.reserve(n * 8);
-      for (const SessionRecord& s : trace.sessions) {
-        append_f64_le(bytes, s.duration);
-      }
-      break;
+      return store_each(buf, sessions, 8, [](auto* p, const auto& s) {
+        store_f64_le(p, s.duration);
+      });
     case 8:
-      bytes.reserve(index.groups.size() * 4);
-      for (const SwarmIndexGroup& g : index.groups) {
-        append_u32_le(bytes, g.content);
-      }
-      break;
+      return store_each(buf, groups, 4, [](auto* p, const auto& g) {
+        store_u32_le(p, g.content);
+      });
     case 9:
-      bytes.reserve(index.groups.size() * 4);
-      for (const SwarmIndexGroup& g : index.groups) {
-        append_u32_le(bytes, g.isp);
-      }
-      break;
+      return store_each(buf, groups, 4, [](auto* p, const auto& g) {
+        store_u32_le(p, g.isp);
+      });
     case 10:
-      bytes.reserve(index.groups.size());
-      for (const SwarmIndexGroup& g : index.groups) {
-        bytes.push_back(static_cast<char>(g.bitrate));
-      }
-      break;
+      return store_each(buf, groups, 1, [](auto* p, const auto& g) {
+        *p = g.bitrate;
+      });
     case 11:
-      bytes.reserve(index.groups.size() * 8);
-      for (const SwarmIndexGroup& g : index.groups) {
-        append_u64_le(bytes, g.count);
-      }
-      break;
+      return store_each(buf, groups, 8, [](auto* p, const auto& g) {
+        store_u64_le(p, g.count);
+      });
     case 12:
-      bytes.reserve(index.order.size() * 4);
-      for (const std::uint32_t i : index.order) append_u32_le(bytes, i);
-      break;
+      return store_each(buf, index.order, 4, [](auto* p, std::uint32_t i) {
+        store_u32_le(p, i);
+      });
     case 13:
-      bytes = trace.metro_name;
-      break;
+      std::memcpy(buf, trace.metro_name.data(), trace.metro_name.size());
+      return trace.metro_name.size();
     default:
       CL_EXPECTS(id < kTraceBinaryBlockCount);
   }
-  return bytes;
+  return 0;
 }
 
 /// Directory element count of one block (see TraceBlockCountKind).
@@ -155,11 +147,14 @@ void write_trace_binary(std::ostream& out, const Trace& trace) {
                                 kTraceBinaryBlockCount *
                                     kTraceBinaryDirEntryBytes);
   std::size_t total = cursor;
+  std::size_t largest = 0;
   for (std::uint32_t id = 0; id < kTraceBinaryBlockCount; ++id) {
-    const std::size_t count = block_count(id, n, groups, metro_bytes);
+    const std::size_t bytes =
+        block_count(id, n, groups, metro_bytes) * kTraceBinaryElemSize[id];
     offsets[id] = cursor;
-    total = cursor + count * kTraceBinaryElemSize[id];
+    total = cursor + bytes;
     cursor = align_up(total);
+    largest = std::max(largest, bytes);
   }
 
   std::string header;
@@ -182,12 +177,14 @@ void write_trace_binary(std::ostream& out, const Trace& trace) {
   write_all(out, header);
 
   std::size_t written = header.size();
+  const auto buf = std::make_unique_for_overwrite<unsigned char[]>(largest);
   for (std::uint32_t id = 0; id < kTraceBinaryBlockCount; ++id) {
     out.write(std::string(offsets[id] - written, '\0').data(),
               static_cast<std::streamsize>(offsets[id] - written));
-    const std::string bytes = block_bytes(id, trace, index);
-    write_all(out, bytes);
-    written = offsets[id] + bytes.size();
+    const std::size_t bytes = block_bytes(id, trace, index, buf.get());
+    out.write(reinterpret_cast<const char*>(buf.get()),
+              static_cast<std::streamsize>(bytes));
+    written = offsets[id] + bytes;
   }
   CL_ENSURES(written == total);
 }

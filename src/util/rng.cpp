@@ -328,16 +328,19 @@ DiscreteSampler::DiscreteSampler(std::vector<double> weights)
   }
 }
 
-std::size_t DiscreteSampler::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  // u < 1 is a multiple of 2^-53, so u·2^b is exact and its floor k picks
-  // the bucket [k·2^-b, (k+1)·2^-b) holding u: lower_bound(cdf, u) lies
-  // in [guide_[k], guide_[k+1]].
+std::size_t DiscreteSampler::find(double u) const {
+  // u·2^b is exact (a power-of-two scaling) and u < 1, so its floor k
+  // picks the bucket [k·2^-b, (k+1)·2^-b) holding u: lower_bound(cdf, u)
+  // lies in [guide_[k], guide_[k+1]].
   const auto k = static_cast<std::size_t>(u * guide_scale_);
   const auto first = cdf_.begin() + guide_[k];
   const auto last = cdf_.begin() + guide_[k + 1];
   return static_cast<std::size_t>(std::lower_bound(first, last, u) -
                                   cdf_.begin());
+}
+
+std::size_t DiscreteSampler::operator()(Rng& rng) const {
+  return find(rng.uniform());
 }
 
 double DiscreteSampler::probability(std::size_t k) const {

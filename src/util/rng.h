@@ -107,13 +107,19 @@ void fill_in_chunks(
 /// since u·2ᵇ is exact, u's bucket brackets the answer. A draw over the
 /// 3.3 M-user paper population therefore searches a few dozen entries
 /// instead of binary-searching the whole 26 MB CDF, and returns the same
-/// index.
+/// index. find(u) is that search on its own, so a caller can take a batch
+/// of uniforms first and resolve them together: at paper scale each
+/// search misses cache, and independent searches overlap their misses.
 class DiscreteSampler {
  public:
   /// Precondition: weights non-empty, all >= 0, sum > 0. The vector is
   /// turned into the CDF in place, so pass a temporary to avoid a copy.
   explicit DiscreteSampler(std::vector<double> weights);
 
+  /// The index lower_bound(cdf, u), for any u in [0, 1).
+  [[nodiscard]] std::size_t find(double u) const;
+
+  /// find(rng.uniform()): one draw.
   std::size_t operator()(Rng& rng) const;
 
   [[nodiscard]] double probability(std::size_t k) const;

@@ -328,13 +328,6 @@ TEST(SimResultMerge, SumsConcatenatesAndFolds) {
   b.total.peer[0] = Bits{5.0};
   b.total.cross_isp = Bits{3.0};
 
-  // Differently sized hourly grids: merge grows to the larger shape.
-  a.hourly.assign(1, std::vector<TrafficBreakdown>(2));
-  a.hourly[0][1].server = Bits{11.0};
-  b.hourly.assign(2, std::vector<TrafficBreakdown>(2));
-  b.hourly[0][1].server = Bits{2.0};
-  b.hourly[1][0].server = Bits{9.0};
-
   // Chunk lists: merge concatenates them, settle_users folds them.
   a.users = {{7, Bits{10.0}, Bits{1.0}}};
   b.users = {{9, Bits{5.0}, Bits{0.0}}, {7, Bits{20.0}, Bits{2.0}}};
@@ -350,9 +343,6 @@ TEST(SimResultMerge, SumsConcatenatesAndFolds) {
   EXPECT_EQ(a.total.server.value(), 123.0);
   EXPECT_EQ(a.total.peer[0].value(), 12.0);
   EXPECT_EQ(a.total.cross_isp.value(), 3.0);
-  ASSERT_EQ(a.hourly.size(), 2u);
-  EXPECT_EQ(a.hourly[0][1].server.value(), 13.0);
-  EXPECT_EQ(a.hourly[1][0].server.value(), 9.0);
   ASSERT_EQ(a.users.size(), 3u);
   EXPECT_EQ(a.users[0].user, 7u);
   EXPECT_EQ(a.users[1].user, 9u);
@@ -367,6 +357,21 @@ TEST(SimResultMerge, SumsConcatenatesAndFolds) {
   ASSERT_EQ(a.swarms.size(), 2u);
   EXPECT_EQ(a.swarms[0].key.packed(), s1.key.packed());
   EXPECT_EQ(a.swarms[1].key.packed(), s2.key.packed());
+}
+
+TEST(SimResultMerge, RejectsPartialCarryingHourlyRows) {
+  // The simulator's chunk fold owns the hourly grid; a partial that
+  // carries hourly rows of its own is a caller error, not summed.
+  SimResult total;
+  total.hourly.assign(1, std::vector<TrafficBreakdown>(2));
+  SimResult hourly;
+  hourly.hourly.assign(1, std::vector<TrafficBreakdown>(2));
+  hourly.hourly[0][1].server = Bits{2.0};
+  EXPECT_THROW(total.merge(hourly), InvalidArgument);
+  SimResult spill;
+  spill.hourly_spill.assign(3, Bits{1.0});
+  EXPECT_THROW(total.merge(spill), InvalidArgument);
+  EXPECT_EQ(total.hourly[0][1].server.value(), 0.0);
 }
 
 TEST(SimResultMerge, MergingEmptyPartialIsIdentity) {

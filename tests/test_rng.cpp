@@ -351,6 +351,50 @@ TEST(DiscreteSampler, DrawEqualsLowerBoundAroundGuideTableCap) {
   }
 }
 
+/// Checks find(u) against std::lower_bound over the CDF at u = 0, at
+/// every multiple of 2⁻¹⁶ (every guide-bucket edge: the table has at most
+/// 2¹⁶ buckets) and the double just below it, and at the largest uniform
+/// 1 − 2⁻⁵³; and find(uniform) against operator() on one stream.
+void expect_find_is_lower_bound(const std::vector<double>& weights) {
+  const std::vector<double> cdf = reference_cdf(weights);
+  const DiscreteSampler sampler(weights);
+  const auto lower_bound = [&](double u) {
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  };
+  std::vector<double> us{0.0, 1.0 - 0x1.0p-53};
+  for (std::size_t k = 1; k < (std::size_t{1} << 16); ++k) {
+    const double edge = static_cast<double>(k) * 0x1.0p-16;
+    us.push_back(edge);
+    us.push_back(std::nextafter(edge, 0.0));
+  }
+  for (const double u : us) {
+    ASSERT_EQ(sampler.find(u), lower_bound(u))
+        << "n=" << weights.size() << " u=" << u;
+  }
+  Rng rng(127);
+  for (int i = 0; i < 2000; ++i) {
+    Rng copy = rng;
+    ASSERT_EQ(sampler.find(copy.uniform()), sampler(rng)) << "draw " << i;
+    ASSERT_EQ(rng, copy);
+  }
+}
+
+TEST(DiscreteSampler, FindEqualsLowerBoundAtBucketEdges) {
+  expect_find_is_lower_bound({2.5});  // a single entry
+  expect_find_is_lower_bound({1.0, 3.0});
+  // Zero weights repeat CDF values, on bucket edges among others.
+  expect_find_is_lower_bound({0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0});
+  std::vector<double> dyadic(1024, 0.0);
+  for (std::size_t i = 0; i < dyadic.size(); i += 2) dyadic[i] = 1.0;
+  expect_find_is_lower_bound(dyadic);
+  Rng weight_rng(131);
+  std::vector<double> skewed(65537);
+  for (double& w : skewed) w = weight_rng.lognormal(0.0, 1.5);
+  for (std::size_t i = 0; i < skewed.size(); i += 7) skewed[i] = 0.0;
+  expect_find_is_lower_bound(skewed);
+}
+
 TEST(DiscreteSampler, DrawEqualsLowerBoundAtPaperPopulation) {
   // The paper month's 3.3 M-user taste weights: heavy skew, tiny floor.
   Rng weight_rng(107);
