@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
+#include "fnv1a.h"
 #include "model/swarm_model.h"
 #include "util/error.h"
 
@@ -82,6 +86,35 @@ TEST(QueueSim, DeterministicInSeed) {
   const auto b = sim.run(Seconds{1e5}, 99);
   EXPECT_EQ(a.arrivals, b.arrivals);
   EXPECT_DOUBLE_EQ(a.time_average_occupancy, b.time_average_occupancy);
+}
+
+std::uint64_t result_digest(const QueueSimResult& result) {
+  std::string bytes;
+  const auto append = [&bytes](auto value) {
+    char raw[sizeof(value)];
+    std::memcpy(raw, &value, sizeof(value));
+    bytes.append(raw, sizeof(value));
+  };
+  append(result.arrivals);
+  append(result.time_average_occupancy);
+  for (const double p : result.occupancy_pmf) append(p);
+  return test::fnv1a(bytes);
+}
+
+TEST(QueueSim, ConstantRateResultsPinned) {
+  // Every bit of the constant-rate runs: the arrival stream is one
+  // exponential gap per arrival, so a change to how the constant-rate
+  // path draws its arrivals moves these digests.
+  const auto mm = QueueSimulator::mm_infinity(0.01, Seconds{400});
+  const auto mm_result = mm.run(Seconds{2e5}, 42);
+  EXPECT_EQ(mm_result.arrivals, 1996u);
+  EXPECT_EQ(result_digest(mm_result), 0xbb5ca66850341367ULL)
+      << std::hex << result_digest(mm_result);
+  const auto md = QueueSimulator::md_infinity(2.5 / 150.0, Seconds{150});
+  const auto md_result = md.run(Seconds{2e5}, 17);
+  EXPECT_EQ(md_result.arrivals, 3353u);
+  EXPECT_EQ(result_digest(md_result), 0x89631734bec40f38ULL)
+      << std::hex << result_digest(md_result);
 }
 
 TEST(QueueSim, RejectsInvalidConfig) {
