@@ -4,7 +4,10 @@
 // through the spike — including the CDN-spill phase where swarm demand
 // exceeds the warm peers' upload capacity.
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 
 #include "cli/cli_common.h"
 #include "cli/commands.h"
@@ -39,14 +42,20 @@ int cmd_live(const Args& args) {
       throw ParseError("unknown flash-crowd preset '" + preset +
                        "' (valid: " + joined + ")");
     }
+    // from_chars accepts "nan" and "inf", which no comparison below
+    // rejects on its own.
     const double days = args.get_double("days", 1.0);
-    if (days <= 0) throw ParseError("--days must be > 0");
+    if (!std::isfinite(days) || days <= 0) {
+      throw ParseError("--days must be finite and > 0");
+    }
     const double start = args.get_double("start", 7200.0);
-    if (start < 1800 || start >= days * 86400.0) {
+    if (!std::isfinite(start) || start < 1800 || start >= days * 86400.0) {
       throw ParseError("--start must be >= 1800 s and inside the span");
     }
     const std::int64_t viewers = args.get_int("viewers", 20000);
-    if (viewers < 1) throw ParseError("--viewers must be >= 1");
+    if (viewers < 1 || viewers > std::numeric_limits<std::uint32_t>::max()) {
+      throw ParseError("--viewers must be in [1, 4294967295]");
+    }
     const Metro& gen_metro = metro_from_flag(args);
     const FlashCrowdConfig config = flash_crowd_preset(
         preset, static_cast<std::uint32_t>(viewers), start, days);

@@ -100,12 +100,13 @@ FlashCrowdConfig flash_crowd_preset(const std::string& name,
   const double e = event_start_s;
   FlashCrowdConfig config;
   config.span_days = span_days;
+  // λ is 0 before a profile's first phase, so neither preset lists a zero
+  // phase at t = 0: at e = 1800 the ramp's first step starts there.
   if (name == "spike") {
     // Premiere/kickoff: 5 % warm-up trickle over the 10 minutes before,
     // 85 % of the audience inside 3 minutes, 10 % stragglers over the
     // next 10 minutes — then silence.
-    config.arrivals = RateProfile({{0.0, 0.0},
-                                   {e - 600.0, 0.05 * v / 600.0},
+    config.arrivals = RateProfile({{e - 600.0, 0.05 * v / 600.0},
                                    {e, 0.85 * v / 180.0},
                                    {e + 180.0, 0.10 * v / 600.0},
                                    {e + 780.0, 0.0}});
@@ -115,8 +116,7 @@ FlashCrowdConfig flash_crowd_preset(const std::string& name,
   } else if (name == "ramp") {
     // Pre-game tune-in: three rising 10-minute steps carrying 15/30/45 %
     // of the audience, then a 10 % tail over the first 15 minutes.
-    config.arrivals = RateProfile({{0.0, 0.0},
-                                   {e - 1800.0, 0.15 * v / 600.0},
+    config.arrivals = RateProfile({{e - 1800.0, 0.15 * v / 600.0},
                                    {e - 1200.0, 0.30 * v / 600.0},
                                    {e - 600.0, 0.45 * v / 600.0},
                                    {e, 0.10 * v / 900.0},

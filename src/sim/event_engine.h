@@ -6,10 +6,13 @@
 // the opposite — a workload whose arrival intensity changes mid-trace
 // (ramp to kickoff, spike at a premiere, decay afterwards). RateProfile
 // describes λ(t) as ordered constant-rate phases and samples the
-// non-homogeneous Poisson arrival stream by Lewis–Shedler thinning:
-// candidate gaps at the profile's peak rate, each accepted with
-// probability λ(t)/λmax. Everything is deterministic in the Rng passed
-// in, so generated scenarios reproduce bit-exactly from one seed.
+// non-homogeneous Poisson arrival stream exactly, phase by phase: one
+// exponential gap at the covering phase's rate, and a gap that crosses
+// the phase end is dropped and redrawn from the next phase's start (the
+// exponential is memoryless). A call costs one draw per positive-rate
+// phase it enters, and zero-rate phases cost nothing. Everything is
+// deterministic in the Rng passed in, so generated scenarios reproduce
+// bit-exactly from one seed.
 //
 // EventQueue is the scenario generators' scheduling core: a binary-heap
 // priority queue ordered by (time, insertion sequence). Ties resolve in
@@ -53,23 +56,24 @@ class RateProfile {
   /// λ(t) — 0 before the first phase, else the covering phase's rate.
   [[nodiscard]] double rate_at(double t) const;
 
-  /// max over phases of rate_per_s — the thinning envelope.
-  [[nodiscard]] double max_rate() const { return max_rate_; }
-
   /// Expected arrivals in [0, horizon): ∫λ(t)dt.
   [[nodiscard]] double expected_arrivals(double horizon_s) const;
 
-  /// Samples the next arrival strictly after `now` by thinning.
-  /// Returns +infinity once the candidate time passes `limit_s` (callers
-  /// cap at the trace span / simulation horizon; without the cap a
-  /// trailing zero-rate phase would spin forever rejecting candidates).
-  /// Deterministic in the rng state.
+  /// Samples the next arrival after `now`. Starting in the phase that
+  /// covers `now` (or at the first phase's start, if `now` precedes it),
+  /// a phase with rate r > 0 draws one gap `rng.exponential(r)`; a
+  /// candidate before the phase end is the arrival, otherwise it is
+  /// dropped and sampling restarts at the next phase's start. Zero-rate
+  /// phases draw nothing. Returns +infinity once the arrival would be at
+  /// or past `limit_s`, or no positive-rate phase is left. Cost: one draw
+  /// per positive-rate phase entered, so a one-phase profile draws
+  /// exactly `now + rng.exponential(rate)`. Deterministic in the rng
+  /// state.
   [[nodiscard]] double next_arrival(double now, double limit_s,
                                     Rng& rng) const;
 
  private:
   std::vector<RatePhase> phases_;
-  double max_rate_ = 0;
 };
 
 /// Min-heap of (time, payload) events with deterministic FIFO tie-break:

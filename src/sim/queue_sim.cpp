@@ -10,16 +10,12 @@ namespace cl {
 
 QueueSimulator::QueueSimulator(double arrival_rate,
                                std::function<double(Rng&)> service_sampler)
-    : arrival_rate_(arrival_rate), service_(std::move(service_sampler)) {
-  CL_EXPECTS(arrival_rate_ > 0);
-  CL_EXPECTS(static_cast<bool>(service_));
-}
+    : QueueSimulator(RateProfile::constant(arrival_rate),
+                     std::move(service_sampler)) {}
 
 QueueSimulator::QueueSimulator(RateProfile arrivals,
                                std::function<double(Rng&)> service_sampler)
-    : arrival_rate_(arrivals.max_rate()),
-      profile_(std::move(arrivals)),
-      service_(std::move(service_sampler)) {
+    : profile_(std::move(arrivals)), service_(std::move(service_sampler)) {
   CL_EXPECTS(static_cast<bool>(service_));
 }
 
@@ -54,17 +50,11 @@ QueueSimResult QueueSimulator::run(Seconds horizon,
   Rng rng(seed ^ 0x94d049bb133111ebULL);
   const double end = horizon.value();
 
-  // Min-heap of pending departure times; arrivals generated on the fly.
-  // The constant-rate path draws exactly the sequence it always has; the
-  // profile path thins candidates against λ(t) (sim/event_engine.h) and
-  // returns +inf once candidates pass the horizon, which the `>= end`
-  // break absorbs.
+  // Min-heap of pending departure times; arrivals generated on the fly
+  // from the profile (sim/event_engine.h), which returns +inf once the
+  // next arrival would pass the horizon; the `>= end` break absorbs it.
   std::priority_queue<double, std::vector<double>, std::greater<>> departures;
-  const auto sample_arrival = [&](double after) {
-    return profile_ ? profile_->next_arrival(after, end, rng)
-                    : after + rng.exponential(arrival_rate_);
-  };
-  double next_arrival = sample_arrival(0.0);
+  double next_arrival = profile_.next_arrival(0.0, end, rng);
 
   QueueSimResult result;
   std::vector<double> time_in_state;  // time spent with L == index
@@ -91,7 +81,7 @@ QueueSimResult QueueSimulator::run(Seconds horizon,
       CL_ENSURES(service >= 0);
       departures.push(next_event + service);
       ++result.arrivals;
-      next_arrival = sample_arrival(next_event);
+      next_arrival = profile_.next_arrival(next_event, end, rng);
     } else {
       departures.pop();
     }

@@ -9,16 +9,15 @@
 // simulator and doubles as a generator of steady-state occupancy samples
 // for Monte-Carlo cross-checks.
 //
-// The live-event scenario engine adds a non-homogeneous mode: arrivals
-// driven by a RateProfile (sim/event_engine.h) instead of a constant
-// rate — the Mt/G/∞ queue whose time-varying occupancy is what a flash
-// crowd's swarm looks like. The constant-rate constructors are untouched
-// and draw the exact same rng sequence as before.
+// Arrivals are always driven by a RateProfile (sim/event_engine.h). A
+// constant rate is the one-phase profile, whose sampler draws exactly one
+// exponential gap per arrival; a multi-phase profile gives the Mt/G/∞
+// queue whose time-varying occupancy is what a flash crowd's swarm looks
+// like.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "sim/event_engine.h"
@@ -43,13 +42,14 @@ struct QueueSimResult {
 /// Infinite-server queue simulator.
 class QueueSimulator {
  public:
-  /// `arrival_rate` in events/second; `service` samples one service time
-  /// in seconds (exponential for M/M/∞, anything for M/G/∞).
+  /// `arrival_rate` in events/second (RateProfile::constant); `service`
+  /// samples one service time in seconds (exponential for M/M/∞,
+  /// anything for M/G/∞).
   QueueSimulator(double arrival_rate,
                  std::function<double(Rng&)> service_sampler);
 
   /// Non-homogeneous arrivals (Mt/G/∞): the profile's λ(t) drives the
-  /// arrival stream via thinning (RateProfile::next_arrival).
+  /// arrival stream (RateProfile::next_arrival).
   QueueSimulator(RateProfile arrivals,
                  std::function<double(Rng&)> service_sampler);
 
@@ -71,8 +71,7 @@ class QueueSimulator {
   [[nodiscard]] QueueSimResult run(Seconds horizon, std::uint64_t seed) const;
 
  private:
-  double arrival_rate_;
-  std::optional<RateProfile> profile_;
+  RateProfile profile_;
   std::function<double(Rng&)> service_;
 };
 

@@ -324,7 +324,7 @@ TEST(LedgerDigest, FlashSpikeWithOverloadPinned) {
                            5);
   SimConfig config;
   config.overload = true;
-  expect_ledger_digest(trace, config, 0x981028b0c1fd91c0ULL);
+  expect_ledger_digest(trace, config, 0x663a48263c4e897dULL);
 }
 
 TEST(LedgerDigest, ScaledLondonDayExistencePinned) {

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "fnv1a.h"
 #include "temp_path.h"
@@ -205,6 +206,31 @@ TEST(CliSmoke, LiveRejectsUnknownPreset) {
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.output.find("argument error"), std::string::npos);
   EXPECT_NE(result.output.find("ramp, spike"), std::string::npos);
+}
+
+TEST(CliSmoke, LiveRejectsOutOfRangeArguments) {
+  // 4294967297 viewers used to wrap to 1, --days nan reached the preset's
+  // precondition (exit 1) and --days inf died in vector::reserve.
+  const std::string out = cl::test::unique_temp_path("cl_smoke_live.csv");
+  const std::pair<const char*, const char*> cases[] = {
+      {"--viewers 0", "--viewers must be in [1, 4294967295]"},
+      {"--viewers 4294967296", "--viewers must be in [1, 4294967295]"},
+      {"--viewers 4294967297", "--viewers must be in [1, 4294967295]"},
+      {"--days nan", "--days must be finite and > 0"},
+      {"--days inf", "--days must be finite and > 0"},
+      {"--days 0", "--days must be finite and > 0"},
+      {"--start nan", "--start must be >= 1800 s and inside the span"},
+      {"--start inf", "--start must be >= 1800 s and inside the span"},
+  };
+  for (const auto& [flag, message] : cases) {
+    const RunResult result =
+        run_cli(std::string("live ") + flag + " --out " + out);
+    EXPECT_EQ(result.exit_code, 2) << flag << ": " << result.output;
+    EXPECT_NE(result.output.find(std::string("argument error: ") + message),
+              std::string::npos)
+        << flag << ": " << result.output;
+    EXPECT_FALSE(std::filesystem::exists(out)) << flag;
+  }
 }
 
 TEST(CliSmoke, LiveTraceReplaysThroughSimulateWithOverloadFlag) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -41,7 +42,6 @@ TEST(RateProfile, ConstantIsFlat) {
   const RateProfile p = RateProfile::constant(2.5);
   EXPECT_DOUBLE_EQ(p.rate_at(0), 2.5);
   EXPECT_DOUBLE_EQ(p.rate_at(1e6), 2.5);
-  EXPECT_DOUBLE_EQ(p.max_rate(), 2.5);
   EXPECT_DOUBLE_EQ(p.expected_arrivals(100), 250.0);
 }
 
@@ -52,7 +52,6 @@ TEST(RateProfile, PiecewiseStepsAndZeroBeforeFirstPhase) {
   EXPECT_DOUBLE_EQ(p.rate_at(100), 5.0);
   EXPECT_DOUBLE_EQ(p.rate_at(150), 5.0);
   EXPECT_DOUBLE_EQ(p.rate_at(1e9), 1.0);
-  EXPECT_DOUBLE_EQ(p.max_rate(), 5.0);
   // 0·90 + 5·100 + 1·50 over [0, 250).
   EXPECT_DOUBLE_EQ(p.expected_arrivals(250), 550.0);
 }
@@ -67,8 +66,7 @@ TEST(RateProfile, RejectsBadPhaseLists) {
 }
 
 TEST(RateProfile, NextArrivalIsMonotoneAndRespectsLimit) {
-  // A trailing zero-rate phase: without the limit the thinning loop
-  // would never accept another candidate past t = 100.
+  // A trailing zero-rate phase: nothing arrives past t = 100.
   const RateProfile p({{0, 4.0}, {100, 0.0}});
   Rng rng(7);
   double t = 0;
@@ -85,6 +83,174 @@ TEST(RateProfile, NextArrivalIsMonotoneAndRespectsLimit) {
   // ~400 expected arrivals in [0, 100).
   EXPECT_GT(accepted, 300u);
   EXPECT_LT(accepted, 500u);
+}
+
+// The sampler next_arrival used before phase-by-phase sampling:
+// Lewis–Shedler thinning, candidate gaps at the profile's peak rate, each
+// accepted with probability λ(t)/λmax. It samples the same law by an
+// independent route, so it serves as the oracle below.
+double thinning_next_arrival(const RateProfile& profile, double now,
+                             double limit_s, Rng& rng) {
+  double max_rate = 0;
+  for (const RatePhase& phase : profile.phases()) {
+    max_rate = std::max(max_rate, phase.rate_per_s);
+  }
+  double t = now;
+  for (;;) {
+    t += rng.exponential(max_rate);
+    if (t >= limit_s) return std::numeric_limits<double>::infinity();
+    if (rng.uniform() * max_rate < profile.rate_at(t)) return t;
+  }
+}
+
+// The whole arrival chain in [0, limit_s), as generate_flash_crowd
+// drives it.
+template <typename Sampler>
+std::vector<double> arrival_chain(const RateProfile& profile, double limit_s,
+                                  Rng rng, Sampler sample) {
+  std::vector<double> times;
+  for (double t = sample(profile, 0.0, limit_s, rng); std::isfinite(t);
+       t = sample(profile, t, limit_s, rng)) {
+    times.push_back(t);
+  }
+  return times;
+}
+
+double phase_sampler(const RateProfile& profile, double now, double limit_s,
+                     Rng& rng) {
+  return profile.next_arrival(now, limit_s, rng);
+}
+
+// Two-sample Kolmogorov–Smirnov statistic sup |F_a − F_b|.
+double ks_statistic(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  double d = 0;
+  while (i < a.size() && j < b.size()) {
+    const double x = std::min(a[i], b[j]);
+    while (i < a.size() && a[i] == x) ++i;
+    while (j < b.size() && b[j] == x) ++j;
+    d = std::max(d, std::abs(static_cast<double>(i) / a.size() -
+                             static_cast<double>(j) / b.size()));
+  }
+  return d;
+}
+
+TEST(RateProfile, PhaseSamplerMatchesThinningOracleOnPresets) {
+  // 400 seeds per sampler (disjoint seed ranges, so the two samples are
+  // independent) of the spike and ramp presets at 2 000 viewers. The
+  // span is cut to 0.05 days so the oracle's thinning stays cheap; both
+  // presets keep 600+ s of dead air before their first phase and a
+  // trailing zero-rate phase.
+  constexpr int kSeeds = 400;
+  constexpr double kSpanDays = 0.05;
+  const double limit_s = kSpanDays * 86400.0;
+  for (const std::string name : {"spike", "ramp"}) {
+    const RateProfile profile =
+        flash_crowd_preset(name, 2000, 2400.0, kSpanDays).arrivals;
+    const auto& phases = profile.phases();
+    std::vector<double> pooled_phase;
+    std::vector<double> pooled_thinning;
+    for (const bool use_oracle : {false, true}) {
+      // Per-phase counts in each seed: the mean over seeds must sit
+      // within 4 standard errors of ∫λ over the phase.
+      std::vector<std::vector<double>> counts(phases.size());
+      for (int seed = 0; seed < kSeeds; ++seed) {
+        const Rng rng(use_oracle ? 100000 + seed : 1 + seed);
+        const std::vector<double> times =
+            use_oracle ? arrival_chain(profile, limit_s, rng,
+                                       thinning_next_arrival)
+                       : arrival_chain(profile, limit_s, rng, phase_sampler);
+        std::vector<double> per_phase(phases.size(), 0.0);
+        for (const double t : times) {
+          const auto after = std::upper_bound(
+              phases.begin(), phases.end(), t,
+              [](double x, const RatePhase& p) { return x < p.start_s; });
+          ASSERT_NE(after, phases.begin());
+          per_phase[static_cast<std::size_t>(after - phases.begin()) - 1] +=
+              1;
+        }
+        for (std::size_t k = 0; k < phases.size(); ++k) {
+          counts[k].push_back(per_phase[k]);
+        }
+        auto& pooled = use_oracle ? pooled_thinning : pooled_phase;
+        pooled.insert(pooled.end(), times.begin(), times.end());
+      }
+      for (std::size_t k = 0; k < phases.size(); ++k) {
+        const double begin = phases[k].start_s;
+        const double end =
+            k + 1 < phases.size() ? phases[k + 1].start_s : limit_s;
+        const double expected =
+            profile.expected_arrivals(end) - profile.expected_arrivals(begin);
+        double mean = 0;
+        for (const double c : counts[k]) mean += c;
+        mean /= kSeeds;
+        double var = 0;
+        for (const double c : counts[k]) var += (c - mean) * (c - mean);
+        var /= kSeeds - 1;
+        const double standard_error = std::sqrt(var / kSeeds);
+        EXPECT_LE(std::abs(mean - expected), 4 * standard_error)
+            << name << (use_oracle ? " thinning" : " phase") << ", phase "
+            << k << ": mean " << mean << ", expected " << expected;
+      }
+    }
+    // The pooled arrival times of the two samplers share one law: the
+    // two-sample KS test passes at α = 0.001.
+    const double n = static_cast<double>(pooled_phase.size());
+    const double m = static_cast<double>(pooled_thinning.size());
+    const double critical =
+        std::sqrt(-0.5 * std::log(0.001 / 2)) * std::sqrt((n + m) / (n * m));
+    EXPECT_LT(ks_statistic(pooled_phase, pooled_thinning), critical)
+        << name << ": " << n << " vs " << m << " arrivals";
+  }
+}
+
+TEST(RateProfile, NextArrivalDrawsNothingInTrailingZeroPhase) {
+  const RateProfile p({{0, 4.0}, {100, 0.0}});
+  Rng rng(3);
+  const Rng untouched = rng;
+  EXPECT_TRUE(std::isinf(p.next_arrival(150.0, 500.0, rng)));
+  EXPECT_EQ(rng, untouched);
+  // Also at the phase boundary itself and past the limit.
+  EXPECT_TRUE(std::isinf(p.next_arrival(100.0, 500.0, rng)));
+  EXPECT_TRUE(std::isinf(p.next_arrival(600.0, 500.0, rng)));
+  EXPECT_EQ(rng, untouched);
+}
+
+TEST(RateProfile, OnePhaseProfileDrawsOneExponentialGap) {
+  const RateProfile p = RateProfile::constant(0.25);
+  Rng rng(11);
+  Rng reference = rng;
+  for (double t = 3.0; t < 1000.0;) {
+    const double next = p.next_arrival(t, 1000.0, rng);
+    const double expected = t + reference.exponential(0.25);
+    if (expected >= 1000.0) {
+      EXPECT_TRUE(std::isinf(next));
+    } else {
+      EXPECT_EQ(next, expected);
+    }
+    EXPECT_EQ(rng, reference);
+    t = expected;
+  }
+}
+
+TEST(RateProfile, NoArrivalInLeadingMiddleOrTrailingZeroPhase) {
+  const RateProfile p(
+      {{50, 0.0}, {100, 3.0}, {200, 0.0}, {300, 2.0}, {400, 0.0}});
+  std::size_t arrivals = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const std::vector<double> times =
+        arrival_chain(p, 1000.0, Rng(seed), phase_sampler);
+    for (const double t : times) {
+      EXPECT_GT(p.rate_at(t), 0.0) << "t=" << t;
+    }
+    arrivals += times.size();
+  }
+  // ~500 expected arrivals a seed.
+  EXPECT_GT(arrivals, 200u * 450u);
+  EXPECT_LT(arrivals, 200u * 550u);
 }
 
 // ---- EventQueue ----
@@ -140,6 +306,14 @@ TEST(FlashCrowd, PresetNamesAreValidAndUnknownThrows) {
   EXPECT_THROW(flash_crowd_preset("bogus", 100, 7200, 1), InvalidArgument);
   EXPECT_THROW(flash_crowd_preset("spike", 0, 7200, 1), InvalidArgument);
   EXPECT_THROW(flash_crowd_preset("spike", 100, 100, 1), InvalidArgument);
+}
+
+TEST(FlashCrowd, PresetsAcceptTheEarliestStart) {
+  // At e = 1800 the ramp's first step starts at t = 0.
+  for (const auto& name : flash_crowd_preset_names()) {
+    const FlashCrowdConfig config = flash_crowd_preset(name, 300, 1800, 1);
+    EXPECT_GT(generate_flash_crowd(metro(), config, 2).size(), 100u) << name;
+  }
 }
 
 TEST(FlashCrowd, DeterministicInSeed) {
