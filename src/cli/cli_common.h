@@ -1,10 +1,12 @@
 // cli_common.h — helpers shared by the CLI subcommands.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -145,6 +147,28 @@ inline unsigned threads_from(const Args& args) {
   return static_cast<unsigned>(threads);
 }
 
+/// The --days knob of a command that makes its own trace: finite, at
+/// least `min_days` (and above 0) and at most kMaxTraceDays, or an
+/// argument error. from_chars accepts "nan" and "inf", which no
+/// comparison below rejects on its own.
+inline double days_from(const Args& args, double fallback, double min_days) {
+  const double days = args.get_double("days", fallback);
+  if (!std::isfinite(days) || days <= 0 || days < min_days) {
+    std::ostringstream message;
+    message << "--days must be finite and ";
+    if (min_days > 0) {
+      message << ">= " << min_days;
+    } else {
+      message << "> 0";
+    }
+    throw ParseError(message.str());
+  }
+  if (days > kMaxTraceDays) {
+    throw ParseError("--days must be <= " + std::to_string(kMaxTraceDays));
+  }
+  return days;
+}
+
 /// Shared --format / --from / --to knobs: "auto" (default) sniffs the
 /// `.cltrace` magic when reading and goes by extension when writing.
 inline TraceFormat trace_format_from(const Args& args,
@@ -167,8 +191,7 @@ inline Trace load_or_generate(const Args& args) {
   if (const auto path = args.get("trace")) {
     return read_trace_any(*path, trace_format_from(args), threads_from(args));
   }
-  TraceConfig config =
-      TraceConfig::london_month_scaled(args.get_double("days", 10));
+  TraceConfig config = TraceConfig::london_month_scaled(days_from(args, 10, 1));
   config.metro = metro_flag(args);
   config.seed = seed_from(args, config.seed);
   config.threads = threads_from(args);

@@ -24,7 +24,7 @@ int cmd_convert(const Args& args) {
   const auto t0 = std::chrono::steady_clock::now();
   const Trace trace = read_trace_any(*in_path, from, threads);
   const auto t1 = std::chrono::steady_clock::now();
-  write_trace_any(*out_path, trace, to);
+  write_trace_any(*out_path, trace, to, threads);
   const auto t2 = std::chrono::steady_clock::now();
 
   if (!args.has("quiet")) {

@@ -18,11 +18,11 @@ TraceConfig preset_config(const Args& args) {
   const std::string preset = args.get_or("preset", "london");
   TraceConfig config;
   if (preset == "london") {
-    config = TraceConfig::london_month_scaled(args.get_double("days", 30));
+    config = TraceConfig::london_month_scaled(days_from(args, 30, 1));
   } else if (preset == "paper") {
-    config = TraceConfig::london_month_paper(args.get_double("days", 30));
+    config = TraceConfig::london_month_paper(days_from(args, 30, 1));
   } else if (preset == "small") {
-    config.days = args.get_double("days", 7);
+    config.days = days_from(args, 7, 1);
     config.users = 5000;
     config.exemplar_views = {20000, 2000};
     config.catalogue_tail = 300;
@@ -30,7 +30,6 @@ TraceConfig preset_config(const Args& args) {
   } else {
     throw ParseError("unknown preset '" + preset + "' (london|paper|small)");
   }
-  config.days = args.get_double("days", config.days);
   config.metro = metro_flag(args);
   config.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<std::int64_t>(config.seed)));
@@ -53,7 +52,7 @@ int cmd_generate(const Args& args) {
   const Metro& metro = metro_by_name(config.metro);
   TraceGenerator generator(config, metro);
   const Trace trace = generator.generate();
-  write_trace_any(*out_path, trace, trace_format_from(args));
+  write_trace_any(*out_path, trace, trace_format_from(args), config.threads);
   if (!args.has("quiet")) {
     std::cout << "wrote " << trace.size() << " sessions ("
               << config.days << " days, seed " << config.seed << ", metro "

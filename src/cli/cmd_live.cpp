@@ -42,12 +42,9 @@ int cmd_live(const Args& args) {
       throw ParseError("unknown flash-crowd preset '" + preset +
                        "' (valid: " + joined + ")");
     }
+    const double days = days_from(args, 1.0, 0);
     // from_chars accepts "nan" and "inf", which no comparison below
     // rejects on its own.
-    const double days = args.get_double("days", 1.0);
-    if (!std::isfinite(days) || days <= 0) {
-      throw ParseError("--days must be finite and > 0");
-    }
     const double start = args.get_double("start", 7200.0);
     if (!std::isfinite(start) || start < 1800 || start >= days * 86400.0) {
       throw ParseError("--start must be >= 1800 s and inside the span");
@@ -62,7 +59,8 @@ int cmd_live(const Args& args) {
     rows = generate_flash_crowd(gen_metro, config,
                                 seed_from(args, TraceConfig{}.seed));
     if (const auto out = args.get("out")) {
-      write_trace_any(*out, rows, trace_format_from(args));
+      write_trace_any(*out, rows, trace_format_from(args),
+                      threads_from(args));
       std::cout << "wrote " << rows.size() << " session segments to " << *out
                 << "\n";
     }

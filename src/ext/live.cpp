@@ -15,7 +15,7 @@ Trace generate_live_event(const Metro& metro, const LiveEventConfig& config,
   CL_EXPECTS(config.event_start_s >= 0);
   CL_EXPECTS(config.join_jitter_s > 0);
   CL_EXPECTS(config.mean_watch_s > 0);
-  CL_EXPECTS(config.span_days > 0);
+  CL_EXPECTS(config.span_days > 0 && config.span_days <= kMaxTraceDays);
 
   Rng rng(seed ^ 0xbf58476d1ce4e5b9ULL);
   const DiscreteSampler bitrate_sampler(std::vector<double>(
@@ -94,7 +94,7 @@ FlashCrowdConfig flash_crowd_preset(const std::string& name,
                                     double event_start_s, double span_days) {
   CL_EXPECTS(viewers >= 1);
   CL_EXPECTS(event_start_s >= 1800);
-  CL_EXPECTS(span_days > 0);
+  CL_EXPECTS(span_days > 0 && span_days <= kMaxTraceDays);
   CL_EXPECTS(event_start_s < span_days * 86400.0);
   const double v = static_cast<double>(viewers);
   const double e = event_start_s;
@@ -132,7 +132,7 @@ FlashCrowdConfig flash_crowd_preset(const std::string& name,
 Trace generate_flash_crowd(const Metro& metro, const FlashCrowdConfig& config,
                            std::uint64_t seed) {
   CL_EXPECTS(config.mean_watch_s > 0);
-  CL_EXPECTS(config.span_days > 0);
+  CL_EXPECTS(config.span_days > 0 && config.span_days <= kMaxTraceDays);
   CL_EXPECTS(config.churn.failure_rate_per_hour >= 0);
   CL_EXPECTS(config.churn.rejoin_probability >= 0 &&
              config.churn.rejoin_probability <= 1);

@@ -76,6 +76,12 @@ struct SwarmIndex {
   }
 };
 
+/// Longest span, in days, that the trace generators accept (and the CLI's
+/// --days admits): far beyond any real workload, while the span in
+/// seconds, hours and whole days stays exact and in range of every
+/// integer it is converted to.
+inline constexpr std::uint32_t kMaxTraceDays = 1'000'000;
+
 /// A workload trace: flat, start-time-ordered session list plus its span.
 struct Trace {
   std::vector<SessionRecord> sessions;

@@ -2,37 +2,58 @@
 
 #include <bit>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "util/error.h"
-
 namespace cl {
 
-SwarmIndex build_swarm_index(const Trace& trace) {
+SwarmIndex build_swarm_index(const Trace& trace, unsigned threads) {
   const std::size_t n = trace.sessions.size();
   CL_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max());
+  SwarmIndex index;
+  if (n == 0) return index;
+
+  // Every pass below splits [0, n) into the same `shards` contiguous
+  // ranges (parallel_shards' boundaries for this shard count).
+  const unsigned shards = resolve_threads(threads, n);
 
   // One compact entry per session, so every radix pass below reads its
   // input sequentially. `differ` collects, per key column, the bits that
-  // differ between some two sessions.
+  // differ between some session and session 0; each shard ORs its own.
   struct Entry {
     std::uint32_t content;
     std::uint32_t isp;
     std::uint32_t bitrate;
     std::uint32_t session;
   };
-  std::vector<Entry> entries(n);
-  Entry first{};
-  Entry differ{};
-  for (std::uint32_t i = 0; i < n; ++i) {
+  const auto entry_of = [&trace](std::size_t i) {
     const SessionRecord& s = trace.sessions[i];
-    const Entry e{s.content, s.isp, static_cast<std::uint32_t>(s.bitrate), i};
-    if (i == 0) first = e;
-    differ.content |= e.content ^ first.content;
-    differ.isp |= e.isp ^ first.isp;
-    differ.bitrate |= e.bitrate ^ first.bitrate;
-    entries[i] = e;
+    return Entry{s.content, s.isp, static_cast<std::uint32_t>(s.bitrate),
+                 static_cast<std::uint32_t>(i)};
+  };
+  const Entry first = entry_of(0);
+  // Neither buffer is zero-filled: the shards' first writes touch their
+  // pages in parallel.
+  auto entries = std::make_unique_for_overwrite<Entry[]>(n);
+  std::vector<Entry> shard_differ(shards, Entry{});
+  parallel_shards(n, shards, [&](unsigned shard, std::size_t b,
+                                 std::size_t e) {
+    Entry differ{};
+    for (std::size_t i = b; i < e; ++i) {
+      const Entry entry = entry_of(i);
+      differ.content |= entry.content ^ first.content;
+      differ.isp |= entry.isp ^ first.isp;
+      differ.bitrate |= entry.bitrate ^ first.bitrate;
+      entries[i] = entry;
+    }
+    shard_differ[shard] = differ;
+  });
+  Entry differ{};
+  for (const Entry& d : shard_differ) {
+    differ.content |= d.content;
+    differ.isp |= d.isp;
+    differ.bitrate |= d.bitrate;
   }
 
   // Stable LSD radix sort by (content, isp, bitrate), least significant
@@ -44,9 +65,14 @@ SwarmIndex build_swarm_index(const Trace& trace) {
   // kDigitBits per pass, and a digit with no differing bit is skipped: a
   // generated trace sorts in three passes, one each for the bitrate, the
   // ISP and the content id.
+  //
+  // Each pass counts digits per shard, then lays the output out bucket
+  // by bucket and, inside a bucket, shard by shard: shard s's entries of
+  // digit d land after those of every earlier shard, in input order, so
+  // the concurrent scatter is as stable as a serial one.
   constexpr unsigned kDigitBits = 12;
-  std::vector<Entry> scratch(n);
-  std::vector<std::size_t> start;
+  auto scratch = std::make_unique_for_overwrite<Entry[]>(n);
+  std::vector<std::vector<std::size_t>> cursor(shards);
   for (std::uint32_t Entry::*column :
        {&Entry::bitrate, &Entry::isp, &Entry::content}) {
     const std::uint32_t span = differ.*column;
@@ -61,92 +87,105 @@ SwarmIndex build_swarm_index(const Trace& trace) {
       const auto digit = [column, shift, mask](const Entry& e) {
         return (e.*column >> shift) & mask;
       };
-      start.assign(std::size_t{mask} + 1, 0);
-      for (const Entry& e : entries) ++start[digit(e)];
+      for (std::vector<std::size_t>& count : cursor) {
+        count.assign(std::size_t{mask} + 1, 0);
+      }
+      parallel_shards(n, shards, [&](unsigned shard, std::size_t b,
+                                     std::size_t e) {
+        std::vector<std::size_t>& count = cursor[shard];
+        for (std::size_t i = b; i < e; ++i) ++count[digit(entries[i])];
+      });
       std::size_t at = 0;
-      for (std::size_t& bucket : start) at += std::exchange(bucket, at);
-      for (const Entry& e : entries) scratch[start[digit(e)]++] = e;
+      for (std::size_t d = 0; d <= mask; ++d) {
+        for (std::vector<std::size_t>& count : cursor) {
+          at += std::exchange(count[d], at);
+        }
+      }
+      parallel_shards(n, shards, [&](unsigned shard, std::size_t b,
+                                     std::size_t e) {
+        std::vector<std::size_t>& next = cursor[shard];
+        for (std::size_t i = b; i < e; ++i) {
+          scratch[next[digit(entries[i])]++] = entries[i];
+        }
+      });
       entries.swap(scratch);
     }
   }
-  scratch = {};
+  scratch.reset();
 
-  SwarmIndex index;
+  // Each shard copies its slice of `order` and lists the groups that
+  // start in it; the shards' lists, in shard order, are the group table.
+  const auto same_key = [](const Entry& a, const Entry& b) {
+    return a.content == b.content && a.isp == b.isp && a.bitrate == b.bitrate;
+  };
   index.order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Entry& e = entries[i];
-    index.order[i] = e.session;
-    if (i == 0 || e.content != entries[i - 1].content ||
-        e.isp != entries[i - 1].isp || e.bitrate != entries[i - 1].bitrate) {
-      SwarmIndexGroup group;
-      group.content = e.content;
-      group.isp = e.isp;
-      group.bitrate = static_cast<std::uint8_t>(e.bitrate);
-      group.begin = i;
-      index.groups.push_back(group);
+  std::vector<std::vector<SwarmIndexGroup>> starts(shards);
+  parallel_shards(n, shards, [&](unsigned shard, std::size_t b,
+                                 std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      const Entry& entry = entries[i];
+      index.order[i] = entry.session;
+      if (i == 0 || !same_key(entry, entries[i - 1])) {
+        SwarmIndexGroup group;
+        group.content = entry.content;
+        group.isp = entry.isp;
+        group.bitrate = static_cast<std::uint8_t>(entry.bitrate);
+        group.begin = i;
+        starts[shard].push_back(group);
+      }
     }
-    ++index.groups.back().count;
+  });
+  for (const std::vector<SwarmIndexGroup>& shard : starts) {
+    index.groups.insert(index.groups.end(), shard.begin(), shard.end());
+  }
+  for (std::size_t g = 0; g < index.groups.size(); ++g) {
+    const std::uint64_t end =
+        g + 1 < index.groups.size() ? index.groups[g + 1].begin : n;
+    index.groups[g].count = end - index.groups[g].begin;
   }
   return index;
 }
 
-void validate_swarm_index(const SwarmIndex& index, const Trace& trace) {
-  const std::size_t n = trace.sessions.size();
-  if (index.order.size() != n) {
+void check_swarm_index_groups(std::span<const SwarmIndexGroup> groups,
+                              std::size_t order_size, std::size_t n) {
+  if (order_size != n) {
     throw ParseError("swarm index order length does not match session count");
   }
-  // One walk over the groups and `order` makes the structural checks and
-  // records each session's group; the key check then reads the sessions
-  // in file order instead of jumping to them through `order`. Groups are
-  // non-empty, so their number fits the session index width and no
-  // group is numbered kUnseen.
-  constexpr std::uint32_t kUnseen = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> group_of(n, kUnseen);
   std::uint64_t covered = 0;
-  for (std::size_t g = 0; g < index.groups.size(); ++g) {
-    const SwarmIndexGroup& group = index.groups[g];
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const SwarmIndexGroup& group = groups[g];
     if (group.count == 0) {
       throw ParseError("swarm index contains an empty group");
     }
     if (group.begin != covered) {
       throw ParseError("swarm index groups do not tile the order vector");
     }
-    if (g > 0 && !SwarmIndex::key_less(index.groups[g - 1], group)) {
+    if (g > 0 && !SwarmIndex::key_less(groups[g - 1], group)) {
       throw ParseError("swarm index group keys are not strictly ascending");
     }
     if (group.count > n - group.begin) {
       throw ParseError("swarm index group overruns the order vector");
-    }
-    std::uint32_t prev_session = 0;
-    for (std::uint64_t i = group.begin; i < group.begin + group.count; ++i) {
-      const std::uint32_t session_index = index.order[i];
-      if (session_index >= n) {
-        throw ParseError("swarm index references an out-of-range session");
-      }
-      if (i > group.begin && session_index <= prev_session) {
-        throw ParseError(
-            "swarm index session order is not ascending within a group");
-      }
-      if (group_of[session_index] != kUnseen) {
-        throw ParseError("swarm index lists a session in two groups");
-      }
-      group_of[session_index] = static_cast<std::uint32_t>(g);
-      prev_session = session_index;
     }
     covered += group.count;
   }
   if (covered != n) {
     throw ParseError("swarm index groups do not cover every session");
   }
-  // n sessions listed, none twice: every session has its group.
-  for (std::size_t i = 0; i < n; ++i) {
-    const SessionRecord& s = trace.sessions[i];
-    const SwarmIndexGroup& group = index.groups[group_of[i]];
-    if (s.content != group.content || s.isp != group.isp ||
-        static_cast<std::uint8_t>(s.bitrate) != group.bitrate) {
-      throw ParseError("swarm index group key does not match its sessions");
+}
+
+void validate_swarm_index(const SwarmIndex& index, const Trace& trace,
+                          unsigned threads) {
+  struct RowKeys {
+    const SessionRecord* rows;
+    void prefetch(std::uint32_t s) const { simd::prefetch(rows + s); }
+    bool matches(std::uint32_t s, const SwarmIndexGroup& group) const {
+      const SessionRecord& r = rows[s];
+      return r.content == group.content && r.isp == group.isp &&
+             static_cast<std::uint8_t>(r.bitrate) == group.bitrate;
     }
-  }
+  };
+  check_swarm_index(index.groups, index.order, trace.sessions.size(),
+                    RowKeys{trace.sessions.data()}, threads);
 }
 
 }  // namespace cl

@@ -49,60 +49,67 @@ struct RawRecords {
         size(n) {}
 };
 
+/// Sessions per sort_by_start time bucket, on average.
+constexpr std::size_t kSessionsPerBucket = 64;
+
 /// Sorts `records` into `sorted` (already as many records) in
 /// start_order, freeing `records` once scattered. A stable scatter into
-/// hour buckets (the hour is monotone in the start time, so bucket order
-/// is already sorted order) splits the sort into independent per-bucket
-/// sorts, which run concurrently, largest bucket first. The result is the
-/// one sorted order, whatever the thread count.
+/// equal-width time buckets of ≈ kSessionsPerBucket sessions on average
+/// (the bucket is monotone in the start time, so bucket order is already
+/// sorted order) splits the sort into small independent per-bucket
+/// sorts, which run concurrently. The result is the one sorted order,
+/// whatever the thread count.
 void sort_by_start(RawRecords records, std::vector<SessionRecord>& sorted,
                    double span_s, unsigned threads) {
   const std::size_t n = records.size;
   const SessionRecord* sessions = records.data.get();
   CL_EXPECTS(sorted.size() == n);
-  const std::size_t hours = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(span_s / 3600.0)));
-  const auto hour_of = [hours](const SessionRecord& s) {
-    return std::min(hours - 1, static_cast<std::size_t>(s.start / 3600.0));
+  CL_EXPECTS(span_s > 0);
+  const std::size_t buckets = std::max<std::size_t>(1, n / kSessionsPerBucket);
+  const double width = span_s / static_cast<double>(buckets);
+  const double last = static_cast<double>(buckets - 1);
+  const auto bucket_of = [width, last](const SessionRecord& s) {
+    return static_cast<std::size_t>(
+        std::min(last, std::floor(s.start / width)));
   };
 
   // Stable counting scatter, one input chunk per worker: chunk c's
-  // sessions of hour h land after those of every earlier chunk.
+  // sessions of bucket k land after those of every earlier chunk.
   const unsigned chunks = resolve_threads(threads, n);
   std::vector<std::vector<std::size_t>> cursor(
-      chunks, std::vector<std::size_t>(hours, 0));
+      chunks, std::vector<std::size_t>(buckets, 0));
   parallel_shards(n, chunks, [&](unsigned c, std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++cursor[c][hour_of(sessions[i])];
+    for (std::size_t i = b; i < e; ++i) ++cursor[c][bucket_of(sessions[i])];
   });
-  std::vector<std::size_t> bucket(hours + 1, 0);
-  for (std::size_t h = 0; h < hours; ++h) {
-    std::size_t at = bucket[h];
+  std::vector<std::size_t> bucket(buckets + 1, 0);
+  for (std::size_t k = 0; k < buckets; ++k) {
+    std::size_t at = bucket[k];
     for (unsigned c = 0; c < chunks; ++c) {
-      const std::size_t count = cursor[c][h];
-      cursor[c][h] = at;
+      const std::size_t count = cursor[c][k];
+      cursor[c][k] = at;
       at += count;
     }
-    bucket[h + 1] = at;
+    bucket[k + 1] = at;
   }
   parallel_shards(n, chunks, [&](unsigned c, std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      sorted[cursor[c][hour_of(sessions[i])]++] = sessions[i];
+      sorted[cursor[c][bucket_of(sessions[i])]++] = sessions[i];
     }
   });
   records.data.reset();
 
-  std::vector<std::size_t> by_size(hours);
-  for (std::size_t h = 0; h < hours; ++h) by_size[h] = h;
-  std::stable_sort(by_size.begin(), by_size.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return bucket[a + 1] - bucket[a] >
-                            bucket[b + 1] - bucket[b];
-                   });
-  parallel_for_dynamic(hours, threads, [&](std::size_t i) {
-    const std::size_t h = by_size[i];
-    std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(bucket[h]),
-              sorted.begin() + static_cast<std::ptrdiff_t>(bucket[h + 1]),
-              start_order);
+  // Buckets are as wide as each other in time, not in sessions (the
+  // diurnal peak holds ~30x the trough's), so the sorts shard over
+  // sorted positions: a shard sorts the buckets that begin in its range.
+  parallel_shards(n, threads, [&](unsigned, std::size_t pb, std::size_t pe) {
+    for (auto k = static_cast<std::size_t>(
+             std::lower_bound(bucket.begin(), bucket.end() - 1, pb) -
+             bucket.begin());
+         k < buckets && bucket[k] < pe; ++k) {
+      std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(bucket[k]),
+                sorted.begin() + static_cast<std::ptrdiff_t>(bucket[k + 1]),
+                start_order);
+    }
   });
 }
 
@@ -230,7 +237,7 @@ TraceGenerator::UserTable TraceGenerator::build_users(
 
 TraceGenerator::TraceGenerator(TraceConfig config, const Metro& metro)
     : config_([&] {
-        CL_EXPECTS(config.days >= 1);
+        CL_EXPECTS(config.days >= 1 && config.days <= kMaxTraceDays);
         CL_EXPECTS(config.users >= 1);
         CL_EXPECTS(config.households_ratio > 0 &&
                    config.households_ratio <= 1);

@@ -142,8 +142,9 @@ class TraceGenerator {
   /// sessions in its slot of an uninitialized array, resolving users in
   /// batches so their cache misses overlap. One more cursor task
   /// value-initializes the output rows meanwhile. The filled array is
-  /// scattered stably into hour buckets (the hour is monotone in the
-  /// start time) and the buckets are sorted concurrently. Every step's
+  /// scattered stably into time buckets of ≈ 64 sessions (the bucket is
+  /// monotone in the start time) and the buckets are sorted
+  /// concurrently. Every step's
   /// output is independent of the thread count, so the trace is too.
   [[nodiscard]] Trace generate();
 

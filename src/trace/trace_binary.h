@@ -121,14 +121,20 @@ inline constexpr TraceBlockCountKind
 /// Serializes a trace into the `.cltrace` byte layout. Builds the swarm
 /// index with build_swarm_index when trace.swarm_index is empty, and
 /// persists the existing one otherwise (it must validate against the
-/// sessions). Deterministic: identical traces produce identical bytes.
-[[nodiscard]] std::string serialize_trace_binary(const Trace& trace);
+/// sessions). The index build, its check and each block's fill shard
+/// across `threads` workers (0 = all hardware threads); blocks are still
+/// built one at a time into one reused buffer. Deterministic: identical
+/// traces produce identical bytes at every thread count.
+[[nodiscard]] std::string serialize_trace_binary(const Trace& trace,
+                                                 unsigned threads = 0);
 
 /// Writes serialize_trace_binary's bytes to a stream.
-void write_trace_binary(std::ostream& out, const Trace& trace);
+void write_trace_binary(std::ostream& out, const Trace& trace,
+                        unsigned threads = 0);
 
 /// Writes a `.cltrace` file; throws cl::IoError when the file cannot be
 /// created or fully written.
-void write_trace_binary_file(const std::string& path, const Trace& trace);
+void write_trace_binary_file(const std::string& path, const Trace& trace,
+                             unsigned threads = 0);
 
 }  // namespace cl

@@ -45,13 +45,13 @@ Trace read_trace_any(const std::string& path, TraceFormat format,
 }
 
 void write_trace_any(const std::string& path, const Trace& trace,
-                     TraceFormat format) {
+                     TraceFormat format, unsigned threads) {
   if (format == TraceFormat::kAuto) {
     format = has_binary_trace_extension(path) ? TraceFormat::kBinary
                                               : TraceFormat::kCsv;
   }
   if (format == TraceFormat::kBinary) {
-    write_trace_binary_file(path, trace);
+    write_trace_binary_file(path, trace, threads);
   } else {
     write_trace_file(path, trace);
   }

@@ -39,8 +39,11 @@ enum class TraceFormat {
                                    unsigned threads = 1);
 
 /// Writes a trace in the given format (kAuto: binary when `path` ends in
-/// ".cltrace", CSV otherwise).
+/// ".cltrace", CSV otherwise). `threads` shards the binary writer (0 =
+/// all hardware threads); the bytes are the same at every value, and the
+/// CSV path ignores it.
 void write_trace_any(const std::string& path, const Trace& trace,
-                     TraceFormat format = TraceFormat::kAuto);
+                     TraceFormat format = TraceFormat::kAuto,
+                     unsigned threads = 0);
 
 }  // namespace cl

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -72,9 +73,11 @@ Trace read_trace(std::istream& in) {
   // builds consumed exactly one leading comment line, so CSVs carrying
   // #metro= need this build or newer — same one-way street as the
   // .cltrace v2 bump.)
+  std::size_t comment_lines = 0;
   while (in.peek() == '#') {
     std::string comment;
     std::getline(in, comment);
+    ++comment_lines;
     if (!comment.empty() && comment.back() == '\r') comment.pop_back();
     const auto eq = comment.find('=');
     if (comment.rfind("#span=", 0) == 0 && eq != std::string::npos) {
@@ -99,7 +102,8 @@ Trace read_trace(std::istream& in) {
   Trace trace;
   trace.sessions.reserve(doc.rows.size());
   double max_end = 0;
-  for (const auto& row : doc.rows) {
+  for (std::size_t r = 0; r < doc.rows.size(); ++r) {
+    const std::vector<std::string>& row = doc.rows[r];
     SessionRecord s;
     s.user = parse_u32(row[c_user], "user");
     s.household = parse_u32(row[c_household], "household");
@@ -109,6 +113,19 @@ Trace read_trace(std::istream& in) {
     s.bitrate = bitrate_class_from_string(row[c_bitrate]);
     s.start = parse_double(row[c_start], "start");
     s.duration = parse_double(row[c_duration], "duration");
+    // The rows' invariants (Trace::validate) are the file's to keep, so a
+    // row that breaks one is a parse error that names its line.
+    const auto bad_row = [&](const char* what) {
+      return ParseError("line " + std::to_string(comment_lines + doc.lines[r]) +
+                        ": " + what);
+    };
+    if (!std::isfinite(s.start) || !std::isfinite(s.duration) ||
+        s.start < 0 || s.duration < 0) {
+      throw bad_row("start and duration must be finite and >= 0");
+    }
+    if (span >= 0 && s.end() > span + 1e-6) {
+      throw bad_row("session ends past the #span of the trace");
+    }
     max_end = std::max(max_end, s.end());
     trace.sessions.push_back(s);
   }

@@ -157,6 +157,25 @@ SessionRecord MappedTrace::session(std::size_t i) const {
   return s;
 }
 
+std::vector<SwarmIndexGroup> MappedTrace::index_groups() const {
+  std::vector<SwarmIndexGroup> groups(groups_);
+  const unsigned char* content = block(8);
+  const unsigned char* isp = block(9);
+  const unsigned char* bitrate = block(10);
+  const unsigned char* count = block(11);
+  std::uint64_t begin = 0;
+  for (std::size_t g = 0; g < groups_; ++g) {
+    SwarmIndexGroup& group = groups[g];
+    group.content = load_u32_le(content + 4 * g);
+    group.isp = load_u32_le(isp + 4 * g);
+    group.bitrate = bitrate[g];
+    group.count = load_u64_le(count + 8 * g);
+    group.begin = begin;
+    begin += group.count;
+  }
+  return groups;
+}
+
 Trace MappedTrace::to_trace(unsigned threads) const {
   Trace trace;
   trace.span = span_;
@@ -190,26 +209,7 @@ Trace MappedTrace::to_trace(unsigned threads) const {
                     }
                   });
 
-  trace.swarm_index.groups.resize(groups_);
-  const unsigned char* g_content = block(8);
-  const unsigned char* g_isp = block(9);
-  const unsigned char* g_bitrate = block(10);
-  const unsigned char* g_count = block(11);
-  std::uint64_t begin = 0;
-  for (std::size_t g = 0; g < groups_; ++g) {
-    SwarmIndexGroup& group = trace.swarm_index.groups[g];
-    group.content = load_u32_le(g_content + 4 * g);
-    group.isp = load_u32_le(g_isp + 4 * g);
-    group.bitrate = g_bitrate[g];
-    group.count = load_u64_le(g_count + 8 * g);
-    group.begin = begin;
-    if (group.count > sessions_ - begin) {
-      throw ParseError(
-          "corrupt .cltrace file: swarm index group counts overflow the "
-          "session count");
-    }
-    begin += group.count;
-  }
+  trace.swarm_index.groups = index_groups();
   trace.swarm_index.order.resize(sessions_);
   const unsigned char* order = block(12);
   parallel_shards(sessions_, threads,
@@ -218,7 +218,7 @@ Trace MappedTrace::to_trace(unsigned threads) const {
                       trace.swarm_index.order[i] = load_u32_le(order + 4 * i);
                     }
                   });
-  validate_swarm_index(trace.swarm_index, trace);
+  validate_swarm_index(trace.swarm_index, trace, threads);
 
   // The same invariants the CSV reader enforces (ordering, non-negative
   // durations, sessions inside the span) — surfaced as ParseError since

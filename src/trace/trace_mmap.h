@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "trace/session.h"
 #include "util/mmap_file.h"
@@ -66,10 +67,16 @@ class MappedTrace {
     return block(id);
   }
 
+  /// Decodes the swarm-index group table (blocks 8-11), with each
+  /// group's `begin` the sum of the counts before it. Unchecked: the
+  /// callers run check_swarm_index on it.
+  [[nodiscard]] std::vector<SwarmIndexGroup> index_groups() const;
+
   /// Materializes the full trace — sessions, span and swarm index —
-  /// sharding session decoding across `threads` workers (0 = all
-  /// hardware threads). Validates bitrate values, the swarm index and
-  /// the trace invariants; throws cl::ParseError on corrupt payloads.
+  /// sharding session decoding and the swarm-index check across
+  /// `threads` workers (0 = all hardware threads). Validates bitrate
+  /// values, the swarm index and the trace invariants; throws
+  /// cl::ParseError on corrupt payloads.
   [[nodiscard]] Trace to_trace(unsigned threads = 1) const;
 
  private:

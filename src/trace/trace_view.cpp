@@ -1,16 +1,16 @@
 #include "trace/trace_view.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <iterator>
 #include <utility>
 
 #include "trace/bitrate.h"
+#include "trace/swarm_index.h"
 #include "trace/trace_binary.h"
 #include "util/error.h"
 #include "util/parallel.h"
 #include "util/serialize.h"
+#include "util/simd.h"
 
 namespace cl {
 
@@ -155,72 +155,33 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
     }
   });
 
-  // Decode the group table (tiny: one entry per swarm) and validate the
-  // index against the key columns — validate_swarm_index's checks,
-  // column-wise.
-  const std::size_t g_count = m.group_count();
-  auto groups = std::make_shared<std::vector<SwarmIndexGroup>>(g_count);
-  {
-    const unsigned char* g_content = m.raw_block(8);
-    const unsigned char* g_isp = m.raw_block(9);
-    const unsigned char* g_bitrate = m.raw_block(10);
-    const unsigned char* g_counts = m.raw_block(11);
-    std::uint64_t begin = 0;
-    for (std::size_t g = 0; g < g_count; ++g) {
-      SwarmIndexGroup& group = (*groups)[g];
-      group.content = load_u32_le(g_content + 4 * g);
-      group.isp = load_u32_le(g_isp + 4 * g);
-      group.bitrate = g_bitrate[g];
-      group.count = load_u64_le(g_counts + 8 * g);
-      group.begin = begin;
-      if (group.count == 0) corrupt("swarm index contains an empty group");
-      if (group.count > n - begin) {
-        throw ParseError(
-            "corrupt .cltrace file: swarm index group counts overflow the "
-            "session count");
-      }
-      if (g > 0 && !SwarmIndex::key_less((*groups)[g - 1], group)) {
-        corrupt("swarm index group keys are not strictly ascending");
-      }
-      begin += group.count;
+  // Decode the group table (tiny: one entry per swarm) and check the
+  // index against the key columns: the same check validate_swarm_index
+  // runs on rows.
+  auto groups =
+      std::make_shared<const std::vector<SwarmIndexGroup>>(m.index_groups());
+  struct ColumnKeys {
+    const std::uint32_t* content;
+    const std::uint32_t* isp;
+    const std::uint8_t* bitrate;
+    void prefetch(std::uint32_t s) const {
+      simd::prefetch(content + s);
+      simd::prefetch(isp + s);
+      simd::prefetch(bitrate + s);
     }
-    if (g_count > 0 && begin != n) {
-      corrupt("swarm index groups do not cover every session");
+    bool matches(std::uint32_t s, const SwarmIndexGroup& group) const {
+      return content[s] == group.content && isp[s] == group.isp &&
+             bitrate[s] == group.bitrate;
     }
-    if (g_count == 0 && n > 0) {
-      corrupt("swarm index groups do not cover every session");
-    }
+  };
+  try {
+    check_swarm_index(*groups, view.order_, n,
+                      ColumnKeys{view.content_.data(), view.isp_.data(),
+                                 view.bitrate_.data()},
+                      threads);
+  } catch (const ParseError& e) {
+    corrupt(e.what());
   }
-  // The index check shards over order positions, not groups: the Zipf
-  // head's few groups hold most sessions, so group shards would leave
-  // one worker with most of the work. A shard finds the group holding
-  // its first position by binary search on group.begin (group 0 begins
-  // at 0, and the groups cover [0, n) exactly).
-  const std::vector<SwarmIndexGroup>& index = *groups;
-  parallel_shards(n, threads, [&](unsigned, std::size_t pb,
-                                  std::size_t pe) {
-    auto group = std::prev(std::upper_bound(
-        index.begin(), index.end(), pb,
-        [](std::size_t pos, const SwarmIndexGroup& g) {
-          return pos < g.begin;
-        }));
-    std::uint64_t group_end = group->begin + group->count;
-    for (std::size_t i = pb; i < pe; ++i) {
-      if (i == group_end) {
-        ++group;
-        group_end = group->begin + group->count;
-      }
-      const std::uint32_t s = view.order_[i];
-      if (s >= n) corrupt("swarm index references an out-of-range session");
-      if (i > group->begin && s <= view.order_[i - 1]) {
-        corrupt("swarm index session order is not ascending within a group");
-      }
-      if (view.content_[s] != group->content || view.isp_[s] != group->isp ||
-          view.bitrate_[s] != group->bitrate) {
-        corrupt("swarm index group key does not match its sessions");
-      }
-    }
-  });
 
   view.groups_ = std::move(groups);
   view.mapped_ = shared;

@@ -121,6 +121,7 @@ CsvDocument read_csv(std::istream& in) {
                        " fields, got " + std::to_string(fields.size()));
     }
     doc.rows.push_back(std::move(fields));
+    doc.lines.push_back(lineno);
   }
   return doc;
 }

@@ -60,6 +60,9 @@ class CsvWriter {
 struct CsvDocument {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
+  /// 1-based line of each row within the document (the header is line 1;
+  /// blank lines are skipped but counted).
+  std::vector<std::size_t> lines;
 
   /// Index of a header column; throws cl::ParseError when absent.
   [[nodiscard]] std::size_t column(std::string_view name) const;

@@ -233,6 +233,31 @@ TEST(CliSmoke, LiveRejectsOutOfRangeArguments) {
   }
 }
 
+TEST(CliSmoke, DaysOutsideEachCommandsRangeIsAnArgumentError) {
+  // generate used to reach the generator's precondition (exit 1) below a
+  // day and an out-of-range integer cast at 1e300; live ended in a
+  // postcondition of the sweep's hourly grid at 1e300.
+  const std::string out = cl::test::unique_temp_path("cl_smoke_days.csv");
+  const std::pair<std::string, const char*> cases[] = {
+      {"generate --preset small --days 0.5", "--days must be finite and >= 1"},
+      {"generate --preset small --days -3", "--days must be finite and >= 1"},
+      {"generate --preset small --days nan", "--days must be finite and >= 1"},
+      {"generate --preset paper --days 1e300", "--days must be <= 1000000"},
+      {"generate --preset small --days 1000001", "--days must be <= 1000000"},
+      {"live --viewers 100 --days 1e300", "--days must be <= 1000000"},
+      {"simulate --days 0.5", "--days must be finite and >= 1"},
+      {"ledger --days inf", "--days must be finite and >= 1"},
+  };
+  for (const auto& [command, message] : cases) {
+    const RunResult result = run_cli(command + " --out " + out);
+    EXPECT_EQ(result.exit_code, 2) << command << ": " << result.output;
+    EXPECT_NE(result.output.find(std::string("argument error: ") + message),
+              std::string::npos)
+        << command << ": " << result.output;
+    EXPECT_FALSE(std::filesystem::exists(out)) << command;
+  }
+}
+
 TEST(CliSmoke, LiveTraceReplaysThroughSimulateWithOverloadFlag) {
   const std::string trace = temp_trace_path() + ".live.cltrace";
   std::filesystem::remove(trace);

@@ -29,6 +29,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -629,6 +630,125 @@ TEST(SwarmIndexTest, RadixSortMatchesOracleOnGeneratedTrace) {
   expect_same_index(build_swarm_index(trace), comparison_sort_index(trace));
 }
 
+TEST(SwarmIndexTest, ShardedBuildMatchesOracleAtEveryThreadCount) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::vector<std::pair<const char*, Trace>> traces{
+      {"generated", TraceGenerator(TraceConfig::london_month_scaled(1),
+                                   metro())
+                        .generate()},
+      {"fewer sessions than threads", random_key_trace(3, {4, 9}, {0, 2}, 5)},
+      {"empty", Trace{}},
+      // Sparse 32-bit ids: the content column sorts in three 11-bit passes.
+      {"sparse content ids",
+       random_key_trace(6000, {0, 1, 4095, 4096, 1u << 20, 1u << 31, kMax},
+                        {0, 1, 2, 3, 4}, 211)},
+  };
+  for (const auto& [name, trace] : traces) {
+    const SwarmIndex want = comparison_sort_index(trace);
+    for (const unsigned threads : {1u, 2u, 7u, 0u}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      const SwarmIndex got = build_swarm_index(trace, threads);
+      expect_same_index(got, want);
+      validate_swarm_index(got, trace, threads);
+    }
+  }
+}
+
+/// 2100 sessions whose index puts one 1800-session group (content 0:
+/// sessions 300..2099) across every shard boundary n·k/7 of a 7-thread
+/// check, and starts the group of content 1 (sessions 0, 3, ..., 297) at
+/// the boundary 1800. A fault at a boundary's first position is only
+/// caught by comparing it with the previous shard's last position, or
+/// with a group that began in an earlier shard.
+Trace shard_boundary_trace() {
+  constexpr std::size_t kSessions = 2100;
+  Trace trace;
+  trace.span = Seconds{86400.0};
+  trace.sessions.resize(kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    SessionRecord& s = trace.sessions[i];
+    s.user = static_cast<std::uint32_t>(i);
+    s.household = s.user;
+    s.content = i < 300 ? 1 + static_cast<std::uint32_t>(i % 3) : 0;
+    s.start = static_cast<double>(i);
+    s.duration = 60.0;
+  }
+  return trace;
+}
+
+TEST(SwarmIndexTest, ValidateRejectsFaultsRightAfterAShardBoundary) {
+  constexpr unsigned kThreads = 7;
+  const Trace trace = shard_boundary_trace();
+  const SwarmIndex index = build_swarm_index(trace, kThreads);
+  ASSERT_EQ(index.groups.size(), 4u);
+  ASSERT_EQ(index.groups[0].count, 1800u);
+  ASSERT_EQ(index.groups[1].begin, 1800u);
+  validate_swarm_index(index, trace, kThreads);
+  const std::size_t n = trace.size();
+
+  const auto expect_rejected = [&](const SwarmIndex& broken,
+                                   const Trace& sessions,
+                                   const std::string& what) {
+    try {
+      validate_swarm_index(broken, sessions, kThreads);
+      ADD_FAILURE() << "accepted a corrupt index; expected: " << what;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  // ValidateRejectsTampering's faults. The group-table faults are
+  // serial, but still run at 7 threads.
+  {
+    SwarmIndex broken = index;
+    broken.order.pop_back();
+    expect_rejected(broken, trace, "order length does not match");
+  }
+  {
+    SwarmIndex broken = index;
+    broken.groups[1].isp += 1;  // sessions from position 1800 on mismatch
+    expect_rejected(broken, trace, "group key does not match");
+  }
+  {
+    SwarmIndex broken = index;
+    std::swap(broken.groups[1].content, broken.groups[2].content);
+    expect_rejected(broken, trace, "not strictly ascending");
+  }
+  {
+    SwarmIndex broken = index;
+    broken.groups[3].count = 0;
+    expect_rejected(broken, trace, "empty group");
+  }
+  for (std::size_t k = 1; k < kThreads; ++k) {
+    const std::size_t p = n * k / kThreads;  // first position of shard k
+    SCOPED_TRACE("position " + std::to_string(p));
+    // Not ascending: p holds a smaller session than p − 1 (inside the
+    // big group) or than a session an earlier shard listed.
+    if (p < 1800) {
+      SwarmIndex broken = index;
+      std::swap(broken.order[p - 1], broken.order[p]);
+      expect_rejected(broken, trace, "not ascending within a group");
+    }
+    // ValidateRejectsSessionInTwoGroupsAndOneMissing: p lists the session
+    // of position p − 1 again (in the same or the previous group), and
+    // p's own session is listed nowhere.
+    {
+      SwarmIndex broken = index;
+      broken.order[p] = broken.order[p - 1];
+      expect_rejected(broken, trace,
+                      p < 1800 ? "not ascending within a group"
+                               : "group key does not match");
+    }
+    // ValidateRejectsWrongKeyOfLastSessionOnly: the session at p moves to
+    // a content no group holds.
+    {
+      Trace moved = trace;
+      moved.sessions[index.order[p]].content += 1000;
+      expect_rejected(index, moved, "group key does not match");
+    }
+  }
+}
+
 // ------------------------------------------------------------ golden files
 
 TEST(TraceBinaryGolden, FileBytesMatchWriter) {
@@ -940,6 +1060,30 @@ TEST(TraceBinaryWriter, FileBytesEqualSerializedBytes) {
   const std::string path = temp_path("cl_writer_bytes.cltrace");
   write_trace_binary_file(path, trace);
   EXPECT_EQ(read_bytes(path), serialize_trace_binary(trace));
+  std::filesystem::remove(path);
+}
+
+TEST(TraceBinaryWriter, BytesEqualAtEveryThreadCount) {
+  TraceConfig config;
+  config.days = 2;
+  config.users = 700;
+  config.exemplar_views = {3000, 400};
+  config.catalogue_tail = 50;
+  config.tail_views = 2500;
+  Trace trace = TraceGenerator(config, metro()).generate();
+  const std::string want = serialize_trace_binary(trace, 1);
+  const std::string path = temp_path("cl_writer_threads.cltrace");
+  // The writer builds the index itself, then persists a given one.
+  for (const bool indexed : {false, true}) {
+    if (indexed) trace.swarm_index = build_swarm_index(trace);
+    for (const unsigned threads : {1u, 2u, 7u}) {
+      SCOPED_TRACE("indexed=" + std::to_string(indexed) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(serialize_trace_binary(trace, threads), want);
+      write_trace_binary_file(path, trace, threads);
+      EXPECT_EQ(read_bytes(path), want);
+    }
+  }
   std::filesystem::remove(path);
 }
 

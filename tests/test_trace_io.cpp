@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "trace/synthetic.h"
 #include "util/error.h"
@@ -113,6 +114,46 @@ TEST(TraceIo, ReaderSortsByStart) {
       "2,2,0,0,0,sd,100,10\n");
   const Trace t = read_trace(in);
   EXPECT_EQ(t.sessions[0].user, 2u);
+}
+
+/// The message of the ParseError that reading `csv` throws, or "" when
+/// it reads.
+std::string parse_error_of(const std::string& csv) {
+  std::istringstream in(csv);
+  try {
+    (void)read_trace(in);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIo, RejectsRowPastSpanNamingItsLine) {
+  // The third row ends at 110 s, past the 100 s span. It used to reach
+  // Trace::validate's precondition instead of a parse error.
+  const std::string header =
+      "#span=100\n"
+      "user,household,content,isp,exp,bitrate,start,duration\n"
+      "1,1,0,0,0,sd,10,20\n"
+      "2,1,0,0,0,sd,50,20\n";
+  EXPECT_EQ(parse_error_of(header + "3,1,0,0,0,sd,90,20\n"),
+            "line 5: session ends past the #span of the trace");
+  // A blank line still counts, and a row may end exactly at the span.
+  EXPECT_EQ(parse_error_of(header + "\n3,1,0,0,0,sd,90,20\n"),
+            "line 6: session ends past the #span of the trace");
+  EXPECT_EQ(parse_error_of(header + "3,1,0,0,0,sd,90,10\n"), "");
+}
+
+TEST(TraceIo, RejectsNegativeOrNonFiniteTimesNamingTheLine) {
+  const std::string header =
+      "user,household,content,isp,exp,bitrate,start,duration\n"
+      "1,1,0,0,0,sd,10,20\n";
+  for (const char* row : {"2,1,0,0,0,sd,-1,20\n", "2,1,0,0,0,sd,5,-20\n",
+                          "2,1,0,0,0,sd,nan,20\n", "2,1,0,0,0,sd,5,inf\n"}) {
+    EXPECT_EQ(parse_error_of(header + row),
+              "line 3: start and duration must be finite and >= 0")
+        << row;
+  }
 }
 
 TEST(TraceIo, RejectsBadBitrate) {
