@@ -343,5 +343,73 @@ TEST(LedgerDigest, ScaledLondonDayIspSpanningPinned) {
   expect_ledger_digest(scaled_london_day(), config, 0x69961408831f556eULL);
 }
 
+// --- Bit-identity pin of the aggregate path ------------------------------
+//
+// One FNV-1a digest over the bits of everything a run sums besides the
+// per-user column: `total`, every hourly cell, the per-hour and total
+// overload spill, and each swarm row (key, sessions, capacity, traffic).
+// The overload model is on in every case, so split stretches (a capped
+// first window, then the steady rest) feed the spill and the hourly grid
+// on both the count route and the per-peer route.
+
+void append_traffic(std::string& bytes, const TrafficBreakdown& t) {
+  append_bits(bytes, t.server.value());
+  for (const Bits& level : t.peer) append_bits(bytes, level.value());
+  append_bits(bytes, t.cross_isp.value());
+}
+
+std::uint64_t sim_result_digest(const SimResult& result) {
+  std::string bytes;
+  append_traffic(bytes, result.total);
+  for (const auto& hour : result.hourly) {
+    for (const TrafficBreakdown& cell : hour) append_traffic(bytes, cell);
+  }
+  for (const Bits& spill : result.hourly_spill) {
+    append_bits(bytes, spill.value());
+  }
+  append_bits(bytes, result.overload_spill.value());
+  for (const SwarmResult& swarm : result.swarms) {
+    append_bits(bytes, swarm.key.packed());
+    append_bits(bytes, swarm.sessions);
+    append_bits(bytes, swarm.capacity);
+    append_traffic(bytes, swarm.traffic);
+  }
+  return test::fnv1a(bytes);
+}
+
+void expect_sim_result_digest(const Trace& trace, SimConfig config,
+                              std::uint64_t pinned) {
+  config.overload = true;
+  for (const unsigned threads : {1u, 2u, 7u, 0u}) {
+    config.threads = threads;
+    const SimResult result = HybridSimulator(metro(), config).run(trace);
+    ASSERT_FALSE(result.hourly.empty());
+    ASSERT_FALSE(result.swarms.empty());
+    EXPECT_GT(result.overload_spill.value(), 0.0);
+    EXPECT_EQ(sim_result_digest(result), pinned)
+        << "threads " << threads << ": 0x" << std::hex
+        << sim_result_digest(result);
+  }
+}
+
+TEST(SimResultDigest, FlashSpikeCountRoutePinned) {
+  const Trace trace =
+      generate_flash_crowd(metro(), flash_crowd_preset("spike", 2000, 7200, 1),
+                           5);
+  expect_sim_result_digest(trace, SimConfig{}, 0x1ece1e6883b9dbafULL);
+}
+
+TEST(SimResultDigest, ScaledLondonDayCapacityPinned) {
+  SimConfig config;
+  config.matcher = MatcherKind::kCapacity;
+  expect_sim_result_digest(scaled_london_day(), config, 0xb16e5f8df84babeaULL);
+}
+
+TEST(SimResultDigest, ScaledLondonDayIspSpanningPinned) {
+  SimConfig config;
+  config.isp_friendly = false;
+  expect_sim_result_digest(scaled_london_day(), config, 0x123ca1b5668dd55eULL);
+}
+
 }  // namespace
 }  // namespace cl
