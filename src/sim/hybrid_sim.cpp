@@ -106,16 +106,16 @@ std::vector<SwarmEntry> list_swarms(
 /// Sweeps the key-ordered swarm list on config.threads workers:
 /// sweep_one(sweep, entry, acc) sweeps one swarm with the worker's
 /// reusable SwarmSweep (scratch buffers + matcher) into its chunk's
-/// SimResult partial, and partials merge in ascending swarm-key order —
-/// bit-identical results at every thread count (the util/parallel.h
-/// contract). A chunk's hourly traffic arrives as one flat block over the
-/// hours its swarms touched (SwarmSweep::finish_chunk); the fold adds it
-/// into one flat [hours][isps] grid sized up front to the span, and the
-/// grid becomes SimResult::hourly at the end (traffic-free cells stay
-/// zero), the overload spill likewise per hour. Each chunk also ends by
-/// appending its per-user sums to its partial; the merged lists settle
-/// once into the user-ordered column. The settle and the grid's
-/// conversion are timed as part of the merge.
+/// ChunkPartial, and the calling thread folds the partials in ascending
+/// swarm-key order — bit-identical results at every thread count (the
+/// util/parallel.h contract). The fold sums the totals and the spill,
+/// appends the swarm rows and the per-user lists, and adds each chunk's
+/// flat hourly block (SwarmSweep::finish_chunk) into one flat
+/// [hours][isps] grid sized up front to the span (traffic-free cells
+/// stay zero), the overload spill likewise per hour. The one SimResult
+/// is built from the folded partial at the end: the per-user lists
+/// settle once into the user-ordered column and the grid becomes
+/// SimResult::hourly. Both are timed as part of the merge.
 template <typename SweepOne>
 SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
                        Seconds span, const std::vector<SwarmEntry>& swarms,
@@ -131,21 +131,21 @@ SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
   ChunkPartial merged = parallel_chunked_reduce_stateful(
       swarms.size(), config.threads,
       [&] { return SwarmSweep(metro, config, kernel_timing); },
-      [&] {
-        ChunkPartial partial;
-        partial.result.config = config;
-        partial.result.span = span;
-        return partial;
-      },
+      [] { return ChunkPartial{}; },
       [&](SwarmSweep& sweep, ChunkPartial& acc, std::size_t begin,
           std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          sweep_one(sweep, swarms[i], acc.result);
+          sweep_one(sweep, swarms[i], acc);
         }
         sweep.finish_chunk(acc);
       },
       [&](ChunkPartial& total, const ChunkPartial& chunk) {
-        total.result.merge(chunk.result);
+        total.total += chunk.total;
+        total.overload_spill += chunk.overload_spill;
+        total.swarms.insert(total.swarms.end(), chunk.swarms.begin(),
+                            chunk.swarms.end());
+        total.users.insert(total.users.end(), chunk.users.begin(),
+                           chunk.users.end());
         const std::size_t at = chunk.first_hour * isps;
         CL_ENSURES(at + chunk.hourly.size() <= grid.size());
         for (std::size_t i = 0; i < chunk.hourly.size(); ++i) {
@@ -161,7 +161,13 @@ SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
       },
       swarms_per_chunk(swarms.size()), reduce_timing);
   const auto settle_start = std::chrono::steady_clock::now();
-  SimResult result = std::move(merged.result);
+  SimResult result;
+  result.config = config;
+  result.span = span;
+  result.total = merged.total;
+  result.overload_spill = merged.overload_spill;
+  result.swarms = std::move(merged.swarms);
+  result.users = std::move(merged.users);
   result.settle_users();
   if (config.collect_hourly) {
     result.hourly.resize(hours);
@@ -262,7 +268,7 @@ SimResult HybridSimulator::run(const TraceView& view,
       *metro_, config_, view.span(), swarms,
       timing != nullptr ? &kernel_timing : nullptr,
       timing != nullptr ? &reduce_timing : nullptr,
-      [&](SwarmSweep& sweep, const SwarmEntry& swarm, SimResult& acc) {
+      [&](SwarmSweep& sweep, const SwarmEntry& swarm, ChunkPartial& acc) {
         sweep.sweep(swarm.first, swarm.second, view, acc);
       });
   if (timing != nullptr) {
@@ -304,7 +310,7 @@ SimResult HybridSimulator::run_rows(const Trace& trace) const {
       groups);
   return sweep_swarms(
       *metro_, config_, trace.span, swarms, nullptr, nullptr,
-      [&](SwarmSweep& sweep, const SwarmEntry& swarm, SimResult& acc) {
+      [&](SwarmSweep& sweep, const SwarmEntry& swarm, ChunkPartial& acc) {
         sweep.sweep_rows(swarm.first, swarm.second, trace, acc);
       });
 }

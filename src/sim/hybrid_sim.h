@@ -30,10 +30,12 @@
 //
 // Parallel execution: swarms are independent, so run() shards the
 // key-sorted swarm list across SimConfig::threads workers. Each worker
-// drives one reusable SwarmSweep; per-chunk partials fold in ascending
-// swarm-key order on the calling thread as they become ready
-// (util/parallel.h), making the full result bit-identical at every
-// thread count (see DESIGN.md §"Parallel execution model").
+// drives one reusable SwarmSweep into lean per-chunk partials (totals,
+// swarm rows, per-user lists, a flat hourly block); the partials fold in
+// ascending swarm-key order on the calling thread as they become ready
+// (util/parallel.h), and the one SimResult is built from that fold,
+// making the full result bit-identical at every thread count (see
+// DESIGN.md §"Parallel execution model").
 //
 // Traces loaded from the binary columnar format carry a persisted
 // swarm-key-sorted index (trace/swarm_index.h); under the default full

@@ -5,8 +5,6 @@
 #include <cstddef>
 #include <utility>
 
-#include "util/error.h"
-
 namespace cl {
 
 std::vector<std::vector<TrafficBreakdown>> SimResult::daily_grid() const {
@@ -22,15 +20,6 @@ std::vector<std::vector<TrafficBreakdown>> SimResult::daily_grid() const {
     }
   }
   return days;
-}
-
-void SimResult::merge(const SimResult& other) {
-  CL_EXPECTS(other.hourly.empty() && other.hourly_spill.empty());
-  total += other.total;
-  if (other.span.value() > span.value()) span = other.span;
-  overload_spill += other.overload_spill;
-  users.insert(users.end(), other.users.begin(), other.users.end());
-  swarms.insert(swarms.end(), other.swarms.begin(), other.swarms.end());
 }
 
 void SimResult::settle_users() {

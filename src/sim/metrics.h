@@ -28,12 +28,13 @@ struct SwarmResult {
   TrafficBreakdown traffic;
 };
 
-/// Full simulation outcome — or a mergeable *partial* of one.
+/// Full simulation outcome.
 ///
 /// The parallel simulator sweeps disjoint swarm subsets into per-chunk
-/// partials and folds them with merge() in ascending swarm-key order
-/// (util/parallel.h's fixed-chunk discipline), so the combined result is
-/// bit-identical for every SimConfig::threads value.
+/// partials (sim/swarm_sweep.h's ChunkPartial), folds them in ascending
+/// swarm-key order (util/parallel.h's fixed-chunk discipline) and builds
+/// one SimResult from the fold, so the result is bit-identical for every
+/// SimConfig::threads value.
 struct SimResult {
   SimConfig config;
   Seconds span;
@@ -49,12 +50,12 @@ struct SimResult {
   /// gCO₂/kWh at consumption time.
   std::vector<std::vector<TrafficBreakdown>> hourly;
 
-  /// Per-user byte totals (empty unless config.collect_per_user). In a
-  /// finished run this is the settled column: ascending user id, one
-  /// entry per user with a window-crossing session. A chunk partial
-  /// lists each user its swarms touched once, summed from 0 in the order
-  /// the sweep settled them (sim/swarm_sweep.h); merge() concatenates
-  /// the lists and settle_users() folds them into the column.
+  /// Per-user byte totals (empty unless config.collect_per_user): the
+  /// settled column, ascending user id, one entry per user with a
+  /// window-crossing session. A chunk partial lists each user its swarms
+  /// touched once, summed from 0 in the order the sweep settled them
+  /// (sim/swarm_sweep.h); the simulator's fold concatenates the lists
+  /// and settle_users() folds them into the column.
   std::vector<UserTraffic> users;
 
   /// Bits the overload model (SimConfig::overload) bounced back to the
@@ -77,22 +78,11 @@ struct SimResult {
   /// `hourly` is empty.
   [[nodiscard]] std::vector<std::vector<TrafficBreakdown>> daily_grid() const;
 
-  /// Folds another partial into this one: sums `total` and the overload
-  /// spill, and appends `other.users` and `other.swarms` — so merging
-  /// chunk partials in ascending swarm-key order keeps `swarms` globally
-  /// key-sorted and lists every user's chunk sums in chunk order. `span`
-  /// takes the larger of the two; `config` is left untouched (partials
-  /// of one run share it by construction). A partial carries no hourly
-  /// rows: the simulator's chunk fold adds each chunk's flat hourly block
-  /// into the run's grid itself, so `other.hourly` and
-  /// `other.hourly_spill` must be empty (precondition).
-  void merge(const SimResult& other);
-
   /// Folds the concatenated chunk lists in `users` into the settled
   /// column: ascending user id, one entry per user, each user's totals
   /// summed from 0 over their entries in list order — ((0 + c₀) + c₁) + …
   /// over the chunks, the same sums at every thread count.
-  /// HybridSimulator::run calls it once, after the last merge.
+  /// HybridSimulator::run calls it once, after the last chunk's fold.
   void settle_users();
 };
 

@@ -64,8 +64,8 @@ constexpr std::uint64_t kMaxPackWindow = std::uint64_t{1}
 /// As in build_swarm_index, only the window bits that differ between
 /// some two keys are sorted, at most kDigitBits per pass — two passes
 /// for a month of 10 s windows. `scratch` and `count` are reused buffers.
-void sort_leave_keys(simd::aligned_vector<std::uint64_t>& keys,
-                     simd::aligned_vector<std::uint64_t>& scratch,
+void sort_leave_keys(std::vector<std::uint64_t>& keys,
+                     std::vector<std::uint64_t>& scratch,
                      std::vector<std::size_t>& count) {
   constexpr std::size_t kRadixMin = 256;
   constexpr unsigned kDigitBits = 10;
@@ -234,7 +234,7 @@ template <typename MakePeer>
 void SwarmSweep::sweep_per_peer(std::size_t session_count,
                                 std::size_t max_hours,
                                 TrafficBreakdown& swarm_traffic,
-                                SimResult& out, MakePeer&& make_peer) {
+                                ChunkPartial& out, MakePeer&& make_peer) {
   const bool per_user = config_.collect_per_user;
   active_.clear();
   pos_.assign(session_count, -1);
@@ -259,9 +259,28 @@ void SwarmSweep::sweep_per_peer(std::size_t session_count,
   CL_ENSURES(active_.empty());
 }
 
+template <typename FoldRun>
+void SwarmSweep::fold_stretch(std::uint64_t w0, std::uint64_t w1,
+                              bool split_first, double spill_bits,
+                              std::size_t max_hours, ChunkPartial& out,
+                              FoldRun&& fold_run) {
+  // Each accumulator (the swarm total, a user's entry, an hourly cell)
+  // takes the capped run's addends before the steady run's: the order
+  // every result bit depends on.
+  if (!split_first) {
+    fold_run(false, w0, w1);
+    return;
+  }
+  ++counts_.overload_split;
+  add_spill(w0, spill_bits, max_hours, out);
+  const std::uint64_t wm = w0 + 1;
+  fold_run(true, w0, wm);
+  if (wm < w1) fold_run(false, wm, w1);
+}
+
 void SwarmSweep::process_stretch(std::uint64_t w0, std::uint64_t w1,
                                  TrafficBreakdown& swarm_traffic,
-                                 std::size_t max_hours, SimResult& out) {
+                                 std::size_t max_hours, ChunkPartial& out) {
   const double dt = config_.window.value();
   ++counts_.per_peer;
   // Seed peer: the longest-present member (deterministic tie-break).
@@ -318,51 +337,37 @@ void SwarmSweep::process_stretch(std::uint64_t w0, std::uint64_t w1,
         spill_bits += moved;
       }
       split_first = true;
-      ++counts_.overload_split;
     }
   }
-  // The stretch folds as two runs: [w0, wm) under the (possibly capped)
-  // first-window allocation and [wm, w1) under the steady one. Without a
-  // spill wm == w1 and the fold sequence is exactly the unsplit one.
-  const std::vector<PeerAllocation>& first_alloc =
-      split_first ? spill_alloc_ : alloc_;
-  const std::uint64_t wm = split_first ? w0 + 1 : w1;
-
-  const auto fold_totals = [&](const std::vector<PeerAllocation>& alloc_row,
-                               double windows) {
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic),
-                                  alloc_lanes(alloc_row[i]), windows);
-      if (config_.collect_per_user) {
-        UserTraffic& ut = user_sums_[peer_entry_[active_[i].session]];
-        ut.downloaded += Bits{alloc_row[i].downloaded_bits() * windows};
-        ut.uploaded += Bits{alloc_row[i].upload_bits * windows};
-      }
-    }
-  };
-  fold_totals(first_alloc, static_cast<double>(wm - w0));
-  if (wm < w1) fold_totals(alloc_, static_cast<double>(w1 - wm));
-
-  if (split_first) add_spill(w0, spill_bits, max_hours, out);
-  if (config_.collect_hourly) {
-    const auto fold_hourly = [&](const std::vector<PeerAllocation>& alloc_row,
-                                 std::uint64_t wa, std::uint64_t wb) {
-      for_each_hour(wa, wb, max_hours,
-                    [&](TrafficBreakdown* row, double chunk) {
-                      for (std::size_t i = 0; i < active_.size(); ++i) {
-                        sweep_kernels::fold_traffic(
-                            traffic_lanes(row[active_[i].isp]),
-                            alloc_lanes(alloc_row[i]), chunk);
-                      }
-                    });
-    };
-    fold_hourly(first_alloc, w0, wm);
-    if (wm < w1) fold_hourly(alloc_, wm, w1);
-  }
+  fold_stretch(
+      w0, w1, split_first, spill_bits, max_hours, out,
+      [&](bool capped, std::uint64_t wa, std::uint64_t wb) {
+        const std::vector<PeerAllocation>& run =
+            capped ? spill_alloc_ : alloc_;
+        const auto windows = static_cast<double>(wb - wa);
+        for (std::size_t i = 0; i < active_.size(); ++i) {
+          sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic),
+                                      alloc_lanes(run[i]), windows);
+          if (config_.collect_per_user) {
+            UserTraffic& ut = user_sums_[peer_entry_[active_[i].session]];
+            ut.downloaded += Bits{run[i].downloaded_bits() * windows};
+            ut.uploaded += Bits{run[i].upload_bits * windows};
+          }
+        }
+        if (!config_.collect_hourly) return;
+        for_each_hour(wa, wb, max_hours,
+                      [&](TrafficBreakdown* row, double chunk) {
+                        for (std::size_t i = 0; i < active_.size(); ++i) {
+                          sweep_kernels::fold_traffic(
+                              traffic_lanes(row[active_[i].isp]),
+                              alloc_lanes(run[i]), chunk);
+                        }
+                      });
+      });
 }
 
 void SwarmSweep::add_spill(std::uint64_t w0, double spill_bits,
-                           std::size_t max_hours, SimResult& out) {
+                           std::size_t max_hours, ChunkPartial& out) {
   out.overload_spill += Bits{spill_bits};
   if (!config_.collect_hourly) return;
   const auto hour = static_cast<std::size_t>(static_cast<double>(w0) *
@@ -375,7 +380,7 @@ void SwarmSweep::add_spill(std::uint64_t w0, double spill_bits,
 
 void SwarmSweep::sweep_counts(std::size_t max_hours,
                               TrafficBreakdown& swarm_traffic,
-                              SimResult& out) {
+                              ChunkPartial& out) {
   const double dt = config_.window.value();
   const double q = config_.q_over_beta;
   // Bits per window a non-seed peer pulls from a peer, per bit/s of β.
@@ -539,47 +544,39 @@ void SwarmSweep::sweep_counts(std::size_t max_hours,
 
     // Overload model: see process_stretch. Warm capacity is the β of the
     // members that did not join at w0.
-    double first[sweep_kernels::kTrafficLanes];
-    std::copy(std::begin(lanes), std::end(lanes), std::begin(first));
+    double first[sweep_kernels::kTrafficLanes] = {};
     const auto windows = static_cast<double>(w1 - w0);
     double effective = windows;
     bool split_first = false;
+    double spill_bits = 0.0;
     if (config_.overload) {
       const double demand = k * (s_all - seed_beta);
       const double capacity = q * dt * (s_all - s_fresh);
       if (demand > capacity) {
         const double scale = capacity > 0 ? capacity / demand : 0.0;
-        double spill_bits = 0.0;
         for (std::size_t l = 1; l <= 3; ++l) {
           first[l] = lanes[l] * scale;
           spill_bits += lanes[l] - first[l];
         }
         first[0] = lanes[0] + spill_bits;
-        add_spill(w0, spill_bits, max_hours, out);
         effective = scale + (windows - 1.0);
         split_first = true;
-        ++counts_.overload_split;
       }
     }
     s_fresh = 0;
-    const std::uint64_t wm = split_first ? w0 + 1 : w1;
-    double* total = traffic_lanes(swarm_traffic);
-    sweep_kernels::fold_traffic(total, first, static_cast<double>(wm - w0));
-    if (wm < w1) {
-      sweep_kernels::fold_traffic(total, lanes, static_cast<double>(w1 - wm));
-    }
-    if (config_.collect_hourly) {
-      const auto fold_hourly = [&](const double* row_lanes, std::uint64_t wa,
-                                   std::uint64_t wb) {
-        for_each_hour(wa, wb, max_hours,
-                      [&](TrafficBreakdown* row, double chunk) {
-                        sweep_kernels::fold_traffic(traffic_lanes(row[isp]),
-                                                    row_lanes, chunk);
-                      });
-      };
-      fold_hourly(first, w0, wm);
-      if (wm < w1) fold_hourly(lanes, wm, w1);
-    }
+    fold_stretch(w0, w1, split_first, spill_bits, max_hours, out,
+                 [&](bool capped, std::uint64_t wa, std::uint64_t wb) {
+                   const double* run = capped ? first : lanes;
+                   sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic),
+                                               run,
+                                               static_cast<double>(wb - wa));
+                   if (!config_.collect_hourly) return;
+                   for_each_hour(wa, wb, max_hours,
+                                 [&](TrafficBreakdown* row, double chunk) {
+                                   sweep_kernels::fold_traffic(
+                                       traffic_lanes(row[isp]), run, chunk);
+                                 });
+                 });
     if (per_user) {
       clock += effective;
       core_phi += core_rate * effective;
@@ -620,8 +617,7 @@ std::uint32_t SwarmSweep::user_entry(std::uint32_t user) {
 }
 
 void SwarmSweep::finish_chunk(ChunkPartial& out) {
-  out.result.users.insert(out.result.users.end(), user_sums_.begin(),
-                          user_sums_.end());
+  out.users.insert(out.users.end(), user_sums_.begin(), user_sums_.end());
   user_sums_.clear();
   if (++chunk_stamp_ == 0) {
     // Stamp wrap-around: forget every slot explicitly.
@@ -647,7 +643,7 @@ void SwarmSweep::finish_chunk(ChunkPartial& out) {
 void SwarmSweep::finish_swarm(SwarmKey key, std::size_t session_count,
                               double watch_seconds, double span_seconds,
                               const TrafficBreakdown& traffic,
-                              SimResult& out) {
+                              ChunkPartial& out) {
   out.total += traffic;
   if (config_.collect_swarms) {
     SwarmResult swarm;
@@ -669,7 +665,7 @@ void SwarmSweep::finish_swarm(SwarmKey key, std::size_t session_count,
 }
 
 void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
-                       const TraceView& view, SimResult& out) {
+                       const TraceView& view, ChunkPartial& out) {
   // The active-list bookkeeping packs session indices into int32_t slots;
   // a pathological >2B-session swarm must fail loudly, not corrupt them.
   CL_EXPECTS(indices.size() <= static_cast<std::size_t>(
@@ -783,7 +779,7 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
 
 void SwarmSweep::sweep_rows(SwarmKey key,
                             std::span<const std::uint32_t> indices,
-                            const Trace& trace, SimResult& out) {
+                            const Trace& trace, ChunkPartial& out) {
   CL_EXPECTS(indices.size() <= static_cast<std::size_t>(
                                    std::numeric_limits<std::int32_t>::max()));
   const double dt = config_.window.value();

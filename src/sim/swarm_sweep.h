@@ -39,6 +39,10 @@
 //    tests/test_sweep_oracle.cpp; bitwise where sweep() also runs
 //    per-peer) and the bench/micro_sweep baseline.
 //
+// Both routes fold a stretch through one helper, fold_stretch: one run
+// of windows, or a capped first window and the steady rest when the
+// overload model spills.
+//
 // Per-user bytes of both routes sum into per-chunk scratch: one running
 // (user, downloaded, uploaded) entry per user the chunk's swarms touched,
 // in first-touch order, found through a flat open-addressing table sized
@@ -49,7 +53,7 @@
 // to it as one contiguous block, and resets both scratches.
 //
 // A chunk's sweeps accumulate into its ChunkPartial; partials fold in
-// ascending swarm-key order (SimResult::merge plus the hourly blocks, see
+// ascending swarm-key order into the one SimResult of the run (see
 // sim/hybrid_sim.cpp), so the full simulation is bit-identical for every
 // thread count and between the mmap'd and owned-SoA inputs of sweep().
 #pragma once
@@ -69,7 +73,6 @@
 #include "topology/placement.h"
 #include "trace/session.h"
 #include "trace/trace_view.h"
-#include "util/simd.h"
 
 namespace cl {
 
@@ -95,13 +98,17 @@ struct SweepKernelTiming {
 /// corrupt #span= header).
 [[nodiscard]] std::size_t hour_count(double span_seconds);
 
-/// One reduction chunk's partial result. `result` holds everything a
-/// sweep adds to but the hourly fields: the chunk's hourly traffic comes
-/// from SwarmSweep::finish_chunk as one flat block over the hours its
-/// swarms touched, and HybridSimulator's fold adds the blocks into the
-/// merged [hours][isps] grid.
+/// One reduction chunk's partial result: what its sweeps add up, and
+/// nothing else. SwarmSweep::sweep / sweep_rows add the total, the spill
+/// and the swarm rows; SwarmSweep::finish_chunk hands over the per-user
+/// sums and the hourly traffic, as one flat block over the hours the
+/// chunk's swarms touched. HybridSimulator folds the partials, in
+/// ascending chunk order, into the run's one SimResult.
 struct ChunkPartial {
-  SimResult result;
+  TrafficBreakdown total;
+  Bits overload_spill;
+  std::vector<SwarmResult> swarms;  ///< key order (collect_swarms only)
+  std::vector<UserTraffic> users;   ///< first-touch order (per-user only)
   std::size_t first_hour = 0;            ///< hour of the block's first row
   std::vector<TrafficBreakdown> hourly;  ///< [hour − first_hour][isp], flat
   std::vector<Bits> hourly_spill;  ///< [hour − first_hour] (overload only)
@@ -120,25 +127,25 @@ class SwarmSweep {
 
   /// Sweeps one swarm (the sessions at `indices` into `view`'s columns)
   /// and accumulates its traffic into `out` — the columnar hot path.
-  /// When `config.collect_hourly` is set, the swarm's hourly traffic and
-  /// per-hour spill go to the worker's flat hourly grid instead, until
-  /// finish_chunk() hands them over; `out.hourly` is left alone.
+  /// Per-user sums and, when `config.collect_hourly` is set, the hourly
+  /// traffic and per-hour spill stay in the worker's scratch until
+  /// finish_chunk() hands them over.
   void sweep(SwarmKey key, std::span<const std::uint32_t> indices,
-             const TraceView& view, SimResult& out);
+             const TraceView& view, ChunkPartial& out);
 
   /// Row-structured per-peer reference sweep over trace.sessions (same
   /// event streams and event loop as sweep(), always the per-peer route);
   /// kept for the identity and oracle tests and the micro_sweep baseline.
   void sweep_rows(SwarmKey key, std::span<const std::uint32_t> indices,
-                  const Trace& trace, SimResult& out);
+                  const Trace& trace, ChunkPartial& out);
 
   /// Ends a reduction chunk: appends the chunk's per-user sums (one entry
-  /// per user its sweeps touched, first-touch order) to
-  /// `out.result.users`, copies the hourly grid's touched hours to
-  /// `out.first_hour` / `out.hourly` / `out.hourly_spill`, and re-zeroes
-  /// the scratch for the next chunk. Call once after the chunk's last
-  /// sweep into `out.result`; without collect_per_user and
-  /// collect_hourly there is nothing to hand over.
+  /// per user its sweeps touched, first-touch order) to `out.users`,
+  /// copies the hourly grid's touched hours to `out.first_hour` /
+  /// `out.hourly` / `out.hourly_spill`, and re-zeroes the scratch for the
+  /// next chunk. Call once after the chunk's last sweep into `out`;
+  /// without collect_per_user and collect_hourly there is nothing to
+  /// hand over.
   void finish_chunk(ChunkPartial& out);
 
  private:
@@ -202,21 +209,33 @@ class SwarmSweep {
   /// process_stretch.
   template <typename MakePeer>
   void sweep_per_peer(std::size_t session_count, std::size_t max_hours,
-                      TrafficBreakdown& swarm_traffic, SimResult& out,
+                      TrafficBreakdown& swarm_traffic, ChunkPartial& out,
                       MakePeer&& make_peer);
 
   /// One constant-membership stretch [w0, w1) of the per-peer route: seed
-  /// selection, Matcher allocation, overload cap, traffic folds (+
-  /// optional hourly / per-user splits).
+  /// selection, Matcher allocation, overload cap, then fold_stretch with
+  /// a per-peer run fold (+ optional hourly / per-user splits).
   void process_stretch(std::uint64_t w0, std::uint64_t w1,
                        TrafficBreakdown& swarm_traffic, std::size_t max_hours,
-                       SimResult& out);
+                       ChunkPartial& out);
+
+  /// Folds one stretch [w0, w1) of either route through
+  /// fold_run(capped, wa, wb), which adds the windows [wa, wb) to the
+  /// swarm total, the per-user sums and the hourly grid under the
+  /// overload-capped first-window allocation (`capped`) or the steady
+  /// one. Without `split_first`: one steady run [w0, w1). With it:
+  /// add_spill(w0, spill_bits), a capped run [w0, w0 + 1), then a steady
+  /// run [w0 + 1, w1) unless that is empty.
+  template <typename FoldRun>
+  void fold_stretch(std::uint64_t w0, std::uint64_t w1, bool split_first,
+                    double spill_bits, std::size_t max_hours,
+                    ChunkPartial& out, FoldRun&& fold_run);
 
   /// Adds one stretch's overload spill to `out.overload_spill` and, when
   /// hourly rows are collected, to the hourly grid's spill at the hour of
   /// its first window w0.
   void add_spill(std::uint64_t w0, double spill_bits, std::size_t max_hours,
-                 SimResult& out);
+                 ChunkPartial& out);
 
   /// Sizes the hourly grid and the hour-end table to `max_hours` hours
   /// (a no-op once they are that large: once per run).
@@ -233,7 +252,7 @@ class SwarmSweep {
   /// Count route (existence matcher, single-ISP swarm) over the gathered
   /// columns: O(1) bucket updates per event, O(1) lanes per stretch.
   void sweep_counts(std::size_t max_hours, TrafficBreakdown& swarm_traffic,
-                    SimResult& out);
+                    ChunkPartial& out);
 
   /// The user_sums_ index of `user`'s running sum in the current chunk,
   /// appending a zero entry on first touch.
@@ -243,7 +262,7 @@ class SwarmSweep {
   /// when collect_swarms is on, and moves its route counters to timing_.
   void finish_swarm(SwarmKey key, std::size_t session_count,
                     double watch_seconds, double span_seconds,
-                    const TrafficBreakdown& traffic, SimResult& out);
+                    const TrafficBreakdown& traffic, ChunkPartial& out);
 
   const Metro* metro_;
   SimConfig config_;
@@ -266,15 +285,14 @@ class SwarmSweep {
   // the event loop reads them sequentially), plus the packed
   // (window << 24 | idx) u64 keys the leave order is sorted as when they
   // fit, with the radix sort's scratch and bucket counts.
-  simd::aligned_vector<std::uint32_t> join_idx_, leave_idx_;
-  simd::aligned_vector<std::uint64_t> leave_w_, leave_keys_, sort_scratch_;
+  std::vector<std::uint32_t> join_idx_, leave_idx_;
+  std::vector<std::uint64_t> leave_w_, leave_keys_, sort_scratch_;
   std::vector<std::size_t> sort_count_;
 
-  // Per-swarm gathered columns (the SoA path's contiguous hot arrays),
-  // 64-byte aligned so the kernels' whole-array loads are aligned.
-  simd::aligned_vector<std::uint64_t> w_start_, w_end_;
-  simd::aligned_vector<std::uint32_t> g_user_, g_isp_, g_exp_, g_pop_;
-  simd::aligned_vector<double> g_beta_;
+  // Per-swarm gathered columns (the SoA path's contiguous hot arrays).
+  std::vector<std::uint64_t> w_start_, w_end_;
+  std::vector<std::uint32_t> g_user_, g_isp_, g_exp_, g_pop_;
+  std::vector<double> g_beta_;
 
   // Count-route scratch: buckets by ExP / PoP id (all-zero between
   // swarms), the per-session Φ snapshots (per-user collection only) and

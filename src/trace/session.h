@@ -82,6 +82,17 @@ struct SwarmIndex {
 /// integer it is converted to.
 inline constexpr std::uint32_t kMaxTraceDays = 1'000'000;
 
+/// Longest span, in seconds, a trace file may declare: kMaxTraceDays
+/// whole days. The readers reject any other header span — negative, NaN,
+/// infinite or larger — as a ParseError.
+inline constexpr double kMaxTraceSpanSeconds = kMaxTraceDays * 86400.0;
+
+/// Whether `seconds` is a span a trace may have: in [0,
+/// kMaxTraceSpanSeconds], so never NaN or infinite.
+[[nodiscard]] inline bool valid_trace_span(double seconds) {
+  return seconds >= 0 && seconds <= kMaxTraceSpanSeconds;
+}
+
 /// A workload trace: flat, start-time-ordered session list plus its span.
 struct Trace {
   std::vector<SessionRecord> sessions;

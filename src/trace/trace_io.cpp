@@ -82,6 +82,11 @@ Trace read_trace(std::istream& in) {
     const auto eq = comment.find('=');
     if (comment.rfind("#span=", 0) == 0 && eq != std::string::npos) {
       span = parse_double(comment.substr(eq + 1), "span");
+      if (!valid_trace_span(span)) {
+        throw ParseError("#span= must be a number of seconds in [0, " +
+                         std::to_string(kMaxTraceDays) + " days]: '" +
+                         comment.substr(eq + 1) + "'");
+      }
     } else if (comment.rfind("#metro=", 0) == 0 && eq != std::string::npos) {
       metro_name = comment.substr(eq + 1);
       if (metro_name.empty() || !valid_trace_metro_name(metro_name)) {
@@ -125,6 +130,9 @@ Trace read_trace(std::istream& in) {
     }
     if (span >= 0 && s.end() > span + 1e-6) {
       throw bad_row("session ends past the #span of the trace");
+    }
+    if (!valid_trace_span(s.end())) {
+      throw bad_row("session ends past the longest trace span");
     }
     max_end = std::max(max_end, s.end());
     trace.sessions.push_back(s);

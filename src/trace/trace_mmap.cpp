@@ -1,5 +1,6 @@
 #include "trace/trace_mmap.h"
 
+#include <charconv>
 #include <cstring>
 #include <limits>
 
@@ -51,6 +52,13 @@ MappedTrace::MappedTrace(const std::string& path) : file_(path) {
   }
   sessions_ = static_cast<std::size_t>(n);
   span_ = Seconds{load_f64_le(p + 24)};
+  if (!valid_trace_span(span_.value())) {
+    char text[32];
+    const auto end = std::to_chars(text, text + sizeof text, span_.value());
+    corrupt("header span " + std::string(text, end.ptr) +
+            " s is not in [0, " + std::to_string(kMaxTraceDays) +
+            " days]");
+  }
   const std::uint32_t blocks = load_u32_le(p + 32);
   if (blocks != expected_blocks) {
     corrupt("expected " + std::to_string(expected_blocks) +

@@ -12,23 +12,15 @@
 // operations on the same values whatever the lane width (DESIGN.md
 // §"SIMD kernels").
 //
-// VF64 is not a general vector library. The one vectorized kernel in
-// sim/sweep_kernels.h (fold_traffic) uses unaligned load/store,
-// broadcast, + and *. The rest — /, `gt_mask`/`mask_and` (branchless
-// `x > t ? v : 0` selects), per-lane extract and an index-array gather
-// (native on AVX2, per-lane loads elsewhere) — served the per-peer
-// upload kernel the count route replaced; only tests/test_simd.cpp uses
-// them now.
-//
-// Alignment: `aligned_vector<T>` (a std::vector on AlignedAllocator)
-// gives the sweep's scratch arrays 64-byte alignment — one cache line,
-// and the widest load any backend issues.
+// VF64 is not a general vector library: it holds exactly what the one
+// vectorized kernel, sim/sweep_kernels.h's fold_traffic, uses —
+// unaligned load/store, broadcast, + and *. GCC does not vectorize the
+// plain 5-lane loop at the kernel's inlined call sites, and that loop
+// measured slower end to end (DESIGN.md §10). The header also holds the
+// software-prefetch hint of the column gathers.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <new>
-#include <vector>
 
 #if defined(CL_SIMD_FORCE_SCALAR)
 #define CL_SIMD_SCALAR 1
@@ -58,10 +50,6 @@ inline constexpr const char* kBackendName = "neon";
 inline constexpr const char* kBackendName = "scalar";
 #endif
 
-/// Scratch-array alignment: one cache line, and ≥ the widest vector any
-/// backend loads.
-inline constexpr std::size_t kAlign = 64;
-
 /// Software-prefetch hint for the column-gather kernels: swarm indices stride
 /// tens of sessions apart, so nearly every column access opens a fresh
 /// cache line in a pattern the hardware prefetcher cannot predict — but
@@ -80,36 +68,6 @@ inline void prefetch(const void* p) {
 /// that the lines still sit in L1 when the loop arrives.
 inline constexpr std::size_t kPrefetchAhead = 16;
 
-/// Minimal over-aligned allocator (C++17 aligned operator new) so
-/// std::vector scratch starts on a 64-byte boundary.
-template <typename T, std::size_t Align = kAlign>
-struct AlignedAllocator {
-  using value_type = T;
-  static_assert(Align >= alignof(T) && (Align & (Align - 1)) == 0);
-
-  AlignedAllocator() = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{Align}));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{Align});
-  }
-  template <typename U>
-  struct rebind {
-    using other = AlignedAllocator<U, Align>;
-  };
-  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
-    return true;
-  }
-};
-
-template <typename T>
-using aligned_vector = std::vector<T, AlignedAllocator<T>>;
-
 // ---------------------------------------------------------------------------
 // VF64 — kLanes × double
 // ---------------------------------------------------------------------------
@@ -120,38 +78,12 @@ struct VF64 {
   __m256d v;
   static constexpr std::size_t kLanes = 4;
 
-  static VF64 zero() { return {_mm256_setzero_pd()}; }
   static VF64 set1(double x) { return {_mm256_set1_pd(x)}; }
   static VF64 loadu(const double* p) { return {_mm256_loadu_pd(p)}; }
   void storeu(double* p) const { _mm256_storeu_pd(p, v); }
 
-  /// base[idx[0..3]] — native gather. Indices are treated as *signed*
-  /// 32-bit by the instruction; the kernels gather by ExP/PoP id, which
-  /// stays far below 2³¹.
-  static VF64 gather(const double* base, const std::uint32_t* idx) {
-    const __m128i vi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    return {_mm256_i32gather_pd(base, vi, 8)};
-  }
-
   friend VF64 operator+(VF64 a, VF64 b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend VF64 operator*(VF64 a, VF64 b) { return {_mm256_mul_pd(a.v, b.v)}; }
-  friend VF64 operator/(VF64 a, VF64 b) { return {_mm256_div_pd(a.v, b.v)}; }
-
-  /// All-ones lane mask where a > b.
-  static VF64 gt_mask(VF64 a, VF64 b) {
-    return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)};
-  }
-  /// Lane-wise a & mask (mask lanes are all-ones / all-zeros).
-  static VF64 mask_and(VF64 a, VF64 mask) {
-    return {_mm256_and_pd(a.v, mask.v)};
-  }
-
-  [[nodiscard]] double lane(std::size_t i) const {
-    alignas(32) double tmp[4];
-    _mm256_store_pd(tmp, v);
-    return tmp[i];
-  }
 };
 
 #elif defined(CL_SIMD_SSE2)
@@ -160,30 +92,12 @@ struct VF64 {
   __m128d v;
   static constexpr std::size_t kLanes = 2;
 
-  static VF64 zero() { return {_mm_setzero_pd()}; }
   static VF64 set1(double x) { return {_mm_set1_pd(x)}; }
   static VF64 loadu(const double* p) { return {_mm_loadu_pd(p)}; }
   void storeu(double* p) const { _mm_storeu_pd(p, v); }
 
-  /// SSE2 has no gather: two scalar loads packed.
-  static VF64 gather(const double* base, const std::uint32_t* idx) {
-    return {_mm_set_pd(base[idx[1]], base[idx[0]])};
-  }
-
   friend VF64 operator+(VF64 a, VF64 b) { return {_mm_add_pd(a.v, b.v)}; }
   friend VF64 operator*(VF64 a, VF64 b) { return {_mm_mul_pd(a.v, b.v)}; }
-  friend VF64 operator/(VF64 a, VF64 b) { return {_mm_div_pd(a.v, b.v)}; }
-
-  static VF64 gt_mask(VF64 a, VF64 b) { return {_mm_cmpgt_pd(a.v, b.v)}; }
-  static VF64 mask_and(VF64 a, VF64 mask) {
-    return {_mm_and_pd(a.v, mask.v)};
-  }
-
-  [[nodiscard]] double lane(std::size_t i) const {
-    alignas(16) double tmp[2];
-    _mm_store_pd(tmp, v);
-    return tmp[i];
-  }
 };
 
 #elif defined(CL_SIMD_NEON)
@@ -192,33 +106,12 @@ struct VF64 {
   float64x2_t v;
   static constexpr std::size_t kLanes = 2;
 
-  static VF64 zero() { return {vdupq_n_f64(0.0)}; }
   static VF64 set1(double x) { return {vdupq_n_f64(x)}; }
   static VF64 loadu(const double* p) { return {vld1q_f64(p)}; }
   void storeu(double* p) const { vst1q_f64(p, v); }
 
-  static VF64 gather(const double* base, const std::uint32_t* idx) {
-    const double lanes[2] = {base[idx[0]], base[idx[1]]};
-    return {vld1q_f64(lanes)};
-  }
-
   friend VF64 operator+(VF64 a, VF64 b) { return {vaddq_f64(a.v, b.v)}; }
   friend VF64 operator*(VF64 a, VF64 b) { return {vmulq_f64(a.v, b.v)}; }
-  friend VF64 operator/(VF64 a, VF64 b) { return {vdivq_f64(a.v, b.v)}; }
-
-  static VF64 gt_mask(VF64 a, VF64 b) {
-    return {vreinterpretq_f64_u64(vcgtq_f64(a.v, b.v))};
-  }
-  static VF64 mask_and(VF64 a, VF64 mask) {
-    return {vreinterpretq_f64_u64(vandq_u64(vreinterpretq_u64_f64(a.v),
-                                            vreinterpretq_u64_f64(mask.v)))};
-  }
-
-  [[nodiscard]] double lane(std::size_t i) const {
-    double tmp[2];
-    vst1q_f64(tmp, v);
-    return tmp[i];
-  }
 };
 
 #else  // scalar
@@ -227,33 +120,12 @@ struct VF64 {
   double v;
   static constexpr std::size_t kLanes = 1;
 
-  static VF64 zero() { return {0.0}; }
   static VF64 set1(double x) { return {x}; }
   static VF64 loadu(const double* p) { return {*p}; }
   void storeu(double* p) const { *p = v; }
-  static VF64 gather(const double* base, const std::uint32_t* idx) {
-    return {base[idx[0]]};
-  }
 
   friend VF64 operator+(VF64 a, VF64 b) { return {a.v + b.v}; }
   friend VF64 operator*(VF64 a, VF64 b) { return {a.v * b.v}; }
-  friend VF64 operator/(VF64 a, VF64 b) { return {a.v / b.v}; }
-  static VF64 gt_mask(VF64 a, VF64 b) {
-    std::uint64_t m = a.v > b.v ? ~std::uint64_t{0} : 0;
-    double d;
-    __builtin_memcpy(&d, &m, sizeof d);
-    return {d};
-  }
-  static VF64 mask_and(VF64 a, VF64 mask) {
-    std::uint64_t x, m;
-    __builtin_memcpy(&x, &a.v, sizeof x);
-    __builtin_memcpy(&m, &mask.v, sizeof m);
-    x &= m;
-    double d;
-    __builtin_memcpy(&d, &x, sizeof d);
-    return {d};
-  }
-  [[nodiscard]] double lane(std::size_t) const { return v; }
 };
 
 #endif

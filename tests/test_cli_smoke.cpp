@@ -13,12 +13,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "fnv1a.h"
 #include "temp_path.h"
+#include "util/serialize.h"
 
 #ifndef CL_CLI_PATH
 #error "CMake must define CL_CLI_PATH (path of the built cl binary)"
@@ -177,6 +179,47 @@ TEST(CliSmoke, GenerateWritesBinaryFormatDirectly) {
   const RunResult sim = run_cli("simulate --trace " + bin);
   EXPECT_EQ(sim.exit_code, 0) << sim.output;
   std::filesystem::remove(bin);
+}
+
+TEST(CliSmoke, TraceSpanPastTheLongestTraceExits2) {
+  // A header span beyond kMaxTraceDays days used to die in the sweep
+  // (std::bad_alloc, or a failed hour-count check) or, without
+  // --intensity, print a report over a span of 1.16e7 days. Both trace
+  // readers now refuse it as a parse error.
+  const std::string bin = temp_trace_path() + ".span.cltrace";
+  const RunResult gen = run_cli("generate --out " + bin +
+                                " --preset small --days 1 --seed 5 --quiet");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  std::string bytes;
+  {
+    std::ifstream in(bin, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 32u);
+  cl::store_f64_le(reinterpret_cast<unsigned char*>(bytes.data()) + 24, 1e12);
+  {
+    std::ofstream out(bin, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  for (const std::string extra : {"", " --intensity uk_2018"}) {
+    const RunResult sim = run_cli("simulate --trace " + bin + extra);
+    EXPECT_EQ(sim.exit_code, 2) << sim.output;
+    EXPECT_NE(sim.output.find("header span 1e+12 s"),
+              std::string::npos)
+        << sim.output;
+  }
+  const std::string csv = temp_trace_path() + ".span.csv";
+  {
+    std::ofstream out(csv);
+    out << "#span=1e300\n"
+        << "user,household,content,isp,exp,bitrate,start,duration\n"
+        << "1,1,0,0,0,sd,100,10\n";
+  }
+  const RunResult sim = run_cli("simulate --trace " + csv);
+  EXPECT_EQ(sim.exit_code, 2) << sim.output;
+  EXPECT_NE(sim.output.find("#span="), std::string::npos) << sim.output;
+  std::filesystem::remove(bin);
+  std::filesystem::remove(csv);
 }
 
 // ------------------------------------------------------------ cl live

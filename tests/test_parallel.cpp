@@ -318,75 +318,103 @@ TEST(ShardedSimulator, AllSubWindowSessionsIdenticalAcrossThreadCounts) {
   test::expect_sim_identical(run_sim(trace, 7), reference);
 }
 
-TEST(SimResultMerge, SumsConcatenatesAndFolds) {
-  SimResult a, b;
-  a.span = Seconds{86400.0};
-  b.span = Seconds{2 * 86400.0};
-  a.total.server = Bits{100.0};
-  b.total.server = Bits{23.0};
-  a.total.peer[0] = Bits{7.0};
-  b.total.peer[0] = Bits{5.0};
-  b.total.cross_isp = Bits{3.0};
-
-  // Chunk lists: merge concatenates them, settle_users folds them.
-  a.users = {{7, Bits{10.0}, Bits{1.0}}};
-  b.users = {{9, Bits{5.0}, Bits{0.0}}, {7, Bits{20.0}, Bits{2.0}}};
-
-  SwarmResult s1, s2;
-  s1.key = SwarmKey{.content = 1, .isp = 0, .bitrate = 1};
-  s2.key = SwarmKey{.content = 2, .isp = 0, .bitrate = 1};
-  a.swarms = {s1};
-  b.swarms = {s2};
-
-  a.merge(b);
-  EXPECT_EQ(a.span.value(), 2 * 86400.0);
-  EXPECT_EQ(a.total.server.value(), 123.0);
-  EXPECT_EQ(a.total.peer[0].value(), 12.0);
-  EXPECT_EQ(a.total.cross_isp.value(), 3.0);
-  ASSERT_EQ(a.users.size(), 3u);
-  EXPECT_EQ(a.users[0].user, 7u);
-  EXPECT_EQ(a.users[1].user, 9u);
-  EXPECT_EQ(a.users[2].user, 7u);
-  a.settle_users();
-  ASSERT_EQ(a.users.size(), 2u);
-  EXPECT_EQ(a.users[0].user, 7u);
-  EXPECT_EQ(a.users[0].downloaded.value(), 30.0);
-  EXPECT_EQ(a.users[0].uploaded.value(), 3.0);
-  EXPECT_EQ(a.users[1].user, 9u);
-  EXPECT_EQ(a.users[1].downloaded.value(), 5.0);
-  ASSERT_EQ(a.swarms.size(), 2u);
-  EXPECT_EQ(a.swarms[0].key.packed(), s1.key.packed());
-  EXPECT_EQ(a.swarms[1].key.packed(), s2.key.packed());
+/// One swarm of nine viewers of `content` in ISP 0 from `first_start`
+/// on, joining three to a window so the overload cap spills. Users are
+/// numbered per content, except that user 42 watches every swarm.
+std::vector<SessionRecord> fold_swarm(std::uint32_t content,
+                                      double first_start) {
+  std::vector<SessionRecord> sessions;
+  for (std::uint32_t u = 0; u < 9; ++u) {
+    SessionRecord s;
+    s.user = u == 4 ? 42 : 1000 * (content + 1) + u;
+    s.household = s.user;
+    s.content = content;
+    s.exp = (u * 7 + content) % 9;
+    s.bitrate = BitrateClass::kSd;
+    s.start = first_start + 10.0 * (u / 3);
+    s.duration = 600.0 + 97.0 * u;
+    sessions.push_back(s);
+  }
+  return sessions;
 }
 
-TEST(SimResultMerge, RejectsPartialCarryingHourlyRows) {
-  // The simulator's chunk fold owns the hourly grid; a partial that
-  // carries hourly rows of its own is a caller error, not summed.
-  SimResult total;
-  total.hourly.assign(1, std::vector<TrafficBreakdown>(2));
-  SimResult hourly;
-  hourly.hourly.assign(1, std::vector<TrafficBreakdown>(2));
-  hourly.hourly[0][1].server = Bits{2.0};
-  EXPECT_THROW(total.merge(hourly), InvalidArgument);
-  SimResult spill;
-  spill.hourly_spill.assign(3, Bits{1.0});
-  EXPECT_THROW(total.merge(spill), InvalidArgument);
-  EXPECT_EQ(total.hourly[0][1].server.value(), 0.0);
+TEST(SimResultMerge, SumsConcatenatesAndFolds) {
+  // The simulator folds its chunk partials in ascending swarm-key order:
+  // `total` and the overload spill are ((0 + c₀) + c₁) + … over the
+  // chunks, the swarm rows concatenate in key order, and the per-user
+  // lists concatenate and settle into one column. Four swarms make four
+  // single-swarm chunks, and each chunk's cᵢ is what a run of that swarm
+  // alone reports.
+  for (const MatcherKind matcher :
+       {MatcherKind::kExistence, MatcherKind::kCapacity}) {
+    SCOPED_TRACE(matcher == MatcherKind::kExistence ? "count route"
+                                                    : "per-peer route");
+    SimConfig config;
+    config.matcher = matcher;
+    config.overload = true;
+    std::vector<SessionRecord> all;
+    SimResult want;
+    for (std::uint32_t content = 0; content < 4; ++content) {
+      const auto part = fold_swarm(content, 97.0 * content);
+      all.insert(all.end(), part.begin(), part.end());
+      const SimResult alone = HybridSimulator(metro(), config)
+                                  .run(Trace{part, Seconds{86400.0}, {}, {}});
+      ASSERT_EQ(alone.swarms.size(), 1u);
+      want.total += alone.total;
+      want.overload_spill += alone.overload_spill;
+      want.swarms.push_back(alone.swarms[0]);
+      want.users.insert(want.users.end(), alone.users.begin(),
+                        alone.users.end());
+    }
+    want.settle_users();
+    EXPECT_GT(want.overload_spill.value(), 0.0);
+    for (const unsigned threads : {1u, 3u}) {
+      SCOPED_TRACE(threads);
+      config.threads = threads;
+      const SimResult full = HybridSimulator(metro(), config)
+                                 .run(Trace{all, Seconds{86400.0}, {}, {}});
+      EXPECT_EQ(full.config.threads, threads);
+      EXPECT_TRUE(full.config.overload);
+      ASSERT_EQ(full.hourly.size(), 24u);
+      want.span = full.span;
+      want.hourly = full.hourly;
+      want.hourly_spill = full.hourly_spill;
+      EXPECT_EQ(full.span.value(), 86400.0);
+      test::expect_sim_identical(full, want);
+    }
+  }
 }
 
 TEST(SimResultMerge, MergingEmptyPartialIsIdentity) {
-  SimResult a;
-  a.total.server = Bits{42.0};
-  a.hourly.assign(1, std::vector<TrafficBreakdown>(1));
-  a.hourly[0][0].server = Bits{42.0};
-  a.users = {{1, Bits{42.0}, Bits{0.0}}};
-  const SimResult empty;
-  a.merge(empty);
-  EXPECT_EQ(a.total.server.value(), 42.0);
-  ASSERT_EQ(a.hourly.size(), 1u);
-  EXPECT_EQ(a.hourly[0][0].server.value(), 42.0);
-  EXPECT_EQ(a.users.size(), 1u);
-  EXPECT_TRUE(a.swarms.empty());
+  // A chunk that moves no traffic — a swarm whose sessions all end inside
+  // their first window — folds as the identity: its swarm row is the only
+  // change to the run's result, in the middle of the fold as at its end.
+  SimConfig config;
+  config.overload = true;
+  const auto run =
+      [&](std::initializer_list<std::vector<SessionRecord>> parts) {
+        std::vector<SessionRecord> sessions;
+        for (const auto& part : parts) {
+          sessions.insert(sessions.end(), part.begin(), part.end());
+        }
+        return HybridSimulator(metro(), config)
+            .run(Trace{sessions, Seconds{86400.0}, {}, {}});
+      };
+  const auto a = fold_swarm(0, 0.0);
+  const auto c = fold_swarm(2, 113.0);
+  const SimResult without = run({a, c});
+  for (const std::uint32_t content : {1u, 3u}) {
+    SCOPED_TRACE(content);
+    auto idle = fold_swarm(content, 50.0);
+    for (SessionRecord& s : idle) s.duration = 4.0;  // < the 10 s window
+    SimResult with = run({a, idle, c});
+    ASSERT_EQ(with.swarms.size(), 3u);
+    const std::size_t row = content == 1 ? 1 : 2;
+    EXPECT_EQ(with.swarms[row].key.content, content);
+    EXPECT_EQ(with.swarms[row].traffic.total().value(), 0.0);
+    with.swarms.erase(with.swarms.begin() + static_cast<std::ptrdiff_t>(row));
+    test::expect_sim_identical(with, without);
+  }
 }
 
 TEST(SimResultMerge, SettleFoldsEachUserFromZeroInListOrder) {
@@ -626,7 +654,7 @@ TEST(ShardedSimulator, OversizedSwarmGuardIsInPlace) {
   SwarmSweep sweep(metro(), SimConfig{});
   const Trace trace{{}, Seconds{86400.0}, {}, {}};
   const TraceView view = TraceView::from_trace(trace);
-  SimResult out;
+  ChunkPartial out;
   static const std::uint32_t dummy = 0;
   const std::span<const std::uint32_t> oversized{
       &dummy,

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -40,6 +41,7 @@
 #include "trace/trace_io.h"
 #include "trace/trace_mmap.h"
 #include "trace/trace_stats.h"
+#include "trace/trace_view.h"
 #include "trace/synthetic.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -222,9 +224,12 @@ TEST(TraceBinaryRoundTrip, SingleSession) {
 }
 
 TEST(TraceBinaryRoundTrip, MaximalFieldValues) {
+  // Every id at its u32 maximum, the longest span a file may declare
+  // (kMaxTraceSpanSeconds) with a session ending exactly on it, and the
+  // smallest subnormal duration.
   constexpr auto u32_max = std::numeric_limits<std::uint32_t>::max();
   Trace t;
-  t.span = Seconds{2.1e300};
+  t.span = Seconds{kMaxTraceSpanSeconds};
   SessionRecord s;
   s.user = u32_max;
   s.household = u32_max;
@@ -232,10 +237,9 @@ TEST(TraceBinaryRoundTrip, MaximalFieldValues) {
   s.isp = u32_max;
   s.exp = u32_max;
   s.bitrate = BitrateClass::kFullHd;
-  s.start = 1e300;
-  s.duration = 1e300;
+  s.start = kMaxTraceSpanSeconds / 2;
+  s.duration = kMaxTraceSpanSeconds / 2;
   SessionRecord tiny = s;
-  tiny.start = 1e300;
   tiny.duration = 5e-324;  // smallest subnormal double
   t.sessions = {s, tiny};
   expect_sessions_identical(binary_round_trip(t), t);
@@ -904,6 +908,42 @@ TEST(TraceBinaryCorrupt, RejectsSpanSmallerThanSessions) {
   const std::string path = write_bytes("cl_corrupt_span.cltrace", bytes);
   EXPECT_THROW(read_trace_binary_file(path), ParseError);
   std::filesystem::remove(path);
+}
+
+TEST(TraceBinaryCorrupt, RejectsHeaderSpanOutsideTheLongestTrace) {
+  // A header span must be finite, >= 0 and at most kMaxTraceDays days:
+  // a larger one used to reach the simulator's hour count (an
+  // out-of-range double -> size_t cast, or a grid too large to allocate).
+  // Both readers — the owned load and the zero-copy view — reject it,
+  // with or without sessions.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Trace empty;
+  empty.span = Seconds{3600.0};
+  for (const Trace& trace : {tiny_trace(), empty}) {
+    for (const double span : {1e300, kInf, -kInf,
+                              std::numeric_limits<double>::quiet_NaN(), -1.0,
+                              std::nextafter(kMaxTraceSpanSeconds, kInf)}) {
+      SCOPED_TRACE(span);
+      std::string bytes = serialize_trace_binary(trace);
+      store_f64_le(reinterpret_cast<unsigned char*>(bytes.data()) + 24, span);
+      const std::string path = write_bytes("cl_corrupt_span.cltrace", bytes);
+      for (int reader = 0; reader < 2; ++reader) {
+        try {
+          if (reader == 0) {
+            (void)read_trace_binary_file(path);
+          } else {
+            (void)TraceView::open_binary(path);
+          }
+          ADD_FAILURE() << "accepted span " << span;
+        } catch (const ParseError& e) {
+          EXPECT_NE(std::string(e.what()).find("header span"),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+      std::filesystem::remove(path);
+    }
+  }
 }
 
 TEST(TraceBinaryCorrupt, RejectsControlCharacterInMetroBlock) {

@@ -144,6 +144,28 @@ TEST(TraceIo, RejectsRowPastSpanNamingItsLine) {
   EXPECT_EQ(parse_error_of(header + "3,1,0,0,0,sd,90,10\n"), "");
 }
 
+TEST(TraceIo, RejectsSpanOutsideTheLongestTrace) {
+  // #span= must be finite, >= 0 and at most kMaxTraceDays days; a larger
+  // one used to reach the simulator's hour count. Without #span, a row
+  // may not end past that bound either, since the span comes from it.
+  const std::string rows =
+      "user,household,content,isp,exp,bitrate,start,duration\n"
+      "1,1,0,0,0,sd,10,20\n";
+  for (const std::string span :
+       {"1e300", "inf", "-inf", "nan", "-1", "86400000001"}) {
+    const std::string error = parse_error_of("#span=" + span + "\n" + rows);
+    EXPECT_EQ(error.rfind("#span= must be a number of seconds in [0, 1000000 "
+                          "days]: '" + span + "'", 0),
+              0u)
+        << span << ": " << error;
+  }
+  EXPECT_EQ(parse_error_of("#span=86400000000\n" + rows), "");
+  EXPECT_EQ(parse_error_of("#span=0\n" + rows.substr(0, rows.find('\n') + 1)),
+            "");
+  EXPECT_EQ(parse_error_of(rows + "2,1,0,0,0,sd,1e300,0\n"),
+            "line 3: session ends past the longest trace span");
+}
+
 TEST(TraceIo, RejectsNegativeOrNonFiniteTimesNamingTheLine) {
   const std::string header =
       "user,household,content,isp,exp,bitrate,start,duration\n"
