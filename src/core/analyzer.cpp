@@ -73,8 +73,13 @@ SwarmExperiment Analyzer::analyze_swarm(const TraceView& view,
 
   SwarmExperiment experiment;
   experiment.sessions = view.size();
+  // Summed in start order, whatever the storage order, so the capacity
+  // has the same bits on every data path.
+  const std::span<const double> duration = view.duration();
   double watch = 0;
-  for (const double d : view.duration()) watch += d;
+  for (std::size_t t = 0; t < view.size(); ++t) {
+    watch += duration[view.position_of(t)];
+  }
   experiment.capacity = view.span().value() > 0 ? watch / view.span().value()
                                                 : 0;
 
@@ -110,6 +115,9 @@ std::vector<std::vector<std::vector<double>>> Analyzer::theory_daily(
   const std::span<const double> start = view.start();
   const std::span<const double> duration = view.duration();
 
+  // Both passes walk the sessions in start order (view.position_of), so
+  // a swarm-major view sums in the same order as a start-order one.
+  //
   // Pass 1: watch-seconds per (swarm, day) -> per-swarm daily capacity.
   // Sharded fixed-chunk reduction: each chunk builds a private map, chunks
   // merge in chunk order, so every key's sum sees its contributions in the
@@ -118,7 +126,8 @@ std::vector<std::vector<std::vector<double>>> Analyzer::theory_daily(
   const WatchMap watch = parallel_chunked_reduce(
       view.size(), sim_config_.threads, [] { return WatchMap{}; },
       [&](WatchMap& acc, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t t = begin; t < end; ++t) {
+          const std::size_t i = view.position_of(t);
           const SwarmKey key = swarm_key_at(view, i, sim_config_);
           const auto day = static_cast<std::uint32_t>(start[i] / 86400.0);
           acc[KeyDay{key.packed(), day}] += duration[i];
@@ -155,7 +164,8 @@ std::vector<std::vector<std::vector<double>>> Analyzer::theory_daily(
             std::vector(days, std::vector<double>(isps, 0.0))};
       },
       [&](DailyGrid& acc, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t t = begin; t < end; ++t) {
+          const std::size_t i = view.position_of(t);
           const SwarmKey key = swarm_key_at(view, i, sim_config_);
           const auto day = static_cast<std::uint32_t>(start[i] / 86400.0);
           const double capacity =

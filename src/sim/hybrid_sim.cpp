@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <numeric>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -29,41 +30,70 @@ std::size_t swarms_per_chunk(std::size_t swarms) {
   return std::clamp<std::size_t>(swarms / 64, 1, 8);
 }
 
-/// One swarm to sweep: its key plus a view of the session indices. The
-/// span points into either the trace's persisted swarm index or the
-/// grouping map built below — both outlive the sweep.
-using SwarmEntry = std::pair<SwarmKey, std::span<const std::uint32_t>>;
+/// One swarm to sweep: its key and its sessions, at storage positions
+/// base + indices[k]. The span points into the trace's persisted swarm
+/// index, the grouping map built below, or — when storage is swarm-major
+/// and `base` is the group's first position — one shared identity
+/// 0, 1, ..., all of which outlive the sweep.
+struct SwarmEntry {
+  SwarmKey key;
+  std::uint32_t base = 0;  // session positions are 32-bit, like order
+  std::span<const std::uint32_t> indices;
+};
 
 /// Swarm list from a persisted full-key index (a Trace's swarm_index or
 /// a TraceView's groups/order) — no hashing, no re-sorting, and the
-/// spans are ranges straight into the (possibly mmap'd) order block.
-/// Only valid when the config keys swarms by the full (content, ISP,
-/// bitrate) tuple, i.e. the index's own partition.
+/// spans are ranges straight into the (possibly mmap'd) order block. An
+/// empty `order` means swarm-major storage: each group is one contiguous
+/// slice of the columns, swept through `identity`. Only valid when the
+/// config keys swarms by the full (content, ISP, bitrate) tuple, i.e.
+/// the index's own partition.
 std::vector<SwarmEntry> swarms_from_index(
     std::span<const SwarmIndexGroup> groups,
-    std::span<const std::uint32_t> order) {
+    std::span<const std::uint32_t> order,
+    std::vector<std::uint32_t>& identity) {
+  if (order.empty()) {
+    std::uint64_t largest = 0;
+    for (const SwarmIndexGroup& group : groups) {
+      largest = std::max(largest, group.count);
+    }
+    identity.resize(largest);
+    std::iota(identity.begin(), identity.end(), std::uint32_t{0});
+  }
   std::vector<SwarmEntry> swarms;
   swarms.reserve(groups.size());
   for (const SwarmIndexGroup& group : groups) {
-    SwarmKey key;
-    key.content = group.content;
-    key.isp = group.isp;
-    key.bitrate = group.bitrate;
-    swarms.emplace_back(key, order.subspan(group.begin, group.count));
+    SwarmEntry& swarm = swarms.emplace_back();
+    swarm.key.content = group.content;
+    swarm.key.isp = group.isp;
+    swarm.key.bitrate = group.bitrate;
+    if (order.empty()) {
+      swarm.base = static_cast<std::uint32_t>(group.begin);
+      swarm.indices = std::span<const std::uint32_t>(identity).first(
+          group.count);
+    } else {
+      swarm.indices = order.subspan(group.begin, group.count);
+    }
   }
   return swarms;
 }
 
-/// Swarm list via hash grouping of sessions [0, n) by `key_of(i)`
-/// (relaxed keys, or traces without an index). `groups` is an
-/// out-parameter purely to own the index vectors the returned spans
+/// Swarm list via hash grouping by `key_of(i)` (relaxed keys, or traces
+/// without an index) of storage positions [0, n), taken in start order:
+/// through `time_order` when storage is not start order, so each swarm
+/// lists its sessions in start order whatever the storage. `groups` is
+/// an out-parameter purely to own the index vectors the returned spans
 /// point into.
 template <typename KeyOf>
 std::vector<SwarmEntry> swarms_by_grouping(
-    std::size_t n, KeyOf&& key_of,
+    std::size_t n, std::span<const std::uint32_t> time_order, KeyOf&& key_of,
     std::unordered_map<SwarmKey, std::vector<std::uint32_t>>& groups) {
   groups.reserve(1024);
-  for (std::uint32_t i = 0; i < n; ++i) groups[key_of(i)].push_back(i);
+  for (std::size_t t = 0; t < n; ++t) {
+    const auto i = static_cast<std::uint32_t>(
+        time_order.empty() ? t : time_order[t]);
+    groups[key_of(i)].push_back(i);
+  }
   // Deterministic sweep order (unordered_map order is
   // implementation-defined and would perturb floating-point accumulation).
   // Lexicographic (content, isp, bitrate) — the swarm index's order, and
@@ -71,36 +101,42 @@ std::vector<SwarmEntry> swarms_by_grouping(
   std::vector<SwarmEntry> swarms;
   swarms.reserve(groups.size());
   for (const auto& [key, indices] : groups) {
-    swarms.emplace_back(key, std::span<const std::uint32_t>(indices));
+    SwarmEntry& swarm = swarms.emplace_back();
+    swarm.key = key;
+    swarm.indices = indices;
   }
   std::sort(swarms.begin(), swarms.end(),
             [](const SwarmEntry& a, const SwarmEntry& b) {
-              if (a.first.content != b.first.content) {
-                return a.first.content < b.first.content;
+              if (a.key.content != b.key.content) {
+                return a.key.content < b.key.content;
               }
-              if (a.first.isp != b.first.isp) return a.first.isp < b.first.isp;
-              return a.first.bitrate < b.first.bitrate;
+              if (a.key.isp != b.key.isp) return a.key.isp < b.key.isp;
+              return a.key.bitrate < b.key.bitrate;
             });
   return swarms;
 }
 
-/// The sweep-ordered swarm list of sessions [0, n). Under the paper's
-/// full (content, ISP, bitrate) partition a trace that carries its swarm
-/// index (every `.cltrace`) is listed straight from it; relaxed
-/// partitions (cross-ISP / mixed-bitrate ablations) and index-less
-/// traces group by `key_of(i)` through a hash map. Both emit the same
-/// key order, so results are bit-identical between them. `owned` keeps
-/// the grouped index vectors alive.
+/// The sweep-ordered swarm list of storage positions [0, n). Under the
+/// paper's full (content, ISP, bitrate) partition a trace that carries
+/// its swarm index (every `.cltrace`) is listed straight from it;
+/// relaxed partitions (cross-ISP / mixed-bitrate ablations) and
+/// index-less traces group by `key_of(i)` through a hash map. Both emit
+/// the same key order and list each swarm's sessions in start order, so
+/// results are bit-identical between them. `owned` and `identity` keep
+/// what the spans point into alive.
 template <typename KeyOf>
 std::vector<SwarmEntry> list_swarms(
     const SimConfig& config, std::span<const SwarmIndexGroup> groups,
-    std::span<const std::uint32_t> order, std::size_t n, KeyOf&& key_of,
-    std::unordered_map<SwarmKey, std::vector<std::uint32_t>>& owned) {
+    std::span<const std::uint32_t> order,
+    std::span<const std::uint32_t> time_order, std::size_t n, KeyOf&& key_of,
+    std::unordered_map<SwarmKey, std::vector<std::uint32_t>>& owned,
+    std::vector<std::uint32_t>& identity) {
+  const bool swarm_major = !time_order.empty();
   if (config.isp_friendly && config.split_by_bitrate && !groups.empty() &&
-      order.size() == n) {
-    return swarms_from_index(groups, order);
+      (swarm_major || order.size() == n)) {
+    return swarms_from_index(groups, order, identity);
   }
-  return swarms_by_grouping(n, key_of, owned);
+  return swarms_by_grouping(n, time_order, key_of, owned);
 }
 
 /// Sweeps the key-ordered swarm list on config.threads workers:
@@ -240,7 +276,9 @@ SimResult HybridSimulator::run(const TraceView& view,
     fits = bad == 0;
   }
   if (!fits) {
-    for (std::size_t i = 0; i < view.size(); ++i) {
+    // Name the first misfit in start order, whatever the storage order.
+    for (std::size_t t = 0; t < view.size(); ++t) {
+      const std::size_t i = view.position_of(t);
       if (isp[i] >= isp_count || exp[i] >= exp_limit[isp[i]]) {
         metro_mismatch(*metro_, view.metro_name(), isp[i], exp[i]);
       }
@@ -250,8 +288,9 @@ SimResult HybridSimulator::run(const TraceView& view,
   const std::span<const std::uint32_t> content = view.content();
   const std::span<const std::uint8_t> bitrate = view.bitrate();
   std::unordered_map<SwarmKey, std::vector<std::uint32_t>> groups;
+  std::vector<std::uint32_t> identity;
   const std::vector<SwarmEntry> swarms = list_swarms(
-      config_, view.groups(), view.order(), view.size(),
+      config_, view.groups(), view.order(), view.time_order(), view.size(),
       [&](std::uint32_t i) {
         SwarmKey key;
         key.content = content[i];
@@ -259,7 +298,7 @@ SimResult HybridSimulator::run(const TraceView& view,
         if (config_.split_by_bitrate) key.bitrate = bitrate[i];
         return key;
       },
-      groups);
+      groups, identity);
   const auto group_end = Clock::now();
 
   ReduceTiming reduce_timing;
@@ -269,7 +308,7 @@ SimResult HybridSimulator::run(const TraceView& view,
       timing != nullptr ? &kernel_timing : nullptr,
       timing != nullptr ? &reduce_timing : nullptr,
       [&](SwarmSweep& sweep, const SwarmEntry& swarm, ChunkPartial& acc) {
-        sweep.sweep(swarm.first, swarm.second, view, acc);
+        sweep.sweep(swarm.key, swarm.indices, view, acc, swarm.base);
       });
   if (timing != nullptr) {
     timing->group_seconds =
@@ -301,17 +340,18 @@ SimResult HybridSimulator::run_rows(const Trace& trace) const {
   }
 
   std::unordered_map<SwarmKey, std::vector<std::uint32_t>> groups;
+  std::vector<std::uint32_t> identity;
   const std::vector<SwarmEntry> swarms = list_swarms(
-      config_, trace.swarm_index.groups, trace.swarm_index.order,
+      config_, trace.swarm_index.groups, trace.swarm_index.order, {},
       trace.sessions.size(),
       [&](std::uint32_t i) {
         return swarm_key_for(trace.sessions[i], config_);
       },
-      groups);
+      groups, identity);
   return sweep_swarms(
       *metro_, config_, trace.span, swarms, nullptr, nullptr,
       [&](SwarmSweep& sweep, const SwarmEntry& swarm, ChunkPartial& acc) {
-        sweep.sweep_rows(swarm.first, swarm.second, trace, acc);
+        sweep.sweep_rows(swarm.key, swarm.indices, trace, acc);
       });
 }
 

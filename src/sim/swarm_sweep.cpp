@@ -665,7 +665,8 @@ void SwarmSweep::finish_swarm(SwarmKey key, std::size_t session_count,
 }
 
 void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
-                       const TraceView& view, ChunkPartial& out) {
+                       const TraceView& view, ChunkPartial& out,
+                       std::size_t base) {
   // The active-list bookkeeping packs session indices into int32_t slots;
   // a pathological >2B-session swarm must fail loudly, not corrupt them.
   CL_EXPECTS(indices.size() <= static_cast<std::size_t>(
@@ -684,7 +685,7 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
   w_start_.resize(count);
   w_end_.resize(count);
   const sweep_kernels::WindowBounds bounds = sweep_kernels::window_bounds(
-      indices, view.start().data(), view.duration().data(), dt,
+      indices, view.start().data() + base, view.duration().data() + base, dt,
       w_start_.data(), w_end_.data());
   Clock::time_point t1;
   if (timed) t1 = Clock::now();
@@ -702,8 +703,9 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
     g_beta_.resize(count);
     static const std::array<double, kBitrateClasses> kBetaTable = beta_table();
     const sweep_kernels::PeerGather peers = sweep_kernels::gather_peer_columns(
-        indices, view.user().data(), view.isp().data(),
-        view.exp().data(), view.bitrate().data(), kBetaTable.data(),
+        indices, view.user().data() + base, view.isp().data() + base,
+        view.exp().data() + base, view.bitrate().data() + base,
+        kBetaTable.data(),
         want_user ? g_user_.data() : nullptr, g_isp_.data(), g_exp_.data(),
         g_beta_.data());
     single_isp = peers.single_isp;

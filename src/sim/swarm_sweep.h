@@ -125,13 +125,16 @@ class SwarmSweep {
   SwarmSweep(const Metro& metro, const SimConfig& config,
              SweepKernelTiming* timing = nullptr);
 
-  /// Sweeps one swarm (the sessions at `indices` into `view`'s columns)
-  /// and accumulates its traffic into `out` — the columnar hot path.
+  /// Sweeps one swarm (the sessions at storage positions base +
+  /// indices[k] of `view`'s columns) and accumulates its traffic into
+  /// `out` — the columnar hot path. A swarm-major view passes the group's
+  /// first position as `base` and an identity as `indices`, so the
+  /// gathers stream one contiguous slice of each column.
   /// Per-user sums and, when `config.collect_hourly` is set, the hourly
   /// traffic and per-hour spill stay in the worker's scratch until
   /// finish_chunk() hands them over.
   void sweep(SwarmKey key, std::span<const std::uint32_t> indices,
-             const TraceView& view, ChunkPartial& out);
+             const TraceView& view, ChunkPartial& out, std::size_t base = 0);
 
   /// Row-structured per-peer reference sweep over trace.sessions (same
   /// event streams and event loop as sweep(), always the per-peer route);

@@ -1,5 +1,7 @@
 #include "trace/session.h"
 
+#include <charconv>
+
 #include "util/error.h"
 
 namespace cl {
@@ -11,6 +13,15 @@ bool valid_trace_metro_name(const std::string& name) {
     if (byte < 0x20 || byte == 0x7f) return false;
   }
   return true;
+}
+
+void require_writable_trace_span(double seconds) {
+  if (valid_trace_span(seconds)) return;
+  char text[32];
+  const auto end = std::to_chars(text, text + sizeof text, seconds);
+  throw InvalidArgument("trace span " + std::string(text, end.ptr) +
+                        " s is not in [0, " + std::to_string(kMaxTraceDays) +
+                        " days]: no trace reader would accept the file");
 }
 
 Bits Trace::total_volume() const {

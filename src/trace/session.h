@@ -93,6 +93,11 @@ inline constexpr double kMaxTraceSpanSeconds = kMaxTraceDays * 86400.0;
   return seconds >= 0 && seconds <= kMaxTraceSpanSeconds;
 }
 
+/// Throws cl::InvalidArgument unless valid_trace_span(seconds): the trace
+/// writers call it before writing a byte, so they never write a file
+/// their readers refuse.
+void require_writable_trace_span(double seconds);
+
 /// A workload trace: flat, start-time-ordered session list plus its span.
 struct Trace {
   std::vector<SessionRecord> sessions;

@@ -178,7 +178,8 @@ void validate_swarm_index(const SwarmIndex& index, const Trace& trace,
   struct RowKeys {
     const SessionRecord* rows;
     void prefetch(std::uint32_t s) const { simd::prefetch(rows + s); }
-    bool matches(std::uint32_t s, const SwarmIndexGroup& group) const {
+    bool matches(std::size_t, std::uint32_t s,
+                 const SwarmIndexGroup& group) const {
       const SessionRecord& r = rows[s];
       return r.content == group.content && r.isp == group.isp &&
              static_cast<std::uint8_t>(r.bitrate) == group.bitrate;

@@ -6,11 +6,13 @@
 // (content, ISP, bitrate class) — the paper's ISP-friendly, bitrate-split
 // setting. Grouping 23.5M sessions through a hash map on every run is
 // pure overhead when the trace is immutable on disk, so the binary trace
-// format (trace/trace_binary.h) persists this index next to the columns:
-// one permutation of session indices, grouped by swarm key in ascending
-// key order, ascending session index within each group — exactly the
-// deterministic sweep order HybridSimulator::run derives itself. A loaded
-// index lets the simulator skip the grouping pass entirely.
+// format (trace/trace_binary.h) persists this index: one permutation of
+// session indices, grouped by swarm key in ascending key order,
+// ascending session index within each group — exactly the deterministic
+// sweep order HybridSimulator::run derives itself. A v3 file stores the
+// sessions in that order (check_swarm_major checks that layout); v1/v2
+// files store the permutation itself. A loaded index lets the simulator
+// skip the grouping pass entirely.
 //
 // Key order: groups sort lexicographically by (content, isp, bitrate),
 // which equals the ascending SwarmKey::packed() order for every real
@@ -22,10 +24,13 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <span>
+#include <vector>
 
 #include "trace/session.h"
 #include "util/error.h"
@@ -65,17 +70,25 @@ void validate_swarm_index(const SwarmIndex& index, const Trace& trace,
 void check_swarm_index_groups(std::span<const SwarmIndexGroup> groups,
                               std::size_t order_size, std::size_t n);
 
-/// The one swarm-index check, for row and column storage alike. `keys`
-/// reads the trace's key fields: `keys.matches(session, group)` says
-/// whether session `session` has `group`'s key, and `keys.prefetch(s)`
-/// hints that session s's key is read soon. On top of
-/// check_swarm_index_groups, every entry of `order` must be a session
-/// index below n whose key matches its group, with indices strictly
-/// ascending inside each group. Those rules make `order` a permutation of
-/// [0, n): a session can only sit in the one group with its key (keys are
-/// distinct), and only once there.
+/// The group of `groups` whose position range holds `position` (the
+/// groups must tile the positions: check_swarm_index_groups).
+[[nodiscard]] inline const SwarmIndexGroup* group_at(
+    std::span<const SwarmIndexGroup> groups, std::size_t position) {
+  return std::prev(std::upper_bound(
+      groups.data(), groups.data() + groups.size(), position,
+      [](std::size_t pos, const SwarmIndexGroup& g) { return pos < g.begin; }));
+}
+
+/// The order scan of the swarm-index check, over positions [lo, hi) of
+/// `order` (the group table already checked: check_swarm_index_groups).
+/// Every entry must be a session index below n whose key matches its
+/// group, with indices strictly ascending inside each group. `keys` reads
+/// the trace's key fields: `keys.matches(position, session, group)` says
+/// whether session `session`, listed at `position`, has `group`'s key —
+/// the writer also stores the session there — and `keys.prefetch(s)`
+/// hints that session s's key is read soon.
 ///
-/// The order scan shards over positions, not groups: the Zipf head's few
+/// The scan shards over positions, not groups: the Zipf head's few
 /// groups hold most sessions, so group shards would leave one worker with
 /// most of the work. A shard finds the group of its first position by
 /// binary search on group.begin and compares that position with the one
@@ -83,16 +96,15 @@ void check_swarm_index_groups(std::span<const SwarmIndexGroup> groups,
 /// so each one prefetches the key simd::kPrefetchAhead positions on.
 /// Throws cl::ParseError.
 template <typename Keys>
-void check_swarm_index(std::span<const SwarmIndexGroup> groups,
-                       std::span<const std::uint32_t> order, std::size_t n,
-                       const Keys& keys, unsigned threads) {
-  check_swarm_index_groups(groups, order.size(), n);
-  parallel_shards(n, threads, [&](unsigned, std::size_t pb, std::size_t pe) {
-    const SwarmIndexGroup* group = std::prev(std::upper_bound(
-        groups.data(), groups.data() + groups.size(), pb,
-        [](std::size_t pos, const SwarmIndexGroup& g) {
-          return pos < g.begin;
-        }));
+void check_swarm_index_range(std::span<const SwarmIndexGroup> groups,
+                             std::span<const std::uint32_t> order,
+                             std::size_t lo, std::size_t hi, std::size_t n,
+                             const Keys& keys, unsigned threads) {
+  parallel_shards(hi - lo, threads, [&](unsigned, std::size_t b,
+                                        std::size_t e) {
+    const std::size_t pb = lo + b;
+    const std::size_t pe = lo + e;
+    const SwarmIndexGroup* group = group_at(groups, pb);
     std::uint64_t group_end = group->begin + group->count;
     for (std::size_t i = pb; i < pe; ++i) {
       if (i + simd::kPrefetchAhead < pe) {
@@ -111,9 +123,101 @@ void check_swarm_index(std::span<const SwarmIndexGroup> groups,
         throw ParseError(
             "swarm index session order is not ascending within a group");
       }
-      if (!keys.matches(s, *group)) {
+      if (!keys.matches(i, s, *group)) {
         throw ParseError("swarm index group key does not match its sessions");
       }
+    }
+  });
+}
+
+/// The one swarm-index check, for row and column storage alike:
+/// check_swarm_index_groups, then check_swarm_index_range over every
+/// position. Its rules make `order` a permutation of [0, n): a session
+/// can only sit in the one group with its key (keys are distinct), and
+/// only once there. Throws cl::ParseError.
+template <typename Keys>
+void check_swarm_index(std::span<const SwarmIndexGroup> groups,
+                       std::span<const std::uint32_t> order, std::size_t n,
+                       const Keys& keys, unsigned threads) {
+  check_swarm_index_groups(groups, order.size(), n);
+  check_swarm_index_range(groups, order, 0, n, n, keys, threads);
+}
+
+/// The swarm-major layout check (`.cltrace` v3, trace/trace_binary.h):
+/// storage position p holds a session of the group whose range holds p,
+/// and `time_order[t]` is the storage position of the t-th session in
+/// start order. `keys` reads the stored sessions as for check_swarm_index
+/// (matches(p, p, group) for the session at position p), plus
+/// `keys.start_of(p)`, its start time, and `keys.prefetch_start(p)`. On
+/// top of check_swarm_index_groups:
+///
+///  * every position's key matches its group's (a sequential pass);
+///  * starts are non-decreasing inside each group;
+///  * `time_order` is a permutation of [0, n) — every entry is below n,
+///    and a pass over one byte a session finds every position listed —
+///    and starts are non-decreasing along it.
+///
+/// Each pass shards over positions (or time ranks) and compares the
+/// first one with the one before it, in the previous shard. Throws
+/// cl::ParseError.
+template <typename Keys>
+void check_swarm_major(std::span<const SwarmIndexGroup> groups,
+                       std::span<const std::uint32_t> time_order,
+                       std::size_t n, const Keys& keys, unsigned threads) {
+  check_swarm_index_groups(groups, time_order.size(), n);
+  constexpr double kEarliest = -std::numeric_limits<double>::infinity();
+  parallel_shards(n, threads, [&](unsigned, std::size_t pb, std::size_t pe) {
+    const SwarmIndexGroup* group = group_at(groups, pb);
+    std::uint64_t group_end = group->begin + group->count;
+    double prev = pb > group->begin ? keys.start_of(pb - 1) : kEarliest;
+    for (std::size_t p = pb; p < pe; ++p) {
+      if (p == group_end) {
+        ++group;
+        group_end = group->begin + group->count;
+        prev = kEarliest;
+      }
+      if (!keys.matches(p, p, *group)) {
+        throw ParseError("swarm index group key does not match its sessions");
+      }
+      const double start = keys.start_of(p);
+      if (!(start >= prev)) {
+        throw ParseError("a swarm group's sessions are not in start order");
+      }
+      prev = start;
+    }
+  });
+  // Relaxed atomic stores of one constant: a duplicate entry from two
+  // workers is no data race, and it leaves some position unlisted.
+  std::vector<std::uint8_t> listed(n, 0);
+  parallel_shards(n, threads, [&](unsigned, std::size_t tb, std::size_t te) {
+    double prev = kEarliest;
+    if (tb > 0 && time_order[tb - 1] < n) {
+      prev = keys.start_of(time_order[tb - 1]);
+    }
+    for (std::size_t t = tb; t < te; ++t) {
+      if (t + simd::kPrefetchAhead < te) {
+        const std::uint32_t ahead = time_order[t + simd::kPrefetchAhead];
+        if (ahead < n) keys.prefetch_start(ahead);
+      }
+      const std::uint32_t p = time_order[t];
+      if (p >= n) {
+        throw ParseError("time order references an out-of-range session");
+      }
+      std::atomic_ref<std::uint8_t>(listed[p]).store(
+          1, std::memory_order_relaxed);
+      const double start = keys.start_of(p);
+      if (!(start >= prev)) {
+        throw ParseError("time order is not in start order");
+      }
+      prev = start;
+    }
+  });
+  parallel_shards(n, threads, [&](unsigned, std::size_t b, std::size_t e) {
+    if (std::find(listed.begin() + static_cast<std::ptrdiff_t>(b),
+                  listed.begin() + static_cast<std::ptrdiff_t>(e),
+                  0) != listed.begin() + static_cast<std::ptrdiff_t>(e)) {
+      throw ParseError(
+          "time order is not a permutation: a session is listed twice");
     }
   });
 }

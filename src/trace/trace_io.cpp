@@ -36,6 +36,9 @@ std::uint32_t parse_u32(const std::string& text, const char* what) {
 }  // namespace
 
 void write_trace(std::ostream& out, const Trace& trace) {
+  // Refuse what the reader would refuse before writing a byte.
+  require_writable_trace_span(trace.span.value());
+  CL_EXPECTS(valid_trace_metro_name(trace.metro_name));
   // Shortest round-trip formatting — streaming the double directly would
   // truncate to 6 significant digits, and a span that reads back smaller
   // than a session's end makes the reader reject its own writer's output.
@@ -46,7 +49,6 @@ void write_trace(std::ostream& out, const Trace& trace) {
   // The metro comment is written only when recorded, so traces from
   // before the metro field (and metro-less traces) keep their exact
   // bytes through a write -> read -> write round trip.
-  CL_EXPECTS(valid_trace_metro_name(trace.metro_name));
   if (!trace.metro_name.empty()) {
     out << "#metro=" << trace.metro_name << '\n';
   }
@@ -59,6 +61,8 @@ void write_trace(std::ostream& out, const Trace& trace) {
 }
 
 void write_trace_file(const std::string& path, const Trace& trace) {
+  require_writable_trace_span(trace.span.value());
+  CL_EXPECTS(valid_trace_metro_name(trace.metro_name));
   std::ofstream out(path);
   if (!out) throw IoError("cannot create trace file: " + path);
   write_trace(out, trace);

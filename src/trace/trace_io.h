@@ -15,10 +15,14 @@
 namespace cl {
 
 /// Writes a trace as CSV. The header row carries a `#span=<seconds>`
-/// comment line first so the span round-trips.
+/// comment line first so the span round-trips. Throws
+/// cl::InvalidArgument, before writing a byte, when the span or the
+/// metro name could not be read back (valid_trace_span,
+/// valid_trace_metro_name).
 void write_trace(std::ostream& out, const Trace& trace);
 
-/// Writes a trace to a file; throws cl::IoError when the file cannot be
+/// Writes a trace to a file; throws cl::InvalidArgument like write_trace
+/// before the file is created, and cl::IoError when the file cannot be
 /// created.
 void write_trace_file(const std::string& path, const Trace& trace);
 

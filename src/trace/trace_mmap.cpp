@@ -10,6 +10,7 @@
 #include "util/error.h"
 #include "util/parallel.h"
 #include "util/serialize.h"
+#include "util/simd.h"
 
 namespace cl {
 
@@ -17,8 +18,8 @@ namespace {
 
 // Layout constants are shared with the writer via trace_binary.h
 // (kTraceBinaryHeaderBytes, kTraceBinaryDirEntryBytes,
-// kTraceBinaryElemSize, kTraceBinaryCountIsSessions) — the two sides
-// cannot drift apart.
+// kTraceBinaryElemSize, kTraceBinaryCountKind) — the two sides cannot
+// drift apart.
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw ParseError("corrupt .cltrace file: " + what);
@@ -153,15 +154,22 @@ std::string MappedTrace::metro_name() const {
 
 SessionRecord MappedTrace::session(std::size_t i) const {
   CL_EXPECTS(i < sessions_);
+  std::size_t p = i;
+  if (swarm_major()) {
+    p = load_u32_le(block(12) + 4 * i);
+    if (p >= sessions_) {
+      corrupt("time order references an out-of-range session");
+    }
+  }
   SessionRecord s;
-  s.user = load_u32_le(block(0) + 4 * i);
-  s.household = load_u32_le(block(1) + 4 * i);
-  s.content = load_u32_le(block(2) + 4 * i);
-  s.isp = load_u32_le(block(3) + 4 * i);
-  s.exp = load_u32_le(block(4) + 4 * i);
-  s.bitrate = static_cast<BitrateClass>(block(5)[i]);
-  s.start = load_f64_le(block(6) + 8 * i);
-  s.duration = load_f64_le(block(7) + 8 * i);
+  s.user = load_u32_le(block(0) + 4 * p);
+  s.household = load_u32_le(block(1) + 4 * p);
+  s.content = load_u32_le(block(2) + 4 * p);
+  s.isp = load_u32_le(block(3) + 4 * p);
+  s.exp = load_u32_le(block(4) + 4 * p);
+  s.bitrate = static_cast<BitrateClass>(block(5)[p]);
+  s.start = load_f64_le(block(6) + 8 * p);
+  s.duration = load_f64_le(block(7) + 8 * p);
   return s;
 }
 
@@ -188,7 +196,7 @@ Trace MappedTrace::to_trace(unsigned threads) const {
   Trace trace;
   trace.span = span_;
   trace.metro_name = metro_name();
-  trace.sessions.resize(sessions_);
+  trace.swarm_index.groups = index_groups();
   const unsigned char* user = block(0);
   const unsigned char* household = block(1);
   const unsigned char* content = block(2);
@@ -197,10 +205,52 @@ Trace MappedTrace::to_trace(unsigned threads) const {
   const unsigned char* bitrate = block(5);
   const unsigned char* start = block(6);
   const unsigned char* duration = block(7);
+
+  // Block 12: v1/v2 store the index order, v3 the time order (storage
+  // position of each session in start order).
+  const bool swarm_major_file = swarm_major();
+  std::vector<std::uint32_t> block12(sessions_);
+  const unsigned char* raw12 = block(12);
   parallel_shards(sessions_, threads,
                   [&](unsigned, std::size_t begin, std::size_t end) {
                     for (std::size_t i = begin; i < end; ++i) {
-                      SessionRecord& s = trace.sessions[i];
+                      block12[i] = load_u32_le(raw12 + 4 * i);
+                    }
+                  });
+  if (swarm_major_file) {
+    struct StoredKeys {
+      const unsigned char* content;
+      const unsigned char* isp;
+      const unsigned char* bitrate;
+      const unsigned char* start;
+      void prefetch_start(std::uint32_t p) const {
+        simd::prefetch(start + 8 * p);
+      }
+      bool matches(std::size_t, std::uint32_t p,
+                   const SwarmIndexGroup& group) const {
+        return load_u32_le(content + 4 * p) == group.content &&
+               load_u32_le(isp + 4 * p) == group.isp &&
+               bitrate[p] == group.bitrate;
+      }
+      double start_of(std::uint32_t p) const {
+        return load_f64_le(start + 8 * p);
+      }
+    };
+    try {
+      check_swarm_major(trace.swarm_index.groups, block12, sessions_,
+                        StoredKeys{content, isp, bitrate, start}, threads);
+    } catch (const ParseError& e) {
+      corrupt(e.what());
+    }
+  }
+
+  // Row t is the session stored at position time_order[t] (v3) or t.
+  trace.sessions.resize(sessions_);
+  parallel_shards(sessions_, threads,
+                  [&](unsigned, std::size_t begin, std::size_t end) {
+                    for (std::size_t t = begin; t < end; ++t) {
+                      const std::size_t i = swarm_major_file ? block12[t] : t;
+                      SessionRecord& s = trace.sessions[t];
                       s.user = load_u32_le(user + 4 * i);
                       s.household = load_u32_le(household + 4 * i);
                       s.content = load_u32_le(content + 4 * i);
@@ -217,16 +267,33 @@ Trace MappedTrace::to_trace(unsigned threads) const {
                     }
                   });
 
-  trace.swarm_index.groups = index_groups();
-  trace.swarm_index.order.resize(sessions_);
-  const unsigned char* order = block(12);
-  parallel_shards(sessions_, threads,
-                  [&](unsigned, std::size_t range_begin, std::size_t end) {
-                    for (std::size_t i = range_begin; i < end; ++i) {
-                      trace.swarm_index.order[i] = load_u32_le(order + 4 * i);
-                    }
-                  });
-  validate_swarm_index(trace.swarm_index, trace, threads);
+  if (swarm_major_file) {
+    // The index order is the inverse permutation: storage position p
+    // holds the session of start rank t with time_order[t] = p.
+    trace.swarm_index.order.resize(sessions_);
+    parallel_shards(sessions_, threads,
+                    [&](unsigned, std::size_t begin, std::size_t end) {
+                      for (std::size_t t = begin; t < end; ++t) {
+                        trace.swarm_index.order[block12[t]] =
+                            static_cast<std::uint32_t>(t);
+                      }
+                    });
+    // check_swarm_major matched every key; what it leaves open is that
+    // sessions of equal start sit in time order inside their group, i.e.
+    // that the inverse ascends within each group.
+    struct KeysChecked {
+      void prefetch(std::uint32_t) const {}
+      bool matches(std::size_t, std::uint32_t,
+                   const SwarmIndexGroup&) const {
+        return true;
+      }
+    };
+    check_swarm_index(trace.swarm_index.groups, trace.swarm_index.order,
+                      sessions_, KeysChecked{}, threads);
+  } else {
+    trace.swarm_index.order = std::move(block12);
+    validate_swarm_index(trace.swarm_index, trace, threads);
+  }
 
   // The same invariants the CSV reader enforces (ordering, non-negative
   // durations, sessions inside the span) — surfaced as ParseError since

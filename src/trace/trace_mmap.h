@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "trace/session.h"
+#include "trace/trace_binary.h"
 #include "util/mmap_file.h"
 
 namespace cl {
@@ -26,12 +27,17 @@ namespace cl {
 /// A validated, memory-mapped `.cltrace` file.
 ///
 /// Construction validates everything structural: magic, version (the
-/// current version 2, or the legacy version 1 without the metro-name
-/// block), block directory (every block id of that version present
-/// exactly once, element widths, counts, bounds) and the exact file
-/// size. Field-level validation — bitrate range, swarm-index
-/// consistency, session ordering — happens in to_trace(), which is the
-/// only way payload bytes become a Trace.
+/// current version 3, or the legacy versions 2 and 1 — see
+/// trace/trace_binary.h), block directory (every block id of that
+/// version present exactly once, element widths, counts, bounds) and the
+/// exact file size. Field-level validation — bitrate range, the swarm
+/// index or swarm-major layout, session ordering — happens in to_trace(),
+/// which is the only way payload bytes become a Trace.
+///
+/// Storage order vs time order: a version-3 file stores its sessions
+/// swarm-major (storage position p is not the p-th session in start
+/// order) and block 12 maps time to storage; v1/v2 files store start
+/// order. session(i) and to_trace() always speak time order.
 class MappedTrace {
  public:
   /// Maps and validates `path`; throws cl::IoError when the file cannot
@@ -49,12 +55,18 @@ class MappedTrace {
   [[nodiscard]] std::uint32_t version() const { return version_; }
   /// Total mapped bytes.
   [[nodiscard]] std::size_t file_size() const { return file_.size(); }
+  /// True when the sessions are stored swarm-major and block 12 is the
+  /// time order (version 3 on); false for start-order v1/v2 files.
+  [[nodiscard]] bool swarm_major() const {
+    return version_ >= kTraceBinarySwarmMajorVersion;
+  }
   /// Metro name recorded in block 13 (empty for legacy v1 files and
   /// traces generated against an unnamed metro).
   [[nodiscard]] std::string metro_name() const;
 
-  /// Decodes one session from the column blocks (bitrate unvalidated —
-  /// use to_trace() for checked loading).
+  /// Decodes the i-th session in start order from the column blocks
+  /// (bitrate unvalidated — use to_trace() for checked loading; throws
+  /// cl::ParseError when a v3 time-order entry is out of range).
   [[nodiscard]] SessionRecord session(std::size_t i) const;
 
   /// Raw payload bytes of block `id` (see trace/trace_binary.h for the
@@ -72,11 +84,13 @@ class MappedTrace {
   /// callers run check_swarm_index on it.
   [[nodiscard]] std::vector<SwarmIndexGroup> index_groups() const;
 
-  /// Materializes the full trace — sessions, span and swarm index —
-  /// sharding session decoding and the swarm-index check across
-  /// `threads` workers (0 = all hardware threads). Validates bitrate
-  /// values, the swarm index and the trace invariants; throws
-  /// cl::ParseError on corrupt payloads.
+  /// Materializes the full trace — sessions in start order, span and
+  /// swarm index — sharding session decoding and the checks across
+  /// `threads` workers (0 = all hardware threads). A v3 file yields the
+  /// same rows and index as the v2 file of the same trace. Validates
+  /// bitrate values, the swarm index (and for v3 the swarm-major layout,
+  /// check_swarm_major) and the trace invariants; throws cl::ParseError
+  /// on corrupt payloads.
   [[nodiscard]] Trace to_trace(unsigned threads = 1) const;
 
  private:

@@ -129,12 +129,22 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
   view.bitrate_ = {m.raw_block(5), n};
   view.start_ = {reinterpret_cast<const double*>(m.raw_block(6)), n};
   view.duration_ = {reinterpret_cast<const double*>(m.raw_block(7)), n};
-  view.order_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(12)), n};
+  // Block 12 is the time order of a swarm-major (v3) file and the index
+  // order of a start-order one.
+  const std::span<const std::uint32_t> block12 = {
+      reinterpret_cast<const std::uint32_t*>(m.raw_block(12)), n};
+  const bool swarm_major = m.swarm_major();
+  if (swarm_major) {
+    view.time_order_ = block12;
+  } else {
+    view.order_ = block12;
+  }
 
   // Field-level validation, column-wise — the same checks to_trace()
   // performs on materialized rows (bitrate range, session invariants),
   // without building a single SessionRecord. Shard boundaries overlap by
-  // one element so the ordering check covers every adjacent pair.
+  // one element so the ordering check of a start-order file covers every
+  // adjacent pair; a swarm-major file's orders are check_swarm_major's.
   const double span_limit = view.span_.value() + 1e-6;
   parallel_shards(n, threads, [&](unsigned, std::size_t begin,
                                   std::size_t end) {
@@ -147,7 +157,7 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
       const double duration = view.duration_[i];
       if (!(duration >= 0) || !(start >= 0) ||
           !(start + duration <= span_limit) ||
-          (i > 0 && !(start >= view.start_[i - 1]))) {
+          (!swarm_major && i > 0 && !(start >= view.start_[i - 1]))) {
         corrupt("session " + std::to_string(i) +
                 " violates the trace invariants (ordering, non-negative "
                 "duration, inside the span)");
@@ -156,29 +166,35 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
   });
 
   // Decode the group table (tiny: one entry per swarm) and check the
-  // index against the key columns: the same check validate_swarm_index
-  // runs on rows.
+  // index against the key columns: the same checks to_trace() runs.
   auto groups =
       std::make_shared<const std::vector<SwarmIndexGroup>>(m.index_groups());
   struct ColumnKeys {
     const std::uint32_t* content;
     const std::uint32_t* isp;
     const std::uint8_t* bitrate;
+    const double* start;
     void prefetch(std::uint32_t s) const {
       simd::prefetch(content + s);
       simd::prefetch(isp + s);
       simd::prefetch(bitrate + s);
     }
-    bool matches(std::uint32_t s, const SwarmIndexGroup& group) const {
+    void prefetch_start(std::uint32_t s) const { simd::prefetch(start + s); }
+    bool matches(std::size_t, std::uint32_t s,
+                 const SwarmIndexGroup& group) const {
       return content[s] == group.content && isp[s] == group.isp &&
              bitrate[s] == group.bitrate;
     }
+    double start_of(std::uint32_t s) const { return start[s]; }
   };
+  const ColumnKeys keys{view.content_.data(), view.isp_.data(),
+                        view.bitrate_.data(), view.start_.data()};
   try {
-    check_swarm_index(*groups, view.order_, n,
-                      ColumnKeys{view.content_.data(), view.isp_.data(),
-                                 view.bitrate_.data()},
-                      threads);
+    if (swarm_major) {
+      check_swarm_major(*groups, view.time_order_, n, keys, threads);
+    } else {
+      check_swarm_index(*groups, view.order_, n, keys, threads);
+    }
   } catch (const ParseError& e) {
     corrupt(e.what());
   }
@@ -192,8 +208,9 @@ TraceView TraceView::open_binary(const std::string& path, unsigned threads) {
   return from_mapped(MappedTrace(path), threads);
 }
 
-SessionRecord TraceView::session(std::size_t i) const {
-  CL_EXPECTS(i < size());
+SessionRecord TraceView::session(std::size_t t) const {
+  CL_EXPECTS(t < size());
+  const std::size_t i = position_of(t);
   SessionRecord s;
   s.user = user_[i];
   s.household = household_[i];

@@ -22,10 +22,18 @@
 // is keep a `Trace&` alive — from_trace() copies the columns out, so
 // the source Trace may be destroyed immediately afterwards.
 //
+// Storage order vs time order: the columns are in the order the backing
+// stores them. An owned view and a v1/v2 file store start order, and
+// order() is the swarm-key-sorted permutation of positions. A v3 file
+// stores swarm-major: group g is positions [begin, begin + count) of
+// every column, so order() is the identity and is left empty, and
+// time_order() maps start order to storage. session(i) always returns
+// the i-th session in start order.
+//
 // Construction from a MappedTrace performs the same field-level
-// validation to_trace() does — bitrate range, swarm-index consistency,
-// session ordering/span invariants — as column passes, without ever
-// materializing a SessionRecord.
+// validation to_trace() does — bitrate range, swarm-index (or
+// swarm-major layout) consistency, session ordering/span invariants —
+// as column passes, without ever materializing a SessionRecord.
 #pragma once
 
 #include <cstddef>
@@ -57,9 +65,11 @@ class TraceView {
 
   /// Wraps a mapped `.cltrace` zero-copy (taking ownership of the
   /// mapping), falling back to a one-shot SoA transpose on hosts where
-  /// the blocks cannot be aliased (big-endian, misaligned mapping).
-  /// Validates bitrates, the swarm index and the session invariants
-  /// column-wise; throws cl::ParseError on corrupt payloads.
+  /// the blocks cannot be aliased (big-endian, misaligned mapping). A v3
+  /// file keeps its swarm-major storage. Validates bitrates, the swarm
+  /// index (check_swarm_index, or check_swarm_major for v3) and the
+  /// session invariants column-wise; throws cl::ParseError on corrupt
+  /// payloads.
   [[nodiscard]] static TraceView from_mapped(MappedTrace mapped,
                                              unsigned threads = 1);
 
@@ -71,7 +81,7 @@ class TraceView {
   [[nodiscard]] std::size_t size() const { return start_.size(); }
   [[nodiscard]] bool empty() const { return start_.empty(); }
 
-  // Per-session columns, each of size() elements.
+  // Per-session columns, each of size() elements, in storage order.
   [[nodiscard]] std::span<const std::uint32_t> user() const { return user_; }
   [[nodiscard]] std::span<const std::uint32_t> household() const {
     return household_;
@@ -92,24 +102,39 @@ class TraceView {
   /// Metro registry name recorded in the trace, or empty when unknown.
   [[nodiscard]] const std::string& metro_name() const { return metro_name_; }
 
-  /// Swarm index: groups ascend by (content, isp, bitrate); order() is
-  /// the grouped session-index permutation (empty when the trace carries
-  /// no index — the simulator falls back to hash grouping).
+  /// Swarm index: groups ascend by (content, isp, bitrate). order() is
+  /// the grouped permutation of storage positions; it is empty when the
+  /// trace carries no index (the simulator falls back to hash grouping)
+  /// and when storage is already swarm-major (then group g's sessions are
+  /// positions [begin, begin + count)).
   [[nodiscard]] std::span<const SwarmIndexGroup> groups() const {
     return groups_ ? std::span<const SwarmIndexGroup>(*groups_)
                    : std::span<const SwarmIndexGroup>();
   }
   [[nodiscard]] std::span<const std::uint32_t> order() const { return order_; }
   [[nodiscard]] bool has_index() const {
-    return groups_ && !groups_->empty() && order_.size() == size();
+    return groups_ && !groups_->empty() &&
+           (swarm_major() || order_.size() == size());
+  }
+
+  /// True when the columns are stored swarm-major (a v3 `.cltrace`).
+  [[nodiscard]] bool swarm_major() const { return !time_order_.empty(); }
+  /// time_order()[t] is the storage position of the t-th session in
+  /// start order; empty when storage is already in start order.
+  [[nodiscard]] std::span<const std::uint32_t> time_order() const {
+    return time_order_;
+  }
+  /// Storage position of the t-th session in start order.
+  [[nodiscard]] std::size_t position_of(std::size_t t) const {
+    return time_order_.empty() ? t : time_order_[t];
   }
 
   /// True when the session columns alias an mmap'd file (nothing owned
   /// beyond the decoded group table).
   [[nodiscard]] bool zero_copy() const { return mapped_ != nullptr; }
 
-  /// Materializes one session from the columns (tests, spot reads — not
-  /// a hot-path API).
+  /// Materializes the i-th session in start order from the columns
+  /// (tests, spot reads — not a hot-path API).
   [[nodiscard]] SessionRecord session(std::size_t i) const;
 
  private:
@@ -123,7 +148,7 @@ class TraceView {
   std::span<const std::uint32_t> user_, household_, content_, isp_, exp_;
   std::span<const std::uint8_t> bitrate_;
   std::span<const double> start_, duration_;
-  std::span<const std::uint32_t> order_;
+  std::span<const std::uint32_t> order_, time_order_;
   Seconds span_;
   std::string metro_name_;
 };

@@ -143,8 +143,8 @@ Trace tiny_trace() {
 
 /// The committed golden fixtures' session content. The legacy
 /// tests/data/golden_v1.cltrace was written from exactly this trace by
-/// the version-1 writer (no metro field); golden_v2.cltrace adds the
-/// metro name — see golden_trace_v2().
+/// the version-1 writer (no metro field); golden_v2.cltrace and
+/// golden_v3.cltrace add the metro name — see golden_trace_v2().
 Trace golden_trace() {
   Trace t;
   t.span = Seconds{86400.0};
@@ -173,9 +173,10 @@ Trace golden_trace() {
   return t;
 }
 
-/// The current-version golden fixture's content — regenerate tests/data/
-/// golden_v2.cltrace from exactly this trace (see the failure message in
-/// GoldenFileBytesMatchWriter).
+/// The content of the v2 and current-version golden fixtures — the
+/// current one (tests/data/golden_v3.cltrace) is regenerated from exactly
+/// this trace (see the failure message in
+/// TraceBinaryGolden.FileBytesMatchWriter).
 Trace golden_trace_v2() {
   Trace t = golden_trace();
   t.metro_name = "london_top5";
@@ -186,8 +187,13 @@ std::string golden_v1_path() {
   return std::string(CL_TEST_DATA_DIR) + "/golden_v1.cltrace";
 }
 
-std::string golden_path() {
+std::string golden_v2_path() {
   return std::string(CL_TEST_DATA_DIR) + "/golden_v2.cltrace";
+}
+
+/// The current-version golden fixture.
+std::string golden_path() {
+  return std::string(CL_TEST_DATA_DIR) + "/golden_v3.cltrace";
 }
 
 using test::fnv1a;
@@ -753,6 +759,45 @@ TEST(SwarmIndexTest, ValidateRejectsFaultsRightAfterAShardBoundary) {
   }
 }
 
+TEST(TraceBinaryWriter, RefusesAGivenIndexThatDoesNotMatchItsSessions) {
+  // The writer checks a given index in the pass that fills the columns:
+  // each fault is a ParseError, at a shard boundary too, and the file
+  // writer leaves no half-written file behind.
+  const Trace trace = shard_boundary_trace();
+  const SwarmIndex index = build_swarm_index(trace);
+  const std::size_t p = trace.size() * 3 / 7;  // a 7-thread shard start
+  ASSERT_LT(p, 1800u);
+  std::vector<std::pair<std::string, SwarmIndex>> faults;
+  faults.emplace_back("group key does not match", index);
+  faults.back().second.groups[1].isp += 1;
+  faults.emplace_back("not ascending within a group", index);
+  std::swap(faults.back().second.order[p - 1], faults.back().second.order[p]);
+  faults.emplace_back("not ascending within a group", index);
+  faults.back().second.order[p] = faults.back().second.order[p - 1];
+  const std::string path = temp_path("cl_writer_bad_index.cltrace");
+  for (const auto& [what, broken] : faults) {
+    Trace bad = trace;
+    bad.swarm_index = broken;
+    for (const unsigned threads : {1u, 7u}) {
+      SCOPED_TRACE(what + " threads=" + std::to_string(threads));
+      for (int writer = 0; writer < 2; ++writer) {
+        try {
+          if (writer == 0) {
+            (void)serialize_trace_binary(bad, threads);
+          } else {
+            write_trace_binary_file(path, bad, threads);
+          }
+          ADD_FAILURE() << "wrote a trace with a broken index";
+        } catch (const ParseError& e) {
+          EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+              << e.what();
+        }
+        EXPECT_FALSE(std::filesystem::exists(path));
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ golden files
 
 TEST(TraceBinaryGolden, FileBytesMatchWriter) {
@@ -761,15 +806,16 @@ TEST(TraceBinaryGolden, FileBytesMatchWriter) {
   EXPECT_EQ(serialize_trace_binary(golden_trace_v2()), committed)
       << "the .cltrace byte layout changed. If this is intentional, bump "
          "kTraceBinaryVersion in trace/trace_binary.h, add a new golden "
-         "fixture under tests/data/ from golden_trace_v2(), and update "
-         "the pinned digest in TraceBinaryGolden.DigestPinned.";
+         "fixture under tests/data/ from golden_trace_v2(), point "
+         "golden_path() at it, keep the old one as a legacy-read test, and "
+         "update the pinned digest in TraceBinaryGolden.DigestPinned.";
 }
 
 TEST(TraceBinaryGolden, DigestPinned) {
   const std::string committed = read_bytes(golden_path());
   ASSERT_FALSE(committed.empty()) << "missing fixture " << golden_path();
-  EXPECT_EQ(fnv1a(committed), 0xb089aa1521edceffULL)
-      << "tests/data/golden_v2.cltrace changed on disk. An intentional "
+  EXPECT_EQ(fnv1a(committed), 0x458cd0b6f0401c28ULL)
+      << "tests/data/golden_v3.cltrace changed on disk. An intentional "
          "format change must bump kTraceBinaryVersion (see "
          "trace/trace_binary.h's version policy).";
 }
@@ -779,6 +825,40 @@ TEST(TraceBinaryGolden, FixtureLoads) {
   expect_sessions_identical(loaded, golden_trace_v2());
   EXPECT_EQ(loaded.metro_name, "london_top5");
   ASSERT_EQ(loaded.swarm_index.groups.size(), 5u);
+}
+
+// The v2 fixture (start-order storage, block 12 the index order) is the
+// proof that v2 decoding still works; like v1 it is never regenerated.
+TEST(TraceBinaryGolden, LegacyV2DigestPinned) {
+  const std::string committed = read_bytes(golden_v2_path());
+  ASSERT_FALSE(committed.empty()) << "missing fixture " << golden_v2_path();
+  EXPECT_EQ(fnv1a(committed), 0xb089aa1521edceffULL)
+      << "tests/data/golden_v2.cltrace changed on disk. The v2 fixture is "
+         "frozen — it pins a *legacy* layout readers must keep accepting.";
+}
+
+TEST(TraceBinaryGolden, LegacyV2AndCurrentFixturesLoadTheSameTrace) {
+  // Same trace, two storage orders: both readers return the same rows
+  // and index, and the views agree session by session in start order.
+  const Trace v2 = read_trace_binary_file(golden_v2_path());
+  const Trace v3 = read_trace_binary_file(golden_path());
+  expect_sessions_identical(v2, v3);
+  EXPECT_EQ(v2.swarm_index.order, v3.swarm_index.order);
+  ASSERT_EQ(v2.swarm_index.groups.size(), v3.swarm_index.groups.size());
+  EXPECT_EQ(MappedTrace(golden_v2_path()).version(), 2u);
+  const MappedTrace v3_mapped(golden_path());
+  const TraceView v2_view = TraceView::open_binary(golden_v2_path());
+  const TraceView v3_view = TraceView::open_binary(golden_path());
+  EXPECT_FALSE(v2_view.swarm_major());
+  EXPECT_TRUE(v3_view.swarm_major());
+  ASSERT_EQ(v2_view.size(), v3_view.size());
+  for (std::size_t t = 0; t < v2_view.size(); ++t) {
+    const SessionRecord a = v2_view.session(t);
+    const SessionRecord b = v3_view.session(t);
+    EXPECT_EQ(a.user, b.user) << "t=" << t;
+    EXPECT_EQ(a.start, b.start) << "t=" << t;
+    EXPECT_EQ(v3_mapped.session(t).user, a.user) << "t=" << t;
+  }
 }
 
 // Legacy version-1 files must keep loading forever: month-scale traces
@@ -994,6 +1074,175 @@ TEST(TraceBinaryCorrupt, RejectsVersionZero) {
   std::filesystem::remove(path);
 }
 
+/// Two swarms of three sessions, interleaved in time: content 1 starts
+/// at 10, 30, 50 and content 2 at 20, 40, 60. Stored swarm-major, the
+/// time order is {0, 3, 1, 4, 2, 5}.
+Trace interleaved_trace() {
+  Trace t;
+  t.span = Seconds{3600.0};
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    SessionRecord s;
+    s.user = i;
+    s.content = 1 + i % 2;
+    s.start = 10.0 * (i + 1);
+    s.duration = 100.0;
+    t.sessions.push_back(s);
+  }
+  return t;
+}
+
+/// Payload offset of block `id` in a serialized file (the writer lists
+/// the directory in block-id order).
+std::uint64_t payload_offset(const std::string& bytes, std::uint32_t id) {
+  return load_u64_le(reinterpret_cast<const unsigned char*>(bytes.data()) +
+                     kTraceBinaryHeaderBytes +
+                     id * kTraceBinaryDirEntryBytes + 8);
+}
+
+/// Swaps the `width`-byte elements `a` and `b` of block `id`.
+void swap_elements(std::string& bytes, std::uint32_t id, std::size_t width,
+                   std::size_t a, std::size_t b) {
+  const std::uint64_t offset = payload_offset(bytes, id);
+  for (std::size_t k = 0; k < width; ++k) {
+    std::swap(bytes[offset + width * a + k], bytes[offset + width * b + k]);
+  }
+}
+
+/// Both readers, at one and at four workers, refuse `bytes` with a
+/// ParseError whose message contains `what`.
+void expect_both_readers_refuse(const std::string& bytes,
+                                const std::string& what) {
+  const std::string path = write_bytes("cl_corrupt_v3.cltrace", bytes);
+  for (const unsigned threads : {1u, 4u}) {
+    for (int reader = 0; reader < 2; ++reader) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (reader == 0 ? " rows" : " view"));
+      try {
+        if (reader == 0) {
+          (void)read_trace_binary_file(path, threads);
+        } else {
+          (void)TraceView::open_binary(path, threads);
+        }
+        ADD_FAILURE() << "accepted a corrupt file; expected: " << what;
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(TraceBinaryCorrupt, V3LayoutOfTheFixtureTrace) {
+  // The faults below patch this layout; pin it first.
+  const std::string bytes = serialize_trace_binary(interleaved_trace());
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  const std::uint64_t order = payload_offset(bytes, 12);
+  const std::uint64_t user = payload_offset(bytes, 0);
+  for (std::uint32_t t = 0; t < 6; ++t) {
+    EXPECT_EQ(load_u32_le(p + order + 4 * t),
+              (std::vector<std::uint32_t>{0, 3, 1, 4, 2, 5})[t]);
+    EXPECT_EQ(load_u32_le(p + user + 4 * t),
+              (std::vector<std::uint32_t>{0, 2, 4, 1, 3, 5})[t]);
+  }
+  const std::string path = write_bytes("cl_v3_layout.cltrace", bytes);
+  expect_sessions_identical(read_trace_binary_file(path),
+                            interleaved_trace());
+  std::filesystem::remove(path);
+}
+
+TEST(TraceBinaryCorrupt, RejectsDuplicateTimeOrderEntry) {
+  // {0, 0, 1, 4, 2, 5}: still in start order, but position 3 is missing.
+  std::string bytes = serialize_trace_binary(interleaved_trace());
+  const std::uint64_t offset = payload_offset(bytes, 12);
+  store_u32_le(reinterpret_cast<unsigned char*>(bytes.data()) + offset + 4,
+               0);
+  expect_both_readers_refuse(bytes, "time order is not a permutation");
+}
+
+TEST(TraceBinaryCorrupt, RejectsTimeOrderOutOfStartOrder) {
+  // {3, 0, 1, 4, 2, 5}: a permutation, but 20 s comes before 10 s.
+  std::string bytes = serialize_trace_binary(interleaved_trace());
+  swap_elements(bytes, 12, 4, 0, 1);
+  expect_both_readers_refuse(bytes, "time order is not in start order");
+}
+
+TEST(TraceBinaryCorrupt, RejectsGroupOutOfStartOrder) {
+  // Swap the starts stored at positions 0 and 1 (content 1: 30, 10, 50)
+  // and the time-order entries naming them, which keeps the time order
+  // itself in start order.
+  std::string bytes = serialize_trace_binary(interleaved_trace());
+  swap_elements(bytes, 6, 8, 0, 1);
+  swap_elements(bytes, 12, 4, 0, 2);
+  expect_both_readers_refuse(bytes,
+                             "a swarm group's sessions are not in start order");
+}
+
+TEST(TraceBinaryCorrupt, RejectsSessionOutsideItsGroupKey) {
+  // Position 1 belongs to content 1's group but now holds content 9.
+  std::string bytes = serialize_trace_binary(interleaved_trace());
+  store_u32_le(reinterpret_cast<unsigned char*>(bytes.data()) +
+                   payload_offset(bytes, 2) + 4,
+               9);
+  expect_both_readers_refuse(bytes, "group key does not match");
+}
+
+TEST(TraceBinaryCorrupt, RowsLoaderRejectsTiedSessionsOutOfTimeOrder) {
+  // User 1 moves to content 1 and starts at 10 s, with user 0: they sit
+  // at storage positions 0 and 1. Swapping their two time-order entries
+  // keeps every start order, but rows 0 and 1 would then list content
+  // 1's sessions out of storage order: no v2 index describes that, so
+  // the rows loader refuses the file.
+  Trace trace = interleaved_trace();
+  trace.sessions[1].start = 10.0;
+  trace.sessions[1].content = 1;
+  std::string bytes = serialize_trace_binary(trace);
+  swap_elements(bytes, 12, 4, 0, 1);
+  const std::string path = write_bytes("cl_corrupt_tie.cltrace", bytes);
+  try {
+    (void)read_trace_binary_file(path);
+    ADD_FAILURE() << "accepted tied sessions out of time order";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("not ascending within a group"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
+// ------------------------------------------------------ writer refusals
+
+/// Spans no reader accepts (valid_trace_span).
+constexpr double kUnreadableSpans[] = {
+    -1.0, std::numeric_limits<double>::quiet_NaN(),
+    std::numeric_limits<double>::infinity(), 2.1e300};
+
+TEST(TraceBinaryWriter, SerializeRefusesSpanItsReadersRefuse) {
+  for (const double span : kUnreadableSpans) {
+    SCOPED_TRACE(span);
+    Trace t = tiny_trace();
+    t.span = Seconds{span};
+    EXPECT_THROW((void)serialize_trace_binary(t), InvalidArgument);
+  }
+}
+
+TEST(TraceBinaryWriter, FileWriterRefusesSpanBeforeCreatingTheFile) {
+  const std::string path = temp_path("cl_refused_span.cltrace");
+  for (const double span : kUnreadableSpans) {
+    SCOPED_TRACE(span);
+    Trace t = tiny_trace();
+    t.span = Seconds{span};
+    EXPECT_THROW(write_trace_binary_file(path, t), InvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+  // The longest readable span is still written.
+  Trace longest = tiny_trace();
+  longest.span = Seconds{kMaxTraceSpanSeconds};
+  write_trace_binary_file(path, longest);
+  EXPECT_EQ(read_trace_binary_file(path).span.value(), kMaxTraceSpanSeconds);
+  std::filesystem::remove(path);
+}
+
 // ------------------------------------------------------------- determinism
 
 TEST(TraceBinaryDeterminism, MetroGenerationBitIdenticalAcrossThreadCounts) {
@@ -1041,7 +1290,7 @@ void expect_generated_digest(const TraceConfig& base, const Metro& metro,
 TEST(TraceGeneratorDigest, ScaledLondonThreeDaysPinned) {
   TraceConfig config = TraceConfig::london_month_scaled(3);
   config.seed = 3;
-  expect_generated_digest(config, metro(), 415536, 0xa4b24f2081fada78ULL);
+  expect_generated_digest(config, metro(), 415536, 0x3947cc5d3e8881f3ULL);
 }
 
 TEST(TraceGeneratorDigest, UsSparseSmallConfigPinned) {
@@ -1055,13 +1304,13 @@ TEST(TraceGeneratorDigest, UsSparseSmallConfigPinned) {
   config.catalogue_tail = 80;
   config.tail_views = 4000;
   expect_generated_digest(config, MetroRegistry::instance().get("us_sparse"),
-                          654, 0x6ba3347ef65149d6ULL);
+                          654, 0xebdb0db79202ca0fULL);
 }
 
 TEST(TraceGeneratorDigest, PaperDayPinned) {
   TraceConfig config = TraceConfig::london_month_paper(1);
   config.seed = 1;
-  expect_generated_digest(config, metro(), 784576, 0x2aeb7ab5021ce24dULL);
+  expect_generated_digest(config, metro(), 784576, 0xb7628eadcb783e8aULL);
 }
 
 TEST(TraceGeneratorDigest, SessionBatchEdgesPinned) {
@@ -1086,7 +1335,7 @@ TEST(TraceGeneratorDigest, SessionBatchEdgesPinned) {
     EXPECT_NE(std::find(views.begin(), views.end(), count), views.end())
         << "no content with " << count << " sessions";
   }
-  expect_generated_digest(config, metro(), 777, 0x1814d4a1c8b243f7ULL);
+  expect_generated_digest(config, metro(), 777, 0x082f07ddcecabe00ULL);
 }
 
 TEST(TraceBinaryWriter, FileBytesEqualSerializedBytes) {

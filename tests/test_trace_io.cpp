@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -267,6 +269,24 @@ TEST(TraceIo, SyntheticTraceRoundTripsLosslessly) {
     EXPECT_DOUBLE_EQ(restored.sessions[i].start, original.sessions[i].start);
     EXPECT_DOUBLE_EQ(restored.sessions[i].duration,
                      original.sessions[i].duration);
+  }
+}
+
+TEST(TraceIo, WriterRefusesSpanTheReaderRefuses) {
+  // A span the reader would refuse (valid_trace_span) is refused before
+  // a byte is written, to a stream or to a file.
+  const std::string path = test::unique_temp_path("refused_span.csv");
+  for (const double span : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            2.1e300}) {
+    SCOPED_TRACE(span);
+    Trace t = tiny_trace();
+    t.span = Seconds{span};
+    std::ostringstream out;
+    EXPECT_THROW(write_trace(out, t), InvalidArgument);
+    EXPECT_TRUE(out.str().empty());
+    EXPECT_THROW(write_trace_file(path, t), InvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(path));
   }
 }
 

@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/analyzer.h"
 #include "sim/hybrid_sim.h"
 #include "topology/metro_registry.h"
 #include "trace/swarm_index.h"
@@ -71,12 +72,14 @@ Trace small_trace(const std::string& metro_name, unsigned seed = 7) {
   return trace;
 }
 
+/// Row t of `trace` is the session the view stores at position_of(t).
 void expect_columns_match_rows(const TraceView& view, const Trace& trace) {
   ASSERT_EQ(view.size(), trace.size());
   EXPECT_EQ(view.span().value(), trace.span.value());
   EXPECT_EQ(view.metro_name(), trace.metro_name);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const SessionRecord& s = trace.sessions[i];
+  for (std::size_t t = 0; t < trace.size(); ++t) {
+    const SessionRecord& s = trace.sessions[t];
+    const std::size_t i = view.position_of(t);
     ASSERT_EQ(view.user()[i], s.user) << "i=" << i;
     ASSERT_EQ(view.household()[i], s.household) << "i=" << i;
     ASSERT_EQ(view.content()[i], s.content) << "i=" << i;
@@ -185,13 +188,28 @@ TEST(TraceView, OpenBinaryIsZeroCopyAndMatchesMaterializedLoad) {
   }
   EXPECT_TRUE(view.has_index());
   expect_columns_match_rows(view, trace);
-  // Group table ascends by the full swarm key and covers every session.
+  // Swarm-major storage: no index order, and the time order is the
+  // inverse of the index order the writer persisted.
+  EXPECT_TRUE(view.swarm_major());
+  EXPECT_TRUE(view.order().empty());
+  ASSERT_EQ(view.time_order().size(), trace.size());
+  for (std::size_t t = 0; t < trace.size(); ++t) {
+    ASSERT_EQ(trace.swarm_index.order[view.time_order()[t]], t);
+  }
+  // Group table ascends by the full swarm key and covers every session;
+  // each group is one contiguous run of positions holding its key.
   std::uint64_t covered = 0;
   const auto groups = view.groups();
   for (std::size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_EQ(groups[g].begin, covered);
     covered += groups[g].count;
     if (g > 0) {
       EXPECT_TRUE(SwarmIndex::key_less(groups[g - 1], groups[g]));
+    }
+    for (std::uint64_t p = groups[g].begin; p < covered; ++p) {
+      ASSERT_EQ(view.content()[p], groups[g].content);
+      ASSERT_EQ(view.isp()[p], groups[g].isp);
+      ASSERT_EQ(view.bitrate()[p], groups[g].bitrate);
     }
   }
   EXPECT_EQ(covered, view.size());
@@ -260,6 +278,81 @@ TEST(TraceView, SimResultsIdenticalRowsVsColumnsVsMmapEverywhere) {
     }
     std::filesystem::remove(path);
   }
+}
+
+TEST(TraceView, SwarmMajorViewMatchesStartOrderView) {
+  // The same Trace through its v3 file's swarm-major view and through the
+  // owned start-order view: bit-identical results with per-user, hourly
+  // and overload collection on, under the full partition, cross-ISP,
+  // mixed bitrate and the capacity matcher, at every thread count; the
+  // same daily report and swarm experiment; and the rows loader returns
+  // the source rows and index exactly.
+  const Metro& metro = MetroRegistry::instance().get("london_top5");
+  const Trace trace = small_trace("london_top5", 11);
+  const std::string path = temp_path("cl_trace_view_swarm_major.cltrace");
+  write_trace_binary_file(path, trace);
+
+  const Trace loaded = read_trace_binary_file(path, 3);
+  ASSERT_EQ(loaded.size(), trace.size());
+  for (std::size_t t = 0; t < trace.size(); ++t) {
+    const SessionRecord& a = loaded.sessions[t];
+    const SessionRecord& b = trace.sessions[t];
+    ASSERT_TRUE(a.user == b.user && a.household == b.household &&
+                a.content == b.content && a.isp == b.isp && a.exp == b.exp &&
+                a.bitrate == b.bitrate && a.start == b.start &&
+                a.duration == b.duration)
+        << "row " << t;
+  }
+  EXPECT_EQ(loaded.swarm_index.order, trace.swarm_index.order);
+  ASSERT_EQ(loaded.swarm_index.groups.size(), trace.swarm_index.groups.size());
+  for (std::size_t g = 0; g < trace.swarm_index.groups.size(); ++g) {
+    const SwarmIndexGroup& a = loaded.swarm_index.groups[g];
+    const SwarmIndexGroup& b = trace.swarm_index.groups[g];
+    ASSERT_TRUE(a.content == b.content && a.isp == b.isp &&
+                a.bitrate == b.bitrate && a.begin == b.begin &&
+                a.count == b.count)
+        << "group " << g;
+  }
+
+  std::vector<std::pair<std::string, SimConfig>> configs(4);
+  configs[0].first = "default";
+  configs[1].first = "cross-ISP";
+  configs[1].second.isp_friendly = false;
+  configs[2].first = "mixed bitrate";
+  configs[2].second.split_by_bitrate = false;
+  configs[3].first = "capacity matcher";
+  configs[3].second.matcher = MatcherKind::kCapacity;
+  for (auto [label, config] : configs) {
+    SCOPED_TRACE(label);
+    config.collect_hourly = true;
+    config.collect_per_user = true;
+    config.collect_swarms = true;
+    config.overload = true;
+    for (const unsigned threads : {1u, 2u, 7u, 0u}) {
+      SCOPED_TRACE(threads);
+      config.threads = threads;
+      const TraceView owned = TraceView::from_trace(trace, threads);
+      const TraceView mapped = TraceView::open_binary(path, threads);
+      ASSERT_TRUE(mapped.swarm_major());
+      const HybridSimulator sim(metro, config);
+      test::expect_sim_identical(sim.run(mapped), sim.run(owned));
+
+      const Analyzer analyzer(metro, config);
+      const DailyReport want = analyzer.daily_report(owned);
+      const DailyReport got = analyzer.daily_report(mapped);
+      EXPECT_EQ(got.sim, want.sim);
+      EXPECT_EQ(got.theory, want.theory);
+      const SwarmExperiment want_swarm = analyzer.analyze_swarm(owned, 0);
+      const SwarmExperiment got_swarm = analyzer.analyze_swarm(mapped, 0);
+      EXPECT_EQ(got_swarm.capacity, want_swarm.capacity);
+      ASSERT_EQ(got_swarm.models.size(), want_swarm.models.size());
+      for (std::size_t m = 0; m < want_swarm.models.size(); ++m) {
+        EXPECT_EQ(got_swarm.models[m].sim_savings,
+                  want_swarm.models[m].sim_savings);
+      }
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------------ edge cases
@@ -397,14 +490,28 @@ void patch_u32(const std::string& path, std::uint32_t id, std::size_t index,
   ASSERT_TRUE(file.good());
 }
 
+/// Overwrites the little-endian f64 at element `index` of block `id`.
+void patch_f64(const std::string& path, std::uint32_t id, std::size_t index,
+               double value) {
+  const std::uint64_t offset = block_offset(path, id);
+  ASSERT_GT(offset, 0u);
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  unsigned char bytes[8];
+  store_f64_le(bytes, value);
+  file.seekp(static_cast<std::streamoff>(offset + 8 * index));
+  file.write(reinterpret_cast<const char*>(bytes), sizeof(bytes));
+  ASSERT_TRUE(file.good());
+}
+
 TEST(TraceView, IndexCheckCatchesFaultsRightAfterAShardBoundary) {
-  // The swarm-index check shards over order positions, so one large
-  // group spans several shards. Content 0 holds sessions 300..2099: its
-  // group fills order positions [0, 1800), which hold every shard
-  // boundary n·1/T for T = 2, 4, 7. A fault at the boundary's first
-  // position is only caught by comparing with the entry before it, in
-  // the previous shard — both for a non-ascending entry and for a
-  // session whose key does not match its group.
+  // The swarm-major check shards over storage positions and over time
+  // ranks, so one large group spans several shards. Content 0 holds
+  // sessions 300..2099 (start = session index): its group fills storage
+  // positions [0, 1800), which hold every shard boundary n·1/T for
+  // T = 2, 4, 7. A fault at the boundary's first position (or rank) is
+  // only caught by comparing with the one before it, in the previous
+  // shard: a start below its predecessor's in the group, a session whose
+  // key does not match its group, and two time ranks out of start order.
   constexpr std::size_t kSessions = 2100;
   std::vector<SessionRecord> sessions(kSessions);
   for (std::size_t i = 0; i < kSessions; ++i) {
@@ -418,13 +525,12 @@ TEST(TraceView, IndexCheckCatchesFaultsRightAfterAShardBoundary) {
   Trace trace{sessions, Seconds{86400.0}, {}, {}};
   trace.swarm_index = build_swarm_index(trace);
   ASSERT_EQ(trace.swarm_index.groups[0].count, 1800u);
-  const std::vector<std::uint32_t>& order = trace.swarm_index.order;
 
   const auto expect_rejected = [](const std::string& path, unsigned threads,
                                   const std::string& what) {
     try {
       [[maybe_unused]] auto v = TraceView::open_binary(path, threads);
-      ADD_FAILURE() << "accepted a corrupt index; expected: " << what;
+      ADD_FAILURE() << "accepted a corrupt layout; expected: " << what;
     } catch (const ParseError& e) {
       EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
           << e.what();
@@ -437,17 +543,28 @@ TEST(TraceView, IndexCheckCatchesFaultsRightAfterAShardBoundary) {
         temp_path("cl_trace_view_index_fault_" + std::to_string(threads) +
                   ".cltrace");
 
-    // Swap the entries on either side of the boundary: position p now
-    // holds a smaller session than position p − 1.
+    // Position p (session 300 + p) now starts before position p − 1.
     write_trace_binary_file(path, trace);
-    patch_u32(path, 12, p - 1, order[p]);
-    patch_u32(path, 12, p, order[p - 1]);
-    expect_rejected(path, threads, "not ascending within a group");
+    patch_f64(path, 6, p, static_cast<double>(300 + p) - 1.5);
+    expect_rejected(path, threads,
+                    "a swarm group's sessions are not in start order");
 
     // Move the session at position p to another content.
     write_trace_binary_file(path, trace);
-    patch_u32(path, 2, order[p], 2);
+    patch_u32(path, 2, p, 2);
     expect_rejected(path, threads, "group key does not match");
+
+    // Swap time ranks p − 1 and p: rank p now starts before rank p − 1.
+    write_trace_binary_file(path, trace);
+    std::uint32_t rank[2];
+    {
+      const TraceView clean = TraceView::open_binary(path, threads);
+      rank[0] = clean.time_order()[p - 1];
+      rank[1] = clean.time_order()[p];
+    }
+    patch_u32(path, 12, p - 1, rank[1]);
+    patch_u32(path, 12, p, rank[0]);
+    expect_rejected(path, threads, "time order is not in start order");
 
     // The untouched file still opens.
     write_trace_binary_file(path, trace);
