@@ -22,7 +22,7 @@
 #include "bench_json.h"
 #include "trace/trace_binary.h"
 #include "trace/trace_io.h"
-#include "trace/trace_mmap.h"
+#include "trace/trace_view.h"
 #include "util/rng.h"
 
 namespace {

@@ -113,7 +113,7 @@ IntensityCurve IntensityCurve::from_csv(const std::string& path) {
                          ": expected numeric hour,gCO2_per_kwh fields");
       }
       if (*first < 0 || *first > 23 || *first != std::floor(*first)) {
-        throw InvalidArgument("intensity CSV '" + path + "' line " +
+        throw ParseError("intensity CSV '" + path + "' line " +
                               std::to_string(line_no) + ": hour '" +
                               fields[0] + "' is not an integer in 0..23");
       }
@@ -121,11 +121,11 @@ IntensityCurve IntensityCurve::from_csv(const std::string& path) {
       value = *second;
     }
     if (rows >= 24 || hour >= 24) {
-      throw InvalidArgument("intensity CSV '" + path +
+      throw ParseError("intensity CSV '" + path +
                             "' has more than 24 hourly rows");
     }
     if (seen[hour]) {
-      throw InvalidArgument("intensity CSV '" + path + "' line " +
+      throw ParseError("intensity CSV '" + path + "' line " +
                             std::to_string(line_no) + ": duplicate hour " +
                             std::to_string(hour));
     }
@@ -134,13 +134,17 @@ IntensityCurve IntensityCurve::from_csv(const std::string& path) {
     ++rows;
   }
   if (rows != 24) {
-    throw InvalidArgument("intensity CSV '" + path +
+    throw ParseError("intensity CSV '" + path +
                           "' must carry exactly 24 hourly rows (got " +
                           std::to_string(rows) + ")");
   }
   // The constructor rejects values <= 0, infinities and NaN with its own
-  // message.
-  return IntensityCurve(name, hours);
+  // message; in a file they are bad input like any other.
+  try {
+    return IntensityCurve(name, hours);
+  } catch (const InvalidArgument& e) {
+    throw ParseError(e.what());
+  }
 }
 
 IntensityRegistry::IntensityRegistry() {

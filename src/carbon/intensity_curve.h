@@ -47,9 +47,9 @@ class IntensityCurve {
   /// `hour,gCO2_per_kwh` (each hour 0–23 exactly once, any order; extra
   /// columns ignored) or a single gCO₂/kWh column in hour order. Blank
   /// lines and `#` comments are skipped. The curve is named after the
-  /// file's stem. Throws cl::IoError (unreadable file), cl::ParseError
-  /// (non-numeric fields) or cl::InvalidArgument (wrong row count,
-  /// duplicate/out-of-range hours, values <= 0).
+  /// file's stem. Throws cl::IoError (unreadable file) or cl::ParseError
+  /// (any bad content: non-numeric fields, wrong row count,
+  /// duplicate/out-of-range hours, values <= 0 or not finite).
   [[nodiscard]] static IntensityCurve from_csv(const std::string& path);
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -1,5 +1,7 @@
 #include "trace/swarm_index.h"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <limits>
 #include <memory>
@@ -171,6 +173,110 @@ void check_swarm_index_groups(std::span<const SwarmIndexGroup> groups,
   if (covered != n) {
     throw ParseError("swarm index groups do not cover every session");
   }
+}
+
+void check_swarm_major(std::span<const SwarmIndexGroup> groups,
+                       std::span<const std::uint32_t> time_order,
+                       std::span<const std::uint32_t> content,
+                       std::span<const std::uint32_t> isp,
+                       std::span<const std::uint8_t> bitrate,
+                       std::span<const double> start, unsigned threads) {
+  const std::size_t n = start.size();
+  check_swarm_index_groups(groups, time_order.size(), n);
+  constexpr double kEarliest = -std::numeric_limits<double>::infinity();
+  std::atomic<bool> tied{false};
+  parallel_shards(n, threads, [&](unsigned, std::size_t pb, std::size_t pe) {
+    const SwarmIndexGroup* group = group_at(groups, pb);
+    std::uint64_t group_end = group->begin + group->count;
+    double prev = pb > group->begin ? start[pb - 1] : kEarliest;
+    bool shard_tied = false;
+    for (std::size_t p = pb; p < pe; ++p) {
+      if (p == group_end) {
+        ++group;
+        group_end = group->begin + group->count;
+        prev = kEarliest;
+      }
+      if (content[p] != group->content || isp[p] != group->isp ||
+          bitrate[p] != group->bitrate) {
+        throw ParseError("swarm index group key does not match its sessions");
+      }
+      const double s = start[p];
+      if (!(s >= prev)) {
+        throw ParseError("a swarm group's sessions are not in start order");
+      }
+      shard_tied |= s == prev;
+      prev = s;
+    }
+    if (shard_tied) tied = true;
+  });
+
+  // Walks the time order; mark(p, t) records that rank t lists position
+  // p. Relaxed atomic stores: a duplicate entry from two workers is no
+  // data race, and it leaves some position unlisted.
+  const auto scan_time_order = [&](auto mark) {
+    parallel_shards(n, threads, [&](unsigned, std::size_t tb,
+                                    std::size_t te) {
+      double prev = kEarliest;
+      if (tb > 0 && time_order[tb - 1] < n) prev = start[time_order[tb - 1]];
+      for (std::size_t t = tb; t < te; ++t) {
+        if (t + simd::kPrefetchAhead < te) {
+          const std::uint32_t ahead = time_order[t + simd::kPrefetchAhead];
+          if (ahead < n) simd::prefetch(start.data() + ahead);
+        }
+        const std::uint32_t p = time_order[t];
+        if (p >= n) {
+          throw ParseError("time order references an out-of-range session");
+        }
+        mark(p, t);
+        const double s = start[p];
+        if (!(s >= prev)) {
+          throw ParseError("time order is not in start order");
+        }
+        prev = s;
+      }
+    });
+  };
+  const auto unlisted = [] {
+    return ParseError(
+        "time order is not a permutation: a session is listed twice");
+  };
+
+  if (!tied) {
+    std::vector<std::uint8_t> listed(n, 0);
+    scan_time_order([&](std::uint32_t p, std::size_t) {
+      std::atomic_ref<std::uint8_t>(listed[p]).store(
+          1, std::memory_order_relaxed);
+    });
+    parallel_shards(n, threads, [&](unsigned, std::size_t b, std::size_t e) {
+      const auto from = listed.begin() + static_cast<std::ptrdiff_t>(b);
+      const auto to = listed.begin() + static_cast<std::ptrdiff_t>(e);
+      if (std::find(from, to, 0) != to) throw unlisted();
+    });
+    return;
+  }
+
+  // Ranks are below n <= 2^32 - 1, so the largest u32 marks "unlisted".
+  constexpr std::uint32_t kUnlisted = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> rank(n, kUnlisted);
+  scan_time_order([&](std::uint32_t p, std::size_t t) {
+    std::atomic_ref<std::uint32_t>(rank[p]).store(
+        static_cast<std::uint32_t>(t), std::memory_order_relaxed);
+  });
+  parallel_shards(n, threads, [&](unsigned, std::size_t pb, std::size_t pe) {
+    const SwarmIndexGroup* group = group_at(groups, pb);
+    std::uint64_t group_end = group->begin + group->count;
+    for (std::size_t p = pb; p < pe; ++p) {
+      if (p == group_end) {
+        ++group;
+        group_end = group->begin + group->count;
+      }
+      if (rank[p] == kUnlisted) throw unlisted();
+      if (p > group->begin && rank[p - 1] != kUnlisted &&
+          rank[p] < rank[p - 1]) {
+        throw ParseError("time order is not ascending within a group");
+      }
+    }
+  });
 }
 
 void validate_swarm_index(const SwarmIndex& index, const Trace& trace,

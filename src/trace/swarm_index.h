@@ -24,11 +24,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -146,80 +144,28 @@ void check_swarm_index(std::span<const SwarmIndexGroup> groups,
 /// The swarm-major layout check (`.cltrace` v3, trace/trace_binary.h):
 /// storage position p holds a session of the group whose range holds p,
 /// and `time_order[t]` is the storage position of the t-th session in
-/// start order. `keys` reads the stored sessions as for check_swarm_index
-/// (matches(p, p, group) for the session at position p), plus
-/// `keys.start_of(p)`, its start time, and `keys.prefetch_start(p)`. On
-/// top of check_swarm_index_groups:
+/// start order. `content`, `isp`, `bitrate` and `start` are the stored
+/// columns, n = start.size() elements each. On top of
+/// check_swarm_index_groups:
 ///
 ///  * every position's key matches its group's (a sequential pass);
 ///  * starts are non-decreasing inside each group;
 ///  * `time_order` is a permutation of [0, n) — every entry is below n,
-///    and a pass over one byte a session finds every position listed —
-///    and starts are non-decreasing along it.
+///    and every position is listed — and starts are non-decreasing
+///    along it;
+///  * inside each group, storage order is time order. Where a group's
+///    starts ascend strictly, the rules above imply this one; only a
+///    trace with tied starts inside some group keeps each position's
+///    time rank (a u32 a session, in place of one byte) to check it.
 ///
 /// Each pass shards over positions (or time ranks) and compares the
 /// first one with the one before it, in the previous shard. Throws
 /// cl::ParseError.
-template <typename Keys>
 void check_swarm_major(std::span<const SwarmIndexGroup> groups,
                        std::span<const std::uint32_t> time_order,
-                       std::size_t n, const Keys& keys, unsigned threads) {
-  check_swarm_index_groups(groups, time_order.size(), n);
-  constexpr double kEarliest = -std::numeric_limits<double>::infinity();
-  parallel_shards(n, threads, [&](unsigned, std::size_t pb, std::size_t pe) {
-    const SwarmIndexGroup* group = group_at(groups, pb);
-    std::uint64_t group_end = group->begin + group->count;
-    double prev = pb > group->begin ? keys.start_of(pb - 1) : kEarliest;
-    for (std::size_t p = pb; p < pe; ++p) {
-      if (p == group_end) {
-        ++group;
-        group_end = group->begin + group->count;
-        prev = kEarliest;
-      }
-      if (!keys.matches(p, p, *group)) {
-        throw ParseError("swarm index group key does not match its sessions");
-      }
-      const double start = keys.start_of(p);
-      if (!(start >= prev)) {
-        throw ParseError("a swarm group's sessions are not in start order");
-      }
-      prev = start;
-    }
-  });
-  // Relaxed atomic stores of one constant: a duplicate entry from two
-  // workers is no data race, and it leaves some position unlisted.
-  std::vector<std::uint8_t> listed(n, 0);
-  parallel_shards(n, threads, [&](unsigned, std::size_t tb, std::size_t te) {
-    double prev = kEarliest;
-    if (tb > 0 && time_order[tb - 1] < n) {
-      prev = keys.start_of(time_order[tb - 1]);
-    }
-    for (std::size_t t = tb; t < te; ++t) {
-      if (t + simd::kPrefetchAhead < te) {
-        const std::uint32_t ahead = time_order[t + simd::kPrefetchAhead];
-        if (ahead < n) keys.prefetch_start(ahead);
-      }
-      const std::uint32_t p = time_order[t];
-      if (p >= n) {
-        throw ParseError("time order references an out-of-range session");
-      }
-      std::atomic_ref<std::uint8_t>(listed[p]).store(
-          1, std::memory_order_relaxed);
-      const double start = keys.start_of(p);
-      if (!(start >= prev)) {
-        throw ParseError("time order is not in start order");
-      }
-      prev = start;
-    }
-  });
-  parallel_shards(n, threads, [&](unsigned, std::size_t b, std::size_t e) {
-    if (std::find(listed.begin() + static_cast<std::ptrdiff_t>(b),
-                  listed.begin() + static_cast<std::ptrdiff_t>(e),
-                  0) != listed.begin() + static_cast<std::ptrdiff_t>(e)) {
-      throw ParseError(
-          "time order is not a permutation: a session is listed twice");
-    }
-  });
-}
+                       std::span<const std::uint32_t> content,
+                       std::span<const std::uint32_t> isp,
+                       std::span<const std::uint8_t> bitrate,
+                       std::span<const double> start, unsigned threads);
 
 }  // namespace cl

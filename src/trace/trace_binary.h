@@ -1,5 +1,6 @@
 // trace_binary.h — the `.cltrace` binary columnar trace format (writer
-// side; the mmap reader lives in trace/trace_mmap.h).
+// side; the reader is trace/trace_mmap.h, which maps the file and checks
+// its header, and trace/trace_view.h, which checks the payload).
 //
 // Month-scale traces (paper scale: 23.5M sessions) cannot be re-parsed
 // from CSV on every run — row-oriented text parsing dominates end-to-end
@@ -53,7 +54,7 @@
 // Version policy: any layout change — new/removed blocks, different
 // element widths, reordered header fields, a different storage order —
 // bumps kTraceBinaryVersion and adds a golden file under tests/data/.
-// The writer emits only the current version. The readers also decode
+// The writer emits only the current version. The reader also decodes
 // the legacy versions, zero-copy like the current one:
 //
 //  * version 2 stores sessions in start order, and block 12 is the

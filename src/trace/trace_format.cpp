@@ -6,7 +6,7 @@
 
 #include "trace/trace_binary.h"
 #include "trace/trace_io.h"
-#include "trace/trace_mmap.h"
+#include "trace/trace_view.h"
 #include "util/error.h"
 
 namespace cl {

@@ -4,13 +4,9 @@
 #include <cstring>
 #include <limits>
 
-#include "trace/bitrate.h"
-#include "trace/swarm_index.h"
 #include "trace/trace_binary.h"
 #include "util/error.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
-#include "util/simd.h"
 
 namespace cl {
 
@@ -152,27 +148,6 @@ std::string MappedTrace::metro_name() const {
   return name;
 }
 
-SessionRecord MappedTrace::session(std::size_t i) const {
-  CL_EXPECTS(i < sessions_);
-  std::size_t p = i;
-  if (swarm_major()) {
-    p = load_u32_le(block(12) + 4 * i);
-    if (p >= sessions_) {
-      corrupt("time order references an out-of-range session");
-    }
-  }
-  SessionRecord s;
-  s.user = load_u32_le(block(0) + 4 * p);
-  s.household = load_u32_le(block(1) + 4 * p);
-  s.content = load_u32_le(block(2) + 4 * p);
-  s.isp = load_u32_le(block(3) + 4 * p);
-  s.exp = load_u32_le(block(4) + 4 * p);
-  s.bitrate = static_cast<BitrateClass>(block(5)[p]);
-  s.start = load_f64_le(block(6) + 8 * p);
-  s.duration = load_f64_le(block(7) + 8 * p);
-  return s;
-}
-
 std::vector<SwarmIndexGroup> MappedTrace::index_groups() const {
   std::vector<SwarmIndexGroup> groups(groups_);
   const unsigned char* content = block(8);
@@ -190,124 +165,6 @@ std::vector<SwarmIndexGroup> MappedTrace::index_groups() const {
     begin += group.count;
   }
   return groups;
-}
-
-Trace MappedTrace::to_trace(unsigned threads) const {
-  Trace trace;
-  trace.span = span_;
-  trace.metro_name = metro_name();
-  trace.swarm_index.groups = index_groups();
-  const unsigned char* user = block(0);
-  const unsigned char* household = block(1);
-  const unsigned char* content = block(2);
-  const unsigned char* isp = block(3);
-  const unsigned char* exp = block(4);
-  const unsigned char* bitrate = block(5);
-  const unsigned char* start = block(6);
-  const unsigned char* duration = block(7);
-
-  // Block 12: v1/v2 store the index order, v3 the time order (storage
-  // position of each session in start order).
-  const bool swarm_major_file = swarm_major();
-  std::vector<std::uint32_t> block12(sessions_);
-  const unsigned char* raw12 = block(12);
-  parallel_shards(sessions_, threads,
-                  [&](unsigned, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      block12[i] = load_u32_le(raw12 + 4 * i);
-                    }
-                  });
-  if (swarm_major_file) {
-    struct StoredKeys {
-      const unsigned char* content;
-      const unsigned char* isp;
-      const unsigned char* bitrate;
-      const unsigned char* start;
-      void prefetch_start(std::uint32_t p) const {
-        simd::prefetch(start + 8 * p);
-      }
-      bool matches(std::size_t, std::uint32_t p,
-                   const SwarmIndexGroup& group) const {
-        return load_u32_le(content + 4 * p) == group.content &&
-               load_u32_le(isp + 4 * p) == group.isp &&
-               bitrate[p] == group.bitrate;
-      }
-      double start_of(std::uint32_t p) const {
-        return load_f64_le(start + 8 * p);
-      }
-    };
-    try {
-      check_swarm_major(trace.swarm_index.groups, block12, sessions_,
-                        StoredKeys{content, isp, bitrate, start}, threads);
-    } catch (const ParseError& e) {
-      corrupt(e.what());
-    }
-  }
-
-  // Row t is the session stored at position time_order[t] (v3) or t.
-  trace.sessions.resize(sessions_);
-  parallel_shards(sessions_, threads,
-                  [&](unsigned, std::size_t begin, std::size_t end) {
-                    for (std::size_t t = begin; t < end; ++t) {
-                      const std::size_t i = swarm_major_file ? block12[t] : t;
-                      SessionRecord& s = trace.sessions[t];
-                      s.user = load_u32_le(user + 4 * i);
-                      s.household = load_u32_le(household + 4 * i);
-                      s.content = load_u32_le(content + 4 * i);
-                      s.isp = load_u32_le(isp + 4 * i);
-                      s.exp = load_u32_le(exp + 4 * i);
-                      if (bitrate[i] >= kBitrateClasses) {
-                        throw ParseError(
-                            "corrupt .cltrace file: bitrate class out of "
-                            "range: " + std::to_string(bitrate[i]));
-                      }
-                      s.bitrate = static_cast<BitrateClass>(bitrate[i]);
-                      s.start = load_f64_le(start + 8 * i);
-                      s.duration = load_f64_le(duration + 8 * i);
-                    }
-                  });
-
-  if (swarm_major_file) {
-    // The index order is the inverse permutation: storage position p
-    // holds the session of start rank t with time_order[t] = p.
-    trace.swarm_index.order.resize(sessions_);
-    parallel_shards(sessions_, threads,
-                    [&](unsigned, std::size_t begin, std::size_t end) {
-                      for (std::size_t t = begin; t < end; ++t) {
-                        trace.swarm_index.order[block12[t]] =
-                            static_cast<std::uint32_t>(t);
-                      }
-                    });
-    // check_swarm_major matched every key; what it leaves open is that
-    // sessions of equal start sit in time order inside their group, i.e.
-    // that the inverse ascends within each group.
-    struct KeysChecked {
-      void prefetch(std::uint32_t) const {}
-      bool matches(std::size_t, std::uint32_t,
-                   const SwarmIndexGroup&) const {
-        return true;
-      }
-    };
-    check_swarm_index(trace.swarm_index.groups, trace.swarm_index.order,
-                      sessions_, KeysChecked{}, threads);
-  } else {
-    trace.swarm_index.order = std::move(block12);
-    validate_swarm_index(trace.swarm_index, trace, threads);
-  }
-
-  // The same invariants the CSV reader enforces (ordering, non-negative
-  // durations, sessions inside the span) — surfaced as ParseError since
-  // the data came from an untrusted file, not a caller bug.
-  try {
-    trace.validate();
-  } catch (const InvalidArgument& e) {
-    throw ParseError(std::string("corrupt .cltrace file: ") + e.what());
-  }
-  return trace;
-}
-
-Trace read_trace_binary_file(const std::string& path, unsigned threads) {
-  return MappedTrace(path).to_trace(threads);
 }
 
 }  // namespace cl

@@ -1,16 +1,10 @@
 // trace_mmap.h — mmap-backed reader of `.cltrace` binary traces.
 //
 // The counterpart of trace/trace_binary.h: maps the file read-only and
-// validates the header and block directory without touching the payload.
-// From there the payload columns are consumed two ways:
-//
-//  * zero-copy — trace/trace_view.h wraps the mapped column blocks in
-//    typed spans and the simulator sweeps them directly, materializing
-//    nothing (the default for `.cltrace` input on little-endian hosts);
-//  * materialized — to_trace() decodes row-structured SessionRecords,
-//    sharding session ranges across worker threads (util/parallel.h),
-//    for callers that genuinely need rows (filters, converters, the
-//    row-path reference sweep).
+// checks the header and the block directory, never the payload. The
+// payload columns are checked once, by TraceView::from_mapped
+// (trace/trace_view.h), which also serves the rows reader
+// read_trace_binary_file.
 #pragma once
 
 #include <cstddef>
@@ -24,20 +18,22 @@
 
 namespace cl {
 
-/// A validated, memory-mapped `.cltrace` file.
+/// A memory-mapped `.cltrace` file whose header and directory are
+/// checked.
 ///
 /// Construction validates everything structural: magic, version (the
 /// current version 3, or the legacy versions 2 and 1 — see
 /// trace/trace_binary.h), block directory (every block id of that
 /// version present exactly once, element widths, counts, bounds) and the
-/// exact file size. Field-level validation — bitrate range, the swarm
-/// index or swarm-major layout, session ordering — happens in to_trace(),
-/// which is the only way payload bytes become a Trace.
+/// exact file size. It reads no payload byte (metro_name() checks the
+/// name block when called): bitrates, the swarm index or swarm-major
+/// layout and the session ordering are TraceView's to check
+/// (trace/trace_view.h).
 ///
 /// Storage order vs time order: a version-3 file stores its sessions
 /// swarm-major (storage position p is not the p-th session in start
 /// order) and block 12 maps time to storage; v1/v2 files store start
-/// order. session(i) and to_trace() always speak time order.
+/// order.
 class MappedTrace {
  public:
   /// Maps and validates `path`; throws cl::IoError when the file cannot
@@ -64,34 +60,19 @@ class MappedTrace {
   /// traces generated against an unnamed metro).
   [[nodiscard]] std::string metro_name() const;
 
-  /// Decodes the i-th session in start order from the column blocks
-  /// (bitrate unvalidated — use to_trace() for checked loading; throws
-  /// cl::ParseError when a v3 time-order entry is out of range).
-  [[nodiscard]] SessionRecord session(std::size_t i) const;
-
   /// Raw payload bytes of block `id` (see trace/trace_binary.h for the
   /// block table). The pointer is valid for the lifetime of this
   /// MappedTrace; blocks are little-endian and 64-byte aligned within
-  /// the file. Zero-copy consumers (trace/trace_view.h) cast these to
-  /// typed column pointers; everyone else should use session() or
-  /// to_trace().
+  /// the file. TraceView (trace/trace_view.h) casts these to typed
+  /// column pointers, or decodes them where it cannot.
   [[nodiscard]] const unsigned char* raw_block(std::size_t id) const {
     return block(id);
   }
 
   /// Decodes the swarm-index group table (blocks 8-11), with each
   /// group's `begin` the sum of the counts before it. Unchecked: the
-  /// callers run check_swarm_index on it.
+  /// callers run check_swarm_index or check_swarm_major on it.
   [[nodiscard]] std::vector<SwarmIndexGroup> index_groups() const;
-
-  /// Materializes the full trace — sessions in start order, span and
-  /// swarm index — sharding session decoding and the checks across
-  /// `threads` workers (0 = all hardware threads). A v3 file yields the
-  /// same rows and index as the v2 file of the same trace. Validates
-  /// bitrate values, the swarm index (and for v3 the swarm-major layout,
-  /// check_swarm_major) and the trace invariants; throws cl::ParseError
-  /// on corrupt payloads.
-  [[nodiscard]] Trace to_trace(unsigned threads = 1) const;
 
  private:
   [[nodiscard]] const unsigned char* block(std::size_t id) const;
@@ -106,9 +87,5 @@ class MappedTrace {
   /// for legacy v1 files).
   std::uint64_t offsets_[14] = {};
 };
-
-/// Loads a `.cltrace` file into a Trace (mmap + sharded materialization).
-[[nodiscard]] Trace read_trace_binary_file(const std::string& path,
-                                           unsigned threads = 1);
 
 }  // namespace cl

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "trace/bitrate.h"
@@ -43,10 +44,37 @@ bool can_alias_columns(const MappedTrace& m) {
   return true;
 }
 
+/// Block `id` of `m` as a column of m.size() elements of T. Aliased
+/// zero-copy when `alias` — the cast is why `.cltrace` payload blocks
+/// are little-endian and 64-byte aligned (trace/trace_binary.h); the
+/// mmap'd bytes are read-only and only ever accessed through these
+/// column types. Otherwise (big-endian host, misaligned mapping) decoded
+/// once into `owned`, and the checks that follow run on that copy.
+template <typename T>
+std::span<const T> column(const MappedTrace& m, std::size_t id, bool alias,
+                          std::vector<T>& owned, unsigned threads) {
+  const unsigned char* bytes = m.raw_block(id);
+  if (alias) return {reinterpret_cast<const T*>(bytes), m.size()};
+  owned.resize(m.size());
+  parallel_shards(owned.size(), threads, [&](unsigned, std::size_t begin,
+                                             std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if constexpr (std::is_same_v<T, double>) {
+        owned[i] = load_f64_le(bytes + 8 * i);
+      } else if constexpr (sizeof(T) == 4) {
+        owned[i] = load_u32_le(bytes + 4 * i);
+      } else {
+        owned[i] = bytes[i];
+      }
+    }
+  });
+  return owned;
+}
+
 }  // namespace
 
-/// Owned SoA backing: one vector per session column plus the index
-/// order. Engaged by from_trace and by the from_mapped fallback.
+/// Owned SoA backing: one vector per session column plus `order`, the
+/// index order of from_trace or block 12 of the from_mapped fallback.
 struct TraceView::Columns {
   std::vector<std::uint32_t> user, household, content, isp, exp;
   std::vector<std::uint8_t> bitrate;
@@ -100,58 +128,48 @@ TraceView TraceView::from_trace(const Trace& trace, unsigned threads) {
 }
 
 TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
-  if (!can_alias_columns(mapped)) {
-    // Big-endian or pathologically aligned mapping: decode once into SoA
-    // buffers through the checked row loader (the slow, always-correct
-    // road — unreachable on every platform CI covers).
-    const Trace trace = mapped.to_trace(threads);
-    return from_trace(trace, threads);
-  }
-
-  const auto shared =
-      std::make_shared<const MappedTrace>(std::move(mapped));
+  const auto shared = std::make_shared<const MappedTrace>(std::move(mapped));
   const MappedTrace& m = *shared;
   const std::size_t n = m.size();
+  const bool swarm_major = m.swarm_major();
+  const bool alias = can_alias_columns(m);
+  auto columns = std::make_shared<Columns>();  // filled unless aliasing
 
   TraceView view;
   view.metro_name_ = m.metro_name();  // validates the name block
   view.span_ = m.span();
-  // The aliasing casts below are why `.cltrace` payload blocks are
-  // little-endian and 64-byte aligned (trace/trace_binary.h): the mmap'd
-  // bytes are read-only and only ever accessed through these column
-  // types.
-  view.user_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(0)), n};
-  view.household_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(1)),
-                     n};
-  view.content_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(2)), n};
-  view.isp_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(3)), n};
-  view.exp_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(4)), n};
-  view.bitrate_ = {m.raw_block(5), n};
-  view.start_ = {reinterpret_cast<const double*>(m.raw_block(6)), n};
-  view.duration_ = {reinterpret_cast<const double*>(m.raw_block(7)), n};
+  view.groups_ =
+      std::make_shared<const std::vector<SwarmIndexGroup>>(m.index_groups());
+  view.user_ = column(m, 0, alias, columns->user, threads);
+  view.household_ = column(m, 1, alias, columns->household, threads);
+  view.content_ = column(m, 2, alias, columns->content, threads);
+  view.isp_ = column(m, 3, alias, columns->isp, threads);
+  view.exp_ = column(m, 4, alias, columns->exp, threads);
+  view.bitrate_ = column(m, 5, alias, columns->bitrate, threads);
+  view.start_ = column(m, 6, alias, columns->start, threads);
+  view.duration_ = column(m, 7, alias, columns->duration, threads);
   // Block 12 is the time order of a swarm-major (v3) file and the index
   // order of a start-order one.
-  const std::span<const std::uint32_t> block12 = {
-      reinterpret_cast<const std::uint32_t*>(m.raw_block(12)), n};
-  const bool swarm_major = m.swarm_major();
-  if (swarm_major) {
-    view.time_order_ = block12;
+  (swarm_major ? view.time_order_ : view.order_) =
+      column(m, 12, alias, columns->order, threads);
+  if (alias) {
+    view.mapped_ = shared;
   } else {
-    view.order_ = block12;
+    view.columns_ = std::move(columns);
   }
 
-  // Field-level validation, column-wise — the same checks to_trace()
-  // performs on materialized rows (bitrate range, session invariants),
-  // without building a single SessionRecord. Shard boundaries overlap by
-  // one element so the ordering check of a start-order file covers every
-  // adjacent pair; a swarm-major file's orders are check_swarm_major's.
+  // The one payload validation of a `.cltrace` file, column-wise: bitrate
+  // range and the session invariants, without building a single
+  // SessionRecord. Shard boundaries overlap by one element so the
+  // ordering check of a start-order file covers every adjacent pair; a
+  // swarm-major file's orders are check_swarm_major's.
   const double span_limit = view.span_.value() + 1e-6;
   parallel_shards(n, threads, [&](unsigned, std::size_t begin,
                                   std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       if (view.bitrate_[i] >= kBitrateClasses) {
-        throw ParseError("corrupt .cltrace file: bitrate class out of "
-                         "range: " + std::to_string(view.bitrate_[i]));
+        corrupt("bitrate class out of range: " +
+                std::to_string(view.bitrate_[i]));
       }
       const double start = view.start_[i];
       const double duration = view.duration_[i];
@@ -165,42 +183,36 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
     }
   });
 
-  // Decode the group table (tiny: one entry per swarm) and check the
-  // index against the key columns: the same checks to_trace() runs.
-  auto groups =
-      std::make_shared<const std::vector<SwarmIndexGroup>>(m.index_groups());
+  // Then the index against the key columns: the swarm-major layout of a
+  // v3 file, the persisted index order of a v1/v2 one.
   struct ColumnKeys {
     const std::uint32_t* content;
     const std::uint32_t* isp;
     const std::uint8_t* bitrate;
-    const double* start;
     void prefetch(std::uint32_t s) const {
       simd::prefetch(content + s);
       simd::prefetch(isp + s);
       simd::prefetch(bitrate + s);
     }
-    void prefetch_start(std::uint32_t s) const { simd::prefetch(start + s); }
     bool matches(std::size_t, std::uint32_t s,
                  const SwarmIndexGroup& group) const {
       return content[s] == group.content && isp[s] == group.isp &&
              bitrate[s] == group.bitrate;
     }
-    double start_of(std::uint32_t s) const { return start[s]; }
   };
-  const ColumnKeys keys{view.content_.data(), view.isp_.data(),
-                        view.bitrate_.data(), view.start_.data()};
   try {
     if (swarm_major) {
-      check_swarm_major(*groups, view.time_order_, n, keys, threads);
+      check_swarm_major(*view.groups_, view.time_order_, view.content_,
+                        view.isp_, view.bitrate_, view.start_, threads);
     } else {
-      check_swarm_index(*groups, view.order_, n, keys, threads);
+      check_swarm_index(*view.groups_, view.order_, n,
+                        ColumnKeys{view.content_.data(), view.isp_.data(),
+                                   view.bitrate_.data()},
+                        threads);
     }
   } catch (const ParseError& e) {
     corrupt(e.what());
   }
-
-  view.groups_ = std::move(groups);
-  view.mapped_ = shared;
   return view;
 }
 
@@ -221,6 +233,35 @@ SessionRecord TraceView::session(std::size_t t) const {
   s.start = start_[i];
   s.duration = duration_[i];
   return s;
+}
+
+Trace read_trace_binary_file(const std::string& path, unsigned threads) {
+  const TraceView view = TraceView::open_binary(path, threads);
+  const std::size_t n = view.size();
+  Trace trace;
+  trace.span = view.span();
+  trace.metro_name = view.metro_name();
+  trace.swarm_index.groups.assign(view.groups().begin(), view.groups().end());
+  // The index order comes from the file: a v1/v2 file stores it, and a
+  // v3 file's is the inverse of its time order (storage position p holds
+  // the session of start rank t with time_order[t] = p).
+  const bool swarm_major = view.swarm_major();
+  const std::span<const std::uint32_t> stored_order = view.order();
+  trace.sessions.resize(n);
+  trace.swarm_index.order.resize(n);
+  parallel_shards(n, threads, [&](unsigned, std::size_t begin,
+                                  std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
+      trace.sessions[t] = view.session(t);
+      if (swarm_major) {
+        trace.swarm_index.order[view.position_of(t)] =
+            static_cast<std::uint32_t>(t);
+      } else {
+        trace.swarm_index.order[t] = stored_order[t];
+      }
+    }
+  });
+  return trace;
 }
 
 }  // namespace cl

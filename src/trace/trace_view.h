@@ -12,7 +12,7 @@
 //    traces on little-endian hosts.
 //  * owned SoA — the spans point into column vectors transposed once
 //    from a row-structured Trace (CSV loads, generated or filtered
-//    traces), or decoded from a MappedTrace on big-endian/misaligned
+//    traces), or decoded from the mapped blocks on big-endian/misaligned
 //    hosts.
 //
 // Ownership and lifetime: a TraceView *shares* its backing (the mapped
@@ -30,10 +30,14 @@
 // time_order() maps start order to storage. session(i) always returns
 // the i-th session in start order.
 //
-// Construction from a MappedTrace performs the same field-level
-// validation to_trace() does — bitrate range, swarm-index (or
-// swarm-major layout) consistency, session ordering/span invariants —
-// as column passes, without ever materializing a SessionRecord.
+// from_mapped is the one place where `.cltrace` payload bytes are
+// checked (MappedTrace checks only the header and the block directory):
+// bitrate range, the session ordering/span invariants, and the swarm
+// index (check_swarm_index) or swarm-major layout (check_swarm_major),
+// as column passes, without materializing a SessionRecord. The rows
+// reader, read_trace_binary_file, builds its Trace from that validated
+// view, so both readers accept and refuse the same files with the same
+// messages.
 #pragma once
 
 #include <cstddef>
@@ -64,17 +68,19 @@ class TraceView {
                                             unsigned threads = 1);
 
   /// Wraps a mapped `.cltrace` zero-copy (taking ownership of the
-  /// mapping), falling back to a one-shot SoA transpose on hosts where
-  /// the blocks cannot be aliased (big-endian, misaligned mapping). A v3
-  /// file keeps its swarm-major storage. Validates bitrates, the swarm
-  /// index (check_swarm_index, or check_swarm_major for v3) and the
-  /// session invariants column-wise; throws cl::ParseError on corrupt
-  /// payloads.
+  /// mapping), falling back to a one-shot decode of the session columns
+  /// and block 12 into owned buffers on hosts where the blocks cannot be
+  /// aliased (big-endian, misaligned mapping). Either way a v3 file keeps
+  /// its swarm-major storage and the columns go through the same checks:
+  /// bitrates, the session invariants and the swarm index
+  /// (check_swarm_index, or check_swarm_major for v3). Throws
+  /// cl::ParseError on corrupt payloads, every message prefixed
+  /// "corrupt .cltrace file:".
   [[nodiscard]] static TraceView from_mapped(MappedTrace mapped,
                                              unsigned threads = 1);
 
-  /// Maps `path` and wraps it — read_trace_binary_file's zero-copy
-  /// sibling. Throws cl::IoError / cl::ParseError like MappedTrace.
+  /// Maps `path` and wraps it. Throws cl::IoError / cl::ParseError like
+  /// MappedTrace and from_mapped.
   [[nodiscard]] static TraceView open_binary(const std::string& path,
                                              unsigned threads = 1);
 
@@ -152,5 +158,13 @@ class TraceView {
   Seconds span_;
   std::string metro_name_;
 };
+
+/// Loads a `.cltrace` file into a Trace: opens the validated view
+/// (TraceView::open_binary), then fills the rows in start order and the
+/// swarm index from it, sharded across `threads` workers (0 = all
+/// hardware threads). A v3 file yields the same rows and index as the
+/// v2 file of the same trace. Throws like TraceView::open_binary.
+[[nodiscard]] Trace read_trace_binary_file(const std::string& path,
+                                           unsigned threads = 1);
 
 }  // namespace cl

@@ -412,12 +412,12 @@ TEST_F(FromCsvTest, RejectsWrongRowCounts) {
   for (int h = 0; h < 23; ++h) short_body += "100\n";
   EXPECT_THROW(
       (void)IntensityCurve::from_csv(write_csv("short.csv", short_body)),
-      InvalidArgument);
+      ParseError);
   std::string long_body;
   for (int h = 0; h < 25; ++h) long_body += "100\n";
   EXPECT_THROW(
       (void)IntensityCurve::from_csv(write_csv("long.csv", long_body)),
-      InvalidArgument);
+      ParseError);
 }
 
 TEST_F(FromCsvTest, RejectsNonPositiveValues) {
@@ -425,24 +425,24 @@ TEST_F(FromCsvTest, RejectsNonPositiveValues) {
   for (int h = 0; h < 24; ++h) zero_body += (h == 7 ? "0\n" : "100\n");
   EXPECT_THROW(
       (void)IntensityCurve::from_csv(write_csv("zero.csv", zero_body)),
-      InvalidArgument);
+      ParseError);
   std::string negative_body;
   for (int h = 0; h < 24; ++h) negative_body += (h == 7 ? "-5\n" : "100\n");
   EXPECT_THROW(
       (void)IntensityCurve::from_csv(write_csv("neg.csv", negative_body)),
-      InvalidArgument);
+      ParseError);
   // strtod accepts "inf": an infinite hour must not load as a curve with
   // max() = mean() = inf.
   std::string inf_body;
   for (int h = 0; h < 24; ++h) inf_body += (h == 7 ? "inf\n" : "100\n");
   EXPECT_THROW(
       (void)IntensityCurve::from_csv(write_csv("inf.csv", inf_body)),
-      InvalidArgument);
+      ParseError);
   std::string inf_pairs = "hour,g\n0,inf\n";
   for (int h = 1; h < 24; ++h) inf_pairs += std::to_string(h) + ",100\n";
   EXPECT_THROW(
       (void)IntensityCurve::from_csv(write_csv("inf_pairs.csv", inf_pairs)),
-      InvalidArgument);
+      ParseError);
 }
 
 TEST_F(FromCsvTest, RejectsMalformedRows) {
@@ -461,7 +461,7 @@ TEST_F(FromCsvTest, RejectsMalformedRows) {
     dup += std::to_string(h == 23 ? 0 : h) + ",100\n";  // hour 0 twice
   }
   EXPECT_THROW((void)IntensityCurve::from_csv(write_csv("dup.csv", dup)),
-               InvalidArgument);
+               ParseError);
 
   std::string range = "hour,g\n";
   for (int h = 0; h < 24; ++h) {
@@ -469,7 +469,7 @@ TEST_F(FromCsvTest, RejectsMalformedRows) {
   }
   EXPECT_THROW(
       (void)IntensityCurve::from_csv(write_csv("range.csv", range)),
-      InvalidArgument);
+      ParseError);
 }
 
 TEST_F(FromCsvTest, MissingFileThrowsIoError) {

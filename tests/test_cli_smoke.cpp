@@ -222,6 +222,58 @@ TEST(CliSmoke, TraceSpanPastTheLongestTraceExits2) {
   std::filesystem::remove(csv);
 }
 
+TEST(CliSmoke, TiedSessionsOutOfTimeOrderExit2) {
+  // Two sessions of content 1 tie at 10 s and sit at storage positions 0
+  // and 1 of the converted v3 file. Swapping their time-order entries
+  // keeps the start order but lists the group out of storage order:
+  // every command refuses the file the same way, view and rows reader
+  // alike.
+  const std::string csv = temp_trace_path() + ".tie.csv";
+  const std::string bin = temp_trace_path() + ".tie.cltrace";
+  {
+    std::ofstream out(csv);
+    out << "#span=3600\n"
+        << "user,household,content,isp,exp,bitrate,start,duration\n"
+        << "0,0,1,0,0,sd,10,100\n1,0,1,0,0,sd,10,100\n"
+        << "2,0,1,0,0,sd,30,100\n3,0,2,0,0,sd,40,100\n"
+        << "4,0,1,0,0,sd,50,100\n5,0,2,0,0,sd,60,100\n";
+  }
+  const RunResult convert =
+      run_cli("convert --in " + csv + " --out " + bin + " --quiet");
+  ASSERT_EQ(convert.exit_code, 0) << convert.output;
+  std::string bytes;
+  {
+    std::ifstream in(bin, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 40u + 13 * 24);
+  auto* p = reinterpret_cast<unsigned char*>(bytes.data());
+  // Block 12's directory entry (the writer lists blocks in id order);
+  // its payload offset is 8 bytes in.
+  unsigned char* order = p + cl::load_u64_le(p + 40 + 12 * 24 + 8);
+  ASSERT_EQ(cl::load_u32_le(order), 0u);
+  ASSERT_EQ(cl::load_u32_le(order + 4), 1u);
+  cl::store_u32_le(order, 1);
+  cl::store_u32_le(order + 4, 0);
+  {
+    std::ofstream out(bin, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  for (const std::string& command :
+       {"simulate --trace " + bin, "ledger --trace " + bin,
+        "convert --in " + bin + " --out " + csv + ".back.csv"}) {
+    const RunResult result = run_cli(command);
+    EXPECT_EQ(result.exit_code, 2) << command << "\n" << result.output;
+    EXPECT_NE(result.output.find("corrupt .cltrace file: time order is not "
+                                 "ascending within a group"),
+              std::string::npos)
+        << command << "\n" << result.output;
+  }
+  EXPECT_FALSE(std::filesystem::exists(csv + ".back.csv"));
+  std::filesystem::remove(csv);
+  std::filesystem::remove(bin);
+}
+
 // ------------------------------------------------------------ cl live
 
 TEST(CliSmoke, LiveRunsFlashCrowdWithOverloadReport) {

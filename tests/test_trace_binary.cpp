@@ -10,7 +10,9 @@
 //    layout (any accidental format change fails with a "bump the
 //    version" message);
 //  * corrupt-input rejection — bad magic, wrong version, truncated
-//    column blocks, trailing bytes, out-of-range payloads;
+//    column blocks, trailing bytes, out-of-range payloads, a v3 layout
+//    that breaks the swarm-major rules (tied starts listed out of storage
+//    order among them) — by both readers alike;
 //  * the radix-sorted swarm index against a comparison-sort oracle;
 //  * cross-thread determinism — the mmap load itself and the analyzer /
 //    simulator results on an mmap-loaded trace are bit-identical at
@@ -425,20 +427,6 @@ TEST(MappedTrace, ReportsHeaderFields) {
   std::filesystem::remove(path);
 }
 
-TEST(MappedTrace, RandomAccessSessionDecoding) {
-  const Trace t = tiny_trace();
-  const std::string path = temp_path("cl_mapped_session.cltrace");
-  write_trace_binary_file(path, t);
-  const MappedTrace mapped(path);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const SessionRecord s = mapped.session(i);
-    EXPECT_EQ(s.user, t.sessions[i].user);
-    EXPECT_EQ(s.start, t.sessions[i].start);
-    EXPECT_EQ(s.bitrate, t.sessions[i].bitrate);
-  }
-  std::filesystem::remove(path);
-}
-
 // ------------------------------------------------------------- swarm index
 
 TEST(SwarmIndexTest, PackedKeyMatchesSimulatorSwarmKey) {
@@ -846,7 +834,6 @@ TEST(TraceBinaryGolden, LegacyV2AndCurrentFixturesLoadTheSameTrace) {
   EXPECT_EQ(v2.swarm_index.order, v3.swarm_index.order);
   ASSERT_EQ(v2.swarm_index.groups.size(), v3.swarm_index.groups.size());
   EXPECT_EQ(MappedTrace(golden_v2_path()).version(), 2u);
-  const MappedTrace v3_mapped(golden_path());
   const TraceView v2_view = TraceView::open_binary(golden_v2_path());
   const TraceView v3_view = TraceView::open_binary(golden_path());
   EXPECT_FALSE(v2_view.swarm_major());
@@ -857,7 +844,6 @@ TEST(TraceBinaryGolden, LegacyV2AndCurrentFixturesLoadTheSameTrace) {
     const SessionRecord b = v3_view.session(t);
     EXPECT_EQ(a.user, b.user) << "t=" << t;
     EXPECT_EQ(a.start, b.start) << "t=" << t;
-    EXPECT_EQ(v3_mapped.session(t).user, a.user) << "t=" << t;
   }
 }
 
@@ -1187,27 +1173,18 @@ TEST(TraceBinaryCorrupt, RejectsSessionOutsideItsGroupKey) {
   expect_both_readers_refuse(bytes, "group key does not match");
 }
 
-TEST(TraceBinaryCorrupt, RowsLoaderRejectsTiedSessionsOutOfTimeOrder) {
+TEST(TraceBinaryCorrupt, RejectsTiedSessionsOutOfTimeOrder) {
   // User 1 moves to content 1 and starts at 10 s, with user 0: they sit
   // at storage positions 0 and 1. Swapping their two time-order entries
   // keeps every start order, but rows 0 and 1 would then list content
   // 1's sessions out of storage order: no v2 index describes that, so
-  // the rows loader refuses the file.
+  // both readers refuse the file.
   Trace trace = interleaved_trace();
   trace.sessions[1].start = 10.0;
   trace.sessions[1].content = 1;
   std::string bytes = serialize_trace_binary(trace);
   swap_elements(bytes, 12, 4, 0, 1);
-  const std::string path = write_bytes("cl_corrupt_tie.cltrace", bytes);
-  try {
-    (void)read_trace_binary_file(path);
-    ADD_FAILURE() << "accepted tied sessions out of time order";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("not ascending within a group"),
-              std::string::npos)
-        << e.what();
-  }
-  std::filesystem::remove(path);
+  expect_both_readers_refuse(bytes, "not ascending within a group");
 }
 
 // ------------------------------------------------------ writer refusals

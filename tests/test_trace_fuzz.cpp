@@ -6,10 +6,12 @@
 // swapped block-12 entries, and a few flips at once — and every mutated
 // file goes through both readers: read_trace_binary_file (rows) and
 // TraceView::open_binary (zero-copy columns). Each must load the file or
-// refuse it with cl::ParseError. Any other exception fails the test (a
-// contract violation is a cl::InvalidArgument), and the sanitizer builds
-// turn an out-of-bounds read or undefined behaviour into a failure too.
-// When both readers load a file they must agree on every session.
+// refuse it with a cl::ParseError whose message begins "corrupt .cltrace
+// file:". Any other exception fails the test (a contract violation is a
+// cl::InvalidArgument), and the sanitizer builds turn an out-of-bounds
+// read or undefined behaviour into a failure too. Both readers must make
+// the same decision, and when they load a file they must agree on every
+// session.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -94,13 +96,16 @@ std::string mutate(const std::string& base, Rng& rng) {
 }
 
 /// Runs one reader; returns its result, nullopt on cl::ParseError, and
-/// fails the test on any other exception.
+/// fails the test on any other exception or on a ParseError without the
+/// reader's message prefix.
 template <typename Read>
 auto load_or_refuse(Read&& read, const std::string& label)
     -> std::optional<decltype(read())> {
   try {
     return read();
-  } catch (const ParseError&) {
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("corrupt .cltrace file: ", 0), 0u)
+        << label << ": " << e.what();
     return std::nullopt;
   } catch (const std::exception& e) {
     ADD_FAILURE() << label << ": " << e.what();
@@ -148,6 +153,7 @@ TEST(TraceBinaryFuzz, MutatedFilesLoadOrRaiseParseError) {
           label + " (view)");
       loaded += (rows ? 1 : 0) + (view ? 1 : 0);
       refused += (rows ? 0 : 1) + (view ? 0 : 1);
+      EXPECT_EQ(rows.has_value(), view.has_value()) << label;
       if (rows && view) {
         SCOPED_TRACE(label);
         ASSERT_EQ(rows->size(), view->size());

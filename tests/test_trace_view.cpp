@@ -13,10 +13,11 @@
 //    cross-ISP) and to the sweep oracle's tolerances where run() takes
 //    the count route (tests/test_sweep_oracle.cpp);
 //  * edge cases — empty trace, single-session swarm, legacy v1
-//    `.cltrace` (no metro-name block);
+//    `.cltrace` (no metro-name block), a flash crowd whose swarms hold
+//    tied starts (both readers load it and sweep it alike);
 //  * corrupt-input rejection — an out-of-range bitrate byte in the
-//    mapped file fails column validation with the same error the
-//    materializing loader raises.
+//    mapped file fails column validation, the one payload check both
+//    readers share.
 #include "trace/trace_view.h"
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "core/analyzer.h"
+#include "ext/live.h"
 #include "sim/hybrid_sim.h"
 #include "topology/metro_registry.h"
 #include "trace/swarm_index.h"
@@ -355,6 +357,57 @@ TEST(TraceView, SwarmMajorViewMatchesStartOrderView) {
   std::filesystem::remove(path);
 }
 
+TEST(TraceView, FlashCrowdTiesLoadThroughBothReaders) {
+  // A flash crowd's arrivals and churn resumes tie on their start inside
+  // a swarm, so its v3 file takes check_swarm_major's rank check. Both
+  // readers load it: the rows are the source rows, the view speaks them
+  // in start order, and the sweep over the mapped swarm-major view
+  // equals the sweep over the rows reader's owned start-order copy.
+  const Metro& metro = MetroRegistry::instance().get("london_top5");
+  const Trace trace =
+      generate_flash_crowd(metro, flash_crowd_preset("spike", 3000, 7200, 1),
+                           5);
+  std::size_t ties = 0;
+  for (std::size_t t = 1; t < trace.size(); ++t) {
+    const SessionRecord& a = trace.sessions[t - 1];
+    const SessionRecord& b = trace.sessions[t];
+    ties += a.start == b.start && a.content == b.content && a.isp == b.isp &&
+            a.bitrate == b.bitrate;
+  }
+  ASSERT_GT(ties, 0u) << "no in-swarm ties: the rank check goes untested";
+  const std::string path = temp_path("cl_trace_view_flash_ties.cltrace");
+  write_trace_binary_file(path, trace);
+
+  SimConfig config;
+  config.collect_hourly = true;
+  config.collect_per_user = true;
+  config.collect_swarms = true;
+  config.overload = true;
+  for (const unsigned threads : {1u, 7u}) {
+    SCOPED_TRACE(threads);
+    const Trace rows = read_trace_binary_file(path, threads);
+    const TraceView view = TraceView::open_binary(path, threads);
+    ASSERT_TRUE(view.swarm_major());
+    ASSERT_EQ(rows.size(), trace.size());
+    ASSERT_EQ(view.size(), trace.size());
+    for (std::size_t t = 0; t < trace.size(); ++t) {
+      const SessionRecord& want = trace.sessions[t];
+      for (const SessionRecord& got : {rows.sessions[t], view.session(t)}) {
+        ASSERT_TRUE(got.user == want.user && got.household == want.household &&
+                    got.content == want.content && got.isp == want.isp &&
+                    got.exp == want.exp && got.bitrate == want.bitrate &&
+                    got.start == want.start && got.duration == want.duration)
+            << "row " << t;
+      }
+    }
+    config.threads = threads;
+    const HybridSimulator sim(metro, config);
+    test::expect_sim_identical(sim.run(view),
+                               sim.run(TraceView::from_trace(rows, threads)));
+  }
+  std::filesystem::remove(path);
+}
+
 // ------------------------------------------------------------ edge cases
 
 TEST(TraceView, EmptyTrace) {
@@ -405,6 +458,26 @@ TEST(TraceView, SingleSessionSwarm) {
   // A lone peer has nobody to share with: everything comes from the CDN.
   EXPECT_EQ(soa.total.peer_total().value(), 0.0);
   EXPECT_GT(soa.total.server.value(), 0.0);
+  std::filesystem::remove(path);
+}
+
+TEST(TraceView, RandomAccessSessionDecoding) {
+  // session(t) is the t-th session in start order, on both backings of a
+  // swarm-major file and of the owned transpose.
+  const Trace trace = small_trace("london_top5");
+  const std::string path = temp_path("cl_trace_view_session.cltrace");
+  write_trace_binary_file(path, trace);
+  const TraceView mapped = TraceView::open_binary(path);
+  const TraceView owned = TraceView::from_trace(trace);
+  ASSERT_TRUE(mapped.swarm_major());
+  for (std::size_t t = 0; t < trace.size(); t += 7) {
+    const SessionRecord& want = trace.sessions[t];
+    for (const SessionRecord& got : {mapped.session(t), owned.session(t)}) {
+      ASSERT_EQ(got.user, want.user) << "t=" << t;
+      ASSERT_EQ(got.start, want.start) << "t=" << t;
+      ASSERT_EQ(got.bitrate, want.bitrate) << "t=" << t;
+    }
+  }
   std::filesystem::remove(path);
 }
 
