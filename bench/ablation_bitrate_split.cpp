@@ -19,8 +19,9 @@ int main(int argc, char** argv) {
   config.threads = run.threads();
   bench::print_trace_scale(config);
   TraceGenerator gen(config, bench::metro());
-  const Trace trace = gen.generate();
-  run.set_items(static_cast<double>(trace.size()) * 2, "sessions");
+  const TraceView view =
+      TraceView::from_trace(gen.generate(), run.threads());
+  run.set_items(static_cast<double>(view.size()) * 2, "sessions");
 
   TextTable table({"setting", "offload G", "S (Valancius)", "S (Baliga)"});
   for (bool split : {true, false}) {
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
     sim_config.collect_per_user = false;
     sim_config.collect_swarms = false;
     const auto result =
-        HybridSimulator(bench::metro(), sim_config).run(trace);
+        HybridSimulator(bench::metro(), sim_config).run(view);
     const std::string setting = split ? "split" : "mixed";
     std::vector<std::string> row{split ? "split by bitrate (paper)"
                                        : "mixed-bitrate swarms"};

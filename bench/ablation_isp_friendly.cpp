@@ -20,8 +20,9 @@ int main(int argc, char** argv) {
   config.threads = run.threads();
   bench::print_trace_scale(config);
   TraceGenerator gen(config, bench::metro());
-  const Trace trace = gen.generate();
-  run.set_items(static_cast<double>(trace.size()) * 2, "sessions");
+  const TraceView view =
+      TraceView::from_trace(gen.generate(), run.threads());
+  run.set_items(static_cast<double>(view.size()) * 2, "sessions");
 
   TextTable table({"setting", "offload G", "S (Valancius)", "S (Baliga)",
                    "cross-ISP share"});
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
     sim_config.collect_per_user = false;
     sim_config.collect_swarms = false;
     const auto result =
-        HybridSimulator(bench::metro(), sim_config).run(trace);
+        HybridSimulator(bench::metro(), sim_config).run(view);
     const std::string setting = isp_friendly ? "isp_friendly" : "cross_isp";
     std::vector<std::string> row{
         isp_friendly ? "ISP-friendly (paper)" : "cross-ISP"};

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   TraceConfig config = TraceConfig::london_month_scaled();
   config.threads = run.threads();
   TraceGenerator gen(config, bench::metro());
-  const Trace popular = filter_by_isp(gen.generate_content(0), 0);
+  const TraceView popular = TraceView::from_trace(
+      filter_by_isp(gen.generate_content(0), 0), run.threads());
   std::cout << "workload: popular exemplar (100K views/month), ISP-1, "
             << popular.size() << " sessions\n\n";
   run.set_items(static_cast<double>(popular.size()) * 10, "sessions");

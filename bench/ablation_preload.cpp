@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   for (double adoption : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     const Trace shifted = apply_preload(trace, {.adoption = adoption},
                                         config.seed);
-    const auto result = sim.run(shifted);
+    const auto result = sim.run(TraceView::from_trace(shifted, run.threads()));
     std::vector<std::string> row{fmt_pct(adoption, 0)};
     row.push_back(fmt_pct(result.total.offload_fraction()));
     for (const auto& params : standard_params()) {

@@ -60,12 +60,13 @@ int main(int argc, char** argv) {
   // traces; each dot's simulation is itself sharded across workers.
   const std::size_t isp_count = bench::metro().isp_count();
   std::vector<Trace> tier_traces;
-  std::vector<std::vector<Trace>> isp_traces(3);
+  std::vector<std::vector<TraceView>> isp_views(3);
   for (std::uint32_t tier = 0; tier < 3; ++tier) {
     tier_traces.push_back(gen.generate_content(tier));
-    isp_traces[tier].reserve(isp_count);
+    isp_views[tier].reserve(isp_count);
     for (std::uint32_t isp = 0; isp < isp_count; ++isp) {
-      isp_traces[tier].push_back(filter_by_isp(tier_traces[tier], isp));
+      isp_views[tier].push_back(TraceView::from_trace(
+          filter_by_isp(tier_traces[tier], isp), run.threads()));
     }
   }
 
@@ -90,8 +91,7 @@ int main(int argc, char** argv) {
     sim_config.q_over_beta = dot.ratio;
     sim_config.threads = run.threads();
     const Analyzer analyzer(bench::metro(), sim_config);
-    dots[i] =
-        analyzer.analyze_swarm(isp_traces[dot.tier][dot.isp], dot.isp);
+    dots[i] = analyzer.analyze_swarm(isp_views[dot.tier][dot.isp], dot.isp);
   }
 
   std::vector<double> sim_all, theo_all;

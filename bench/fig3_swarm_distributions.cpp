@@ -34,7 +34,9 @@ int main(int argc, char** argv) {
   SimConfig sim_config;
   sim_config.threads = run.threads();
   const Analyzer analyzer(bench::metro(), sim_config);
-  const auto result = analyzer.simulate(trace);
+  const SimResult result =
+      HybridSimulator(bench::metro(), sim_config)
+          .run(TraceView::from_trace(trace, run.threads()));
   std::map<std::uint32_t, TrafficBreakdown> per_content_traffic;
   std::map<std::uint32_t, double> per_content_capacity;
   for (const auto& swarm : result.swarms) {

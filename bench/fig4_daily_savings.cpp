@@ -14,7 +14,7 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "core/analyzer.h"
+#include "core/pipeline.h"
 #include "trace/trace_format.h"
 #include "trace/trace_view.h"
 #include "util/stats.h"
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nwhole-system headline (paper: 24-48% depending on model "
                "and factors):\n";
-  const auto outcomes = analyzer.aggregate(view);
+  const auto outcomes = run_simulate(analyzer, view, nullptr, false).aggregate;
   for (const auto& o : outcomes) {
     std::cout << "  " << o.model << ": sim " << fmt_pct(o.sim_savings)
               << ", theory " << fmt_pct(o.theory_savings) << ", offload G = "

@@ -9,9 +9,9 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "core/analyzer.h"
 #include "core/carbon_ledger.h"
 #include "core/report.h"
+#include "sim/hybrid_sim.h"
 #include "util/histogram.h"
 #include "util/table.h"
 
@@ -30,13 +30,14 @@ int main(int argc, char** argv) {
 
   SimConfig sim_config;
   sim_config.threads = run.threads();
-  const Analyzer analyzer(bench::metro(), sim_config);
-  const SimResult result = analyzer.simulate(trace);
+  const SimResult result =
+      HybridSimulator(bench::metro(), sim_config)
+          .run(TraceView::from_trace(trace, run.threads()));
   // The settled per-user column: one entry per user who streamed.
   std::cout << "users simulated: " << result.users.size() << "\n";
   run.metrics().set("users_simulated", result.users.size());
 
-  // One ledger per model, in the analyzer's model order (standard_params).
+  // One ledger per model, in standard_params order.
   const CarbonLedger valancius(result, valancius_params());
   const CarbonLedger baliga(result, baliga_params());
   for (const CarbonLedger* ledger : {&valancius, &baliga}) {

@@ -64,7 +64,9 @@ int main(int argc, char** argv) {
     sim_config.collect_swarms = false;
     sim_config.collect_per_user = false;
     sim_config.collect_hourly = true;
-    const SimResult result = HybridSimulator(metro, sim_config).run(trace);
+    const SimResult result =
+        HybridSimulator(metro, sim_config)
+            .run(TraceView::from_trace(trace, run.threads()));
 
     run.metrics().set(metro_preset.name + "_sessions",
                       static_cast<std::int64_t>(trace.size()));

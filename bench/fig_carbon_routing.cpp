@@ -71,7 +71,9 @@ int main(int argc, char** argv) {
     sim_config.collect_per_user = false;
     sim_config.collect_hourly = true;
     const Analyzer analyzer(metro, sim_config);
-    const SimResult unscheduled = analyzer.simulate(trace);
+    const SimResult unscheduled =
+        HybridSimulator(metro, sim_config)
+            .run(TraceView::from_trace(trace, run.threads()));
 
     for (const auto& intensity_preset : intensities.presets()) {
       const CarbonScheduler scheduler(

@@ -28,7 +28,7 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "core/analyzer.h"
+#include "core/pipeline.h"
 #include "topology/metro_registry.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -63,8 +63,10 @@ int main(int argc, char** argv) {
     SimConfig sim_config;
     sim_config.threads = run.threads();
     const Analyzer analyzer(metro, sim_config);
-    const auto report = analyzer.daily_report(trace);
-    const auto outcomes = analyzer.aggregate(trace);
+    const TraceView view = TraceView::from_trace(trace, run.threads());
+    const auto report = analyzer.daily_report(view);
+    const auto outcomes =
+        run_simulate(analyzer, view, nullptr, false).aggregate;
 
     const auto& isp1 = metro.isp(0);
     const auto loc = isp1.localisation();

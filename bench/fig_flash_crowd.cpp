@@ -61,11 +61,12 @@ int main(int argc, char** argv) {
   sim_config.overload = true;
 
   // The determinism contract: every thread count yields the same bits.
+  const TraceView view = TraceView::from_trace(trace, run.threads());
   const std::vector<unsigned> thread_counts{1, 2, 7, run.threads()};
   std::vector<SimResult> results;
   for (unsigned threads : thread_counts) {
     sim_config.threads = threads;
-    results.push_back(HybridSimulator(metro, sim_config).run(trace));
+    results.push_back(HybridSimulator(metro, sim_config).run(view));
   }
   const SimResult& result = results.front();
   bool identical = true;
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
   // redistribution rounds per peer, so bitwise equality is not expected).
   sim_config.overload = false;
   sim_config.threads = run.threads();
-  const SimResult baseline = HybridSimulator(metro, sim_config).run(trace);
+  const SimResult baseline = HybridSimulator(metro, sim_config).run(view);
   const double conservation_rel_error =
       std::abs(result.total.total().value() - baseline.total.total().value()) /
       baseline.total.total().value();

@@ -101,7 +101,7 @@ void BM_HybridSimulatorSweep(benchmark::State& state) {
   sim_config.collect_swarms = false;
   const HybridSimulator sim(metro(), sim_config);
   for (auto _ : state) {
-    const auto result = sim.run(trace);
+    const auto result = sim.run(TraceView::from_trace(trace));
     benchmark::DoNotOptimize(result.total.total().value());
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(trace.size()));
@@ -120,7 +120,7 @@ void BM_HybridSimulatorFullMetrics(benchmark::State& state) {
   const Trace trace = gen.generate();
   const HybridSimulator sim(metro(), SimConfig{});
   for (auto _ : state) {
-    const auto result = sim.run(trace);
+    const auto result = sim.run(TraceView::from_trace(trace));
     benchmark::DoNotOptimize(result.users.size());
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(trace.size()));

@@ -25,7 +25,8 @@ int main() {
   const Trace trace = gen.generate();
 
   const Analyzer analyzer(metro, SimConfig{});
-  const SimResult result = analyzer.simulate(trace);
+  const SimResult result = HybridSimulator(metro, analyzer.sim_config())
+                               .run(TraceView::from_trace(trace));
 
   for (const EnergyParams& params : analyzer.models()) {
     const CarbonLedger ledger(result, params);

@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/analyzer.h"
+#include "core/pipeline.h"
 #include "ext/live.h"
 #include "util/table.h"
 
@@ -23,7 +23,9 @@ int main(int argc, char** argv) {
 
   const Trace trace = generate_live_event(metro, config, /*seed=*/2018);
   const Analyzer analyzer(metro, SimConfig{});
-  const auto outcomes = analyzer.aggregate(trace);
+  const auto outcomes =
+      run_simulate(analyzer, TraceView::from_trace(trace), nullptr, false)
+          .aggregate;
 
   TextTable table({"model", "offload G", "savings S", "baseline (kWh)",
                    "hybrid (kWh)"});

@@ -9,7 +9,7 @@
 // Usage:  ./build/examples/trace_analysis [trace.csv|trace.cltrace]
 #include <iostream>
 
-#include "core/analyzer.h"
+#include "core/pipeline.h"
 #include "core/report.h"
 #include "trace/filter.h"
 #include "trace/synthetic.h"
@@ -38,14 +38,19 @@ int main(int argc, char** argv) {
   const Analyzer analyzer(metro, SimConfig{});
 
   std::cout << "\n== whole-system savings (hybrid vs pure CDN) ==\n";
-  print_aggregate(std::cout, analyzer.aggregate(trace));
+  print_aggregate(
+      std::cout,
+      run_simulate(analyzer, TraceView::from_trace(trace), nullptr, false)
+          .aggregate);
 
   std::cout << "\n== per-ISP savings, simulation vs closed form ==\n";
   TextTable table({"ISP", "sessions", "S sim (Val)", "S theo (Val)",
                    "S sim (Bal)", "S theo (Bal)"});
   for (std::uint32_t isp = 0; isp < metro.isp_count(); ++isp) {
     const Trace isp_trace = filter_by_isp(trace, isp);
-    const auto agg = Analyzer(metro, SimConfig{}).aggregate(isp_trace);
+    const auto agg = run_simulate(analyzer, TraceView::from_trace(isp_trace),
+                                  nullptr, false)
+                         .aggregate;
     table.add_row({metro.isp(isp).name(), std::to_string(isp_trace.size()),
                    fmt(agg[0].sim_savings, 4), fmt(agg[0].theory_savings, 4),
                    fmt(agg[1].sim_savings, 4), fmt(agg[1].theory_savings, 4)});
@@ -58,7 +63,8 @@ int main(int argc, char** argv) {
     const Trace swarm = filter_by_isp(filter_by_content(trace, content), 0);
     if (swarm.empty()) continue;
     std::cout << names[content] << " exemplar on ISP-1:\n";
-    print_swarm_experiment(std::cout, analyzer.analyze_swarm(swarm, 0));
+    print_swarm_experiment(
+        std::cout, analyzer.analyze_swarm(TraceView::from_trace(swarm), 0));
   }
   return 0;
 }

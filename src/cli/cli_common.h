@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "carbon/intensity_curve.h"
@@ -69,10 +70,6 @@ inline const Metro& resolve_metro(const Args& args,
                           "); pass --metro to pick the analysis topology");
   }
   return registry.get(kDefaultMetroName);
-}
-
-inline const Metro& resolve_metro(const Args& args, const Trace& trace) {
-  return resolve_metro(args, trace.metro_name);
 }
 
 /// The --intensity flag: absent → nullptr (no carbon section is
@@ -184,42 +181,41 @@ inline std::uint64_t seed_from(const Args& args, std::uint64_t fallback) {
       args.get_int("seed", static_cast<std::int64_t>(fallback)));
 }
 
-/// Loads --trace PATH (CSV or binary, per --format / sniffing), or
-/// generates a scaled synthetic month when the flag is absent
-/// (--days / --seed / --metro apply to the generated fallback).
-inline Trace load_or_generate(const Args& args) {
-  if (const auto path = args.get("trace")) {
-    return read_trace_any(*path, trace_format_from(args), threads_from(args));
-  }
-  TraceConfig config = TraceConfig::london_month_scaled(days_from(args, 10, 1));
-  config.metro = metro_flag(args);
-  config.seed = seed_from(args, config.seed);
-  config.threads = threads_from(args);
-  std::cout << "(no --trace given: generating a scaled synthetic month, "
-            << config.days << " days, seed " << config.seed << ", metro "
-            << config.metro << ")\n";
-  return TraceGenerator(config, metro_by_name(config.metro)).generate();
-}
-
-/// Columnar sibling of load_or_generate: `.cltrace` input is mapped and
-/// wrapped zero-copy (TraceView::open_binary — no row materialization at
-/// all); CSV input loads rows and transposes once; the no---trace
-/// fallback generates the same synthetic month and transposes it.
-inline TraceView load_view_or_generate(const Args& args) {
+/// The CLI's one trace loader: --trace PATH (CSV or binary, per --format
+/// / sniffing), or a scaled synthetic month when the flag is absent
+/// (--days / --seed / --metro apply to the generated fallback). Returns
+/// the simulator's columns. `.cltrace` input maps zero-copy
+/// (TraceView::open_binary), with no row materialization at all; CSV
+/// and generated rows are transposed once. Only a caller that
+/// transforms sessions (a preload schedule) passes `rows`: the sessions
+/// then load as rows into it, and the view is their transpose.
+inline TraceView load_trace(const Args& args, Trace* rows = nullptr) {
   const unsigned threads = threads_from(args);
+  Trace loaded;
   if (const auto path = args.get("trace")) {
     TraceFormat format = trace_format_from(args);
     if (format == TraceFormat::kAuto) {
       format = sniff_trace_binary(*path) ? TraceFormat::kBinary
                                          : TraceFormat::kCsv;
     }
-    if (format == TraceFormat::kBinary) {
+    if (format == TraceFormat::kBinary && rows == nullptr) {
       return TraceView::open_binary(*path, threads);
     }
-    return TraceView::from_trace(
-        read_trace_any(*path, TraceFormat::kCsv, threads), threads);
+    loaded = read_trace_any(*path, format, threads);
+  } else {
+    TraceConfig config =
+        TraceConfig::london_month_scaled(days_from(args, 10, 1));
+    config.metro = metro_flag(args);
+    config.seed = seed_from(args, config.seed);
+    config.threads = threads;
+    std::cout << "(no --trace given: generating a scaled synthetic month, "
+              << config.days << " days, seed " << config.seed << ", metro "
+              << config.metro << ")\n";
+    loaded = TraceGenerator(config, metro_by_name(config.metro)).generate();
   }
-  return TraceView::from_trace(load_or_generate(args), threads);
+  if (rows == nullptr) return TraceView::from_trace(loaded, threads);
+  *rows = std::move(loaded);
+  return TraceView::from_trace(*rows, threads);
 }
 
 /// Builds the simulator configuration from the shared flags.

@@ -17,16 +17,17 @@ int cmd_ledger(const Args& args) {
   const bool want_timing = args.has("timing");
   using Clock = std::chrono::steady_clock;
 
-  // The ledger keeps the rows (a preload schedule transforms them), so
-  // "load" is the row load plus the transpose into the simulator's
-  // columns.
+  // The same load as `cl simulate`: `.cltrace` input maps zero-copy, and
+  // only a preload schedule, which transforms session rows, loads rows
+  // and transposes them once (cli_common.h load_trace).
   const auto load_start = Clock::now();
-  const Trace trace = load_or_generate(args);
-  const TraceView view = TraceView::from_trace(trace, threads_from(args));
+  Trace rows;
+  const TraceView view =
+      load_trace(args, schedule_preloads(schedule) ? &rows : nullptr);
   const double load_seconds =
       std::chrono::duration<double>(Clock::now() - load_start).count();
 
-  const Metro& metro = resolve_metro(args, trace);
+  const Metro& metro = resolve_metro(args, view.metro_name());
   const IntensityCurve* intensity = intensity_from(args, metro.name());
   const Analyzer analyzer(metro, sim_config_from(args));
   SimPhaseTiming timing;
@@ -41,7 +42,7 @@ int cmd_ledger(const Args& args) {
   std::optional<ScheduleRun> scheduling;
   if (schedule != ScheduleMode::kOff) {
     scheduler.emplace(*intensity, schedule_config_from(args));
-    scheduling = run_schedule(analyzer, *scheduler, schedule, base, trace,
+    scheduling = run_schedule(analyzer, *scheduler, schedule, base, rows,
                               seed_from(args, TraceConfig{}.seed),
                               analyzer.sim_config());
   }

@@ -22,13 +22,13 @@ int cmd_live(const Args& args) {
   validate_intensity_flag(args);
 
   // Either replay a saved trace (both formats, metro stamp honoured) or
-  // synthesise a preset scenario — the same split as cmd_simulate, so
-  // `cl live --out x.cltrace` then `cl live --trace x.cltrace` agree.
-  Trace rows;
+  // synthesise a preset scenario — a saved trace loads as in
+  // cmd_simulate, so `cl live --out x.cltrace` then
+  // `cl live --trace x.cltrace` agree.
   TraceView view;
   std::string scenario;
   if (args.has("trace")) {
-    view = load_view_or_generate(args);
+    view = load_trace(args);
     scenario = "replayed trace";
   } else {
     const std::string preset = args.get_or("preset", "spike");
@@ -56,8 +56,8 @@ int cmd_live(const Args& args) {
     const Metro& gen_metro = metro_from_flag(args);
     const FlashCrowdConfig config = flash_crowd_preset(
         preset, static_cast<std::uint32_t>(viewers), start, days);
-    rows = generate_flash_crowd(gen_metro, config,
-                                seed_from(args, TraceConfig{}.seed));
+    const Trace rows = generate_flash_crowd(
+        gen_metro, config, seed_from(args, TraceConfig{}.seed));
     if (const auto out = args.get("out")) {
       write_trace_any(*out, rows, trace_format_from(args),
                       threads_from(args));

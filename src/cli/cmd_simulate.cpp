@@ -18,17 +18,11 @@ int cmd_simulate(const Args& args) {
   // `.cltrace` input maps zero-copy — the simulator consumes the file's
   // column blocks directly, so "load" is just mmap + column validation.
   // The one exception: a preload schedule transforms session rows, so
-  // that path loads rows and transposes once (the transform's input
-  // rows stay alive alongside the view).
+  // that path loads rows and transposes once (cli_common.h load_trace).
   const auto load_start = Clock::now();
   Trace rows;
-  TraceView view;
-  if (schedule_preloads(schedule)) {
-    rows = load_or_generate(args);
-    view = TraceView::from_trace(rows, threads_from(args));
-  } else {
-    view = load_view_or_generate(args);
-  }
+  const TraceView view =
+      load_trace(args, schedule_preloads(schedule) ? &rows : nullptr);
   const double load_seconds =
       std::chrono::duration<double>(Clock::now() - load_start).count();
 

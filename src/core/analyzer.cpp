@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "trace/trace_view.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -49,14 +48,6 @@ Analyzer::Analyzer(const Metro& metro, SimConfig sim_config,
   for (const auto& m : models_) m.validate();
 }
 
-SimResult Analyzer::simulate(const TraceView& view) const {
-  return HybridSimulator(*metro_, sim_config_).run(view);
-}
-
-SimResult Analyzer::simulate(const Trace& trace) const {
-  return simulate(TraceView::from_trace(trace, sim_config_.threads));
-}
-
 SavingsModel Analyzer::savings_model(std::size_t model_index,
                                      std::size_t isp_index) const {
   CL_EXPECTS(model_index < models_.size());
@@ -97,12 +88,6 @@ SwarmExperiment Analyzer::analyze_swarm(const TraceView& view,
     experiment.models.push_back(std::move(outcome));
   }
   return experiment;
-}
-
-SwarmExperiment Analyzer::analyze_swarm(const Trace& trace,
-                                        std::size_t isp_for_theory) const {
-  return analyze_swarm(TraceView::from_trace(trace, sim_config_.threads),
-                       isp_for_theory);
 }
 
 std::vector<std::vector<std::vector<double>>> Analyzer::theory_daily(
@@ -224,80 +209,6 @@ DailyReport Analyzer::daily_report(const TraceView& view) const {
   return report;
 }
 
-DailyReport Analyzer::daily_report(const Trace& trace) const {
-  return daily_report(TraceView::from_trace(trace, sim_config_.threads));
-}
-
-SwarmDistributions Analyzer::swarm_distributions(const TraceView& view) const {
-  SimConfig config = sim_config_;
-  config.collect_hourly = false;
-  config.collect_per_user = false;
-  config.collect_swarms = true;
-  const SimResult result = HybridSimulator(*metro_, config).run(view);
-
-  SwarmDistributions dist;
-  const std::size_t swarms = result.swarms.size();
-  dist.capacities.reserve(swarms);
-  for (const auto& swarm : result.swarms) {
-    dist.capacities.push_back(swarm.capacity);
-  }
-  for (const auto& params : models_) {
-    dist.models.push_back(params.name);
-    const EnergyAccountant accountant{CostFunctions(params)};
-    // Per-swarm savings are independent: sharded indexed writes into a
-    // pre-sized vector (deterministic for every thread count).
-    std::vector<double> savings(swarms, 0.0);
-    parallel_shards(swarms, sim_config_.threads,
-                    [&](unsigned, std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        savings[i] =
-                            swarm_savings(result.swarms[i], accountant);
-                      }
-                    });
-    dist.savings.push_back(std::move(savings));
-  }
-
-  // Streaming summaries via the fixed-chunk RunningStats::merge reduction;
-  // chunk boundaries depend only on the swarm count, so the merged stats
-  // are bit-identical for every SimConfig::threads value.
-  const auto running_reduce = [&](const std::vector<double>& xs) {
-    return parallel_chunked_reduce(
-        xs.size(), sim_config_.threads, [] { return RunningStats{}; },
-        [&](RunningStats& acc, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) acc.add(xs[i]);
-        },
-        [](RunningStats& total, const RunningStats& chunk) {
-          total.merge(chunk);
-        });
-  };
-  dist.capacity_stats = running_reduce(dist.capacities);
-  dist.savings_stats.reserve(dist.savings.size());
-  for (const auto& series : dist.savings) {
-    dist.savings_stats.push_back(running_reduce(series));
-  }
-  return dist;
-}
-
-SwarmDistributions Analyzer::swarm_distributions(const Trace& trace) const {
-  return swarm_distributions(
-      TraceView::from_trace(trace, sim_config_.threads));
-}
-
-std::vector<CarbonOutcome> Analyzer::carbon_report(
-    const TraceView& view, const IntensityCurve& curve) const {
-  SimConfig config = sim_config_;
-  config.collect_hourly = true;
-  config.collect_per_user = false;
-  config.collect_swarms = false;
-  return carbon_report(HybridSimulator(*metro_, config).run(view), curve);
-}
-
-std::vector<CarbonOutcome> Analyzer::carbon_report(
-    const Trace& trace, const IntensityCurve& curve) const {
-  return carbon_report(TraceView::from_trace(trace, sim_config_.threads),
-                       curve);
-}
-
 std::vector<CarbonOutcome> Analyzer::carbon_report(
     const SimResult& result, const IntensityCurve& curve) const {
   // run() pads the grid to at least one row whenever collect_hourly was
@@ -316,18 +227,6 @@ std::vector<CarbonOutcome> Analyzer::carbon_report(
     outcomes.push_back(accountant.assess(result.hourly));
   }
   return outcomes;
-}
-
-std::vector<AggregateOutcome> Analyzer::aggregate(const TraceView& view) const {
-  SimConfig config = sim_config_;
-  config.collect_hourly = false;
-  config.collect_per_user = false;
-  config.collect_swarms = true;
-  return aggregate(HybridSimulator(*metro_, config).run(view));
-}
-
-std::vector<AggregateOutcome> Analyzer::aggregate(const Trace& trace) const {
-  return aggregate(TraceView::from_trace(trace, sim_config_.threads));
 }
 
 std::vector<AggregateOutcome> Analyzer::aggregate(

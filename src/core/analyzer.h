@@ -2,15 +2,20 @@
 //
 // An Analyzer owns a metro topology, a simulator configuration and a list
 // of energy-parameter columns, and answers the paper's questions about a
-// workload trace:
+// workload trace's columns (trace/trace_view.h) or a finished run:
 //
 //  * analyze_swarm — one swarm's measured capacity and savings, simulation
 //    vs closed form (the dots and curves of Fig. 2);
 //  * daily_report  — per-day, per-ISP aggregate savings, simulation vs
 //    closed form (Fig. 4);
-//  * swarm_distributions — per-swarm capacities and savings across the
-//    catalogue (Fig. 3);
-//  * aggregate — whole-trace headline numbers (the 24–48 % claim).
+//  * aggregate     — whole-run headline numbers (the 24–48 % claim);
+//  * carbon_report — absolute gCO₂ under a grid-intensity curve.
+//
+// The last two read a SimResult: core/pipeline.h's run_simulate is the
+// one simulate-then-report composition. Fig. 3's per-swarm samples are
+// the run's `swarms` rows, priced with swarm_savings (sim/metrics.h).
+// Row-structured traces are transposed once by the caller
+// (TraceView::from_trace).
 #pragma once
 
 #include <string>
@@ -22,8 +27,7 @@
 #include "sim/hybrid_sim.h"
 #include "sim/metrics.h"
 #include "topology/placement.h"
-#include "trace/session.h"
-#include "util/stats.h"
+#include "trace/trace_view.h"
 
 namespace cl {
 
@@ -50,20 +54,6 @@ struct DailyReport {
   std::vector<std::vector<std::vector<double>>> theory;  ///< [model][day][isp]
 };
 
-/// Per-swarm distribution samples (Fig. 3).
-struct SwarmDistributions {
-  std::vector<double> capacities;  ///< one per swarm
-  /// savings[model][swarm] — simulated per-swarm savings.
-  std::vector<std::vector<double>> savings;
-  std::vector<std::string> models;
-
-  /// Streaming summaries of the vectors above, computed by a sharded
-  /// fixed-chunk RunningStats::merge reduction — bit-identical for every
-  /// SimConfig::threads value.
-  RunningStats capacity_stats;
-  std::vector<RunningStats> savings_stats;  ///< one per model
-};
-
 /// Whole-trace headline numbers under one energy model.
 struct AggregateOutcome {
   std::string model;
@@ -88,56 +78,26 @@ class Analyzer {
     return models_;
   }
 
-  /// Runs the simulator on a trace view (convenience passthrough). The
-  /// columnar entry points below are the engine; every `const Trace&`
-  /// overload is a thin wrapper that transposes the rows into an owned
-  /// SoA view once (TraceView::from_trace) — `.cltrace` input should be
-  /// opened with TraceView::open_binary so analysis runs directly on the
-  /// mmap'd columns.
-  [[nodiscard]] SimResult simulate(const TraceView& view) const;
-  [[nodiscard]] SimResult simulate(const Trace& trace) const;
-
   /// Analyzes one swarm (the trace should be pre-filtered to one content
   /// item, and to one ISP when the theory comparison should use that ISP's
   /// tree — `isp_for_theory` selects which tree the closed form uses).
   [[nodiscard]] SwarmExperiment analyze_swarm(const TraceView& view,
                                               std::size_t isp_for_theory) const;
-  [[nodiscard]] SwarmExperiment analyze_swarm(const Trace& trace,
-                                              std::size_t isp_for_theory) const;
 
   /// Fig. 4 series: per-day, per-ISP savings, simulation vs theory.
   [[nodiscard]] DailyReport daily_report(const TraceView& view) const;
-  [[nodiscard]] DailyReport daily_report(const Trace& trace) const;
 
-  /// Fig. 3 samples: per-swarm capacity and savings across the catalogue.
-  [[nodiscard]] SwarmDistributions swarm_distributions(
-      const TraceView& view) const;
-  [[nodiscard]] SwarmDistributions swarm_distributions(
-      const Trace& trace) const;
-
-  /// Whole-trace headline numbers per energy model.
-  [[nodiscard]] std::vector<AggregateOutcome> aggregate(
-      const TraceView& view) const;
-  [[nodiscard]] std::vector<AggregateOutcome> aggregate(
-      const Trace& trace) const;
-
-  /// Same, on an existing simulation result (must have been produced
-  /// with collect_swarms — the theory column aggregates per swarm;
-  /// throws cl::InvalidArgument when traffic moved but no swarms were
-  /// collected). Lets one simulator run feed several report flavours.
+  /// Whole-run headline numbers per energy model, on a simulation result
+  /// produced with collect_swarms (the theory column aggregates per
+  /// swarm; throws cl::InvalidArgument when traffic moved but no swarms
+  /// were collected).
   [[nodiscard]] std::vector<AggregateOutcome> aggregate(
       const SimResult& result) const;
 
-  /// Absolute gCO₂ per energy model under one grid-intensity curve: runs
-  /// the simulator with the hourly grid collected and weights each hour's
-  /// energy by the intensity at consumption time (src/carbon/).
-  [[nodiscard]] std::vector<CarbonOutcome> carbon_report(
-      const TraceView& view, const IntensityCurve& curve) const;
-  [[nodiscard]] std::vector<CarbonOutcome> carbon_report(
-      const Trace& trace, const IntensityCurve& curve) const;
-
-  /// Same, on an existing simulation result (must have been produced
-  /// with collect_hourly; throws cl::InvalidArgument otherwise).
+  /// Absolute gCO₂ per energy model under one grid-intensity curve: each
+  /// hour's energy weighted by the intensity at consumption time
+  /// (src/carbon/). `result` must have been produced with collect_hourly;
+  /// throws cl::InvalidArgument otherwise.
   [[nodiscard]] std::vector<CarbonOutcome> carbon_report(
       const SimResult& result, const IntensityCurve& curve) const;
 

@@ -27,7 +27,9 @@ ScheduleRun run_schedule(const Analyzer& analyzer,
   ScheduleRun run;
   if (schedule_preloads(mode) && !scheduler.inert()) {
     run.preloaded = HybridSimulator(analyzer.metro(), rerun)
-                        .run(scheduler.schedule_preload(rows, seed));
+                        .run(TraceView::from_trace(
+                            scheduler.schedule_preload(rows, seed),
+                            rerun.threads));
   }
   const SimResult& scheduled = run.scheduled(base);
   const std::string& metro = analyzer.metro().name();

@@ -60,7 +60,7 @@ SimulationKey simulation_key(const CellConfig& config) {
 
 Trace make_cell_trace(const CellConfig& config, unsigned threads) {
   // The same scaled synthetic month a no---trace `cl simulate` generates
-  // (cli_common.h load_or_generate), with the population multiplied by
+  // (cli_common.h load_trace), with the population multiplied by
   // the cell's scale knob.
   TraceConfig trace_config = TraceConfig::london_month_scaled(config.days);
   trace_config.metro = config.metro;

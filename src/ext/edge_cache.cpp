@@ -49,7 +49,9 @@ EdgeCacheOutcome EdgeCacheSimulator::run(const Trace& trace) const {
     }
   }
   if (cache_config_.misses_use_p2p) {
-    outcome.miss_sim = HybridSimulator(*metro_, sim_config_).run(misses);
+    outcome.miss_sim = HybridSimulator(*metro_, sim_config_)
+                           .run(TraceView::from_trace(misses,
+                                                      sim_config_.threads));
   } else {
     // Pure CDN for misses: all bytes from the server.
     outcome.miss_sim.config = sim_config_;

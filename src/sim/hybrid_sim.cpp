@@ -327,10 +327,6 @@ SimResult HybridSimulator::run(const TraceView& view,
   return result;
 }
 
-SimResult HybridSimulator::run(const Trace& trace) const {
-  return run(TraceView::from_trace(trace, config_.threads));
-}
-
 SimResult HybridSimulator::run_rows(const Trace& trace) const {
   for (const SessionRecord& s : trace.sessions) {
     if (s.isp >= metro_->isp_count() ||

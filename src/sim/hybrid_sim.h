@@ -20,13 +20,12 @@
 // Data path: the simulator consumes *columns* (trace/trace_view.h), not
 // rows. run(TraceView) is the engine — workers receive column index
 // ranges, gather each swarm's fields into contiguous scratch and sweep
-// (sim/swarm_sweep.h). run(Trace) is a convenience wrapper that
-// transposes the rows into an owned SoA view first; `.cltrace` input
-// should be opened as a view (TraceView::open_binary) so the sweep runs
-// directly on the mmap'd blocks with zero materialization. run_rows
-// sweeps the row-structured Trace through the same listing, reduce and
-// event loop, always per peer — the per-peer reference and bench
-// baseline.
+// (sim/swarm_sweep.h). A caller holding rows transposes them once
+// (TraceView::from_trace); `.cltrace` input should be opened as a view
+// (TraceView::open_binary) so the sweep runs directly on the mmap'd
+// blocks with zero materialization. run_rows sweeps the row-structured
+// Trace through the same listing, reduce and event loop, always per
+// peer — the per-peer reference and bench baseline.
 //
 // Parallel execution: swarms are independent, so run() shards the
 // key-sorted swarm list across SimConfig::threads workers. Each worker
@@ -99,10 +98,6 @@ class HybridSimulator {
   /// receives the group/sweep/merge wall-time split.
   [[nodiscard]] SimResult run(const TraceView& view,
                               SimPhaseTiming* timing = nullptr) const;
-
-  /// Convenience wrapper: transposes the row-structured trace into an
-  /// owned SoA view (one O(n) pass) and runs on the columns.
-  [[nodiscard]] SimResult run(const Trace& trace) const;
 
   /// The row-structured per-peer reference path, kept as run()'s
   /// reference and as bench/micro_sweep's baseline. It shares run()'s

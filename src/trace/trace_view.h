@@ -62,8 +62,8 @@ class TraceView {
   /// Transposes a row-structured Trace into owned SoA columns (sharded
   /// across `threads` workers; 0 = all hardware threads). The returned
   /// view is self-contained — `trace` may die right after this returns.
-  /// Trusts its input exactly as far as HybridSimulator::run(Trace) did:
-  /// field invariants are the loader's responsibility.
+  /// Trusts its input: field invariants are the loader's responsibility
+  /// (HybridSimulator::run checks only the metro fit).
   [[nodiscard]] static TraceView from_trace(const Trace& trace,
                                             unsigned threads = 1);
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "core/pipeline.h"
 #include "trace/filter.h"
 #include "trace/synthetic.h"
 #include "util/error.h"
@@ -42,7 +43,7 @@ TEST(Analyzer, SwarmExperimentSimTracksTheory) {
   const Trace trace = month_trace();
   const Analyzer analyzer(metro(), SimConfig{});
   const Trace popular = filter_by_isp(filter_by_content(trace, 0), 0);
-  const auto e = analyzer.analyze_swarm(popular, 0);
+  const auto e = analyzer.analyze_swarm(TraceView::from_trace(popular), 0);
   EXPECT_GT(e.capacity, 0.5);
   ASSERT_EQ(e.models.size(), 2u);
   for (const auto& m : e.models) {
@@ -59,7 +60,7 @@ TEST(Analyzer, SwarmExperimentPerBitrateAgreesTightly) {
   const Analyzer analyzer(metro(), SimConfig{});
   const Trace swarm = filter_by_bitrate(
       filter_by_isp(filter_by_content(trace, 0), 0), BitrateClass::kSd);
-  const auto e = analyzer.analyze_swarm(swarm, 0);
+  const auto e = analyzer.analyze_swarm(TraceView::from_trace(swarm), 0);
   for (const auto& m : e.models) {
     // Per-(content, ISP, bitrate) swarms are the theory's exact object;
     // diurnal rate variation keeps residual gaps of a few points.
@@ -71,7 +72,7 @@ TEST(Analyzer, SwarmExperimentPerBitrateAgreesTightly) {
 TEST(Analyzer, DailyReportShapes) {
   const Trace trace = month_trace();
   const Analyzer analyzer(metro(), SimConfig{});
-  const auto report = analyzer.daily_report(trace);
+  const auto report = analyzer.daily_report(TraceView::from_trace(trace));
   ASSERT_EQ(report.models.size(), 2u);
   ASSERT_EQ(report.sim.size(), 2u);
   ASSERT_EQ(report.theory.size(), 2u);
@@ -83,7 +84,7 @@ TEST(Analyzer, DailyReportShapes) {
 TEST(Analyzer, DailyReportSimTracksTheoryForBigIsp) {
   const Trace trace = month_trace();
   const Analyzer analyzer(metro(), SimConfig{});
-  const auto report = analyzer.daily_report(trace);
+  const auto report = analyzer.daily_report(TraceView::from_trace(trace));
   for (std::size_t m = 0; m < 2; ++m) {
     for (std::size_t d = 0; d < report.sim[m].size(); ++d) {
       const double sim = report.sim[m][d][0];
@@ -95,15 +96,30 @@ TEST(Analyzer, DailyReportSimTracksTheoryForBigIsp) {
 }
 
 TEST(Analyzer, SwarmDistributionsCoverCatalogue) {
+  // Fig. 3's samples: one capacity per swarm row of the run, and each
+  // row priced under every energy model.
   const Trace trace = month_trace();
   const Analyzer analyzer(metro(), SimConfig{});
-  const auto dist = analyzer.swarm_distributions(trace);
-  EXPECT_GT(dist.capacities.size(), 100u);
-  ASSERT_EQ(dist.savings.size(), 2u);
-  EXPECT_EQ(dist.savings[0].size(), dist.capacities.size());
+  const SimResult result = HybridSimulator(metro(), analyzer.sim_config())
+                               .run(TraceView::from_trace(trace));
+  std::vector<double> capacities;
+  for (const SwarmResult& swarm : result.swarms) {
+    capacities.push_back(swarm.capacity);
+  }
+  std::vector<std::vector<double>> savings;
+  for (const EnergyParams& params : analyzer.models()) {
+    const EnergyAccountant accountant{CostFunctions(params)};
+    savings.emplace_back();
+    for (const SwarmResult& swarm : result.swarms) {
+      savings.back().push_back(swarm_savings(swarm, accountant));
+    }
+  }
+  EXPECT_GT(capacities.size(), 100u);
+  ASSERT_EQ(savings.size(), 2u);
+  EXPECT_EQ(savings[0].size(), capacities.size());
   // Popular swarms exist alongside a long tail of tiny ones.
   const auto [min_it, max_it] =
-      std::minmax_element(dist.capacities.begin(), dist.capacities.end());
+      std::minmax_element(capacities.begin(), capacities.end());
   EXPECT_LT(*min_it, 0.05);
   EXPECT_GT(*max_it, 0.5);
 }
@@ -111,7 +127,9 @@ TEST(Analyzer, SwarmDistributionsCoverCatalogue) {
 TEST(Analyzer, AggregateHeadlineNumbers) {
   const Trace trace = month_trace();
   const Analyzer analyzer(metro(), SimConfig{});
-  const auto outcomes = analyzer.aggregate(trace);
+  const auto outcomes =
+      run_simulate(analyzer, TraceView::from_trace(trace), nullptr, false)
+          .aggregate;
   ASSERT_EQ(outcomes.size(), 2u);
   for (const auto& o : outcomes) {
     EXPECT_GT(o.sim_savings, 0.0);

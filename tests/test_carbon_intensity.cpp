@@ -10,7 +10,7 @@
 #include <array>
 #include <cmath>
 
-#include "core/analyzer.h"
+#include "core/pipeline.h"
 #include "sim/hybrid_sim.h"
 #include "trace/synthetic.h"
 #include "util/error.h"
@@ -186,7 +186,8 @@ TEST(CarbonAccountant, FlatCurveReproducesEnergySavings) {
   tc.catalogue_tail = 80;
   tc.tail_views = 4000;
   const Trace trace = TraceGenerator(tc, metro()).generate();
-  const SimResult result = HybridSimulator(metro(), SimConfig{}).run(trace);
+  const SimResult result =
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(trace));
   const auto& flat = IntensityRegistry::instance().get(kFlatIntensityName);
 
   for (const auto& params : standard_params()) {
@@ -212,7 +213,8 @@ TEST(CarbonAccountant, DiurnalCurveDivergesFromFlatOnDiurnalDemand) {
   tc.catalogue_tail = 80;
   tc.tail_views = 4000;
   const Trace trace = TraceGenerator(tc, metro()).generate();
-  const SimResult result = HybridSimulator(metro(), SimConfig{}).run(trace);
+  const SimResult result =
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(trace));
 
   const auto& registry = IntensityRegistry::instance();
   const EnergyAccountant energy{CostFunctions(valancius_params())};
@@ -241,7 +243,8 @@ TEST(CarbonAccountant, ReportOverloadsRejectMissingCollection) {
   SimConfig lean;
   lean.collect_hourly = false;
   lean.collect_swarms = false;
-  const SimResult result = HybridSimulator(metro(), lean).run(trace);
+  const SimResult result =
+      HybridSimulator(metro(), lean).run(TraceView::from_trace(trace));
   ASSERT_GT(result.total.total().value(), 0.0);
 
   const Analyzer analyzer(metro(), lean);
@@ -250,7 +253,8 @@ TEST(CarbonAccountant, ReportOverloadsRejectMissingCollection) {
   EXPECT_THROW((void)analyzer.aggregate(result), InvalidArgument);
   // A genuinely empty trace is legitimately all-zero, not an error.
   const Trace empty{{}, Seconds{86400.0}, {}, {}};
-  const SimResult empty_result = HybridSimulator(metro(), SimConfig{}).run(empty);
+  const SimResult empty_result =
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(empty));
   EXPECT_NO_THROW((void)analyzer.aggregate(empty_result));
 }
 
@@ -264,16 +268,19 @@ TEST(CarbonAccountant, CarbonReportBitIdenticalAcrossThreadCounts) {
   tc.catalogue_tail = 60;
   tc.tail_views = 4000;
   tc.threads = 0;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const TraceView view =
+      TraceView::from_trace(TraceGenerator(tc, metro()).generate());
   const auto& curve = IntensityRegistry::instance().get("uk_2018");
 
   SimConfig base;
   base.threads = 1;
-  const auto reference = Analyzer(metro(), base).carbon_report(trace, curve);
+  const auto reference =
+      run_simulate(Analyzer(metro(), base), view, &curve, false).carbon;
   for (unsigned threads : {2u, 7u, 0u}) {
     SimConfig config;
     config.threads = threads;
-    const auto report = Analyzer(metro(), config).carbon_report(trace, curve);
+    const auto report =
+        run_simulate(Analyzer(metro(), config), view, &curve, false).carbon;
     ASSERT_EQ(report.size(), reference.size());
     for (std::size_t m = 0; m < report.size(); ++m) {
       EXPECT_EQ(report[m].hybrid_g, reference[m].hybrid_g);

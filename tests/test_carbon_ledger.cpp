@@ -228,7 +228,8 @@ TEST(CarbonLedger, FlatCurveWeightedCctMatchesUnweighted) {
   tc.catalogue_tail = 80;
   tc.tail_views = 4000;
   const Trace trace = TraceGenerator(tc, metro()).generate();
-  const auto result = HybridSimulator(metro(), SimConfig{}).run(trace);
+  const auto result =
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(trace));
   const auto& flat = IntensityRegistry::instance().get(kFlatIntensityName);
   for (const auto& params : standard_params()) {
     const CarbonLedger ledger(result, params);
@@ -253,7 +254,8 @@ TEST(CarbonLedger, SimulationEndToEnd) {
   tc.catalogue_tail = 100;
   tc.tail_views = 5000;
   const Trace trace = TraceGenerator(tc, metro()).generate();
-  const auto result = HybridSimulator(metro(), SimConfig{}).run(trace);
+  const auto result =
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(trace));
   const CarbonLedger baliga(result, baliga_params());
   const CarbonLedger valancius(result, valancius_params());
   EXPECT_GT(baliga.entries().size(), 500u);
@@ -303,7 +305,8 @@ void expect_ledger_digest(const Trace& trace, SimConfig config,
                           std::uint64_t pinned) {
   for (const unsigned threads : {1u, 2u, 7u, 0u}) {
     config.threads = threads;
-    const SimResult result = HybridSimulator(metro(), config).run(trace);
+    const SimResult result =
+        HybridSimulator(metro(), config).run(TraceView::from_trace(trace));
     ASSERT_FALSE(result.users.empty());
     test::expect_users_settled(result);
     EXPECT_EQ(ledger_digest(result), pinned)
@@ -382,7 +385,8 @@ void expect_sim_result_digest(const Trace& trace, SimConfig config,
   config.overload = true;
   for (const unsigned threads : {1u, 2u, 7u, 0u}) {
     config.threads = threads;
-    const SimResult result = HybridSimulator(metro(), config).run(trace);
+    const SimResult result =
+        HybridSimulator(metro(), config).run(TraceView::from_trace(trace));
     ASSERT_FALSE(result.hourly.empty());
     ASSERT_FALSE(result.swarms.empty());
     EXPECT_GT(result.overload_spill.value(), 0.0);

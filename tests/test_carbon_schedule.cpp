@@ -130,7 +130,7 @@ TEST(FlatContract, SchedulerIsInertUnderFlatCurve) {
 
   // And the assessed reduction is exactly 0 (same grid, same plan).
   const SimResult result =
-      HybridSimulator(metro(), SimConfig{}).run(trace);
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(trace));
   const EnergyAccountant energy{CostFunctions(valancius_params())};
   const ScheduleOutcome outcome =
       scheduler.assess(result.hourly, result.hourly, energy, plan);
@@ -259,14 +259,15 @@ TEST(DualGrid, HoursBeyondThePlanPriceAsHome) {
 TEST(Schedule, PositiveReductionUnderEveryNonFlatPreset) {
   const Trace trace = small_trace();
   const SimResult unscheduled =
-      HybridSimulator(metro(), SimConfig{}).run(trace);
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(trace));
   const IntensityRegistry& registry = IntensityRegistry::instance();
 
   for (const char* name : {"uk_2018", "us_caiso", "nordic_hydro"}) {
     const CarbonScheduler scheduler(registry.get(name));
     ASSERT_FALSE(scheduler.inert()) << name;
-    const SimResult scheduled = HybridSimulator(metro(), SimConfig{})
-                                    .run(scheduler.schedule_preload(trace, 9));
+    const SimResult scheduled =
+        HybridSimulator(metro(), SimConfig{})
+            .run(TraceView::from_trace(scheduler.schedule_preload(trace, 9)));
     std::vector<const IntensityCurve*> serving;
     for (const std::string& m : MetroRegistry::instance().names()) {
       serving.push_back(m == kDefaultMetroName
@@ -301,11 +302,13 @@ TEST(Schedule, ScheduledRunsBitIdenticalAcrossThreadCounts) {
 
   SimConfig base;
   base.threads = 1;
-  const SimResult reference = HybridSimulator(metro(), base).run(shifted);
+  const SimResult reference =
+      HybridSimulator(metro(), base).run(TraceView::from_trace(shifted));
   for (unsigned threads : {2u, 7u, 0u}) {
     SimConfig config;
     config.threads = threads;
-    const SimResult result = HybridSimulator(metro(), config).run(shifted);
+    const SimResult result =
+        HybridSimulator(metro(), config).run(TraceView::from_trace(shifted));
     EXPECT_EQ(result.total.total().value(),
               reference.total.total().value());
     EXPECT_EQ(result.total.peer_total().value(),

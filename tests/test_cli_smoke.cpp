@@ -166,6 +166,58 @@ TEST(CliSmoke, SimulateBinaryTraceMatchesCsvReport) {
   std::filesystem::remove(bin);
 }
 
+TEST(CliSmoke, LedgerMatchesAcrossStorageFormatsAndThreads) {
+  // Without a preload schedule `cl ledger` sweeps a `.cltrace` straight
+  // from its mapped columns (v1/v2 start order, v3 swarm-major), and a
+  // CSV through the rows' transpose. The per-user ledger must not see
+  // the difference: every golden file, its `cl convert` CSV and a
+  // generated day in both formats report byte-identically at 1 and 3
+  // sweep threads.
+  const std::string day_csv = temp_trace_path() + ".ledgerfmt.csv";
+  const RunResult gen = run_cli("generate --out " + day_csv +
+                                " --preset small --days 1 --seed 5 --quiet");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  const std::string day_bin = temp_trace_path() + ".ledgerfmt.cltrace";
+  const RunResult to_bin =
+      run_cli("convert --in " + day_csv + " --out " + day_bin + " --quiet");
+  ASSERT_EQ(to_bin.exit_code, 0) << to_bin.output;
+
+  const auto ledger = [](const std::string& trace, const char* threads) {
+    const RunResult result = run_cli("ledger --trace " + trace +
+                                     " --intensity uk_2018 --threads " +
+                                     threads);
+    EXPECT_EQ(result.exit_code, 0) << trace << ": " << result.output;
+    return result.output;
+  };
+  const std::string csv = temp_trace_path() + ".ledgerfmt.golden.csv";
+  std::string golden_want;
+  for (const char* version : {"v1", "v2", "v3"}) {
+    const std::string golden = std::string(CL_TEST_DATA_DIR) + "/golden_" +
+                               version + ".cltrace";
+    const RunResult conv =
+        run_cli("convert --in " + golden + " --out " + csv + " --quiet");
+    ASSERT_EQ(conv.exit_code, 0) << conv.output;
+    if (golden_want.empty()) golden_want = ledger(golden, "1");
+    for (const char* threads : {"1", "3"}) {
+      SCOPED_TRACE(std::string(version) + " threads " + threads);
+      EXPECT_EQ(ledger(golden, threads), golden_want);
+      EXPECT_EQ(ledger(csv, threads), golden_want);
+    }
+  }
+  EXPECT_NE(golden_want.find("energy model"), std::string::npos);
+
+  const std::string day_want = ledger(day_csv, "1");
+  EXPECT_NE(day_want.find("carbon-free users"), std::string::npos);
+  for (const char* threads : {"1", "3"}) {
+    SCOPED_TRACE(std::string("generated day, threads ") + threads);
+    EXPECT_EQ(ledger(day_bin, threads), day_want);
+    EXPECT_EQ(ledger(day_csv, threads), day_want);
+  }
+  std::filesystem::remove(csv);
+  std::filesystem::remove(day_csv);
+  std::filesystem::remove(day_bin);
+}
+
 TEST(CliSmoke, GenerateWritesBinaryFormatDirectly) {
   const std::string bin = temp_trace_path() + ".gen.cltrace";
   const RunResult gen = run_cli("generate --out " + bin +
@@ -331,8 +383,12 @@ TEST(CliSmoke, LiveRejectsOutOfRangeArguments) {
 TEST(CliSmoke, DaysOutsideEachCommandsRangeIsAnArgumentError) {
   // generate used to reach the generator's precondition (exit 1) below a
   // day and an out-of-range integer cast at 1e300; live ended in a
-  // postcondition of the sweep's hourly grid at 1e300.
+  // postcondition of the sweep's hourly grid at 1e300. swarm cast its
+  // ids to 32 bits unchecked: --content 4294967296 reported content 0's
+  // swarm and --content -1 content 4294967295's.
   const std::string out = cl::test::unique_temp_path("cl_smoke_days.csv");
+  const std::string swarm =
+      "swarm --trace " + std::string(CL_TEST_DATA_DIR) + "/golden_v3.cltrace";
   const std::pair<std::string, const char*> cases[] = {
       {"generate --preset small --days 0.5", "--days must be finite and >= 1"},
       {"generate --preset small --days -3", "--days must be finite and >= 1"},
@@ -342,6 +398,10 @@ TEST(CliSmoke, DaysOutsideEachCommandsRangeIsAnArgumentError) {
       {"live --viewers 100 --days 1e300", "--days must be <= 1000000"},
       {"simulate --days 0.5", "--days must be finite and >= 1"},
       {"ledger --days inf", "--days must be finite and >= 1"},
+      {swarm + " --content 4294967296", "--content must be in [0, 4294967295]"},
+      {swarm + " --content -1", "--content must be in [0, 4294967295]"},
+      {swarm + " --isp 4294967296", "--isp out of range (0.."},
+      {swarm + " --isp -1", "--isp out of range (0.."},
   };
   for (const auto& [command, message] : cases) {
     const RunResult result = run_cli(command + " --out " + out);
@@ -742,6 +802,9 @@ TEST(CliSmoke, SimulateAndLedgerReportsPinned) {
       {"ledger --days 1 --seed 7 --metro us_sparse --intensity us_caiso "
        "--schedule all",
        0x73d520f0dae28613ULL},
+      // No preload schedule: the ledger sweeps the loaded view directly.
+      {"ledger --days 1 --seed 7 --intensity uk_2018",
+       0xf114c1bcb3b93bbbULL},
   };
   for (const Pin& pin : pins) {
     for (const char* threads : {" --threads 1", " --threads 3"}) {

@@ -470,11 +470,12 @@ SimConfig overload_config(bool on) {
 TEST(Overload, SynchronizedJoinSpillsTheWholeFirstWindow) {
   // Three same-window joiners: nobody is warm in the stretch's first
   // window, so the whole peer demand 2·β·Δτ bounces to the CDN.
-  const Trace trace = tiny_swarm({0, 0, 0}, {100, 100, 100});
+  const TraceView view =
+      TraceView::from_trace(tiny_swarm({0, 0, 0}, {100, 100, 100}));
   const SimResult on =
-      HybridSimulator(metro(), overload_config(true)).run(trace);
+      HybridSimulator(metro(), overload_config(true)).run(view);
   const SimResult off =
-      HybridSimulator(metro(), overload_config(false)).run(trace);
+      HybridSimulator(metro(), overload_config(false)).run(view);
   const double beta_dt = 1.5e6 * 10.0;  // SD bitrate × Δτ
   EXPECT_DOUBLE_EQ(on.overload_spill.value(), 2 * beta_dt);
   EXPECT_DOUBLE_EQ(on.total.server.value(),
@@ -489,11 +490,12 @@ TEST(Overload, StaggeredJoinsHaveWarmCapacityAndNoSpill) {
   // Each later joiner meets at least one full-window member: capacity
   // q·Σ_warm β·Δτ covers the demand, so overload changes nothing — the
   // flag-on run is bit-identical to the flag-off run.
-  const Trace trace = tiny_swarm({0, 20, 40}, {100, 80, 60});
+  const TraceView view =
+      TraceView::from_trace(tiny_swarm({0, 20, 40}, {100, 80, 60}));
   const SimResult on =
-      HybridSimulator(metro(), overload_config(true)).run(trace);
+      HybridSimulator(metro(), overload_config(true)).run(view);
   const SimResult off =
-      HybridSimulator(metro(), overload_config(false)).run(trace);
+      HybridSimulator(metro(), overload_config(false)).run(view);
   EXPECT_EQ(on.overload_spill.value(), 0.0);
   EXPECT_EQ(on.total.server, off.total.server);
   EXPECT_EQ(on.total.cross_isp, off.total.cross_isp);
@@ -505,18 +507,20 @@ TEST(Overload, StaggeredJoinsHaveWarmCapacityAndNoSpill) {
 TEST(Overload, OffByDefaultAndZeroSpillWhenOff) {
   EXPECT_FALSE(SimConfig{}.overload);
   const Trace trace = tiny_swarm({0, 0}, {50, 50});
-  const SimResult off = HybridSimulator(metro(), SimConfig{}).run(trace);
+  const SimResult off =
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(trace));
   EXPECT_EQ(off.overload_spill.value(), 0.0);
   EXPECT_TRUE(off.hourly_spill.empty());
 }
 
 TEST(Overload, FlashCrowdSpillsAndConservesTotalVolume) {
   const FlashCrowdConfig config = flash_crowd_preset("spike", 1500, 7200, 1);
-  const Trace trace = generate_flash_crowd(metro(), config, 3);
+  const TraceView view =
+      TraceView::from_trace(generate_flash_crowd(metro(), config, 3));
   const SimResult on =
-      HybridSimulator(metro(), overload_config(true)).run(trace);
+      HybridSimulator(metro(), overload_config(true)).run(view);
   const SimResult off =
-      HybridSimulator(metro(), overload_config(false)).run(trace);
+      HybridSimulator(metro(), overload_config(false)).run(view);
   // The spike has a real overload phase...
   EXPECT_GT(on.overload_spill.value(), 0.0);
   EXPECT_LT(on.offload(), off.offload());
@@ -538,7 +542,7 @@ TEST(Overload, BitIdenticalAcrossThreadCountsAndDataPaths) {
   SimConfig sim_config = overload_config(true);
   sim_config.threads = 1;
   const HybridSimulator reference_sim(metro(), sim_config);
-  const SimResult reference = reference_sim.run(trace);
+  const SimResult reference = reference_sim.run(TraceView::from_trace(trace));
   const auto expect_identical = [&](const SimResult& result,
                                     const std::string& what) {
     EXPECT_EQ(result.total.server, reference.total.server) << what;
@@ -556,7 +560,7 @@ TEST(Overload, BitIdenticalAcrossThreadCountsAndDataPaths) {
   for (unsigned threads : {1u, 2u, 7u, 0u}) {
     sim_config.threads = threads;
     const HybridSimulator sim(metro(), sim_config);
-    expect_identical(sim.run(trace),
+    expect_identical(sim.run(TraceView::from_trace(trace)),
                      "owned, threads " + std::to_string(threads));
     expect_identical(sim.run(TraceView::open_binary(path, threads)),
                      "mmap, threads " + std::to_string(threads));

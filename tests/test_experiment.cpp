@@ -315,7 +315,7 @@ TEST(ExperimentParity, GoldenCellMatchesStandaloneSimulateAtEveryThreads) {
   const CellConfig& config = cells[0].config;
 
   // The standalone path: what `cl simulate --intensity uk_2018
-  // --overload --days 1` executes (cli_common.h load_or_generate +
+  // --overload --days 1` executes (cli_common.h load_trace +
   // cmd_simulate.cpp).
   const Metro& metro = MetroRegistry::instance().get(config.metro);
   TraceConfig trace_config = TraceConfig::london_month_scaled(config.days);

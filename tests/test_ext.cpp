@@ -88,8 +88,10 @@ TEST(Preload, ConcentrationRaisesOffload) {
   const Trace trace = base_trace();
   const Trace preloaded = apply_preload(trace, {.adoption = 1.0}, 3);
   HybridSimulator sim(metro(), SimConfig{});
-  const double g_base = sim.run(trace).total.offload_fraction();
-  const double g_pre = sim.run(preloaded).total.offload_fraction();
+  const double g_base =
+      sim.run(TraceView::from_trace(trace)).total.offload_fraction();
+  const double g_pre =
+      sim.run(TraceView::from_trace(preloaded)).total.offload_fraction();
   EXPECT_GT(g_pre, g_base + 0.02);
 }
 
@@ -188,7 +190,8 @@ TEST(Live, HugeSwarmsYieldNearCeilingOffload) {
   LiveEventConfig config;
   config.viewers = 4000;
   const Trace trace = generate_live_event(metro(), config, 5);
-  const auto result = HybridSimulator(metro(), SimConfig{}).run(trace);
+  const auto result =
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(trace));
   // Thousands of concurrent viewers: G approaches its ceiling of ~1 even
   // after ISP × bitrate splitting.
   EXPECT_GT(result.total.offload_fraction(), 0.9);

@@ -43,10 +43,16 @@ Trace make_trace(std::vector<SessionRecord> sessions, double span_s) {
   return Trace{std::move(sessions), Seconds{span_s}, {}, {}};
 }
 
+/// The simulator's columns for make_trace's rows.
+TraceView make_view(std::vector<SessionRecord> sessions, double span_s) {
+  return TraceView::from_trace(make_trace(std::move(sessions), span_s));
+}
+
 /// Poisson single-swarm trace with constant arrival rate (no diurnal
 /// pattern) — the exact setting of the analytical model.
-Trace poisson_swarm(double capacity, double mean_duration_s, double span_s,
-                    std::uint64_t seed, std::uint32_t isp = 0) {
+TraceView poisson_swarm(double capacity, double mean_duration_s,
+                        double span_s, std::uint64_t seed,
+                        std::uint32_t isp = 0) {
   Rng rng(seed);
   std::vector<SessionRecord> sessions;
   const double rate = capacity / mean_duration_s;  // arrivals per second
@@ -61,13 +67,13 @@ Trace poisson_swarm(double capacity, double mean_duration_s, double span_s,
     sessions.push_back(s);
     t += rng.exponential(rate);
   }
-  return make_trace(std::move(sessions), span_s);
+  return make_view(std::move(sessions), span_s);
 }
 
 TEST(HybridSim, SingleSessionAllFromServer) {
   HybridSimulator sim(metro(), SimConfig{});
   const auto result =
-      sim.run(make_trace({session(0, 0, 0.0, 600.0)}, 86400.0));
+      sim.run(make_view({session(0, 0, 0.0, 600.0)}, 86400.0));
   const double expected = 1.5e6 * 600.0;
   EXPECT_NEAR(result.total.server.value(), expected, 1e-3);
   EXPECT_DOUBLE_EQ(result.total.peer_total().value(), 0.0);
@@ -75,7 +81,7 @@ TEST(HybridSim, SingleSessionAllFromServer) {
 
 TEST(HybridSim, EmptyTrace) {
   HybridSimulator sim(metro(), SimConfig{});
-  const auto result = sim.run(make_trace({}, 86400.0));
+  const auto result = sim.run(make_view({}, 86400.0));
   EXPECT_DOUBLE_EQ(result.total.total().value(), 0.0);
   EXPECT_TRUE(result.swarms.empty());
   EXPECT_TRUE(result.users.empty());
@@ -83,13 +89,13 @@ TEST(HybridSim, EmptyTrace) {
 
 TEST(HybridSim, SubWindowSessionSkipped) {
   HybridSimulator sim(metro(), SimConfig{});
-  const auto result = sim.run(make_trace({session(0, 0, 2.0, 5.0)}, 86400.0));
+  const auto result = sim.run(make_view({session(0, 0, 2.0, 5.0)}, 86400.0));
   EXPECT_DOUBLE_EQ(result.total.total().value(), 0.0);
 }
 
 TEST(HybridSim, TwoOverlappingSameExpShare) {
   HybridSimulator sim(metro(), SimConfig{});
-  const auto result = sim.run(make_trace(
+  const auto result = sim.run(make_view(
       {session(0, 0, 0.0, 600.0, 0, 7), session(1, 0, 0.0, 600.0, 0, 7)},
       86400.0));
   // One seed streams from the server, the other entirely from its
@@ -102,7 +108,7 @@ TEST(HybridSim, TwoOverlappingSameExpShare) {
 TEST(HybridSim, PartialOverlapSharesOnlyOverlap) {
   HybridSimulator sim(metro(), SimConfig{});
   // 600 s sessions overlapping for 300 s.
-  const auto result = sim.run(make_trace(
+  const auto result = sim.run(make_view(
       {session(0, 0, 0.0, 600.0, 0, 7), session(1, 0, 300.0, 600.0, 0, 7)},
       86400.0));
   // Total 1200 s of streaming; only the late session's 300 s of overlap is
@@ -112,7 +118,7 @@ TEST(HybridSim, PartialOverlapSharesOnlyOverlap) {
 
 TEST(HybridSim, DifferentContentNeverShare) {
   HybridSimulator sim(metro(), SimConfig{});
-  const auto result = sim.run(make_trace(
+  const auto result = sim.run(make_view(
       {session(0, 0, 0.0, 600.0, 0, 7), session(1, 1, 0.0, 600.0, 0, 7)},
       86400.0));
   EXPECT_DOUBLE_EQ(result.total.peer_total().value(), 0.0);
@@ -120,7 +126,7 @@ TEST(HybridSim, DifferentContentNeverShare) {
 
 TEST(HybridSim, DifferentBitrateSplitsSwarm) {
   HybridSimulator sim(metro(), SimConfig{});
-  const auto result = sim.run(make_trace(
+  const auto result = sim.run(make_view(
       {session(0, 0, 0.0, 600.0, 0, 7, BitrateClass::kSd),
        session(1, 0, 0.0, 600.0, 0, 7, BitrateClass::kHd)},
       86400.0));
@@ -132,7 +138,7 @@ TEST(HybridSim, MixedBitrateSwarmWhenSplitDisabled) {
   SimConfig config;
   config.split_by_bitrate = false;
   HybridSimulator sim(metro(), config);
-  const auto result = sim.run(make_trace(
+  const auto result = sim.run(make_view(
       {session(0, 0, 0.0, 600.0, 0, 7, BitrateClass::kSd),
        session(1, 0, 0.0, 600.0, 0, 7, BitrateClass::kHd)},
       86400.0));
@@ -142,7 +148,7 @@ TEST(HybridSim, MixedBitrateSwarmWhenSplitDisabled) {
 
 TEST(HybridSim, IspFriendlySeparatesIsps) {
   HybridSimulator sim(metro(), SimConfig{});
-  const auto result = sim.run(make_trace(
+  const auto result = sim.run(make_view(
       {session(0, 0, 0.0, 600.0, 0, 7), session(1, 0, 0.0, 600.0, 1, 7)},
       86400.0));
   EXPECT_DOUBLE_EQ(result.total.peer_total().value(), 0.0);
@@ -152,7 +158,7 @@ TEST(HybridSim, CrossIspSharingWhenAllowed) {
   SimConfig config;
   config.isp_friendly = false;
   HybridSimulator sim(metro(), config);
-  const auto result = sim.run(make_trace(
+  const auto result = sim.run(make_view(
       {session(0, 0, 0.0, 600.0, 0, 7), session(1, 0, 0.0, 600.0, 1, 7)},
       86400.0));
   EXPECT_NEAR(result.total.cross_isp.value(), 1.5e6 * 600.0, 1e-3);
@@ -167,7 +173,7 @@ TEST(HybridSim, ConservationOnRealisticTrace) {
   tc.tail_views = 10000;
   const Trace trace = TraceGenerator(tc, metro()).generate();
   HybridSimulator sim(metro(), SimConfig{});
-  const auto result = sim.run(trace);
+  const auto result = sim.run(TraceView::from_trace(trace));
 
   // (1) Simulated volume must track the trace's useful volume (windowing
   // loses partial windows, < 2 %).
@@ -210,19 +216,20 @@ TEST(HybridSim, CollectTogglesOnlyDropMetrics) {
   tc.exemplar_views = {5000};
   tc.catalogue_tail = 50;
   tc.tail_views = 3000;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const TraceView view =
+      TraceView::from_trace(TraceGenerator(tc, metro()).generate());
   SimConfig lean;
   lean.collect_hourly = false;
   lean.collect_per_user = false;
   lean.collect_swarms = false;
-  const auto full = HybridSimulator(metro(), SimConfig{}).run(trace);
-  const auto slim = HybridSimulator(metro(), lean).run(trace);
+  const auto full = HybridSimulator(metro(), SimConfig{}).run(view);
+  const auto slim = HybridSimulator(metro(), lean).run(view);
   // Totals must not depend on which metrics are collected: every lane
   // is bit-identical, including between two runs that differ only in the
   // per-user split (hourly rows on in both).
   SimConfig no_users;
   no_users.collect_per_user = false;
-  const auto hourly_only = HybridSimulator(metro(), no_users).run(trace);
+  const auto hourly_only = HybridSimulator(metro(), no_users).run(view);
   for (const SimResult* other : {&slim, &hourly_only}) {
     EXPECT_EQ(other->total.server, full.total.server);
     EXPECT_EQ(other->total.cross_isp, full.total.cross_isp);
@@ -250,10 +257,10 @@ TEST(HybridSim, CollectTogglesOnlyDropMetrics) {
 }
 
 TEST(HybridSim, MeasuredCapacityMatchesLittlesLaw) {
-  const Trace trace = poisson_swarm(4.0, 1800.0, 10 * 86400.0, 77);
+  const TraceView view = poisson_swarm(4.0, 1800.0, 10 * 86400.0, 77);
   SimConfig config;
   HybridSimulator sim(metro(), config);
-  const auto result = sim.run(trace);
+  const auto result = sim.run(view);
   double capacity = 0;
   for (const auto& s : result.swarms) capacity += s.capacity;
   EXPECT_NEAR(capacity, 4.0, 0.4);
@@ -280,8 +287,8 @@ TEST(HybridSim, OffloadMatchesTheoryOnPoissonSwarm) {
           static_cast<std::uint32_t>(rng.uniform_index(345))));
       t += rng.exponential(rate);
     }
-    const Trace trace = make_trace(std::move(sessions), span_s);
-    const auto result = HybridSimulator(metro(), config).run(trace);
+    const auto result = HybridSimulator(metro(), config)
+                            .run(make_view(std::move(sessions), span_s));
     double measured_capacity = 0;
     for (const auto& s : result.swarms) measured_capacity += s.capacity;
     const SavingsModel model(valancius_params(), metro().isp(0));
@@ -292,9 +299,9 @@ TEST(HybridSim, OffloadMatchesTheoryOnPoissonSwarm) {
 }
 
 TEST(HybridSim, SavingsMatchTheoryOnPoissonSwarm) {
-  const Trace trace = poisson_swarm(5.0, 1800.0, 20 * 86400.0, 4242);
+  const TraceView view = poisson_swarm(5.0, 1800.0, 20 * 86400.0, 4242);
   SimConfig config;
-  const auto result = HybridSimulator(metro(), config).run(trace);
+  const auto result = HybridSimulator(metro(), config).run(view);
   double measured_capacity = 0;
   for (const auto& s : result.swarms) measured_capacity += s.capacity;
   for (const auto& params : standard_params()) {
@@ -310,12 +317,12 @@ TEST(HybridSim, MatchersAgreeAtFullUploadRatio) {
   // At q/β = 1 both matchers deliver (L−1)·β·Δτ per window: the existence
   // matcher by construction, the capacity matcher because aggregate budget
   // L·β covers the (L−1)·β demand.
-  const Trace trace = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 99);
+  const TraceView view = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 99);
   SimConfig existence;
   SimConfig capacity;
   capacity.matcher = MatcherKind::kCapacity;
-  const auto r_exist = HybridSimulator(metro(), existence).run(trace);
-  const auto r_cap = HybridSimulator(metro(), capacity).run(trace);
+  const auto r_exist = HybridSimulator(metro(), existence).run(view);
+  const auto r_cap = HybridSimulator(metro(), capacity).run(view);
   EXPECT_NEAR(r_cap.total.offload_fraction(),
               r_exist.total.offload_fraction(), 1e-9);
 }
@@ -325,13 +332,13 @@ TEST(HybridSim, CapacityMatcherPoolsUploadersBelowFullRatio) {
   // feed one downloader (the paper notes SD streams "can be sustained if
   // two or more peers collaborate"), beating the per-pair-limited
   // existence model.
-  const Trace trace = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 99);
+  const TraceView view = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 99);
   SimConfig existence;
   SimConfig capacity;
   capacity.matcher = MatcherKind::kCapacity;
   existence.q_over_beta = capacity.q_over_beta = 0.5;
-  const auto r_exist = HybridSimulator(metro(), existence).run(trace);
-  const auto r_cap = HybridSimulator(metro(), capacity).run(trace);
+  const auto r_exist = HybridSimulator(metro(), existence).run(view);
+  const auto r_cap = HybridSimulator(metro(), capacity).run(view);
   EXPECT_GE(r_cap.total.offload_fraction(),
             r_exist.total.offload_fraction());
 }
@@ -339,7 +346,7 @@ TEST(HybridSim, CapacityMatcherPoolsUploadersBelowFullRatio) {
 TEST(HybridSim, HourlyTrafficLandsOnCorrectHours) {
   HybridSimulator sim(metro(), SimConfig{});
   // One session in hour 0 of day 0, one in hour 0 of day 2.
-  const auto result = sim.run(make_trace(
+  const auto result = sim.run(make_view(
       {session(0, 0, 1000.0, 600.0, 2, 7),
        session(1, 0, 2 * 86400.0 + 1000.0, 600.0, 2, 7)},
       3 * 86400.0));
@@ -361,7 +368,7 @@ TEST(HybridSim, SessionSpanningHourBoundarySplitsAcrossHours) {
   HybridSimulator sim(metro(), SimConfig{});
   // 600 s session centred on the first hour boundary.
   const auto result = sim.run(
-      make_trace({session(0, 0, 3600.0 - 300.0, 600.0, 0, 7)}, 86400.0));
+      make_view({session(0, 0, 3600.0 - 300.0, 600.0, 0, 7)}, 86400.0));
   ASSERT_EQ(result.hourly.size(), 24u);
   const double h0 = result.hourly[0][0].total().value();
   const double h1 = result.hourly[1][0].total().value();
@@ -374,7 +381,7 @@ TEST(HybridSim, SessionSpanningHourBoundarySplitsAcrossHours) {
 
 TEST(HybridSim, SessionSpanningMidnightSplitsAcrossDays) {
   HybridSimulator sim(metro(), SimConfig{});
-  const auto result = sim.run(make_trace(
+  const auto result = sim.run(make_view(
       {session(0, 0, 86400.0 - 300.0, 600.0, 0, 7)}, 2 * 86400.0));
   ASSERT_EQ(result.hourly.size(), 48u);
   const auto daily = result.daily_grid();
@@ -389,9 +396,9 @@ TEST(HybridSim, SessionSpanningMidnightSplitsAcrossDays) {
 }
 
 TEST(HybridSim, DeterministicAcrossRuns) {
-  const Trace trace = poisson_swarm(2.0, 1200.0, 3 * 86400.0, 7);
-  const auto a = HybridSimulator(metro(), SimConfig{}).run(trace);
-  const auto b = HybridSimulator(metro(), SimConfig{}).run(trace);
+  const TraceView view = poisson_swarm(2.0, 1200.0, 3 * 86400.0, 7);
+  const auto a = HybridSimulator(metro(), SimConfig{}).run(view);
+  const auto b = HybridSimulator(metro(), SimConfig{}).run(view);
   EXPECT_DOUBLE_EQ(a.total.server.value(), b.total.server.value());
   EXPECT_DOUBLE_EQ(a.total.peer_total().value(),
                    b.total.peer_total().value());
@@ -408,11 +415,11 @@ TEST(HybridSim, RejectsInvalidConfig) {
 
 TEST(HybridSim, WindowSizeInsensitivity) {
   // Δτ = 10 s vs Δτ = 30 s must agree closely on long sessions.
-  const Trace trace = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 13);
+  const TraceView view = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 13);
   SimConfig w10, w30;
   w30.window = Seconds{30.0};
-  const auto r10 = HybridSimulator(metro(), w10).run(trace);
-  const auto r30 = HybridSimulator(metro(), w30).run(trace);
+  const auto r10 = HybridSimulator(metro(), w10).run(view);
+  const auto r30 = HybridSimulator(metro(), w30).run(view);
   EXPECT_NEAR(r30.total.offload_fraction(), r10.total.offload_fraction(),
               0.01);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
+
 #include "core/analyzer.h"
 #include "core/carbon_ledger.h"
 #include "core/planner.h"
@@ -23,6 +25,19 @@ const Metro& metro() {
   return m;
 }
 
+/// Fig. 3's per-swarm savings samples: each swarm row of a run priced
+/// under one energy model.
+std::vector<double> per_swarm_savings(const SimResult& result,
+                                      const EnergyParams& params) {
+  const EnergyAccountant accountant{CostFunctions(params)};
+  std::vector<double> savings;
+  savings.reserve(result.swarms.size());
+  for (const SwarmResult& swarm : result.swarms) {
+    savings.push_back(swarm_savings(swarm, accountant));
+  }
+  return savings;
+}
+
 // One scaled month shared by all tests in this file (generation + first
 // simulation dominate the cost; do it once).
 class IntegrationTest : public ::testing::Test {
@@ -31,29 +46,35 @@ class IntegrationTest : public ::testing::Test {
     const TraceConfig tc = TraceConfig::london_month_scaled(/*days=*/6);
     generator_ = new TraceGenerator(tc, metro());
     trace_ = new Trace(generator_->generate());
+    view_ = new TraceView(TraceView::from_trace(*trace_));
     analyzer_ = new Analyzer(metro(), SimConfig{});
-    result_ = new SimResult(analyzer_->simulate(*trace_));
+    result_ = new SimResult(
+        HybridSimulator(metro(), analyzer_->sim_config()).run(*view_));
   }
 
   static void TearDownTestSuite() {
     delete result_;
     delete analyzer_;
+    delete view_;
     delete trace_;
     delete generator_;
     result_ = nullptr;
     analyzer_ = nullptr;
+    view_ = nullptr;
     trace_ = nullptr;
     generator_ = nullptr;
   }
 
   static TraceGenerator* generator_;
   static Trace* trace_;
+  static TraceView* view_;
   static Analyzer* analyzer_;
-  static SimResult* result_;
+  static SimResult* result_;  ///< every collect flag on
 };
 
 TraceGenerator* IntegrationTest::generator_ = nullptr;
 Trace* IntegrationTest::trace_ = nullptr;
+TraceView* IntegrationTest::view_ = nullptr;
 Analyzer* IntegrationTest::analyzer_ = nullptr;
 SimResult* IntegrationTest::result_ = nullptr;
 
@@ -78,8 +99,9 @@ TEST_F(IntegrationTest, PopularItemDominatesSavings) {
   const Analyzer& analyzer = *analyzer_;
   const Trace popular = filter_by_isp(filter_by_content(*trace_, 0), 0);
   const Trace unpopular = filter_by_isp(filter_by_content(*trace_, 2), 0);
-  const auto e_pop = analyzer.analyze_swarm(popular, 0);
-  const auto e_unpop = analyzer.analyze_swarm(unpopular, 0);
+  const auto e_pop = analyzer.analyze_swarm(TraceView::from_trace(popular), 0);
+  const auto e_unpop =
+      analyzer.analyze_swarm(TraceView::from_trace(unpopular), 0);
   EXPECT_GT(e_pop.models[0].sim_savings,
             3.0 * e_unpop.models[0].sim_savings);
   EXPECT_LT(e_unpop.models[0].sim_savings, 0.10);  // paper: < 10 %
@@ -87,8 +109,7 @@ TEST_F(IntegrationTest, PopularItemDominatesSavings) {
 
 TEST_F(IntegrationTest, MedianSwarmSavingsTiny) {
   // Fig. 3: median per-item savings ≈ 2 %, top items much larger.
-  const auto dist = analyzer_->swarm_distributions(*trace_);
-  auto savings = dist.savings[0];
+  auto savings = per_swarm_savings(*result_, analyzer_->models()[0]);
   std::sort(savings.begin(), savings.end());
   const double median = quantile_sorted(savings, 0.5);
   EXPECT_LT(median, 0.10);
@@ -96,20 +117,21 @@ TEST_F(IntegrationTest, MedianSwarmSavingsTiny) {
 }
 
 TEST_F(IntegrationTest, SwarmCapacityDistributionIsHeavyTailed) {
-  const auto dist = analyzer_->swarm_distributions(*trace_);
-  const auto ccdf = empirical_ccdf(dist.capacities);
+  std::vector<double> capacities;
+  for (const SwarmResult& swarm : result_->swarms) {
+    capacities.push_back(swarm.capacity);
+  }
+  const auto ccdf = empirical_ccdf(capacities);
   ASSERT_GT(ccdf.size(), 10u);
   // Most swarms are far below capacity 1; a head reaches past 5.
   std::size_t below_one = 0;
-  for (double c : dist.capacities) {
+  for (double c : capacities) {
     if (c < 1.0) ++below_one;
   }
   EXPECT_GT(static_cast<double>(below_one) /
-                static_cast<double>(dist.capacities.size()),
+                static_cast<double>(capacities.size()),
             0.8);
-  EXPECT_GT(*std::max_element(dist.capacities.begin(),
-                              dist.capacities.end()),
-            5.0);
+  EXPECT_GT(*std::max_element(capacities.begin(), capacities.end()), 5.0);
 }
 
 TEST_F(IntegrationTest, CarbonLedgerOrderingMatchesFig6) {
@@ -123,7 +145,7 @@ TEST_F(IntegrationTest, CarbonLedgerOrderingMatchesFig6) {
 }
 
 TEST_F(IntegrationTest, DailySeriesStable) {
-  const auto report = analyzer_->daily_report(*trace_);
+  const auto report = analyzer_->daily_report(*view_);
   // Savings of the biggest ISP fluctuate day to day but stay in the band
   // of the paper's Fig. 4 (~0.25–0.35 for Valancius, ~0.14–0.22 Baliga).
   for (std::size_t d = 0; d < report.sim[0].size(); ++d) {
@@ -137,7 +159,7 @@ TEST_F(IntegrationTest, DailySeriesStable) {
 TEST_F(IntegrationTest, TheoryUsableForPlanning) {
   // Closed form predicts the aggregate within ~8 points — the property
   // the paper argues makes Eq. 12 usable for planning.
-  const auto outcomes = analyzer_->aggregate(*trace_);
+  const auto outcomes = analyzer_->aggregate(*result_);
   for (const auto& o : outcomes) {
     EXPECT_NEAR(o.sim_savings, o.theory_savings, 0.08) << o.model;
   }
@@ -150,7 +172,8 @@ TEST_F(IntegrationTest, TraceSurvivesIoRoundTripThroughPipeline) {
   write_trace(out, *trace_);
   std::istringstream in(out.str());
   const Trace restored = read_trace(in);
-  const auto rerun = analyzer_->simulate(restored);
+  const auto rerun = HybridSimulator(metro(), analyzer_->sim_config())
+                         .run(TraceView::from_trace(restored));
   EXPECT_NEAR(rerun.total.total().value(), result_->total.total().value(),
               result_->total.total().value() * 1e-9);
   EXPECT_NEAR(rerun.total.peer_total().value(),
@@ -175,7 +198,7 @@ TEST_F(IntegrationTest, UploadBandwidthSweepMatchesFig2Ordering) {
     SimConfig config;
     config.q_over_beta = ratio;
     Analyzer analyzer(metro(), config);
-    const auto e = analyzer.analyze_swarm(popular, 0);
+    const auto e = analyzer.analyze_swarm(TraceView::from_trace(popular), 0);
     EXPECT_GT(e.models[0].sim_savings, prev);
     prev = e.models[0].sim_savings;
   }
@@ -186,7 +209,7 @@ TEST_F(IntegrationTest, IspFriendlinessCostsSavings) {
   // across ISPs can only raise the offload fraction.
   SimConfig cross;
   cross.isp_friendly = false;
-  const auto merged = HybridSimulator(metro(), cross).run(*trace_);
+  const auto merged = HybridSimulator(metro(), cross).run(*view_);
   EXPECT_GE(merged.total.offload_fraction(),
             result_->total.offload_fraction());
 }

@@ -22,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/analyzer.h"
+#include "core/pipeline.h"
 #include "sim/swarm_sweep.h"
 #include "trace/swarm_index.h"
 #include "trace/synthetic.h"
@@ -234,7 +234,7 @@ SimResult run_sim(const Trace& trace, unsigned threads) {
   SimConfig config;  // all collection toggles on
   config.threads = threads;
   static const Metro& m = metro();
-  return HybridSimulator(m, config).run(trace);
+  return HybridSimulator(m, config).run(TraceView::from_trace(trace));
 }
 
 TEST(ShardedSimulator, SimResultBitIdenticalAcrossThreadCounts) {
@@ -321,6 +321,12 @@ TEST(ShardedSimulator, AllSubWindowSessionsIdenticalAcrossThreadCounts) {
 /// One swarm of nine viewers of `content` in ISP 0 from `first_start`
 /// on, joining three to a window so the overload cap spills. Users are
 /// numbered per content, except that user 42 watches every swarm.
+/// The simulator's columns for one day of `sessions`.
+TraceView day_view(std::vector<SessionRecord> sessions) {
+  return TraceView::from_trace(
+      Trace{std::move(sessions), Seconds{86400.0}, {}, {}});
+}
+
 std::vector<SessionRecord> fold_swarm(std::uint32_t content,
                                       double first_start) {
   std::vector<SessionRecord> sessions;
@@ -358,7 +364,7 @@ TEST(SimResultMerge, SumsConcatenatesAndFolds) {
       const auto part = fold_swarm(content, 97.0 * content);
       all.insert(all.end(), part.begin(), part.end());
       const SimResult alone = HybridSimulator(metro(), config)
-                                  .run(Trace{part, Seconds{86400.0}, {}, {}});
+                                  .run(day_view(part));
       ASSERT_EQ(alone.swarms.size(), 1u);
       want.total += alone.total;
       want.overload_spill += alone.overload_spill;
@@ -372,7 +378,7 @@ TEST(SimResultMerge, SumsConcatenatesAndFolds) {
       SCOPED_TRACE(threads);
       config.threads = threads;
       const SimResult full = HybridSimulator(metro(), config)
-                                 .run(Trace{all, Seconds{86400.0}, {}, {}});
+                                 .run(day_view(all));
       EXPECT_EQ(full.config.threads, threads);
       EXPECT_TRUE(full.config.overload);
       ASSERT_EQ(full.hourly.size(), 24u);
@@ -397,8 +403,7 @@ TEST(SimResultMerge, MergingEmptyPartialIsIdentity) {
         for (const auto& part : parts) {
           sessions.insert(sessions.end(), part.begin(), part.end());
         }
-        return HybridSimulator(metro(), config)
-            .run(Trace{sessions, Seconds{86400.0}, {}, {}});
+        return HybridSimulator(metro(), config).run(day_view(sessions));
       };
   const auto a = fold_swarm(0, 0.0);
   const auto c = fold_swarm(2, 113.0);
@@ -501,9 +506,7 @@ TEST(ShardedSimulator, UserAcrossChunksSettlesAsChunkThenFold) {
     Bits down;
     Bits up;
     for (const auto& s : swarms) {
-      const SimResult alone =
-          HybridSimulator(metro(), config)
-              .run(Trace{s, Seconds{86400.0}, {}, {}});
+      const SimResult alone = HybridSimulator(metro(), config).run(day_view(s));
       ASSERT_EQ(alone.swarms.size(), 1u);
       const UserTraffic chunk = user_42(alone);
       down += chunk.downloaded;
@@ -512,8 +515,7 @@ TEST(ShardedSimulator, UserAcrossChunksSettlesAsChunkThenFold) {
     for (const unsigned threads : {1u, 3u}) {
       config.threads = threads;
       const SimResult full =
-          HybridSimulator(metro(), config)
-              .run(Trace{all, Seconds{86400.0}, {}, {}});
+          HybridSimulator(metro(), config).run(day_view(all));
       ASSERT_EQ(full.swarms.size(), 3u);
       const UserTraffic settled = user_42(full);
       EXPECT_EQ(settled.downloaded.value(), down.value());
@@ -614,7 +616,7 @@ TEST(ShardedSimulator, HourlyBlocksStayBitIdenticalAndApart) {
     // a single-swarm run reports each chunk's cᵢ.
     config.threads = 1;
     const auto alone = [&](const Trace& trace) {
-      return HybridSimulator(metro(), config).run(trace);
+      return HybridSimulator(metro(), config).run(TraceView::from_trace(trace));
     };
     const SimResult ra = alone(trace_of({a}));
     const SimResult rb = alone(trace_of({b}));
@@ -666,37 +668,28 @@ TEST(ShardedSimulator, OversizedSwarmGuardIsInPlace) {
 }
 
 TEST(ShardedAnalysis, AnalyzerOutputsBitIdenticalAcrossThreadCounts) {
-  const Trace trace = TraceGenerator(small_config(0), metro()).generate();
+  const TraceView view = TraceView::from_trace(
+      TraceGenerator(small_config(0), metro()).generate());
 
   SimConfig base;
   base.threads = 1;
   const Analyzer reference(metro(), base);
-  const auto ref_dist = reference.swarm_distributions(trace);
-  const auto ref_agg = reference.aggregate(trace);
-  const auto ref_daily = reference.daily_report(trace);
+  const SimulateRun ref = run_simulate(reference, view, nullptr, false);
+  const auto ref_daily = reference.daily_report(view);
 
   for (unsigned threads : {2u, 4u, 8u}) {
     SimConfig config;
     config.threads = threads;
     const Analyzer analyzer(metro(), config);
 
-    const auto dist = analyzer.swarm_distributions(trace);
-    ASSERT_EQ(dist.capacities.size(), ref_dist.capacities.size());
-    EXPECT_EQ(dist.capacities, ref_dist.capacities);
-    ASSERT_EQ(dist.savings.size(), ref_dist.savings.size());
-    for (std::size_t m = 0; m < dist.savings.size(); ++m) {
-      EXPECT_EQ(dist.savings[m], ref_dist.savings[m]);
-    }
-    EXPECT_EQ(dist.capacity_stats.mean(), ref_dist.capacity_stats.mean());
-    EXPECT_EQ(dist.capacity_stats.variance(),
-              ref_dist.capacity_stats.variance());
-    ASSERT_EQ(dist.savings_stats.size(), ref_dist.savings_stats.size());
-    for (std::size_t m = 0; m < dist.savings_stats.size(); ++m) {
-      EXPECT_EQ(dist.savings_stats[m].mean(),
-                ref_dist.savings_stats[m].mean());
-    }
+    // The swarm rows (Fig. 3's capacities and per-swarm savings) and
+    // every other lane of the run.
+    const SimulateRun run = run_simulate(analyzer, view, nullptr, false);
+    ASSERT_EQ(run.result.swarms.size(), ref.result.swarms.size());
+    test::expect_sim_identical(run.result, ref.result);
 
-    const auto agg = analyzer.aggregate(trace);
+    const auto& agg = run.aggregate;
+    const auto& ref_agg = ref.aggregate;
     ASSERT_EQ(agg.size(), ref_agg.size());
     for (std::size_t m = 0; m < agg.size(); ++m) {
       EXPECT_EQ(agg[m].sim_savings, ref_agg[m].sim_savings);
@@ -704,7 +697,7 @@ TEST(ShardedAnalysis, AnalyzerOutputsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(agg[m].offload, ref_agg[m].offload);
     }
 
-    const auto daily = analyzer.daily_report(trace);
+    const auto daily = analyzer.daily_report(view);
     ASSERT_EQ(daily.theory.size(), ref_daily.theory.size());
     EXPECT_EQ(daily.theory, ref_daily.theory);
     EXPECT_EQ(daily.sim, ref_daily.sim);

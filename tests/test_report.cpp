@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/carbon_ledger.h"
+#include "core/pipeline.h"
 #include "trace/synthetic.h"
 
 namespace cl {
@@ -42,8 +43,9 @@ TEST(Report, SwarmExperimentShowsBothModels) {
   const Trace trace = tiny_trace();
   const Analyzer analyzer(metro(), SimConfig{});
   std::ostringstream out;
-  print_swarm_experiment(std::cout ? out : out,
-                         analyzer.analyze_swarm(trace, 0));
+  print_swarm_experiment(
+      std::cout ? out : out,
+      analyzer.analyze_swarm(TraceView::from_trace(trace), 0));
   const std::string text = out.str();
   EXPECT_NE(text.find("Valancius"), std::string::npos);
   EXPECT_NE(text.find("Baliga"), std::string::npos);
@@ -53,8 +55,10 @@ TEST(Report, SwarmExperimentShowsBothModels) {
 TEST(Report, AggregateShowsEnergyColumns) {
   const Trace trace = tiny_trace();
   const Analyzer analyzer(metro(), SimConfig{});
+  const SimulateRun run =
+      run_simulate(analyzer, TraceView::from_trace(trace), nullptr, false);
   std::ostringstream out;
-  print_aggregate(out, analyzer.aggregate(trace));
+  print_aggregate(out, run.aggregate);
   const std::string text = out.str();
   EXPECT_NE(text.find("baseline (kWh)"), std::string::npos);
   EXPECT_NE(text.find("hybrid (kWh)"), std::string::npos);
@@ -64,7 +68,8 @@ TEST(Report, AggregateShowsEnergyColumns) {
 TEST(Report, LedgerSummaryShowsHeadline) {
   const Trace trace = tiny_trace();
   const Analyzer analyzer(metro(), SimConfig{});
-  const SimResult result = analyzer.simulate(trace);
+  const SimResult result = HybridSimulator(metro(), analyzer.sim_config())
+                               .run(TraceView::from_trace(trace));
   const CarbonLedger ledger(result, baliga_params());
   std::ostringstream out;
   print_ledger_summary(out, ledger);

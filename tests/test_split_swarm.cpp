@@ -96,7 +96,8 @@ TEST(SplitSwarm, MatchesSimulatorOnPartitionedPoissonSwarm) {
   sim_config.collect_hourly = false;
   sim_config.collect_per_user = false;
   sim_config.collect_swarms = false;
-  const auto result = HybridSimulator(metro(), sim_config).run(trace);
+  const auto result =
+      HybridSimulator(metro(), sim_config).run(TraceView::from_trace(trace));
   for (const auto& params : standard_params()) {
     const auto split = SplitSwarmModel::isp_bitrate_partition(
         params, metro(), config.bitrate_mix);

@@ -35,7 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/analyzer.h"
+#include "core/pipeline.h"
 #include "sim/swarm_key.h"
 #include "topology/metro_registry.h"
 #include "trace/swarm_index.h"
@@ -1426,15 +1426,17 @@ TEST(TraceBinaryDeterminism, SimResultBitIdenticalMmapVsCsvAcrossThreads) {
   EXPECT_TRUE(csv.swarm_index.empty());     // hash-grouping path
   EXPECT_FALSE(binary.swarm_index.empty()); // persisted-index path
 
+  const TraceView binary_view = TraceView::from_trace(binary);
+
   SimConfig reference_config;
   reference_config.threads = 1;
-  const SimResult reference =
-      HybridSimulator(metro(), reference_config).run(csv);
+  const SimResult reference = HybridSimulator(metro(), reference_config)
+                                  .run(TraceView::from_trace(csv));
 
   for (const unsigned threads : {1u, 2u, 7u, 0u}) {
     SimConfig config;
     config.threads = threads;
-    const SimResult result = HybridSimulator(metro(), config).run(binary);
+    const SimResult result = HybridSimulator(metro(), config).run(binary_view);
     EXPECT_EQ(result.total.server.value(), reference.total.server.value());
     EXPECT_EQ(result.total.cross_isp.value(),
               reference.total.cross_isp.value());
@@ -1478,8 +1480,8 @@ TEST(TraceBinaryDeterminism, IndexPathBitIdenticalToHashGroupingPath) {
   SimConfig config;
   config.threads = 2;
   const HybridSimulator sim(metro(), config);
-  const SimResult with_index = sim.run(binary);
-  const SimResult without_index = sim.run(stripped);
+  const SimResult with_index = sim.run(TraceView::from_trace(binary));
+  const SimResult without_index = sim.run(TraceView::from_trace(stripped));
   EXPECT_EQ(with_index.total.server.value(),
             without_index.total.server.value());
   ASSERT_EQ(with_index.swarms.size(), without_index.swarms.size());
@@ -1504,8 +1506,8 @@ TEST(TraceBinaryDeterminism, RelaxedPartitionsIgnoreIndexAndMatchCsv) {
     config.isp_friendly = isp_friendly;
     config.split_by_bitrate = false;
     const HybridSimulator sim(metro(), config);
-    const SimResult from_csv = sim.run(csv);
-    const SimResult from_binary = sim.run(binary);
+    const SimResult from_csv = sim.run(TraceView::from_trace(csv));
+    const SimResult from_binary = sim.run(TraceView::from_trace(binary));
     EXPECT_EQ(from_csv.total.server.value(),
               from_binary.total.server.value());
     EXPECT_EQ(from_csv.swarms.size(), from_binary.swarms.size());
@@ -1513,22 +1515,26 @@ TEST(TraceBinaryDeterminism, RelaxedPartitionsIgnoreIndexAndMatchCsv) {
 }
 
 TEST(TraceBinaryDeterminism, AnalyzerAggregateIdenticalMmapVsCsv) {
-  const Trace& csv = determinism_trace_csv();
-  const Trace& binary = determinism_trace_binary();
+  const TraceView csv = TraceView::from_trace(determinism_trace_csv());
+  const TraceView binary = TraceView::from_trace(determinism_trace_binary());
   SimConfig reference_config;
   reference_config.threads = 1;
-  const auto reference = Analyzer(metro(), reference_config).aggregate(csv);
+  const auto reference =
+      run_simulate(Analyzer(metro(), reference_config), csv, nullptr, false)
+          .aggregate;
   for (const unsigned threads : {1u, 2u, 7u, 0u}) {
     SimConfig config;
     config.threads = threads;
     expect_aggregates_identical(
-        Analyzer(metro(), config).aggregate(binary), reference);
+        run_simulate(Analyzer(metro(), config), binary, nullptr, false)
+            .aggregate,
+        reference);
   }
 }
 
 TEST(TraceBinaryDeterminism, AnalyzerDailyReportIdenticalMmapVsCsv) {
-  const Trace& csv = determinism_trace_csv();
-  const Trace& binary = determinism_trace_binary();
+  const TraceView csv = TraceView::from_trace(determinism_trace_csv());
+  const TraceView binary = TraceView::from_trace(determinism_trace_binary());
   SimConfig reference_config;
   reference_config.threads = 1;
   const DailyReport reference =
