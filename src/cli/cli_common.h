@@ -267,9 +267,12 @@ inline void print_sim_timing(std::ostream& out, double load_seconds,
       << ", per-peer " << timing.per_peer_stretches << ", overload-split "
       << timing.overload_split_stretches << "\n";
   // The fold of the chunk partials on the calling thread, most of it
-  // while the sweep still runs, plus the settle after it.
+  // while the sweep still runs, plus the settle after it; then how many
+  // partials it folded (the same at every --threads) and the most that
+  // waited for it at once (varies from run to run).
   print_timing(out, "merge", timing.merge_seconds);
-  out << "\n";
+  out << "timing:   chunks     " << timing.chunks << ", peak backlog "
+      << timing.peak_backlog << "\n\n";
 }
 
 }  // namespace cl::cli

@@ -29,7 +29,11 @@ int cmd_ledger(const Args& args) {
 
   const Metro& metro = resolve_metro(args, view.metro_name());
   const IntensityCurve* intensity = intensity_from(args, metro.name());
-  const Analyzer analyzer(metro, sim_config_from(args));
+  // --overload caps peer transfers in both the base run and a preload
+  // re-run: both use the analyzer's config.
+  SimConfig config = sim_config_from(args);
+  config.overload = args.has("overload");
+  const Analyzer analyzer(metro, config);
   SimPhaseTiming timing;
   const SimResult base = HybridSimulator(metro, analyzer.sim_config())
                              .run(view, want_timing ? &timing : nullptr);
@@ -105,11 +109,12 @@ commands:
                                   capacities & popularity for targets
   ledger    [--trace PATH] [--metro NAME] [--qb R] [--intensity NAME]
             [--schedule off|preload|route|all] [--latency-bound MS]
-            [--timing]
+            [--overload] [--timing]
                                   per-user carbon credit ledger
-                                  (--timing adds the same wall-time
-                                   lines as simulate, the per-user
-                                   settle counted in merge)
+                                  (--overload caps peer transfers as in
+                                   simulate; --timing adds the same
+                                   wall-time lines as simulate, the
+                                   per-user settle counted in merge)
   experiment SPEC.json [--out-dir D] [--threads N] [--dry-run]
                                   expand a JSON experiment spec into its
                                   cell matrix and run every cell in

@@ -239,6 +239,44 @@ std::vector<AggregateOutcome> Analyzer::aggregate(
         "aggregate needs per-swarm results: run the simulation with "
         "SimConfig::collect_swarms");
   }
+  // Volume-weighted Eq. 12 across swarms, every model in one sharded
+  // pass with a deterministic fixed-chunk merge: each model's numerator
+  // and the shared volume denominator sum over the same chunks, in the
+  // same order, as a pass of their own would.
+  std::vector<std::vector<SavingsModel>> per_isp(models_.size());
+  for (std::size_t m = 0; m < models_.size(); ++m) {
+    for (std::size_t i = 0; i < metro_->isp_count(); ++i) {
+      per_isp[m].emplace_back(models_[m], metro_->isp(i));
+    }
+  }
+  struct Sums {
+    std::vector<double> num;  // per model
+    double den = 0;
+  };
+  const Sums sums = parallel_chunked_reduce(
+      result.swarms.size(), sim_config_.threads,
+      [&] { return Sums{std::vector<double>(models_.size(), 0.0), 0.0}; },
+      [&](Sums& acc, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto& swarm = result.swarms[i];
+          const double volume = swarm.traffic.total().value();
+          if (volume <= 0) continue;
+          const std::size_t isp = swarm.key.has_isp() ? swarm.key.isp : 0;
+          for (std::size_t m = 0; m < models_.size(); ++m) {
+            acc.num[m] += per_isp[m][isp].savings(swarm.capacity,
+                                                  sim_config_.q_over_beta) *
+                          volume;
+          }
+          acc.den += volume;
+        }
+      },
+      [](Sums& total, const Sums& chunk) {
+        for (std::size_t m = 0; m < total.num.size(); ++m) {
+          total.num[m] += chunk.num[m];
+        }
+        total.den += chunk.den;
+      });
+
   std::vector<AggregateOutcome> outcomes;
   for (std::size_t m = 0; m < models_.size(); ++m) {
     const EnergyAccountant accountant{CostFunctions(models_[m])};
@@ -248,35 +286,7 @@ std::vector<AggregateOutcome> Analyzer::aggregate(
     outcome.offload = result.total.offload_fraction();
     outcome.baseline_energy = accountant.baseline(result.total.total()).total();
     outcome.hybrid_energy = accountant.hybrid(result.total).total();
-
-    std::vector<SavingsModel> per_isp;
-    for (std::size_t i = 0; i < metro_->isp_count(); ++i) {
-      per_isp.emplace_back(models_[m], metro_->isp(i));
-    }
-    // Volume-weighted Eq. 12 across swarms, sharded with a deterministic
-    // fixed-chunk merge (num/den pair accumulator).
-    const auto [num, den] = parallel_chunked_reduce(
-        result.swarms.size(), sim_config_.threads,
-        [] { return std::pair<double, double>{0.0, 0.0}; },
-        [&](std::pair<double, double>& acc, std::size_t begin,
-            std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const auto& swarm = result.swarms[i];
-            const double volume = swarm.traffic.total().value();
-            if (volume <= 0) continue;
-            const std::size_t isp = swarm.key.has_isp() ? swarm.key.isp : 0;
-            acc.first += per_isp[isp].savings(swarm.capacity,
-                                              sim_config_.q_over_beta) *
-                         volume;
-            acc.second += volume;
-          }
-        },
-        [](std::pair<double, double>& total,
-           const std::pair<double, double>& chunk) {
-          total.first += chunk.first;
-          total.second += chunk.second;
-        });
-    outcome.theory_savings = den > 0 ? num / den : 0.0;
+    outcome.theory_savings = sums.den > 0 ? sums.num[m] / sums.den : 0.0;
     outcomes.push_back(std::move(outcome));
   }
   return outcomes;

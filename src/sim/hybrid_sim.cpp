@@ -18,18 +18,6 @@ namespace cl {
 
 namespace {
 
-/// Swarms per reduction chunk, as a function of the swarm count alone —
-/// never the thread count — so chunk boundaries, and therefore the merged
-/// floating-point result, are identical at every --threads value. Much
-/// smaller than util/parallel.h's kReduceChunk: swarm sizes follow the
-/// catalogue's Zipf skew, so small chunks are needed to load-balance the
-/// popular head. Small simulations (e.g. one content item pre-filtered to
-/// one ISP — a Fig. 2 dot) drop to single-swarm chunks so even they can
-/// engage several workers.
-std::size_t swarms_per_chunk(std::size_t swarms) {
-  return std::clamp<std::size_t>(swarms / 64, 1, 8);
-}
-
 /// One swarm to sweep: its key and its sessions, at storage positions
 /// base + indices[k]. The span points into the trace's persisted swarm
 /// index, the grouping map built below, or — when storage is swarm-major
@@ -139,12 +127,13 @@ std::vector<SwarmEntry> list_swarms(
   return swarms_by_grouping(n, time_order, key_of, owned);
 }
 
-/// Sweeps the key-ordered swarm list on config.threads workers:
-/// sweep_one(sweep, entry, acc) sweeps one swarm with the worker's
-/// reusable SwarmSweep (scratch buffers + matcher) into its chunk's
-/// ChunkPartial, and the calling thread folds the partials in ascending
-/// swarm-key order — bit-identical results at every thread count (the
-/// util/parallel.h contract). The fold sums the totals and the spill,
+/// Sweeps the key-ordered swarm list on config.threads workers, in the
+/// chunks of sweep_chunk_bounds: sweep_one(sweep, entry, acc) sweeps one
+/// swarm with the worker's reusable SwarmSweep (scratch buffers +
+/// matcher) into its chunk's ChunkPartial, and the calling thread folds
+/// the partials in ascending swarm-key order — bit-identical results at
+/// every thread count (the util/parallel.h contract, with each reduce
+/// index one chunk). The fold sums the totals and the spill,
 /// appends the swarm rows and the per-user lists, and adds each chunk's
 /// flat hourly block (SwarmSweep::finish_chunk) into one flat
 /// [hours][isps] grid sized up front to the span (traffic-free cells
@@ -164,13 +153,18 @@ SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
   // the calling thread folds into them (util/parallel.h).
   std::vector<TrafficBreakdown> grid(hours * isps);
   std::vector<Bits> grid_spill(config.overload ? hours : 0);
+  std::vector<std::size_t> sessions(swarms.size());
+  for (std::size_t i = 0; i < swarms.size(); ++i) {
+    sessions[i] = swarms[i].indices.size();
+  }
+  const std::vector<std::size_t> bounds = sweep_chunk_bounds(sessions);
   ChunkPartial merged = parallel_chunked_reduce_stateful(
-      swarms.size(), config.threads,
+      bounds.size() - 1, config.threads,
       [&] { return SwarmSweep(metro, config, kernel_timing); },
       [] { return ChunkPartial{}; },
-      [&](SwarmSweep& sweep, ChunkPartial& acc, std::size_t begin,
-          std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
+      [&](SwarmSweep& sweep, ChunkPartial& acc, std::size_t chunk,
+          std::size_t) {
+        for (std::size_t i = bounds[chunk]; i < bounds[chunk + 1]; ++i) {
           sweep_one(sweep, swarms[i], acc);
         }
         sweep.finish_chunk(acc);
@@ -195,7 +189,7 @@ SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
           }
         }
       },
-      swarms_per_chunk(swarms.size()), reduce_timing);
+      /*chunk_len=*/1, reduce_timing);
   const auto settle_start = std::chrono::steady_clock::now();
   SimResult result;
   result.config = config;
@@ -234,6 +228,30 @@ SimResult sweep_swarms(const Metro& metro, const SimConfig& config,
 }
 
 }  // namespace
+
+std::vector<std::size_t> sweep_chunk_bounds(
+    std::span<const std::size_t> sessions) {
+  std::size_t total = 0;
+  for (const std::size_t n : sessions) total += n + kSweepSwarmWeight;
+  const std::size_t target =
+      (total + kSweepChunkCount - 1) / kSweepChunkCount;
+  std::vector<std::size_t> bounds{0};
+  std::size_t weight = 0;  // of the open chunk
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const std::size_t w = sessions[i] + kSweepSwarmWeight;
+    if (weight > 0 && w >= target) {
+      bounds.push_back(i);
+      weight = 0;
+    }
+    weight += w;
+    if (weight >= target) {
+      bounds.push_back(i + 1);
+      weight = 0;
+    }
+  }
+  if (weight > 0) bounds.push_back(sessions.size());
+  return bounds;
+}
 
 HybridSimulator::HybridSimulator(const Metro& metro, SimConfig config)
     : metro_(&metro), config_(config) {
@@ -323,6 +341,8 @@ SimResult HybridSimulator::run(const TraceView& view,
     timing->per_peer_stretches = kernel_timing.per_peer_stretches.load();
     timing->overload_split_stretches =
         kernel_timing.overload_split_stretches.load();
+    timing->chunks = reduce_timing.chunks;
+    timing->peak_backlog = reduce_timing.peak_backlog;
   }
   return result;
 }

@@ -27,14 +27,15 @@
 // Trace through the same listing, reduce and event loop, always per
 // peer — the per-peer reference and bench baseline.
 //
-// Parallel execution: swarms are independent, so run() shards the
-// key-sorted swarm list across SimConfig::threads workers. Each worker
-// drives one reusable SwarmSweep into lean per-chunk partials (totals,
-// swarm rows, per-user lists, a flat hourly block); the partials fold in
-// ascending swarm-key order on the calling thread as they become ready
-// (util/parallel.h), and the one SimResult is built from that fold,
-// making the full result bit-identical at every thread count (see
-// DESIGN.md §"Parallel execution model").
+// Parallel execution: swarms are independent, so run() cuts the
+// key-sorted swarm list into chunks of balanced session weight
+// (sweep_chunk_bounds) and sweeps them on SimConfig::threads workers.
+// Each worker drives one reusable SwarmSweep into lean per-chunk
+// partials (totals, swarm rows, per-user lists, a flat hourly block);
+// the partials fold in ascending swarm-key order on the calling thread
+// as they become ready (util/parallel.h), and the one SimResult is built
+// from that fold, making the full result bit-identical at every thread
+// count (see DESIGN.md §"Parallel execution model").
 //
 // Traces loaded from the binary columnar format carry a persisted
 // swarm-key-sorted index (trace/swarm_index.h); under the default full
@@ -42,7 +43,10 @@
 // of re-grouping — same key order, bit-identical results either way.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "sim/metrics.h"
 #include "sim/sim_config.h"
@@ -78,7 +82,34 @@ struct SimPhaseTiming {
   std::uint64_t count_stretches = 0;     ///< count route
   std::uint64_t per_peer_stretches = 0;  ///< per-peer route
   std::uint64_t overload_split_stretches = 0;  ///< first window capped
+
+  /// Sweep chunks folded (sweep_chunk_bounds): fixed by the swarm list,
+  /// so the same at every thread count.
+  std::uint64_t chunks = 0;
+  /// The fold's peak backlog: the most chunk partials that were ready
+  /// but not yet folded (util/parallel.h ReduceTiming). It varies from
+  /// run to run.
+  std::uint64_t peak_backlog = 0;
 };
+
+/// Fixed weight a swarm adds to its chunk on top of its session count:
+/// the per-swarm cost of listing, gathering and folding a swarm row.
+inline constexpr std::size_t kSweepSwarmWeight = 16;
+/// The chunk rule aims at this many chunks per sweep.
+inline constexpr std::size_t kSweepChunkCount = 512;
+
+/// Chunk boundaries of the sweep over a key-ordered swarm list, given
+/// each swarm's session count. A swarm weighs sessions +
+/// kSweepSwarmWeight; with W the total weight, the target is
+/// ⌈W / kSweepChunkCount⌉. Chunks are cut in list order: a chunk closes
+/// once its weight reaches the target, and a swarm that reaches the
+/// target on its own is a chunk by itself (the chunk before it closes
+/// early). The boundaries depend on the swarm list alone, never on the
+/// thread count, so the fold groups the same sums at every --threads.
+/// Returns the ascending chunk starts followed by `sessions.size()`
+/// (just {0} for an empty list): chunk c is [bounds[c], bounds[c + 1]).
+[[nodiscard]] std::vector<std::size_t> sweep_chunk_bounds(
+    std::span<const std::size_t> sessions);
 
 /// Trace-driven hybrid-CDN simulator.
 class HybridSimulator {

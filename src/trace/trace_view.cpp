@@ -236,9 +236,26 @@ SessionRecord TraceView::session(std::size_t t) const {
 }
 
 Trace read_trace_binary_file(const std::string& path, unsigned threads) {
-  const TraceView view = TraceView::open_binary(path, threads);
-  const std::size_t n = view.size();
+  MappedTrace mapped(path);
+  const std::size_t n = mapped.size();
+  // The rows are value-initialized before the sharded fill overwrites
+  // them: 40 B a session, every page first touched by one thread. That
+  // runs on a second worker while the view's column checks run, instead
+  // of after them on the calling thread. The storage is reserved here so
+  // it stays in the calling thread's malloc arena; n is bounded by the
+  // file size, which MappedTrace checked.
   Trace trace;
+  trace.sessions.reserve(n);
+  trace.swarm_index.order.reserve(n);
+  TraceView view;
+  parallel_for_dynamic(2, threads, [&](std::size_t task) {
+    if (task == 0) {
+      view = TraceView::from_mapped(std::move(mapped), threads);
+    } else {
+      trace.sessions.resize(n);
+      trace.swarm_index.order.resize(n);
+    }
+  });
   trace.span = view.span();
   trace.metro_name = view.metro_name();
   trace.swarm_index.groups.assign(view.groups().begin(), view.groups().end());
@@ -247,8 +264,6 @@ Trace read_trace_binary_file(const std::string& path, unsigned threads) {
   // the session of start rank t with time_order[t] = p).
   const bool swarm_major = view.swarm_major();
   const std::span<const std::uint32_t> stored_order = view.order();
-  trace.sessions.resize(n);
-  trace.swarm_index.order.resize(n);
   parallel_shards(n, threads, [&](unsigned, std::size_t begin,
                                   std::size_t end) {
     for (std::size_t t = begin; t < end; ++t) {

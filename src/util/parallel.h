@@ -71,6 +71,11 @@ namespace cl {
 struct ReduceTiming {
   double work_seconds = 0;   ///< whole chunk phase, up to the last fold
   double merge_seconds = 0;  ///< calling thread's time inside merge
+  std::size_t chunks = 0;    ///< partials folded: fixed by (n, chunk_len)
+  /// The fold's backlog at its peak: the most partials that were ready
+  /// but not yet folded, sampled as each fold begins. It depends on the
+  /// thread count and the schedule, so it varies from run to run.
+  std::size_t peak_backlog = 0;
 };
 
 namespace detail {
@@ -176,8 +181,9 @@ inline constexpr std::size_t kReduceChunk = 2048;
 /// `make_acc` must likewise be safe to call concurrently.
 ///
 /// `timing`, when non-null, receives the wall time of the whole chunk
-/// phase, which ends when the last partial is folded, and the calling
-/// thread's time inside `merge`, most of which overlaps the chunk work.
+/// phase, which ends when the last partial is folded, the calling
+/// thread's time inside `merge`, most of which overlaps the chunk work,
+/// the chunk count and the fold's peak backlog.
 template <typename MakeState, typename MakeAcc, typename ChunkFn,
           typename Merge>
 auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
@@ -199,7 +205,9 @@ auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
   std::vector<std::optional<Acc>> partial(chunks);
   std::vector<std::atomic<int>> status(chunks);
   std::atomic<std::size_t> cursor{0};
+  std::atomic<std::size_t> ready{0};  // chunks published kReady so far
   const auto publish = [&](std::size_t c, int value) {
+    if (value == kReady) ready.fetch_add(1, std::memory_order_relaxed);
     status[c].store(value, std::memory_order_release);
     status[c].notify_one();
   };
@@ -209,6 +217,7 @@ auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
   // is folded. Stops at a failed chunk — its worker's exception is what
   // run_workers rethrows.
   std::size_t folded = 0;
+  std::size_t peak_backlog = 0;
   double merge_seconds = 0;
   const auto fold = [&](bool wait) {
     while (folded < chunks) {
@@ -220,6 +229,10 @@ auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
         state = s.load(std::memory_order_acquire);
       }
       if (state == kFailed) return;
+      // `ready` counts this chunk too (its publish happened before the
+      // status store read above), so the backlog is at least 1.
+      peak_backlog = std::max(
+          peak_backlog, ready.load(std::memory_order_relaxed) - folded);
       const auto merge_start = timing != nullptr ? Clock::now()
                                                  : Clock::time_point{};
       merge(total, *partial[folded]);
@@ -264,6 +277,8 @@ auto parallel_chunked_reduce_stateful(std::size_t n, unsigned threads,
     timing->work_seconds =
         std::chrono::duration<double>(Clock::now() - work_start).count();
     timing->merge_seconds = merge_seconds;
+    timing->chunks = chunks;
+    timing->peak_backlog = peak_backlog;
   }
   return total;
 }

@@ -431,6 +431,31 @@ TEST(CliSmoke, LiveTraceReplaysThroughSimulateWithOverloadFlag) {
   std::filesystem::remove(trace);
 }
 
+TEST(CliSmoke, LedgerOverloadCapsPeersAtEveryThreadCount) {
+  // `cl ledger --overload` accounts the overload-capped run: on a
+  // synchronized spike the cap binds, so the per-user ledger differs
+  // from the uncapped one, and it prints the same bytes at 1 and 7
+  // sweep threads.
+  const std::string trace = temp_trace_path() + ".spike.cltrace";
+  std::filesystem::remove(trace);
+  const RunResult live =
+      run_cli("live --viewers 1500 --preset spike --out " + trace);
+  ASSERT_EQ(live.exit_code, 0) << live.output;
+  const auto ledger = [&](const std::string& flags) {
+    const RunResult result = run_cli("ledger --trace " + trace +
+                                     " --intensity uk_2018" + flags);
+    EXPECT_EQ(result.exit_code, 0) << flags << ": " << result.output;
+    EXPECT_EQ(result.output.find("was ignored"), std::string::npos)
+        << flags << ": " << result.output;
+    return result.output;
+  };
+  const std::string capped = ledger(" --overload --threads 1");
+  EXPECT_NE(capped.find("carbon-free users"), std::string::npos) << capped;
+  EXPECT_NE(capped, ledger(" --threads 1"));
+  EXPECT_EQ(ledger(" --overload --threads 7"), capped);
+  std::filesystem::remove(trace);
+}
+
 TEST(CliSmoke, ConvertRejectsMissingFlags) {
   const RunResult result = run_cli("convert --in /tmp/nope.csv");
   EXPECT_EQ(result.exit_code, 2);
@@ -670,7 +695,7 @@ TEST(CliSmoke, LedgerTimingAddsPhaseLinesOnly) {
         << with.output;
     for (const char* line : {"timing: load ", "timing: group ",
                              "timing: sweep ", "timing:   stretches  count ",
-                             "timing: merge "}) {
+                             "timing: merge ", "timing:   chunks     "}) {
       EXPECT_NE(with.output.find(line), std::string::npos) << line;
     }
     EXPECT_EQ(without.output.find("timing:"), std::string::npos);

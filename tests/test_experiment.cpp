@@ -371,6 +371,9 @@ TEST(ExperimentParity, GoldenCellMatchesStandaloneSimulateAtEveryThreads) {
 /// Every scheduled cell's rendered metrics — offload, savings, carbon,
 /// spill and the schedule section — pinned by digest at threads 1 and
 /// hw, over both schedule levers on two metros with different grids.
+/// Five cells moved once, when the sweep's chunks became
+/// session-balanced (sweep_chunk_bounds): every rendered value within
+/// 1.4e-15 relative of the old.
 TEST(ExperimentParity, ScheduleCellsPinned) {
   const ExperimentSpec spec = ExperimentSpec::parse(
       R"({"base": {"days": 1, "overload": "on", "intensity": "metro"},
@@ -381,11 +384,11 @@ TEST(ExperimentParity, ScheduleCellsPinned) {
       {"metro-london_top5_schedule-off", 0xab87ac086109d5d8ULL},
       {"metro-london_top5_schedule-preload", 0x2615faa3822219c1ULL},
       {"metro-london_top5_schedule-route", 0x0c7d6b4b9caaea89ULL},
-      {"metro-london_top5_schedule-all", 0x5f37bf1b5530b627ULL},
-      {"metro-us_sparse_schedule-off", 0xf2cd13527c528a19ULL},
-      {"metro-us_sparse_schedule-preload", 0x423ec9f74ba66bc9ULL},
-      {"metro-us_sparse_schedule-route", 0xce194ef70f90784fULL},
-      {"metro-us_sparse_schedule-all", 0xf657bc959f0b309eULL},
+      {"metro-london_top5_schedule-all", 0xeef45a3fadc961bfULL},
+      {"metro-us_sparse_schedule-off", 0x30a5398516fcc5d1ULL},
+      {"metro-us_sparse_schedule-preload", 0x34601e5276ab5b11ULL},
+      {"metro-us_sparse_schedule-route", 0xef6a287ded1bdef4ULL},
+      {"metro-us_sparse_schedule-all", 0x3ad25d72ec3bfa46ULL},
   };
   const std::vector<ExperimentCell> cells = spec.cells();
   ASSERT_EQ(cells.size(), pins.size());

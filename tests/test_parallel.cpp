@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "ext/live.h"
 #include "sim/swarm_sweep.h"
 #include "trace/swarm_index.h"
 #include "trace/synthetic.h"
@@ -348,9 +349,10 @@ TEST(SimResultMerge, SumsConcatenatesAndFolds) {
   // The simulator folds its chunk partials in ascending swarm-key order:
   // `total` and the overload spill are ((0 + c₀) + c₁) + … over the
   // chunks, the swarm rows concatenate in key order, and the per-user
-  // lists concatenate and settle into one column. Four swarms make four
-  // single-swarm chunks, and each chunk's cᵢ is what a run of that swarm
-  // alone reports.
+  // lists concatenate and settle into one column. Each of the four swarms
+  // reaches the chunk target on its own (sweep_chunk_bounds), so each is
+  // a chunk, and each chunk's cᵢ is what a run of that swarm alone
+  // reports.
   for (const MatcherKind matcher :
        {MatcherKind::kExistence, MatcherKind::kCapacity}) {
     SCOPED_TRACE(matcher == MatcherKind::kExistence ? "count route"
@@ -465,10 +467,11 @@ TEST(SimResultMerge, SettleFoldsEachUserFromZeroInListOrder) {
 }
 
 TEST(ShardedSimulator, UserAcrossChunksSettlesAsChunkThenFold) {
-  // User 42 watches swarm A twice and swarms B and C once each. Three
-  // swarms make three single-swarm chunks, so A's chunk sums the user's
-  // two sessions in its scratch and the settle folds the three chunk
-  // sums. Each chunk sum is what a run of that swarm alone reports.
+  // User 42 watches swarm A twice and swarms B and C once each. Each
+  // swarm reaches the chunk target on its own (sweep_chunk_bounds), so
+  // each is a chunk: A's chunk sums the user's two sessions in its
+  // scratch and the settle folds the three chunk sums. Each chunk sum is
+  // what a run of that swarm alone reports.
   const auto swarm_sessions = [](std::uint32_t content, double first_start) {
     std::vector<SessionRecord> sessions;
     for (std::uint32_t u = 0; u < 12; ++u) {
@@ -530,8 +533,9 @@ TEST(ShardedSimulator, HourlyBlocksStayBitIdenticalAndApart) {
   // [hour × ISP] grid and hands the touched hours over as one block when
   // the chunk ends. Swarm A (ISP 0) plays only in the first of 48 hours,
   // swarm B (ISP 1) only in the last, swarm C (ISP 1) in both, so C's
-  // block spans every hour, traffic-free ones included. Three swarms make
-  // three single-swarm chunks, which one worker sweeps back to back at
+  // block spans every hour, traffic-free ones included. Each swarm
+  // reaches the chunk target on its own (sweep_chunk_bounds), so the
+  // three are three chunks, which one worker sweeps back to back at
   // threads 1: a chunk that inherited the previous one's cells would
   // count them twice. Viewers join three to a window, so the overload
   // cap spills in both hours.
@@ -642,6 +646,133 @@ TEST(ShardedSimulator, HourlyBlocksStayBitIdenticalAndApart) {
       }
       EXPECT_EQ(ref.hourly_spill[h].value(), spill.value());
     }
+  }
+}
+
+// --- The sweep's chunk rule (sim/hybrid_sim.h sweep_chunk_bounds) ---
+
+std::size_t swarm_weight(std::size_t sessions) {
+  return sessions + kSweepSwarmWeight;
+}
+
+std::size_t chunk_target(std::span<const std::size_t> sessions) {
+  std::size_t total = 0;
+  for (const std::size_t n : sessions) total += swarm_weight(n);
+  return (total + kSweepChunkCount - 1) / kSweepChunkCount;
+}
+
+/// The chunk of `bounds` that holds swarm i.
+std::size_t chunk_of(const std::vector<std::size_t>& bounds, std::size_t i) {
+  return static_cast<std::size_t>(
+      std::upper_bound(bounds.begin(), bounds.end(), i) - bounds.begin() -
+      1);
+}
+
+TEST(SweepChunks, HeavySwarmSweepsAlone) {
+  // 2,000 light swarms and one far heavier than the target, first, in
+  // the middle of a chunk's worth of light ones, and last: the chunk
+  // before it closes early and the heavy swarm is a chunk of its own.
+  for (const std::size_t at : {std::size_t{0}, std::size_t{1},
+                               std::size_t{1001}, std::size_t{1999}}) {
+    SCOPED_TRACE(at);
+    std::vector<std::size_t> sessions(2000, 3);
+    sessions[at] = 50000;
+    ASSERT_GT(swarm_weight(sessions[at]), chunk_target(sessions));
+    const std::vector<std::size_t> bounds = sweep_chunk_bounds(sessions);
+    const std::size_t c = chunk_of(bounds, at);
+    EXPECT_EQ(bounds[c], at);
+    EXPECT_EQ(bounds[c + 1], at + 1);
+  }
+  // Alone, a swarm is one chunk; no swarms, no chunk.
+  EXPECT_EQ(sweep_chunk_bounds(std::vector<std::size_t>{7}),
+            (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(sweep_chunk_bounds({}), (std::vector<std::size_t>{0}));
+}
+
+TEST(SweepChunks, ChunkWeightsLieBetweenTargetAndTargetPlusLargest) {
+  // Zipf-skewed session counts in key order (not popularity order), from
+  // a handful of swarms to more swarms than the rule has chunks. Every
+  // chunk weighs at least the target and less than the target plus the
+  // largest swarm, except the last, which may weigh less, and one closed
+  // early because the swarm after it reaches the target alone.
+  Rng rng(41);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{9},
+                              std::size_t{300}, std::size_t{4000},
+                              std::size_t{40000}}) {
+    SCOPED_TRACE(n);
+    std::vector<std::size_t> sessions(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double rank = static_cast<double>(rng.uniform_index(n) + 1);
+      sessions[i] = static_cast<std::size_t>(200000.0 / rank);
+    }
+    const std::size_t target = chunk_target(sessions);
+    std::size_t largest = 0;
+    for (const std::size_t s : sessions) {
+      largest = std::max(largest, swarm_weight(s));
+    }
+    const std::vector<std::size_t> bounds = sweep_chunk_bounds(sessions);
+    ASSERT_GE(bounds.size(), 2u);
+    EXPECT_EQ(bounds.front(), 0u);
+    EXPECT_EQ(bounds.back(), n);
+    for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
+      ASSERT_LT(bounds[c], bounds[c + 1]);
+      std::size_t weight = 0;
+      for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+        weight += swarm_weight(sessions[i]);
+      }
+      EXPECT_LT(weight, target + largest) << c;
+      const bool last = c + 2 == bounds.size();
+      const bool before_heavy =
+          !last && swarm_weight(sessions[bounds[c + 1]]) >= target;
+      if (!last && !before_heavy) {
+        EXPECT_GE(weight, target) << c;
+      }
+    }
+  }
+}
+
+TEST(SweepChunks, FlashCrowdKeepsSingleSwarmChunks) {
+  // A synchronized spike's ≈ 20 swarms each outweigh the target, so each
+  // sweeps alone, as perfbench flash_ledger and the FlashSpike pins need.
+  // The chunk count is the same at every thread count.
+  for (const std::uint64_t seed : {1u, 5u, 9u}) {
+    for (const double viewers : {2000.0, 40000.0}) {
+      SCOPED_TRACE(viewers);
+      const Trace trace = generate_flash_crowd(
+          metro(), flash_crowd_preset("spike", viewers, 7200.0, 1.0), seed);
+      const TraceView view = TraceView::from_trace(trace);
+      SimConfig config;
+      config.overload = true;
+      for (const unsigned threads : {1u, 4u}) {
+        config.threads = threads;
+        SimPhaseTiming timing;
+        const SimResult result =
+            HybridSimulator(metro(), config).run(view, &timing);
+        EXPECT_EQ(result.swarms.size(), 20u) << seed;
+        EXPECT_EQ(timing.chunks, result.swarms.size()) << seed;
+        EXPECT_GE(timing.peak_backlog, 1u);
+      }
+    }
+  }
+}
+
+TEST(SweepChunks, ChunkCountPinnedAtEveryThreadCount) {
+  // A scaled London day: thousands of swarms, cut into about
+  // kSweepChunkCount chunks. The count is fixed by the swarm list; the
+  // backlog is not pinned, as it depends on the schedule.
+  static const Trace trace =
+      TraceGenerator(TraceConfig::london_month_scaled(1), metro()).generate();
+  const TraceView view = TraceView::from_trace(trace);
+  for (const unsigned threads : {1u, 4u}) {
+    SimConfig config;
+    config.threads = threads;
+    SimPhaseTiming timing;
+    const SimResult result =
+        HybridSimulator(metro(), config).run(view, &timing);
+    EXPECT_GT(result.swarms.size(), 4 * timing.chunks);
+    EXPECT_EQ(timing.chunks, 451u) << threads;
+    EXPECT_GE(timing.peak_backlog, 1u);
+    EXPECT_LE(timing.peak_backlog, timing.chunks);
   }
 }
 
